@@ -11,10 +11,14 @@
 
 #include <cstdlib>
 #include <new>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "src/lsvd/extent_map.h"
 #include "src/lsvd/journal.h"
 #include "src/lsvd/object_format.h"
+#include "src/lsvd/paged_extent_map.h"
 #include "src/sim/simulator.h"
 #include "src/util/crc32c.h"
 #include "src/util/rng.h"
@@ -149,6 +153,85 @@ void BM_ExtentMapLookupSequential(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ExtentMapLookupSequential)->Arg(1000)->Arg(1000000);
+
+// Random 4 KiB overwrites of a fully fragmented volume map: `blocks` 4 KiB
+// extents (262 144 = a 1 GiB volume) written in random order with
+// non-contiguous SSD targets — the write-cache map's steady state under
+// fig06 / perfbench lsvd_randwrite.
+void BM_ExtentMapOverwrite4K(benchmark::State& state) {
+  const auto blocks = static_cast<uint64_t>(state.range(0));
+  ExtentMap<SsdTarget> map;
+  Rng rng(3);
+  std::vector<uint64_t> order(blocks);
+  std::iota(order.begin(), order.end(), uint64_t{0});
+  for (uint64_t i = blocks - 1; i > 0; i--) {
+    std::swap(order[i], order[rng.Uniform(i + 1)]);
+  }
+  uint64_t plba = 0;
+  for (const uint64_t b : order) {
+    map.Update(b * 4 * kKiB, 4 * kKiB, SsdTarget{plba}, nullptr);
+    plba += 8 * kKiB;  // gap: consecutive writes never merge
+  }
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    map.Update(rng.Uniform(blocks) * 4 * kKiB, 4 * kKiB, SsdTarget{plba},
+               nullptr);
+    plba += 8 * kKiB;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ExtentMapOverwrite4K)->Arg(262144);
+
+// The flat map against PagedExtentMap with no residency budget, through the
+// same ExtentMapIface calls: random 16 KiB updates and 64 KiB lookups over
+// `entries` extents (the BM_ExtentMapUpdate / LookupOutParam shapes).
+template <typename Map>
+void BM_MapIfaceUpdate(benchmark::State& state) {
+  const auto entries = static_cast<uint64_t>(state.range(0));
+  Map map;
+  Rng rng(1);
+  for (uint64_t i = 0; i < entries; i++) {
+    map.Update(rng.Uniform(entries * 4) * 16 * kKiB, 16 * kKiB,
+               ObjTarget{i, 0}, nullptr);
+  }
+  uint64_t seq = entries;
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    map.Update(rng.Uniform(entries * 4) * 16 * kKiB, 16 * kKiB,
+               ObjTarget{seq++, 0}, nullptr);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK_TEMPLATE(BM_MapIfaceUpdate, ExtentMap<ObjTarget>)
+    ->Arg(100000)
+    ->Arg(1000000);
+BENCHMARK_TEMPLATE(BM_MapIfaceUpdate, PagedExtentMap<ObjTarget>)
+    ->Arg(100000)
+    ->Arg(1000000);
+
+template <typename Map>
+void BM_MapIfaceLookup(benchmark::State& state) {
+  const auto entries = static_cast<uint64_t>(state.range(0));
+  Map map;
+  Rng rng(2);
+  for (uint64_t i = 0; i < entries; i++) {
+    map.Update(rng.Uniform(entries * 4) * 16 * kKiB, 16 * kKiB,
+               ObjTarget{i, 0}, nullptr);
+  }
+  typename Map::SegmentVec segs;
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    map.Lookup(rng.Uniform(entries * 4) * 16 * kKiB, 64 * kKiB, &segs);
+    benchmark::DoNotOptimize(segs.size());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK_TEMPLATE(BM_MapIfaceLookup, ExtentMap<ObjTarget>)
+    ->Arg(100000)
+    ->Arg(1000000);
+BENCHMARK_TEMPLATE(BM_MapIfaceLookup, PagedExtentMap<ObjTarget>)
+    ->Arg(100000)
+    ->Arg(1000000);
 
 // Event engine: schedule-then-drain churn with short delays — the shape of
 // nearly all simulation traffic (device latencies, network hops). Exercises

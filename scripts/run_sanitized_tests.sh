@@ -10,10 +10,12 @@
 # the sanitizers check against is documented in DESIGN.md ("Fault model").
 #
 # With --touched, only the tests/<name>_test.cc files changed relative to
-# BASE (default: the working tree vs HEAD, including untracked test files)
-# are built and executed — the cheap sanitizer pass the tier-1 ctest flow
-# runs on every change (see tests/CMakeLists.txt, `sanitized_touched`).
-# When nothing relevant changed it exits 0 without configuring anything.
+# BASE (default: the working tree vs HEAD, including untracked files) are
+# built and executed, plus every tests/*_test.cc that directly #includes a
+# changed src/ header (a changed src/foo.cc counts as a change to
+# src/foo.h) — the cheap sanitizer pass the tier-1 ctest flow runs on every
+# change (see tests/CMakeLists.txt, `sanitized_touched`). When nothing
+# relevant changed it exits 0 without configuring anything.
 #
 # With --tsan, a separate build tree (default build-tsan/) is configured with
 # -DLSVD_SANITIZE=thread and the parallel-engine test binaries — the only
@@ -70,18 +72,32 @@ if [ "$TOUCHED" = 1 ]; then
     echo "sanitized: not a git checkout, skipping touched-test pass"
     exit 0
   fi
-  changed="$( { git -C "$SRC_DIR" diff --name-only "$BASE" -- 'tests/*.cc';
+  changed="$( { git -C "$SRC_DIR" diff --name-only "$BASE" -- tests src;
                 git -C "$SRC_DIR" ls-files --others --exclude-standard \
-                    -- 'tests/*.cc'; } 2>/dev/null | sort -u)"
-  targets=""
+                    -- tests src; } 2>/dev/null | sort -u)"
+  tests=""
   for f in $changed; do
-    name="$(basename "$f" .cc)"
-    case "$name" in
-      *_test) targets="$targets $name" ;;
+    case "$f" in
+      tests/*_test.cc) tests="$tests $f" ;;
+      src/*.h) headers="${headers:-} $f" ;;
+      src/*.cc) headers="${headers:-} ${f%.cc}.h" ;;
     esac
   done
+  for h in ${headers:-}; do
+    for t in "$SRC_DIR"/tests/*_test.cc; do
+      if grep -qF "#include \"$h\"" "$t"; then
+        tests="$tests tests/$(basename "$t")"
+      fi
+    done
+  done
+  targets=""
+  for f in $(printf '%s\n' $tests | sort -u); do
+    if [ -f "$SRC_DIR/$f" ]; then  # a deleted test has no target left
+      targets="$targets $(basename "$f" .cc)"
+    fi
+  done
   if [ -z "$targets" ]; then
-    echo "sanitized: no touched test sources vs $BASE, nothing to run"
+    echo "sanitized: no touched tests or src headers vs $BASE, nothing to run"
     exit 0
   fi
   echo "sanitized: touched tests vs $BASE:$targets"

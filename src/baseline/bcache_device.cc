@@ -448,6 +448,34 @@ void BcacheDevice::ForceWriteback() {
   });
 }
 
+std::vector<WritebackPiece> SelectWritebackPieces(
+    const ExtentMap<SsdTarget>& dirty, uint64_t* cursor, uint64_t max_bytes,
+    uint64_t chunk) {
+  std::vector<WritebackPiece> pieces;
+  uint64_t selected = 0;
+  const auto take = [&](const MapExtent<SsdTarget>& e) {
+    if (selected >= max_bytes) {
+      return false;
+    }
+    uint64_t off = 0;
+    while (off < e.len && selected < max_bytes) {
+      const uint64_t piece = std::min(chunk, e.len - off);
+      pieces.push_back(
+          WritebackPiece{e.start + off, piece, e.target.plba + off});
+      selected += piece;
+      off += piece;
+    }
+    *cursor = e.start + e.len;
+    return true;
+  };
+  const uint64_t from = *cursor;
+  dirty.ForEachFrom(from, take);
+  dirty.ForEachFrom(0, [&](const MapExtent<SsdTarget>& e) {
+    return e.start < from && take(e);
+  });
+  return pieces;
+}
+
 void BcacheDevice::WritebackRound(uint64_t max_bytes, bool forced,
                                   std::function<void()> done) {
   (void)forced;
@@ -459,29 +487,8 @@ void BcacheDevice::WritebackRound(uint64_t max_bytes, bool forced,
 
   // Select dirty extents in LBA order starting at the scan cursor — this is
   // the ordering that breaks crash consistency (Table 4).
-  struct Piece {
-    uint64_t vlba;
-    uint64_t len;
-    uint64_t plba;
-  };
-  std::vector<Piece> pieces;
-  uint64_t selected = 0;
-  const auto extents = dirty_.Extents();
-  size_t start = 0;
-  while (start < extents.size() && extents[start].start < wb_cursor_) {
-    start++;
-  }
-  for (size_t n = 0; n < extents.size() && selected < max_bytes; n++) {
-    const auto& e = extents[(start + n) % extents.size()];
-    uint64_t off = 0;
-    while (off < e.len && selected < max_bytes) {
-      const uint64_t piece = std::min(config_.writeback_chunk, e.len - off);
-      pieces.push_back(Piece{e.start + off, piece, e.target.plba + off});
-      selected += piece;
-      off += piece;
-    }
-    wb_cursor_ = e.start + e.len;
-  }
+  const std::vector<WritebackPiece> pieces = SelectWritebackPieces(
+      dirty_, &wb_cursor_, max_bytes, config_.writeback_chunk);
   if (pieces.empty()) {
     writeback_running_ = false;
     host_->sim()->After(0, std::move(done));

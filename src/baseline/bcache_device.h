@@ -18,6 +18,7 @@
 
 #include <deque>
 #include <memory>
+#include <vector>
 
 #include "src/blockdev/virtual_disk.h"
 #include "src/lsvd/client_host.h"
@@ -55,6 +56,25 @@ struct BcacheStats {
   uint64_t writeback_bytes = 0;
   uint64_t stalled_writes = 0;
 };
+
+// One writeback backing write: `len` dirty bytes at `vlba`, cached at `plba`.
+struct WritebackPiece {
+  uint64_t vlba;
+  uint64_t len;
+  uint64_t plba;
+
+  friend bool operator==(const WritebackPiece&,
+                         const WritebackPiece&) = default;
+};
+
+// Selects up to `max_bytes` of dirty data in LBA order — not write order —
+// starting at the first extent at or after `*cursor` and wrapping around to
+// the extents before it, cut into pieces of at most `chunk` bytes. An extent
+// the budget cuts short is resumed only after the wrap. Advances `*cursor`
+// past every extent taken. Walks the map in place.
+std::vector<WritebackPiece> SelectWritebackPieces(
+    const ExtentMap<SsdTarget>& dirty, uint64_t* cursor, uint64_t max_bytes,
+    uint64_t chunk);
 
 class BcacheDevice : public VirtualDisk {
  public:

@@ -1,8 +1,9 @@
 // Compressed two-level extent map for huge thin volumes (DESIGN.md §13).
 //
-// The flat ExtentMap keeps every translation in a std::map node (~88 bytes
-// per extent), which caps volume size × volume count per host. This
-// implementation splits the address space into fixed-span *leaf pages* keyed
+// The flat ExtentMap keeps every translation resident in B+tree leaves of
+// 64 {start, len, target} entries (32 bytes each for an object target; with
+// leaves half to fully occupied that is ~32-64 bytes per extent), which caps
+// volume size × volume count per host. This implementation splits the address space into fixed-span *leaf pages* keyed
 // by a small resident directory. Each page lives in one of two forms:
 //
 //  - packed: a run-length varint encoding (~6-14 bytes per extent) — the

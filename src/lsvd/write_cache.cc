@@ -566,8 +566,7 @@ Buffer WriteCache::EncodeCheckpointBlob(uint64_t backend_synced_seq) const {
   enc.PutU64(used_);
   enc.PutU64(backend_synced_seq);
   enc.PutU32(static_cast<uint32_t>(records_.size()));
-  const auto extents = map_.Extents();
-  enc.PutU32(static_cast<uint32_t>(extents.size()));
+  enc.PutU32(static_cast<uint32_t>(map_.extent_count()));
   const size_t crc_pos = enc.size();
   enc.PutU32(0);
   for (const auto& rec : records_) {
@@ -585,11 +584,12 @@ Buffer WriteCache::EncodeCheckpointBlob(uint64_t backend_synced_seq) const {
       enc.PutU64(e.len);
     }
   }
-  for (const auto& e : extents) {
+  map_.ForEachFrom(0, [&enc](const MapExtent<SsdTarget>& e) {
     enc.PutU64(e.start);
     enc.PutU64(e.len);
     enc.PutU64(e.target.plba);
-  }
+    return true;
+  });
   enc.PadTo(kBlockSize);
   enc.PatchU32(len_pos, static_cast<uint32_t>(enc.size()));
   enc.PatchU32(len_pos + 4, static_cast<uint32_t>(enc.size() >> 32));

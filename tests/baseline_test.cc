@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "src/baseline/bcache_device.h"
 #include "src/baseline/rbd_disk.h"
+#include "src/util/rng.h"
 #include "tests/lsvd_test_util.h"
 
 namespace lsvd {
@@ -260,6 +262,71 @@ TEST_F(BcacheTest, LbaOrderWritebackBreaksTemporalOrder) {
   auto r = ReadDisk(&sim_, &rbd_, 0, 4096);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, TestPattern(4096, 2));
+}
+
+// The in-place writeback walk must select exactly the pieces, and leave the
+// cursor exactly where, the original selection over a full Extents() copy
+// did — on a fragmented multi-leaf map, across rounds that drain selected
+// pieces and dirty new ranges, with budgets that stop inside an extent.
+std::vector<WritebackPiece> SelectFromExtentsCopy(
+    const ExtentMap<SsdTarget>& dirty, uint64_t* cursor, uint64_t max_bytes,
+    uint64_t chunk) {
+  std::vector<WritebackPiece> pieces;
+  uint64_t selected = 0;
+  const auto extents = dirty.Extents();
+  size_t start = 0;
+  while (start < extents.size() && extents[start].start < *cursor) {
+    start++;
+  }
+  for (size_t n = 0; n < extents.size() && selected < max_bytes; n++) {
+    const auto& e = extents[(start + n) % extents.size()];
+    uint64_t off = 0;
+    while (off < e.len && selected < max_bytes) {
+      const uint64_t piece = std::min(chunk, e.len - off);
+      pieces.push_back(
+          WritebackPiece{e.start + off, piece, e.target.plba + off});
+      selected += piece;
+      off += piece;
+    }
+    *cursor = e.start + e.len;
+  }
+  return pieces;
+}
+
+TEST(BcacheWriteback, InPlaceSelectionMatchesExtentsCopy) {
+  Rng rng(5);
+  ExtentMap<SsdTarget> dirty;
+  uint64_t plba = 0;
+  for (int i = 0; i < 3000; i++) {
+    const uint64_t len = (1 + rng.Uniform(8)) * 4 * kKiB;
+    dirty.Update(rng.Uniform(8192) * 4 * kKiB, len, SsdTarget{plba}, nullptr);
+    plba += len + 4 * kKiB;  // gap: neighbours never merge by accident
+  }
+  uint64_t cursor = 0;
+  uint64_t ref_cursor = 0;
+  for (int round = 0; round < 200; round++) {
+    const uint64_t budget = (1 + rng.Uniform(64)) * 4 * kKiB;
+    const uint64_t chunk = (1 + rng.Uniform(4)) * 4 * kKiB;
+    const auto want = SelectFromExtentsCopy(dirty, &ref_cursor, budget, chunk);
+    const auto got = SelectWritebackPieces(dirty, &cursor, budget, chunk);
+    ASSERT_EQ(got, want) << "round " << round;
+    ASSERT_EQ(cursor, ref_cursor) << "round " << round;
+    for (const auto& p : got) {
+      if (rng.Uniform(2) == 0) {
+        dirty.Remove(p.vlba, p.len, nullptr);
+      }
+    }
+    for (int i = 0; i < 10; i++) {
+      const uint64_t len = (1 + rng.Uniform(8)) * 4 * kKiB;
+      dirty.Update(rng.Uniform(8192) * 4 * kKiB, len, SsdTarget{plba},
+                   nullptr);
+      plba += len + 4 * kKiB;
+    }
+  }
+  // An exhausted budget and an empty map select nothing.
+  EXPECT_TRUE(SelectWritebackPieces(dirty, &cursor, 0, kMiB).empty());
+  dirty.Clear();
+  EXPECT_TRUE(SelectWritebackPieces(dirty, &cursor, kMiB, kMiB).empty());
 }
 
 }  // namespace

@@ -2,11 +2,15 @@
 // structure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "src/lsvd/extent_map.h"
+#include "src/util/codec.h"
 #include "src/util/rng.h"
+#include "src/util/units.h"
 
 namespace lsvd {
 namespace {
@@ -189,6 +193,82 @@ TEST(ExtentMap, PartialOverlapAccounting) {
   // Zero-net-change overwrite of an exact extent.
   m2.Update(40, 40, SsdTarget{7000});
   EXPECT_EQ(m2.mapped_bytes(), 110u);
+}
+
+// ForEachFrom walks the map in place: from any address it visits exactly
+// the Extents() suffix that starts there, stops when told to, and a
+// checkpoint-style stream (count, then every extent) is byte-identical to
+// one encoded from the Extents() copy.
+TEST(ExtentMap, ForEachFromMatchesExtentsCopy) {
+  Map m;
+  Rng rng(11);
+  for (uint64_t i = 0; i < 5000; i++) {
+    m.Update(rng.Uniform(20000) * 4096, (1 + rng.Uniform(3)) * 4096,
+             SsdTarget{i * kMiB});
+  }
+  const auto all = m.Extents();
+  ASSERT_GT(all.size(), 10 * Map::kLeafCap);
+  for (int i = 0; i < 300; i++) {
+    const uint64_t addr = rng.Uniform(20000 * 4096 + 8192);
+    const size_t limit = i % 2 == 0 ? all.size() : rng.Uniform(200);
+    std::vector<MapExtent<SsdTarget>> got;
+    m.ForEachFrom(addr, [&](const MapExtent<SsdTarget>& e) {
+      if (got.size() == limit) {
+        return false;
+      }
+      got.push_back(e);
+      return true;
+    });
+    size_t first = 0;
+    while (first < all.size() && all[first].start < addr) {
+      first++;
+    }
+    const size_t n = std::min(limit, all.size() - first);
+    const std::vector<MapExtent<SsdTarget>> want(
+        all.begin() + static_cast<ptrdiff_t>(first),
+        all.begin() + static_cast<ptrdiff_t>(first + n));
+    ASSERT_EQ(got, want) << "addr " << addr;
+  }
+
+  Encoder streamed;
+  streamed.PutU32(static_cast<uint32_t>(m.extent_count()));
+  m.ForEachFrom(0, [&streamed](const MapExtent<SsdTarget>& e) {
+    streamed.PutU64(e.start);
+    streamed.PutU64(e.len);
+    streamed.PutU64(e.target.plba);
+    return true;
+  });
+  Encoder copied;
+  copied.PutU32(static_cast<uint32_t>(all.size()));
+  for (const auto& e : all) {
+    copied.PutU64(e.start);
+    copied.PutU64(e.len);
+    copied.PutU64(e.target.plba);
+  }
+  EXPECT_EQ(streamed.Take(), copied.Take());
+}
+
+// Punching most of a fragmented map away merges its underfilled leaves, so
+// the reported footprint falls with the extent count.
+TEST(ExtentMap, MemoryShrinksWithExtentCountAfterPunching) {
+  Map m;
+  constexpr uint64_t kExtents = 50000;
+  for (uint64_t i = 0; i < kExtents; i++) {
+    m.Update(i * 8192, 4096, SsdTarget{i * 16384});  // gaps: no merging
+  }
+  ASSERT_EQ(m.extent_count(), kExtents);
+  const uint64_t full_bytes = m.MemoryBytes();
+  // Keep the first extent of every ten.
+  for (uint64_t i = 0; i < kExtents; i += 10) {
+    m.Remove(i * 8192 + 8192, 9 * 8192);
+  }
+  ASSERT_EQ(m.extent_count(), kExtents / 10);
+  EXPECT_LT(m.MemoryBytes(), full_bytes / 4);
+  // Punch everything: every leaf is freed; only the directory arrays'
+  // capacity (16 bytes per peak leaf) remains.
+  m.Remove(0, kExtents * 8192);
+  EXPECT_TRUE(m.empty());
+  EXPECT_LT(m.MemoryBytes(), full_bytes / 50);
 }
 
 // Property test: random updates/removes against a per-byte reference model.
