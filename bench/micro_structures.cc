@@ -182,9 +182,10 @@ void BM_ExtentMapOverwrite4K(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtentMapOverwrite4K)->Arg(262144);
 
-// The flat map against PagedExtentMap with no residency budget, through the
-// same ExtentMapIface calls: random 16 KiB updates and 64 KiB lookups over
-// `entries` extents (the BM_ExtentMapUpdate / LookupOutParam shapes).
+// The flat map against PagedExtentMap with no residency budget (the backend
+// object map's default), through the same calls: random 16 KiB updates and
+// 64 KiB lookups over `entries` extents (the BM_ExtentMapUpdate /
+// LookupOutParam shapes).
 template <typename Map>
 void BM_MapIfaceUpdate(benchmark::State& state) {
   const auto entries = static_cast<uint64_t>(state.range(0));

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc lint: the docs must keep up with the code.
 
-Two checks, both wired into ctest as `check_docs`:
+Four checks, all wired into ctest as `check_docs`:
 
 1. Every metric name registered in src/ (GetCounter / GetGauge /
    GetHistogram / RegisterCallback / CallbackGuard::Register) must have a
@@ -18,6 +18,11 @@ Two checks, both wired into ctest as `check_docs`:
    must appear backticked in that struct's target doc (LsvdConfig and
    GcSimConfig in docs/GC.md, FleetConfig in docs/FLEET.md), so new knobs
    ship documented.
+
+4. The reverse of 3: every `LsvdConfig::x` and `config.x()` /
+   `config_.x()` name cited in DESIGN.md or docs/*.md must be declared in
+   src/lsvd/config.h, so a deleted field or predicate cannot stay
+   documented.
 
 Run from anywhere: `python3 scripts/check_docs.py [repo_root]`.
 Exit 0 = docs in sync; exit 1 = findings (listed on stderr).
@@ -148,6 +153,28 @@ def check_config_reference(repo: Path, errors: list):
                       "check_docs.py is broken, fix its patterns")
 
 
+# `LsvdConfig::name` and `config.name()` / `config_.name()` citations.
+CONFIG_CITATION = re.compile(
+    r"\bLsvdConfig::([A-Za-z_]\w*)|\bconfig_?\.([A-Za-z_]\w*)\(\)")
+
+
+def check_config_citations(repo: Path, errors: list):
+    header = (repo / "src/lsvd/config.h").read_text(encoding="utf-8")
+    # A declaration: the name followed by a default, `;` or a parameter list.
+    declared = set(re.findall(r"\b([A-Za-z_]\w*)\s*(?:=[^=]|;|\()", header))
+    for doc in [repo / "DESIGN.md"] + sorted((repo / "docs").glob("*.md")):
+        text = doc.read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for m in CONFIG_CITATION.finditer(line):
+                name = m.group(1) or m.group(2)
+                if name not in declared:
+                    errors.append(
+                        f"{doc.relative_to(repo)}:{lineno}: cites "
+                        f"{m.group(0)}, which src/lsvd/config.h does not "
+                        "declare"
+                    )
+
+
 def main() -> int:
     repo = Path(sys.argv[1]) if len(sys.argv) > 1 else \
         Path(__file__).resolve().parent.parent
@@ -155,6 +182,7 @@ def main() -> int:
     check_metrics(repo, errors)
     check_bench_index(repo, errors)
     check_config_reference(repo, errors)
+    check_config_citations(repo, errors)
     if errors:
         print("check_docs: %d finding(s)" % len(errors), file=sys.stderr)
         for e in errors:

@@ -26,6 +26,7 @@ BackendStore::BackendStore(ClientHost* host, std::vector<ObjectStore*> stores,
                            WriteCache* cache, const LsvdConfig& config,
                            MetricsRegistry* metrics, const std::string& prefix)
     : host_(host), cache_(cache), config_(config),
+      object_map_(config.map_resident_bytes, config.map_page_span),
       retry_rng_(config.retry.seed) {
   assert(!stores.empty());
   config_.backend_shards = static_cast<int>(stores.size());
@@ -43,23 +44,11 @@ BackendStore::BackendStore(ClientHost* host, std::vector<ObjectStore*> stores,
         GcPolicyForShard(config_.gc_policy, config_.gc_shard_policy, i)));
   }
 
-  // Select the object-map implementation (DESIGN.md §13): the classic flat
-  // map by default, or the compressed two-level paged map when a resident
-  // budget is configured.
-  if (config_.paged_map()) {
-    paged_map_ = std::make_unique<PagedExtentMap<ObjTarget>>(
-        config_.map_resident_bytes, config_.map_page_span);
-    object_map_ = paged_map_.get();
-  } else {
-    object_map_ = &flat_map_;
-  }
-
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics = owned_metrics_.get();
   }
   metrics_ = metrics;
-  metrics_prefix_ = prefix;
   c_client_bytes_ = metrics_->GetCounter(prefix + ".client_bytes");
   c_coalesced_bytes_ = metrics_->GetCounter(prefix + ".coalesced_bytes");
   c_objects_put_ = metrics_->GetCounter(prefix + ".objects_put");
@@ -75,8 +64,15 @@ BackendStore::BackendStore(ClientHost* host, std::vector<ObjectStore*> stores,
   c_retries_ = metrics_->GetCounter(prefix + ".retries");
   c_timeouts_ = metrics_->GetCounter(prefix + ".timeouts");
   c_gc_aborted_corrupt_ = metrics_->GetCounter(prefix + ".gc_aborted_corrupt");
+  c_trim_extents_ = metrics_->GetCounter(prefix + ".trim_extents");
+  c_trim_punched_bytes_ = metrics_->GetCounter(prefix + ".trim_punched_bytes");
+  c_deadline_seals_ = metrics_->GetCounter(prefix + ".deadline_seals");
+  c_gc_cold_objects_ = metrics_->GetCounter(prefix + ".gc.cold_objects");
+  g_cost_benefit_score_ = metrics_->GetGauge(prefix + ".gc.cost_benefit_score");
   callback_guard_.Register(metrics_, prefix + ".degraded",
                            [this] { return degraded() ? 1.0 : 0.0; });
+  callback_guard_.Register(metrics_, prefix + ".fenced",
+                           [this] { return fenced_ ? 1.0 : 0.0; });
   h_open_to_seal_us_ = metrics_->GetHistogram(prefix + ".batch.open_to_seal_us");
   h_seal_to_commit_us_ =
       metrics_->GetHistogram(prefix + ".batch.seal_to_commit_us");
@@ -92,48 +88,31 @@ BackendStore::BackendStore(ClientHost* host, std::vector<ObjectStore*> stores,
     return static_cast<double>(object_count());
   });
 
-  // Extended-GC metrics exist only when a non-default GC configuration is
-  // active, so the long-standing default metric dumps stay unchanged.
-  if (config_.gc_extended()) {
-    callback_guard_.Register(metrics_, prefix + ".gc_policy", [this] {
-      return static_cast<double>(config_.gc_policy);
-    });
-    c_gc_cold_objects_ = metrics_->GetCounter(prefix + ".gc.cold_objects");
-    g_cost_benefit_score_ =
-        metrics_->GetGauge(prefix + ".gc.cost_benefit_score");
-    callback_guard_.Register(metrics_, prefix + ".gc.waf", [this] {
-      const double client = static_cast<double>(c_client_bytes_->value());
-      return client == 0.0
-                 ? 0.0
-                 : static_cast<double>(c_object_bytes_->value()) / client;
-    });
-  }
+  callback_guard_.Register(metrics_, prefix + ".gc_policy", [this] {
+    return static_cast<double>(config_.gc_policy);
+  });
+  callback_guard_.Register(metrics_, prefix + ".gc.waf", [this] {
+    const double client = static_cast<double>(c_client_bytes_->value());
+    return client == 0.0
+               ? 0.0
+               : static_cast<double>(c_object_bytes_->value()) / client;
+  });
+  // Object-map paging (DESIGN.md §13).
+  callback_guard_.Register(metrics_, prefix + ".map.resident_bytes", [this] {
+    return static_cast<double>(object_map_.ResidentBytes());
+  });
+  callback_guard_.Register(metrics_, prefix + ".map.packed_bytes", [this] {
+    return static_cast<double>(object_map_.PackedBytes());
+  });
+  callback_guard_.Register(metrics_, prefix + ".map.page_loads", [this] {
+    return static_cast<double>(object_map_.page_loads());
+  });
+  callback_guard_.Register(metrics_, prefix + ".map.page_evictions", [this] {
+    return static_cast<double>(object_map_.page_evictions());
+  });
 
-  // Seal-on-deadline metric exists only on adaptive-batching configs
-  // (DESIGN.md §12), same gating discipline as the extended-GC block above.
-  if (config_.batch_seal_deadline > 0) {
-    c_deadline_seals_ = metrics_->GetCounter(prefix + ".deadline_seals");
-  }
-
-  // Paged-map metrics exist only when the compressed two-level map is active
-  // (DESIGN.md §13), same gating discipline as the extended-GC block above.
-  if (config_.paged_map()) {
-    callback_guard_.Register(metrics_, prefix + ".map.resident_bytes", [this] {
-      return static_cast<double>(paged_map_->ResidentBytes());
-    });
-    callback_guard_.Register(metrics_, prefix + ".map.packed_bytes", [this] {
-      return static_cast<double>(paged_map_->PackedBytes());
-    });
-    callback_guard_.Register(metrics_, prefix + ".map.page_loads", [this] {
-      return static_cast<double>(paged_map_->page_loads());
-    });
-    callback_guard_.Register(metrics_, prefix + ".map.page_evictions", [this] {
-      return static_cast<double>(paged_map_->page_evictions());
-    });
-  }
-
-  // Per-shard counters and gauges exist only on sharded volumes, so the
-  // long-standing single-shard metric dumps stay unchanged.
+  // Per-shard counters and gauges exist only on sharded volumes; with one
+  // shard they would repeat the aggregate rows above.
   if (shards_.size() > 1) {
     for (size_t i = 0; i < shards_.size(); i++) {
       const std::string sp = prefix + ".shard" + std::to_string(i);
@@ -276,11 +255,6 @@ uint64_t BackendStore::AddTrim(uint64_t vlba, uint64_t len) {
   // The open GC batch needs no seal: its extents apply conditionally, so a
   // copy of data this trim punches finds no matching map entry and is
   // skipped no matter when its object commits.
-  if (c_trim_extents_ == nullptr) {
-    c_trim_extents_ = metrics_->GetCounter(metrics_prefix_ + ".trim_extents");
-    c_trim_punched_bytes_ =
-        metrics_->GetCounter(metrics_prefix_ + ".trim_punched_bytes");
-  }
   c_trim_extents_->Inc();
   const uint64_t seq = OpenBatchSeq(batch_);
   BatchEntry e;
@@ -328,7 +302,7 @@ void BackendStore::SealGcBatchNow() {
   OpenBatch b = std::move(*gc_batch_);
   gc_batch_.reset();
   b.seq = next_seq_++;
-  b.generation = gc_batch_generation_;  // non-zero only when gc_extended()
+  b.generation = gc_batch_generation_;
   b.cold = true;
   gc_batch_generation_ = 0;
   std::vector<uint64_t> cleaned = std::move(gc_batch_cleaned_);
@@ -365,7 +339,7 @@ void BackendStore::SealBatch(OpenBatch batch, bool from_gc,
   sealed.header.seq = batch.seq;
   sealed.header.generation = batch.generation;
   sealed.sealed_at = host_->sim()->now();
-  if (batch.cold && c_gc_cold_objects_ != nullptr) {
+  if (batch.cold) {
     c_gc_cold_objects_->Inc();
   }
   if (batch.opened_at >= 0) {
@@ -429,14 +403,9 @@ void BackendStore::SealBatch(OpenBatch batch, bool from_gc,
     }
   }
 
-  bool has_trim = false;
-  for (const auto& ext : sealed.header.extents) {
-    has_trim |= ext.is_trim;
-  }
   sealed.payload_bytes = payload.size();
   sealed.header.data_offset =
-      DataObjectHeaderSize(sealed.header.extents.size(),
-                           sealed.header.generation != 0, has_trim);
+      DataObjectHeaderSize(sealed.header.extents.size());
   sealed.object = EncodeDataObject(sealed.header, payload);
   put_queue_.push_back(std::move(sealed));
   PumpPuts();
@@ -537,7 +506,7 @@ void BackendStore::OnPutAttemptFailed(std::shared_ptr<PutRetryState> op,
     // A fenced PUT can never succeed: this attachment's epoch is stale —
     // another host owns the volume now. Fail the operation without retries;
     // ParkFailedPut keeps the sealed object but skips degraded probing.
-    MarkFenced();
+    fenced_ = true;
     op->done(std::move(s));
     return;
   }
@@ -755,17 +724,6 @@ void BackendStore::ParkFailedPut(uint64_t seq) {
   }
 }
 
-void BackendStore::MarkFenced() {
-  if (fenced_) {
-    return;
-  }
-  fenced_ = true;
-  // Registered lazily so volumes that are never fenced keep their metric
-  // dumps unchanged (same discipline as the trim counters).
-  callback_guard_.Register(metrics_, metrics_prefix_ + ".fenced",
-                           [this] { return fenced_ ? 1.0 : 0.0; });
-}
-
 // The degraded state is left by probing, not by waiting for client traffic:
 // every probe interval the shard's pump is unblocked once, which re-PUTs its
 // parked objects in sequence order. If the shard is still down the first PUT
@@ -840,31 +798,29 @@ void BackendStore::ApplyObjectExtents(uint64_t seq,
     if (ext.is_trim) {
       // TRIM tombstone: punch the map and feed whatever it displaced to GC
       // accounting. Contributes no payload (offset stays) and no live bytes.
-      object_map_->Remove(ext.vlba, ext.len, &displaced);
+      object_map_.Remove(ext.vlba, ext.len, &displaced);
       AccountDisplaced(displaced);
-      if (c_trim_punched_bytes_ != nullptr) {
-        for (const auto& d : displaced) {
-          c_trim_punched_bytes_->Inc(d.len);
-        }
+      for (const auto& d : displaced) {
+        c_trim_punched_bytes_->Inc(d.len);
       }
       continue;
     }
     const ObjTarget target{seq, offset};
     if (!ext.conditional()) {
-      object_map_->Update(ext.vlba, ext.len, target, &displaced);
+      object_map_.Update(ext.vlba, ext.len, target, &displaced);
       AccountDisplaced(displaced);
       live += ext.len;
     } else {
       // GC data: apply only where the map still points at the source.
       const ObjTarget expected{ext.expected_seq, ext.expected_offset};
-      object_map_->Lookup(ext.vlba, ext.len, &segs);
+      object_map_.Lookup(ext.vlba, ext.len, &segs);
       for (const auto& seg : segs) {
         if (!seg.target.has_value()) {
           continue;
         }
         const ObjTarget want = expected.Advanced(seg.start - ext.vlba);
         if (*seg.target == want) {
-          object_map_->Update(seg.start, seg.len,
+          object_map_.Update(seg.start, seg.len,
                              target.Advanced(seg.start - ext.vlba),
                              &displaced);
           AccountDisplaced(displaced);
@@ -983,7 +939,7 @@ std::optional<uint64_t> BackendStore::PickGcVictim(size_t shard) const {
       best = seq;
     }
   }
-  if (best.has_value() && g_cost_benefit_score_ != nullptr) {
+  if (best.has_value()) {
     g_cost_benefit_score_->Set(best_score);
   }
   return best;
@@ -1081,7 +1037,7 @@ void BackendStore::CleanOneObject(uint64_t victim) {
         continue;
       }
       const ObjTarget created{victim, offset};
-      object_map_->Lookup(ext.vlba, ext.len, &scan);
+      object_map_.Lookup(ext.vlba, ext.len, &scan);
       for (const auto& seg : scan) {
         if (!seg.target.has_value() || seg.target->seq != victim) {
           continue;
@@ -1120,7 +1076,7 @@ void BackendStore::CleanOneObject(uint64_t victim) {
         const uint64_t gap = next.vlba > prev_end ? next.vlba - prev_end : 0;
         if (gap > 0 && gap <= config_.gc_defrag_hole_max) {
           ExtentMap<ObjTarget>::SegmentVec hole;
-          object_map_->Lookup(prev_end, gap, &hole);
+          object_map_.Lookup(prev_end, gap, &hole);
           bool fully_mapped = true;
           for (const auto& seg : hole) {
             if (!seg.target.has_value()) {
@@ -1176,16 +1132,12 @@ void BackendStore::CleanOneObject(uint64_t victim) {
         }
         c_gc_objects_cleaned_->Inc();
         gc_batch_cleaned_.push_back(victim);
-        if (config_.gc_extended()) {
-          // GC output generation: one past the oldest generation it copies
-          // (docs/GC.md). Recorded per batch so the v2 header persists it.
-          auto g = object_generation_.find(victim);
-          const uint32_t victim_gen = g == object_generation_.end()
-                                          ? 0
-                                          : g->second;
-          gc_batch_generation_ =
-              std::max(gc_batch_generation_, victim_gen + 1);
-        }
+        // GC output generation: one past the oldest generation it copies
+        // (docs/GC.md). Recorded per batch so the object header persists it.
+        auto g = object_generation_.find(victim);
+        const uint32_t victim_gen =
+            g == object_generation_.end() ? 0 : g->second;
+        gc_batch_generation_ = std::max(gc_batch_generation_, victim_gen + 1);
         if (gc_batch_.has_value() &&
             gc_batch_->raw_bytes >= config_.batch_bytes) {
           SealGcBatchNow();
@@ -1353,21 +1305,18 @@ void BackendStore::WriteCheckpoint(std::function<void(Status)> done) {
   CheckpointState state;
   state.through_seq = applied_seq_;
   state.next_seq = next_seq_;
-  state.object_map = object_map_->Extents();
+  state.object_map = object_map_.Extents();
   state.object_info = object_info_;
   state.deferred_deletes = deferred_deletes_;
   state.snapshots.assign(snapshots_.begin(), snapshots_.end());
-  if (shards_.size() > 1) {
-    // Consistency vector (DESIGN.md §9): the highest contiguous seq each
-    // shard contributes to the applied prefix. Recorded so recovery can
-    // cross-check every shard's stream against the checkpoint.
-    state.shard_count = static_cast<uint32_t>(shards_.size());
-    state.shard_consistent = ConsistencyVector(applied_seq_, shards_.size());
-  }
-  // GC generations of surviving objects (non-zero only under gc_extended):
-  // objects at or below the checkpoint are recovered from this state alone,
-  // so without the table a recovered store would score old GC output as
-  // ordinary client data. Empty table keeps the checkpoint at v1/v2.
+  // Consistency vector (DESIGN.md §9): the highest contiguous seq each
+  // shard contributes to the applied prefix. Recorded so recovery can
+  // cross-check every shard's stream against the checkpoint.
+  state.shard_count = static_cast<uint32_t>(shards_.size());
+  state.shard_consistent = ConsistencyVector(applied_seq_, shards_.size());
+  // GC generations of surviving objects: objects at or below the checkpoint
+  // are recovered from this state alone, so without the table a recovered
+  // store would score old GC output as ordinary client data.
   for (const auto& [seq, gen] : object_generation_) {
     if (gen > 0 && object_info_.contains(seq)) {
       state.generations[seq] = gen;
@@ -1435,7 +1384,7 @@ void BackendStore::Recover(std::function<void(Status)> done) {
   // Start from nothing; a loaded checkpoint overrides these. In particular a
   // fresh clone has no checkpoint yet and must replay the base image's
   // object stream from sequence 1.
-  object_map_->Clear();
+  object_map_.Clear();
   object_info_.clear();
   object_generation_.clear();
   deferred_deletes_.clear();
@@ -1489,19 +1438,15 @@ void BackendStore::RecoverTryCheckpoint(std::shared_ptr<RecoverState> st,
       return;
     }
     // Sharding sanity (DESIGN.md §9): placement is derived from seq, so a
-    // checkpoint written under a different stripe width — or whose recorded
-    // consistency vector does not match its own prefix — cannot be applied.
-    const size_t ckpt_shards = state.shard_count == 0 ? 1 : state.shard_count;
-    if (ckpt_shards != shards_.size() ||
-        (state.shard_count > 1 &&
-         state.shard_consistent !=
-             ConsistencyVector(state.through_seq, shards_.size()))) {
+    // checkpoint written under a different stripe width cannot be applied.
+    // (The decoder already checked the consistency vector against it.)
+    if (state.shard_count != shards_.size()) {
       RecoverTryCheckpoint(st, back_index + 1);
       return;
     }
-    object_map_->Clear();
+    object_map_.Clear();
     for (const auto& e : state.object_map) {
-      object_map_->Update(e.start, e.len, e.target, nullptr);
+      object_map_.Update(e.start, e.len, e.target, nullptr);
     }
     object_info_ = state.object_info;
     object_generation_ = state.generations;
@@ -1613,13 +1558,13 @@ void BackendStore::RecoverFinish(std::shared_ptr<RecoverState> st) {
     // checkpoint, ultimately to a bare scan, which truncates the global
     // prefix at the gap (§3.5's single-log rule).
     std::set<uint64_t> referenced;
-    for (const auto& e : object_map_->Extents()) {
+    for (const auto& e : object_map_.Extents()) {
       referenced.insert(e.target.seq);
     }
     for (const uint64_t seq : referenced) {
       if (!StoreFor(seq)->Head(NameForSeq(seq)).ok()) {
         const size_t next_back = st->ckpt_back_index + 1;
-        object_map_->Clear();
+        object_map_.Clear();
         object_info_.clear();
         object_generation_.clear();
         deferred_deletes_.clear();

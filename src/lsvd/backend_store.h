@@ -90,8 +90,9 @@ class BackendStore {
   // trim carries a smaller sequence number and the in-order apply can never
   // resurrect pre-trim data. Within a batch, trim entries always precede
   // write entries (a write arriving later may join the trim's batch; a later
-  // trim re-seals). The trim becomes a zero-payload v3 header extent whose
-  // apply punches the object map, feeding displaced bytes to GC accounting.
+  // trim re-seals). The trim becomes a zero-payload trim extent in the
+  // object header whose apply punches the object map, feeding displaced
+  // bytes to GC accounting.
   uint64_t AddTrim(uint64_t vlba, uint64_t len);
 
   // Seals the open batch if it has exceeded the configured age (called from
@@ -100,12 +101,7 @@ class BackendStore {
   void Seal();
   void SealGcBatch();
 
-  const ExtentMapIface<ObjTarget>& object_map() const { return *object_map_; }
-  // Non-null only when config.paged_map(): the compressed two-level map
-  // behind object_map(), exposed for paging statistics (DESIGN.md §13).
-  const PagedExtentMap<ObjTarget>* paged_object_map() const {
-    return paged_map_.get();
-  }
+  const PagedExtentMap<ObjTarget>& object_map() const { return object_map_; }
 
   // Fetches `len` bytes at `target` (an object-map lookup result).
   void Fetch(ObjTarget target, uint64_t len,
@@ -167,7 +163,7 @@ class BackendStore {
   bool idle() const;
   BackendStoreStats stats() const;
   size_t object_count() const { return object_info_.size(); }
-  // Persisted GC generations (from v2+ data-object headers), keyed by seq.
+  // Persisted GC generations (from data-object headers), keyed by seq.
   // Exposed so tests can check a recovered store scores victims identically
   // to the pre-crash store (generations survive recovery; seal times do not).
   const std::map<uint64_t, uint32_t>& object_generations() const {
@@ -208,8 +204,7 @@ class BackendStore {
     Nanos opened_at = -1;
     uint64_t raw_bytes = 0;
     // GC generation of the batch's data (docs/GC.md): 0 for client writes,
-    // 1 + max victim generation for GC copies. Only set when the extended
-    // GC features are configured, so default volumes keep v1 headers.
+    // 1 + max victim generation for GC copies.
     uint32_t generation = 0;
     // Cold stream member (GC output, or a cold client batch under
     // gc_hot_cold_split); counted by backend.gc.cold_objects.
@@ -313,7 +308,6 @@ class BackendStore {
   // leaves garbage behind.
   void DeleteWithRetry(size_t shard, const std::string& name, int attempt = 0);
   void ScheduleDegradedProbe(size_t shard);
-  void MarkFenced();
   void ApplyReady();
   void ApplyObjectExtents(uint64_t seq, const DataObjectHeader& header,
                           uint64_t payload_bytes);
@@ -340,16 +334,13 @@ class BackendStore {
   WriteCache* cache_;
   LsvdConfig config_;
 
-  // The object map lives behind the narrow ExtentMapIface: the classic flat
-  // map by default (bit-identical to older builds), or the compressed
-  // two-level PagedExtentMap when config.map_resident_bytes > 0
-  // (DESIGN.md §13). object_map_ points at whichever is active.
-  ExtentMap<ObjTarget> flat_map_;
-  std::unique_ptr<PagedExtentMap<ObjTarget>> paged_map_;
-  ExtentMapIface<ObjTarget>* object_map_ = nullptr;
+  // The object map: leaf pages of config.map_page_span bytes, packed down
+  // when their live bytes exceed config.map_resident_bytes (0 = never pack;
+  // DESIGN.md §13).
+  PagedExtentMap<ObjTarget> object_map_;
   std::map<uint64_t, ObjectInfo> object_info_;  // applied data objects
   // Per-object GC generation, feeding the policy's pedigree floor.
-  // Persisted (v2+ data-object headers, checkpoint v3 table), so victim
+  // Persisted (data-object headers, checkpoint generation table), so victim
   // scoring — which also ages candidates on the recoverable object-sequence
   // clock, never a wall clock — is identical before and after recovery.
   std::map<uint64_t, uint32_t> object_generation_;
@@ -361,7 +352,7 @@ class BackendStore {
   std::optional<OpenBatch> gc_batch_;           // GC-copy batch
   std::vector<uint64_t> gc_batch_cleaned_;      // victims of the open GC batch
   // Running generation of the open GC batch: 1 + max generation among the
-  // victims whose copies it holds (tracked only when gc_extended()).
+  // victims whose copies it holds.
   uint32_t gc_batch_generation_ = 0;
 
   std::deque<SealedObject> put_queue_;
@@ -394,7 +385,6 @@ class BackendStore {
 
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_;
-  std::string metrics_prefix_;  // for lazily-registered counters
   Counter* c_client_bytes_;
   Counter* c_coalesced_bytes_;
   Counter* c_objects_put_;
@@ -410,17 +400,11 @@ class BackendStore {
   Counter* c_retries_;
   Counter* c_timeouts_;
   Counter* c_gc_aborted_corrupt_;
-  // Trim counters, registered lazily on the first AddTrim so volumes that
-  // never trim keep their metric dumps unchanged (docs/METRICS.md).
-  Counter* c_trim_extents_ = nullptr;
-  Counter* c_trim_punched_bytes_ = nullptr;
-  // Extended-GC metrics, registered only when config.gc_extended() so the
-  // long-standing default metric dumps stay unchanged (docs/METRICS.md).
-  Counter* c_gc_cold_objects_ = nullptr;
-  // Registered only when batch_seal_deadline > 0 (adaptive batching), so
-  // default metric dumps stay unchanged.
-  Counter* c_deadline_seals_ = nullptr;
-  Gauge* g_cost_benefit_score_ = nullptr;
+  Counter* c_trim_extents_;
+  Counter* c_trim_punched_bytes_;
+  Counter* c_gc_cold_objects_;
+  Counter* c_deadline_seals_;  // batches sealed by batch_seal_deadline
+  Gauge* g_cost_benefit_score_;  // score of the last GC victim picked
   // Write-lifecycle stages downstream of the journal ack: batch open ->
   // seal, and seal -> applied to the object map (commit).
   Histogram* h_open_to_seal_us_;

@@ -89,7 +89,7 @@ struct LsvdConfig {
   // batch_max_age, which is only polled at batch_max_age granularity). The
   // same deadline bounds how long the write cache "plugs" a lone small write
   // waiting for company before force-starting its journal record. 0 = off:
-  // only size sealing plus the coarse age poll, the historical behavior.
+  // only size sealing plus the coarse age poll.
   Nanos batch_seal_deadline = 0;
   // Group commit for the journal: concurrent Flush barriers share one SSD
   // flush instead of each issuing their own (BtrLog-style flush coalescing).
@@ -98,14 +98,6 @@ struct LsvdConfig {
   // skips the plug wait entirely and starts its record immediately, trading
   // batching efficiency for latency only when there is no queue to amortize.
   bool small_write_fast_path = false;
-
-  // True when any adaptive-batching knob is active; gates the new seal/flush
-  // behaviors and their metrics so default-config runs stay byte-identical
-  // (same discipline as gc_extended()).
-  bool adaptive_batching() const {
-    return batch_seal_deadline > 0 || journal_flush_coalescing ||
-           small_write_fast_path;
-  }
 
   // Backend sharding (DESIGN.md §9): the volume's object stream is striped
   // round-robin by batch sequence across this many independent object-store
@@ -124,8 +116,8 @@ struct LsvdConfig {
   uint64_t gc_defrag_hole_max = 0;
 
   // Victim-selection policy (docs/GC.md; DESIGN.md §11). `greedy` is the
-  // paper's least-utilized collector and is bit-identical to the historical
-  // behavior; `cost-benefit` and `age-bucketed` also weigh object age.
+  // paper's least-utilized collector; `cost-benefit` and `age-bucketed` also
+  // weigh object age.
   GcPolicyKind gc_policy = GcPolicyKind::kGreedy;
   // Optional per-shard policy overrides, indexed by shard. Shards beyond the
   // vector's length (and all shards when it is empty) use `gc_policy`.
@@ -142,27 +134,14 @@ struct LsvdConfig {
   // Half-life of the write-heat decay clock.
   Nanos gc_heat_halflife = 10 * kSecond;
 
-  // True when any of the extended-GC knobs above are active; gates the new
-  // GC metrics and the v2 data-object header so default-config runs stay
-  // byte-identical to older builds (same gating discipline as checkpoint v2).
-  bool gc_extended() const {
-    return gc_policy != GcPolicyKind::kGreedy || !gc_shard_policy.empty() ||
-           gc_hot_cold_split;
-  }
-
-  // --- Paged extent maps (DESIGN.md §13) ---
-  // Resident-memory budget for the backend object map's unpacked leaf pages.
-  // 0 (the default) keeps the classic fully resident flat map, bit-identical
-  // to older builds (same gating discipline as gc_extended()); non-zero swaps
-  // in the compressed two-level PagedExtentMap and bounds its live pages to
-  // this many bytes, packing cold pages down to their run-length form.
+  // --- Paged object map (DESIGN.md §13) ---
+  // Resident-memory budget for the backend object map's unpacked leaf pages:
+  // when their live bytes exceed it, the least recently used pages are
+  // packed down to their run-length form. 0 (the default) never packs, so
+  // every page stays resident.
   uint64_t map_resident_bytes = 0;
-  // Virtual-address span covered by one leaf page of the paged map.
+  // Virtual-address span covered by one leaf page of the object map.
   uint64_t map_page_span = 256 * kMiB;
-
-  // True when the paged object map is active; gates the map.* metrics so
-  // default-config runs stay byte-identical.
-  bool paged_map() const { return map_resident_bytes > 0; }
 
   // Read cache geometry.
   uint64_t read_cache_line = 64 * kKiB;

@@ -87,60 +87,8 @@ struct MapSegment {
   std::optional<T> target;
 };
 
-// Narrow interface every extent-map implementation satisfies. The flat
-// `ExtentMap` below is the default, fully resident implementation; the
-// compressed two-level `PagedExtentMap` (paged_extent_map.h) trades lookup
-// cost for bounded memory on huge sparse volumes. Holders that can name the
-// concrete type should (the write cache's map stays `ExtentMap` so its
-// per-IO calls inline); the backend object map goes through this interface
-// so `LsvdConfig::map_resident_bytes` can swap the implementation.
 template <typename T>
-class ExtentMapIface {
- public:
-  using Extent = MapExtent<T>;
-  using Segment = MapSegment<T>;
-  // Allocation-free output containers for the hot-path interfaces.
-  using SegmentVec = SmallVector<Segment, 8>;
-  using ExtentVec = SmallVector<Extent, 8>;
-
-  virtual ~ExtentMapIface() = default;
-
-  // Maps [start, start+len) to `target`, replacing any overlapped mappings;
-  // displaced portions are appended to `displaced` (cleared first; nullptr
-  // discards them).
-  virtual void Update(uint64_t start, uint64_t len, T target,
-                      ExtentVec* displaced) = 0;
-  // Removes mappings in [start, start+len); removed portions go to `removed`
-  // (cleared first; nullptr discards them).
-  virtual void Remove(uint64_t start, uint64_t len, ExtentVec* removed) = 0;
-  // Splits [start, start+len) into maximal mapped/unmapped segments.
-  virtual void Lookup(uint64_t start, uint64_t len, SegmentVec* out) const = 0;
-  // Target covering the single byte at `addr`, if mapped.
-  virtual std::optional<T> LookupOne(uint64_t addr) const = 0;
-  virtual void Clear() = 0;
-  virtual size_t extent_count() const = 0;
-  virtual uint64_t mapped_bytes() const = 0;
-  // In-order snapshot of all extents (checkpointing, tests).
-  virtual std::vector<Extent> Extents() const = 0;
-  // Estimated bytes of memory held by the map's structures.
-  virtual uint64_t MemoryBytes() const = 0;
-
-  // Convenience forms built on the virtuals (cold paths, tests).
-  bool empty() const { return extent_count() == 0; }
-  std::vector<Segment> Lookup(uint64_t start, uint64_t len) const {
-    SegmentVec segs;
-    Lookup(start, len, &segs);
-    std::vector<Segment> out;
-    out.reserve(segs.size());
-    for (const auto& s : segs) {
-      out.push_back(s);
-    }
-    return out;
-  }
-};
-
-template <typename T>
-class ExtentMap final : public ExtentMapIface<T> {
+class ExtentMap {
  public:
   using Extent = MapExtent<T>;
   using Segment = MapSegment<T>;
@@ -191,7 +139,7 @@ class ExtentMap final : public ExtentMapIface<T> {
   // `displaced` (cleared first; pass nullptr to discard) — the garbage
   // collector uses these to decrement per-object live counts.
   void Update(uint64_t start, uint64_t len, T target,
-              ExtentVec* displaced) override {
+              ExtentVec* displaced) {
     if (displaced != nullptr) {
       displaced->clear();
       UpdateImpl(start, len, target,
@@ -211,7 +159,7 @@ class ExtentMap final : public ExtentMapIface<T> {
 
   // Removes mappings in [start, start+len); what was removed is appended to
   // `removed` (cleared first; pass nullptr to discard).
-  void Remove(uint64_t start, uint64_t len, ExtentVec* removed) override {
+  void Remove(uint64_t start, uint64_t len, ExtentVec* removed) {
     if (removed != nullptr) {
       removed->clear();
       RemoveImpl(start, len,
@@ -231,7 +179,7 @@ class ExtentMap final : public ExtentMapIface<T> {
   // Splits [start, start+len) into maximal segments that are each either
   // fully mapped by one extent or fully unmapped, appended to `out`
   // (cleared first).
-  void Lookup(uint64_t start, uint64_t len, SegmentVec* out) const override {
+  void Lookup(uint64_t start, uint64_t len, SegmentVec* out) const {
     out->clear();
     LookupImpl(start, len, [out](Segment s) { out->push_back(s); });
   }
@@ -244,7 +192,7 @@ class ExtentMap final : public ExtentMapIface<T> {
   }
 
   // Target covering the single byte at `addr`, if mapped.
-  std::optional<T> LookupOne(uint64_t addr) const override {
+  std::optional<T> LookupOne(uint64_t addr) const {
     const Pos p = SeekFirstEndingAfter(addr);
     if (IsEnd(p) || At(p).start > addr) {
       return std::nullopt;
@@ -253,7 +201,7 @@ class ExtentMap final : public ExtentMapIface<T> {
     return At(p).target.Advanced(addr - At(p).start);
   }
 
-  void Clear() override {
+  void Clear() {
     firsts_.clear();
     firsts_.shrink_to_fit();
     leaves_.clear();
@@ -262,8 +210,8 @@ class ExtentMap final : public ExtentMapIface<T> {
     mapped_ = 0;
   }
 
-  size_t extent_count() const override { return count_; }
-  uint64_t mapped_bytes() const override { return mapped_; }
+  size_t extent_count() const { return count_; }
+  uint64_t mapped_bytes() const { return mapped_; }
   bool empty() const { return leaves_.empty(); }
 
   // Calls fn(extent) for each extent starting at or after `addr`, in
@@ -285,7 +233,7 @@ class ExtentMap final : public ExtentMapIface<T> {
   }
 
   // In-order snapshot of all extents (checkpointing, tests).
-  std::vector<Extent> Extents() const override {
+  std::vector<Extent> Extents() const {
     std::vector<Extent> out;
     out.reserve(count_);
     for (const auto& leaf : leaves_) {
@@ -295,7 +243,7 @@ class ExtentMap final : public ExtentMapIface<T> {
   }
 
   // Resident bytes: every leaf at full capacity plus the directory arrays.
-  uint64_t MemoryBytes() const override {
+  uint64_t MemoryBytes() const {
     return sizeof(*this) + leaves_.size() * sizeof(Leaf) +
            firsts_.capacity() * sizeof(uint64_t) +
            leaves_.capacity() * sizeof(std::unique_ptr<Leaf>);

@@ -65,11 +65,9 @@ void LsvdDisk::InitComponents() {
   if (config_.gc_hot_cold_split) {
     write_cache_->EnableHeatTracking(config_.gc_heat_halflife);
   }
-  if (config_.adaptive_batching()) {
-    write_cache_->EnableAdaptiveBatching(config_.batch_seal_deadline,
-                                         config_.journal_flush_coalescing,
-                                         config_.small_write_fast_path);
-  }
+  write_cache_->SetAdaptiveBatching(config_.batch_seal_deadline,
+                                    config_.journal_flush_coalescing,
+                                    config_.small_write_fast_path);
   read_cache_ = std::make_unique<ReadCache>(
       host_, rc_base_, config_.read_cache_size, config_.read_cache_line,
       metrics_, p + ".read_cache");
@@ -85,6 +83,8 @@ void LsvdDisk::InitComponents() {
   c_reads_ = metrics_->GetCounter(p + ".reads");
   c_read_bytes_ = metrics_->GetCounter(p + ".read_bytes");
   c_flushes_ = metrics_->GetCounter(p + ".flushes");
+  c_trims_ = metrics_->GetCounter(p + ".trims");
+  c_trim_bytes_ = metrics_->GetCounter(p + ".trim_bytes");
   c_write_cache_hits_ = metrics_->GetCounter(p + ".read.write_cache_hits");
   c_read_cache_hits_ = metrics_->GetCounter(p + ".read.read_cache_hits");
   c_backend_reads_ = metrics_->GetCounter(p + ".read.backend_reads");
@@ -117,10 +117,8 @@ LsvdDiskStats LsvdDisk::stats() const {
   s.read_cache_hits = c_read_cache_hits_->value();
   s.backend_reads = c_backend_reads_->value();
   s.zero_reads = c_zero_reads_->value();
-  if (c_trims_ != nullptr) {
-    s.trims = c_trims_->value();
-    s.trim_bytes = c_trim_bytes_->value();
-  }
+  s.trims = c_trims_->value();
+  s.trim_bytes = c_trim_bytes_->value();
   return s;
 }
 
@@ -394,11 +392,6 @@ void LsvdDisk::Trim(uint64_t offset, uint64_t len,
   if (offset + len > config_.volume_size) {
     done(Status::OutOfRange("trim beyond volume size"));
     return;
-  }
-  if (c_trims_ == nullptr) {
-    const std::string& p = config_.metrics_prefix;
-    c_trims_ = metrics_->GetCounter(p + ".trims");
-    c_trim_bytes_ = metrics_->GetCounter(p + ".trim_bytes");
   }
   c_trims_->Inc();
   c_trim_bytes_->Inc(len);

@@ -205,10 +205,8 @@ class LsvdDisk : public VirtualDisk {
   Counter* c_read_cache_hits_;
   Counter* c_backend_reads_;
   Counter* c_zero_reads_;
-  // Registered lazily on the volume's first Trim so trim-free volumes keep
-  // their metric dumps unchanged (docs/METRICS.md).
-  Counter* c_trims_ = nullptr;
-  Counter* c_trim_bytes_ = nullptr;
+  Counter* c_trims_;
+  Counter* c_trim_bytes_;
   // Write lifecycle head: submit -> journal record on SSD (the client ack).
   Histogram* h_write_ack_us_;
   // Read latencies: end-to-end per client read, and per routed fragment.

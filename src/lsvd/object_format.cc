@@ -12,25 +12,21 @@ namespace {
 
 constexpr uint32_t kDataMagic = 0x4C53564F;   // "LSVO"
 constexpr uint32_t kCkptMagic = 0x4C53564B;   // "LSVK"
-constexpr uint32_t kFormatVersion = 1;
-// Data-object format v2 adds the GC generation after the extent count; v1 is
-// still written whenever the generation is 0, so stores without the extended
-// GC features stay byte-identical to older builds.
-constexpr uint32_t kDataVersionGen = 2;
-// Data-object format v3 adds a per-extent flag word (bit 0 = trim tombstone)
-// and always carries the generation field. Only written when the object
-// actually contains a trim extent, so trim-free stores keep the v1/v2 bytes.
-constexpr uint32_t kDataVersionTrim = 3;
-constexpr uint32_t kExtentFlagTrim = 1u << 0;
-// Checkpoint format v2 appends the backend shard count and the per-shard
-// consistency vector. Unsharded checkpoints keep writing v1 so their encoding
-// stays byte-identical to older builds.
-constexpr uint32_t kCkptVersionSharded = 2;
-// v3 = the v2 layout (shard fields always present, 0 when unsharded) plus a
-// GC-generation table. Written only when at least one object carries a
-// non-zero generation — possible only under gc_extended() — so default
-// volumes keep emitting v1/v2 checkpoints byte for byte.
-constexpr uint32_t kCkptVersionGenerations = 3;
+// The one layout each decoder accepts. The numbers are past those of the
+// superseded layouts, so stale bytes fail the version check, not the CRC.
+constexpr uint32_t kDataVersion = 4;
+constexpr uint32_t kCkptVersion = 4;
+// A data-object extent's length word carries the trim-tombstone flag in its
+// top bit; extent lengths never come near 2^63.
+constexpr uint64_t kExtentTrimBit = uint64_t{1} << 63;
+// Fixed-size checkpoint entries, for bounding counts against the blob size:
+// map extent, object info, deferred delete, snapshot, consistency-vector
+// entry, generation.
+constexpr uint64_t kCkptMapEntry = 32;
+constexpr uint64_t kCkptInfoEntry = 24;
+constexpr uint64_t kCkptDeferEntry = 16;
+constexpr uint64_t kCkptU64Entry = 8;
+constexpr uint64_t kCkptGenEntry = 12;
 constexpr uint64_t kHeaderAlign = 4 * kKiB;
 
 std::string FormatSeq(uint64_t seq) {
@@ -85,13 +81,10 @@ std::optional<uint64_t> ParseCheckpointSeq(const std::string& volume,
   return ParseSeqSuffix(CheckpointPrefix(volume), name);
 }
 
-uint64_t DataObjectHeaderSize(size_t extent_count, bool with_generation,
-                              bool with_trim) {
+uint64_t DataObjectHeaderSize(size_t extent_count) {
   // Fixed fields: magic, version, seq, data_offset, extent count,
-  // [generation in v2/v3], crc. v3 extents carry an extra flag word.
-  const uint64_t raw = 4 + 4 + 8 + 8 + 4 +
-                       ((with_generation || with_trim) ? 4 : 0) + 4 +
-                       (with_trim ? 36 : 32) * extent_count;
+  // generation, crc; then 32 bytes per extent.
+  const uint64_t raw = 4 + 4 + 8 + 8 + 4 + 4 + 4 + 32 * uint64_t{extent_count};
   return (raw + kHeaderAlign - 1) / kHeaderAlign * kHeaderAlign;
 }
 
@@ -106,34 +99,23 @@ uint64_t DataObjectPayloadBytes(const DataObjectHeader& header) {
 }
 
 Buffer EncodeDataObject(const DataObjectHeader& header, const Buffer& data) {
-  bool has_trim = false;
-  for (const auto& e : header.extents) {
-    has_trim |= e.is_trim;
-  }
-  const bool v2 = header.generation != 0 || has_trim;
   Encoder enc;
   enc.PutU32(kDataMagic);
-  enc.PutU32(has_trim ? kDataVersionTrim
-                      : (v2 ? kDataVersionGen : kFormatVersion));
+  enc.PutU32(kDataVersion);
   enc.PutU64(header.seq);
-  const uint64_t data_offset =
-      DataObjectHeaderSize(header.extents.size(), v2, has_trim);
+  const uint64_t data_offset = DataObjectHeaderSize(header.extents.size());
   enc.PutU64(data_offset);
   enc.PutU32(static_cast<uint32_t>(header.extents.size()));
-  if (v2) {
-    enc.PutU32(header.generation);
-  }
+  enc.PutU32(header.generation);
   const size_t crc_pos = enc.size();
   enc.PutU32(0);
   uint64_t sum = 0;
   for (const auto& e : header.extents) {
+    assert(e.len < kExtentTrimBit);
     enc.PutU64(e.vlba);
-    enc.PutU64(e.len);
+    enc.PutU64(e.is_trim ? e.len | kExtentTrimBit : e.len);
     enc.PutU64(e.expected_seq);
     enc.PutU64(e.expected_offset);
-    if (has_trim) {
-      enc.PutU32(e.is_trim ? kExtentFlagTrim : 0);
-    }
     if (!e.is_trim) {
       sum += e.len;
     }
@@ -169,21 +151,18 @@ Status DecodeDataObjectHeader(const Buffer& object_prefix,
   if (dec.GetU32() != kDataMagic) {
     return Status::Corruption("bad data object magic");
   }
-  const uint32_t version = dec.GetU32();
-  if (version != kFormatVersion && version != kDataVersionGen &&
-      version != kDataVersionTrim) {
+  if (dec.GetU32() != kDataVersion) {
     return Status::Corruption("unsupported object version");
   }
-  const bool with_trim = version == kDataVersionTrim;
   header->seq = dec.GetU64();
   header->data_offset = dec.GetU64();
   const uint32_t extent_count = dec.GetU32();
-  header->generation = version >= kDataVersionGen ? dec.GetU32() : 0;
+  header->generation = dec.GetU32();
   const size_t crc_pos = dec.position();
   const uint32_t header_crc = dec.GetU32();
-  if (header->data_offset !=
-      DataObjectHeaderSize(extent_count, version >= kDataVersionGen,
-                           with_trim)) {
+  // The offset pins the extent count to the header's size, so the extent
+  // loop below never reads past `bytes`.
+  if (header->data_offset != DataObjectHeaderSize(extent_count)) {
     return Status::Corruption("data offset inconsistent with extent count");
   }
   if (bytes.size() < header->data_offset) {
@@ -194,12 +173,11 @@ Status DecodeDataObjectHeader(const Buffer& object_prefix,
   for (uint32_t i = 0; i < extent_count; i++) {
     ObjectExtent e;
     e.vlba = dec.GetU64();
-    e.len = dec.GetU64();
+    const uint64_t len_word = dec.GetU64();
+    e.len = len_word & ~kExtentTrimBit;
+    e.is_trim = (len_word & kExtentTrimBit) != 0;
     e.expected_seq = dec.GetU64();
     e.expected_offset = dec.GetU64();
-    if (with_trim) {
-      e.is_trim = (dec.GetU32() & kExtentFlagTrim) != 0;
-    }
     if (!dec.ok() || e.len == 0) {
       return Status::Corruption("object extent malformed");
     }
@@ -250,26 +228,18 @@ std::vector<uint64_t> ConsistencyVector(uint64_t through, size_t shard_count) {
 }
 
 Buffer EncodeCheckpoint(const CheckpointState& state) {
-  const bool sharded = state.shard_count > 1;
-  const bool with_generations = !state.generations.empty();
   Encoder enc;
   enc.PutU32(kCkptMagic);
-  enc.PutU32(with_generations
-                 ? kCkptVersionGenerations
-                 : (sharded ? kCkptVersionSharded : kFormatVersion));
+  enc.PutU32(kCkptVersion);
   enc.PutU64(state.through_seq);
   enc.PutU64(state.next_seq);
   enc.PutU32(static_cast<uint32_t>(state.object_map.size()));
   enc.PutU32(static_cast<uint32_t>(state.object_info.size()));
   enc.PutU32(static_cast<uint32_t>(state.deferred_deletes.size()));
   enc.PutU32(static_cast<uint32_t>(state.snapshots.size()));
-  if (sharded || with_generations) {
-    enc.PutU32(state.shard_count);
-    enc.PutU32(static_cast<uint32_t>(state.shard_consistent.size()));
-  }
-  if (with_generations) {
-    enc.PutU32(static_cast<uint32_t>(state.generations.size()));
-  }
+  enc.PutU32(state.shard_count);
+  enc.PutU32(static_cast<uint32_t>(state.shard_consistent.size()));
+  enc.PutU32(static_cast<uint32_t>(state.generations.size()));
   const size_t crc_pos = enc.size();
   enc.PutU32(0);
   for (const auto& e : state.object_map) {
@@ -290,16 +260,12 @@ Buffer EncodeCheckpoint(const CheckpointState& state) {
   for (const uint64_t s : state.snapshots) {
     enc.PutU64(s);
   }
-  if (sharded || with_generations) {
-    for (const uint64_t s : state.shard_consistent) {
-      enc.PutU64(s);
-    }
+  for (const uint64_t s : state.shard_consistent) {
+    enc.PutU64(s);
   }
-  if (with_generations) {
-    for (const auto& [seq, gen] : state.generations) {
-      enc.PutU64(seq);
-      enc.PutU32(gen);
-    }
+  for (const auto& [seq, gen] : state.generations) {
+    enc.PutU64(seq);
+    enc.PutU32(gen);
   }
 
   std::vector<uint8_t> bytes = enc.Take();
@@ -317,9 +283,7 @@ Status DecodeCheckpoint(const Buffer& object, CheckpointState* state) {
   if (dec.GetU32() != kCkptMagic) {
     return Status::Corruption("bad checkpoint magic");
   }
-  const uint32_t version = dec.GetU32();
-  if (version != kFormatVersion && version != kCkptVersionSharded &&
-      version != kCkptVersionGenerations) {
+  if (dec.GetU32() != kCkptVersion) {
     return Status::Corruption("unsupported checkpoint version");
   }
   state->through_seq = dec.GetU64();
@@ -328,18 +292,14 @@ Status DecodeCheckpoint(const Buffer& object, CheckpointState* state) {
   const uint32_t info_count = dec.GetU32();
   const uint32_t defer_count = dec.GetU32();
   const uint32_t snap_count = dec.GetU32();
-  uint32_t shard_count = 0;
-  uint32_t vec_count = 0;
-  if (version >= kCkptVersionSharded) {
-    shard_count = dec.GetU32();
-    vec_count = dec.GetU32();
-  }
-  uint32_t gen_count = 0;
-  if (version >= kCkptVersionGenerations) {
-    gen_count = dec.GetU32();
-  }
+  const uint32_t shard_count = dec.GetU32();
+  const uint32_t vec_count = dec.GetU32();
+  const uint32_t gen_count = dec.GetU32();
   const size_t crc_pos = dec.position();
   const uint32_t crc = dec.GetU32();
+  if (!dec.ok()) {
+    return Status::Corruption("checkpoint truncated");
+  }
 
   std::vector<uint8_t> check = bytes;
   for (int i = 0; i < 4; i++) {
@@ -348,7 +308,17 @@ Status DecodeCheckpoint(const Buffer& object, CheckpointState* state) {
   if (Crc32c(check.data(), check.size()) != crc) {
     return Status::Corruption("checkpoint CRC mismatch");
   }
-
+  // Every entry has a fixed size, so the counts must account for exactly
+  // the bytes that follow the header: a CRC-valid blob with an inflated
+  // count is rejected before any loop runs.
+  const uint64_t body = map_count * kCkptMapEntry +
+                        info_count * kCkptInfoEntry +
+                        defer_count * kCkptDeferEntry +
+                        (uint64_t{snap_count} + vec_count) * kCkptU64Entry +
+                        gen_count * kCkptGenEntry;
+  if (body != dec.remaining()) {
+    return Status::Corruption("checkpoint counts disagree with its size");
+  }
   state->object_map.clear();
   state->object_info.clear();
   state->deferred_deletes.clear();
@@ -387,11 +357,11 @@ Status DecodeCheckpoint(const Buffer& object, CheckpointState* state) {
     const uint64_t seq = dec.GetU64();
     state->generations[seq] = dec.GetU32();
   }
-  if (!dec.ok()) {
-    return Status::Corruption("checkpoint truncated");
-  }
-  if (shard_count > 1 && state->shard_consistent.size() != shard_count) {
-    return Status::Corruption("consistency vector size != shard count");
+  if (shard_count == 0 ||
+      state->shard_consistent !=
+          ConsistencyVector(state->through_seq, shard_count)) {
+    return Status::Corruption(
+        "consistency vector disagrees with shard count and through_seq");
   }
   return Status::Ok();
 }

@@ -36,8 +36,8 @@ struct ObjectExtent {
   uint64_t expected_seq = 0;
   uint64_t expected_offset = 0;
   // TRIM tombstone: the extent punches [vlba, vlba+len) out of the object map
-  // instead of mapping it, and contributes no payload bytes. Encoded as
-  // format v3 (per-extent flag word); objects without trims keep v1/v2.
+  // instead of mapping it, and contributes no payload bytes. Encoded in the
+  // top bit of the extent's length word.
   bool is_trim = false;
 
   bool conditional() const { return expected_seq != 0; }
@@ -48,9 +48,7 @@ struct DataObjectHeader {
   // Byte offset where data begins (header size, 4 KiB aligned).
   uint64_t data_offset = 0;
   // GC generation (docs/GC.md): 0 for fresh client data, 1 + max victim
-  // generation for GC-copied data. Non-zero generations are encoded as
-  // format v2; generation 0 keeps the v1 encoding so stores that never set
-  // it stay byte-identical to older builds (same gating as checkpoint v2).
+  // generation for GC-copied data.
   uint32_t generation = 0;
   std::vector<ObjectExtent> extents;
 };
@@ -74,11 +72,7 @@ Buffer EncodeDataObject(const DataObjectHeader& header, const Buffer& data);
 Status DecodeDataObjectHeader(const Buffer& object_prefix,
                               DataObjectHeader* header);
 // Size in bytes the encoded header will occupy for this many extents.
-// `with_generation` selects the v2 layout (4 extra bytes before padding);
-// `with_trim` selects the v3 layout (generation plus a per-extent flag word).
-uint64_t DataObjectHeaderSize(size_t extent_count,
-                              bool with_generation = false,
-                              bool with_trim = false);
+uint64_t DataObjectHeaderSize(size_t extent_count);
 // Sum of the data-bearing (non-trim) extent lengths: the payload size an
 // encoded object with this header must carry after data_offset.
 uint64_t DataObjectPayloadBytes(const DataObjectHeader& header);
@@ -101,21 +95,18 @@ struct CheckpointState {
   std::map<uint64_t, ObjectInfo> object_info;
   std::vector<DeferredDelete> deferred_deletes;
   std::vector<uint64_t> snapshots;  // object seqs pinned by snapshots
-  // --- sharded backends only (checkpoint format v2) ---
   // Number of backend shards the volume's object stream is striped across
-  // (0 or 1 means unsharded; encoded as format v1 with no vector).
-  uint32_t shard_count = 0;
-  // Consistency vector: per shard, the highest sequence number on that shard
-  // that is part of the globally contiguous prefix 1..through_seq. Entry i
-  // covers shard i. Recovery uses it to validate that every shard's stream
-  // reaches the checkpoint before trusting the map (DESIGN.md §9).
+  // (1 when unsharded).
+  uint32_t shard_count = 1;
+  // Consistency vector, one entry per shard: the highest sequence number on
+  // that shard that is part of the globally contiguous prefix
+  // 1..through_seq, i.e. ConsistencyVector(through_seq, shard_count) below.
+  // The decoder rejects any other vector, so a checkpoint whose stripe
+  // width or prefix fields disagree is never trusted (DESIGN.md §9).
   std::vector<uint64_t> shard_consistent;
-  // --- extended GC only (checkpoint format v3) ---
   // Non-zero GC generations by object seq. Objects at or below through_seq
   // are recovered from the checkpoint alone (their headers are never
-  // re-read), so generation-aware victim scoring needs the tags here;
-  // omitted (and the checkpoint stays v1/v2) when no object is tagged,
-  // which keeps default volumes byte-identical.
+  // re-read), so generation-aware victim scoring needs the tags here.
   std::map<uint64_t, uint32_t> generations;
 };
 

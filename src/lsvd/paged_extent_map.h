@@ -1,10 +1,11 @@
-// Compressed two-level extent map for huge thin volumes (DESIGN.md §13).
+// Compressed two-level extent map: the backend object map (DESIGN.md §13).
 //
 // The flat ExtentMap keeps every translation resident in B+tree leaves of
 // 64 {start, len, target} entries (32 bytes each for an object target; with
 // leaves half to fully occupied that is ~32-64 bytes per extent), which caps
-// volume size × volume count per host. This implementation splits the address space into fixed-span *leaf pages* keyed
-// by a small resident directory. Each page lives in one of two forms:
+// volume size × volume count per host. This map splits the address space
+// into fixed-span *leaf pages* keyed by a small resident directory, each an
+// ExtentMap. Each page lives in one of two forms:
 //
 //  - packed: a run-length varint encoding (~6-14 bytes per extent) — the
 //    same representation a checkpoint would hold, kept as the page's backing
@@ -13,14 +14,15 @@
 //    first access (a "page load", counted) and packed back down when the
 //    resident budget is exceeded (LRU eviction).
 //
-// With `resident_budget = 0` every touched page stays live forever, so the
-// map behaves exactly like the flat one plus a packed shadow. A non-zero
+// With `resident_budget = 0` every touched page stays live forever and
+// nothing is ever packed, so the map behaves like the flat one. A non-zero
 // budget bounds the live bytes; lookups that miss pay the unpack cost, which
 // fig22_thin_maps reports rather than hides.
 //
 // Operations that span page boundaries are split per page; Lookup() and
 // Extents() re-merge target-contiguous results across the splits so callers
-// observe the same segments the flat map would produce.
+// observe the same segments the flat map would produce. extent_count()
+// counts an extent that crosses a page boundary once per page.
 #ifndef SRC_LSVD_PAGED_EXTENT_MAP_H_
 #define SRC_LSVD_PAGED_EXTENT_MAP_H_
 
@@ -80,13 +82,12 @@ inline void UnpackTarget(const uint8_t** p, const uint8_t* end, ObjTarget* t) {
 }  // namespace paged_detail
 
 template <typename T>
-class PagedExtentMap final : public ExtentMapIface<T> {
+class PagedExtentMap {
  public:
   using Extent = MapExtent<T>;
   using Segment = MapSegment<T>;
-  using SegmentVec = typename ExtentMapIface<T>::SegmentVec;
-  using ExtentVec = typename ExtentMapIface<T>::ExtentVec;
-  using ExtentMapIface<T>::Lookup;  // keep the 2-arg convenience form visible
+  using SegmentVec = typename ExtentMap<T>::SegmentVec;
+  using ExtentVec = typename ExtentMap<T>::ExtentVec;
 
   static constexpr uint64_t kDefaultPageSpan = 256ull * 1024 * 1024;
 
@@ -97,7 +98,7 @@ class PagedExtentMap final : public ExtentMapIface<T> {
   }
 
   void Update(uint64_t start, uint64_t len, T target,
-              ExtentVec* displaced) override {
+              ExtentVec* displaced) {
     if (displaced != nullptr) {
       displaced->clear();
     }
@@ -118,7 +119,7 @@ class PagedExtentMap final : public ExtentMapIface<T> {
     MaybeEvict();
   }
 
-  void Remove(uint64_t start, uint64_t len, ExtentVec* removed) override {
+  void Remove(uint64_t start, uint64_t len, ExtentVec* removed) {
     if (removed != nullptr) {
       removed->clear();
     }
@@ -143,7 +144,7 @@ class PagedExtentMap final : public ExtentMapIface<T> {
     MaybeEvict();
   }
 
-  void Lookup(uint64_t start, uint64_t len, SegmentVec* out) const override {
+  void Lookup(uint64_t start, uint64_t len, SegmentVec* out) const {
     out->clear();
     ForEachPageRange(start, len, [&](uint64_t s, uint64_t l) {
       auto it = pages_.find(s / span_);
@@ -161,7 +162,14 @@ class PagedExtentMap final : public ExtentMapIface<T> {
     MaybeEvict();
   }
 
-  std::optional<T> LookupOne(uint64_t addr) const override {
+  // Vector-returning form (cold paths, tests).
+  std::vector<Segment> Lookup(uint64_t start, uint64_t len) const {
+    SegmentVec segs;
+    Lookup(start, len, &segs);
+    return std::vector<Segment>(segs.begin(), segs.end());
+  }
+
+  std::optional<T> LookupOne(uint64_t addr) const {
     auto it = pages_.find(addr / span_);
     if (it == pages_.end()) {
       return std::nullopt;
@@ -171,19 +179,18 @@ class PagedExtentMap final : public ExtentMapIface<T> {
     return result;
   }
 
-  void Clear() override {
+  void Clear() {
     pages_.clear();
     mapped_ = 0;
     extents_ = 0;
     live_bytes_ = 0;
   }
 
-  size_t extent_count() const override {
-    return static_cast<size_t>(extents_);
-  }
-  uint64_t mapped_bytes() const override { return mapped_; }
+  size_t extent_count() const { return static_cast<size_t>(extents_); }
+  bool empty() const { return extents_ == 0; }
+  uint64_t mapped_bytes() const { return mapped_; }
 
-  std::vector<Extent> Extents() const override {
+  std::vector<Extent> Extents() const {
     std::vector<Extent> out;
     out.reserve(extents_);
     for (const auto& [idx, pg] : pages_) {
@@ -212,7 +219,7 @@ class PagedExtentMap final : public ExtentMapIface<T> {
   }
 
   // Total in-process bytes: packed backing store + live pages + directory.
-  uint64_t MemoryBytes() const override {
+  uint64_t MemoryBytes() const {
     uint64_t packed = 0;
     for (const auto& [idx, pg] : pages_) {
       packed += pg.packed.capacity() + kPageOverhead;

@@ -13,12 +13,21 @@ namespace {
 
 constexpr uint32_t kSuperMagic = 0x4C535653;    // "LSVS"
 constexpr uint32_t kWcCkptMagic = 0x4C535643;   // "LSVC"
-constexpr uint32_t kVersion = 1;
-// Checkpoint-blob v2 adds a per-record flag word (bit 0 = trim record). Only
-// written while a live trim record exists, so trim-free volumes keep the v1
-// bytes (same gating discipline as the object-format versions).
-constexpr uint32_t kCkptVersionTrim = 2;
-constexpr uint32_t kRecordFlagTrim = 1u << 0;
+constexpr uint32_t kSuperVersion = 1;
+// The one checkpoint-blob layout the decoder accepts; the number is past
+// those of the superseded layouts.
+constexpr uint32_t kCkptVersion = 3;
+// A checkpointed record's extent-count word carries the trim-record flag in
+// its top bit (a record holds at most kMaxJournalExtents extents).
+constexpr uint32_t kRecordTrimBit = 1u << 31;
+// Checkpoint blob layout: magic, version, blob length, generation, next
+// seq, head, used, synced seq, record count, map extent count, CRC; then
+// per record 5 u64 fields, the extent-count word and 16 bytes per extent;
+// then 24 bytes per map extent. The blob is padded to a block.
+constexpr uint64_t kCkptFixedBytes = 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 4 + 4 + 4;
+constexpr uint64_t kCkptRecordBytes = 5 * 8 + 4;
+constexpr uint64_t kCkptRecordExtentBytes = 16;
+constexpr uint64_t kCkptMapExtentBytes = 24;
 // Bound on the data carried by one journal record, to keep record latency
 // bounded and recovery reads reasonable.
 constexpr uint64_t kMaxRecordData = 4 * kMiB;
@@ -60,7 +69,6 @@ WriteCache::WriteCache(ClientHost* host, uint64_t base, uint64_t size,
     metrics = owned_metrics_.get();
   }
   metrics_ = metrics;
-  prefix_ = prefix;
   c_appends_ = metrics_->GetCounter(prefix + ".appends");
   c_appended_bytes_ = metrics_->GetCounter(prefix + ".appended_bytes");
   c_records_ = metrics_->GetCounter(prefix + ".records");
@@ -68,6 +76,10 @@ WriteCache::WriteCache(ClientHost* host, uint64_t base, uint64_t size,
   c_stalled_appends_ = metrics_->GetCounter(prefix + ".stalled_appends");
   c_checkpoints_ = metrics_->GetCounter(prefix + ".checkpoints");
   c_evicted_records_ = metrics_->GetCounter(prefix + ".evicted_records");
+  c_deadline_seals_ = metrics_->GetCounter(prefix + ".deadline_seals");
+  c_coalesced_flushes_ =
+      metrics_->GetCounter(prefix + ".journal.coalesced_flushes");
+  c_trim_records_ = metrics_->GetCounter(prefix + ".trim_records");
   h_append_to_free_us_ = metrics_->GetHistogram(prefix + ".append_to_free_us");
   callback_guard_.Register(metrics_, prefix + ".used_bytes",
                            [this] { return static_cast<double>(used_); });
@@ -94,7 +106,7 @@ WriteCacheStats WriteCache::stats() const {
 void WriteCache::Format(std::function<void(Status)> done) {
   Encoder enc;
   enc.PutU32(kSuperMagic);
-  enc.PutU32(kVersion);
+  enc.PutU32(kSuperVersion);
   enc.PutU64(base_);
   enc.PutU64(size_);
   enc.PutU64(slot_size_);
@@ -155,9 +167,6 @@ void WriteCache::Append(uint64_t vlba, Buffer data, uint64_t batch_seq,
 void WriteCache::AppendTrim(uint64_t vlba, uint64_t len, uint64_t batch_seq,
                             std::function<void(Status)> done) {
   assert(vlba % kBlockSize == 0 && len % kBlockSize == 0 && len > 0);
-  if (c_trim_records_ == nullptr) {
-    c_trim_records_ = metrics_->GetCounter(prefix_ + ".trim_records");
-  }
   Pending p;
   p.vlba = vlba;
   p.batch_seq = batch_seq;
@@ -430,17 +439,11 @@ void WriteCache::StartBarrierFlush() {
   });
 }
 
-void WriteCache::EnableAdaptiveBatching(Nanos plug_deadline,
-                                        bool flush_coalescing,
-                                        bool fast_path) {
+void WriteCache::SetAdaptiveBatching(Nanos plug_deadline,
+                                     bool flush_coalescing, bool fast_path) {
   plug_deadline_ = plug_deadline;
   flush_coalescing_ = flush_coalescing;
   fast_path_ = fast_path;
-  if (c_deadline_seals_ == nullptr) {
-    c_deadline_seals_ = metrics_->GetCounter(prefix_ + ".deadline_seals");
-    c_coalesced_flushes_ =
-        metrics_->GetCounter(prefix_ + ".journal.coalesced_flushes");
-  }
 }
 
 void WriteCache::ReadData(uint64_t plba, uint64_t len,
@@ -551,13 +554,9 @@ void WriteCache::ChargeReadback(uint64_t bytes, std::function<void()> done) {
 }
 
 Buffer WriteCache::EncodeCheckpointBlob(uint64_t backend_synced_seq) const {
-  bool has_trim = false;
-  for (const auto& rec : records_) {
-    has_trim |= rec.is_trim;
-  }
   Encoder enc;
   enc.PutU32(kWcCkptMagic);
-  enc.PutU32(has_trim ? kCkptVersionTrim : kVersion);
+  enc.PutU32(kCkptVersion);
   const size_t len_pos = enc.size();
   enc.PutU64(0);  // blob length, backpatched after padding
   enc.PutU64(ckpt_gen_ + 1);
@@ -575,10 +574,9 @@ Buffer WriteCache::EncodeCheckpointBlob(uint64_t backend_synced_seq) const {
     enc.PutU64(rec.total_len);
     enc.PutU64(rec.footprint);
     enc.PutU64(rec.max_batch_seq);
-    if (has_trim) {
-      enc.PutU32(rec.is_trim ? kRecordFlagTrim : 0);
-    }
-    enc.PutU32(static_cast<uint32_t>(rec.extents.size()));
+    const auto n = static_cast<uint32_t>(rec.extents.size());
+    assert(n < kRecordTrimBit);
+    enc.PutU32(rec.is_trim ? n | kRecordTrimBit : n);
     for (const auto& e : rec.extents) {
       enc.PutU64(e.vlba);
       enc.PutU64(e.len);
@@ -609,16 +607,17 @@ Status WriteCache::LoadCheckpointBlob(const Buffer& blob,
   if (dec.GetU32() != kWcCkptMagic) {
     return Status::Corruption("bad write-cache checkpoint magic");
   }
-  const uint32_t version = dec.GetU32();
-  if (version != kVersion && version != kCkptVersionTrim) {
+  if (dec.GetU32() != kCkptVersion) {
     return Status::Corruption("bad write-cache checkpoint version");
   }
   const uint64_t blob_len = dec.GetU64();
-  if (blob_len < 32 || blob_len > bytes.size()) {
+  if (blob_len < kCkptFixedBytes || blob_len > bytes.size()) {
     return Status::Corruption("write-cache checkpoint length out of range");
   }
   bytes.resize(blob_len);  // CRC covers exactly the encoded blob
-  *ckpt_gen = dec.GetU64();
+  dec = Decoder(bytes);
+  dec.Skip(16);
+  const uint64_t gen = dec.GetU64();
   const uint64_t next_seq = dec.GetU64();
   const uint64_t head = dec.GetU64();
   const uint64_t used = dec.GetU64();
@@ -635,15 +634,15 @@ Status WriteCache::LoadCheckpointBlob(const Buffer& blob,
     return Status::Corruption("write-cache checkpoint CRC mismatch");
   }
 
-  next_seq_ = next_seq;
-  next_apply_seq_ = next_seq;
-  head_ = head;
-  used_ = used;
-  recovered_synced_ = synced;
-  records_.clear();
-  release_timed_count_ = 0;
-  map_.Clear();
-  trim_map_.Clear();
+  // Every count is checked against the bytes left before its loop runs, so
+  // a CRC-valid blob with an inflated count is rejected, not looped over.
+  const auto fits = [&dec](uint64_t count, uint64_t entry_bytes) {
+    return count * entry_bytes <= dec.remaining();
+  };
+  if (!fits(rec_count, kCkptRecordBytes)) {
+    return Status::Corruption("write-cache checkpoint record count too large");
+  }
+  std::deque<RecordMeta> records;
   for (uint32_t i = 0; i < rec_count; i++) {
     RecordMeta rec;
     rec.seq = dec.GetU64();
@@ -651,29 +650,47 @@ Status WriteCache::LoadCheckpointBlob(const Buffer& blob,
     rec.total_len = dec.GetU64();
     rec.footprint = dec.GetU64();
     rec.max_batch_seq = dec.GetU64();
-    if (version >= kCkptVersionTrim) {
-      rec.is_trim = (dec.GetU32() & kRecordFlagTrim) != 0;
+    const uint32_t word = dec.GetU32();
+    rec.is_trim = (word & kRecordTrimBit) != 0;
+    const uint32_t n = word & ~kRecordTrimBit;
+    if (!fits(n, kCkptRecordExtentBytes)) {
+      return Status::Corruption("write-cache checkpoint extent count too large");
     }
-    const uint32_t n = dec.GetU32();
-    for (uint32_t j = 0; j < n; j++) {
-      JournalExtent e;
+    rec.extents.resize(n);
+    for (JournalExtent& e : rec.extents) {
       e.vlba = dec.GetU64();
       e.len = dec.GetU64();
-      rec.extents.push_back(e);
     }
-    records_.push_back(std::move(rec));
+    records.push_back(std::move(rec));
   }
-  for (uint32_t i = 0; i < ext_count; i++) {
-    const uint64_t start = dec.GetU64();
-    const uint64_t len = dec.GetU64();
-    const uint64_t plba = dec.GetU64();
-    map_.Update(start, len, SsdTarget{plba}, nullptr);
+  if (!fits(ext_count, kCkptMapExtentBytes)) {
+    return Status::Corruption("write-cache checkpoint map count too large");
+  }
+  std::vector<MapExtent<SsdTarget>> map(ext_count);
+  for (auto& e : map) {
+    e.start = dec.GetU64();
+    e.len = dec.GetU64();
+    e.target.plba = dec.GetU64();
   }
   if (!dec.ok()) {
     return Status::Corruption("write-cache checkpoint truncated");
   }
+
+  *ckpt_gen = gen;
+  next_seq_ = next_seq;
+  next_apply_seq_ = next_seq;
+  head_ = head;
+  used_ = used;
+  recovered_synced_ = synced;
+  records_ = std::move(records);
+  release_timed_count_ = 0;
+  map_.Clear();
+  for (const auto& e : map) {
+    map_.Update(e.start, e.len, e.target, nullptr);
+  }
   // Rebuild the tombstone map from the live records in sequence order: a
   // trim raises a tombstone, a later write over the range clears it.
+  trim_map_.Clear();
   for (const auto& rec : records_) {
     for (const auto& e : rec.extents) {
       if (rec.is_trim) {
@@ -732,7 +749,7 @@ void WriteCache::Recover(std::function<void(Status)> done) {
     }
     std::vector<uint8_t> sb = r->ToBytes();
     Decoder dec(sb);
-    if (dec.GetU32() != kSuperMagic || dec.GetU32() != kVersion) {
+    if (dec.GetU32() != kSuperMagic || dec.GetU32() != kSuperVersion) {
       done(Status::Corruption("bad write-cache superblock"));
       return;
     }
@@ -752,47 +769,73 @@ void WriteCache::Recover(std::function<void(Status)> done) {
       return;
     }
 
-    // Read both checkpoint slots; keep the newest valid one.
-    ssd_->Read(base_ + kBlockSize, 2 * slot_size_,
-               [this, alive, done = std::move(done)](Result<Buffer> slots) {
+    // Each slot's first block holds its generation and blob length.
+    ssd_->Read(checkpoint_slot_offset(0), kBlockSize,
+               [this, alive, done = std::move(done)](Result<Buffer> h0) mutable {
       if (!*alive) {
         return;
       }
-      if (!slots.ok()) {
-        done(slots.status());
-        return;
-      }
-      uint64_t best_gen = 0;
-      int best_slot = -1;
-      for (int s = 0; s < 2; s++) {
-        uint64_t gen = 0;
-        WriteCache probe(host_, base_, size_, costs_);
-        Buffer blob = slots->Slice(static_cast<uint64_t>(s) * slot_size_,
-                                   slot_size_);
-        if (probe.LoadCheckpointBlob(blob, &gen).ok() && gen > best_gen) {
-          best_gen = gen;
-          best_slot = s;
+      ssd_->Read(checkpoint_slot_offset(1), kBlockSize,
+                 [this, alive, h0 = std::move(h0),
+                  done = std::move(done)](Result<Buffer> h1) mutable {
+        if (!*alive) {
+          return;
         }
-      }
-      if (best_slot < 0) {
-        done(Status::Corruption("no valid write-cache checkpoint"));
-        return;
-      }
-      uint64_t gen = 0;
-      Buffer blob = slots->Slice(static_cast<uint64_t>(best_slot) * slot_size_,
-                                 slot_size_);
-      const Status s = LoadCheckpointBlob(blob, &gen);
-      if (!s.ok()) {
-        done(s);
-        return;
-      }
-      ckpt_gen_ = gen;
-      auto st = std::make_shared<ReplayState>();
-      st->pos = head_;
-      st->expected_seq = next_seq_;
-      st->done = std::move(done);
-      ReplayStep(st);
+        // (offset, blob length) of each plausible slot, newest first.
+        std::vector<std::pair<uint64_t, uint64_t>> slots;
+        uint64_t newest_gen = 0;
+        for (int slot = 0; slot < 2; slot++) {
+          const Result<Buffer>& head = slot == 0 ? h0 : h1;
+          if (!head.ok()) {
+            continue;
+          }
+          std::vector<uint8_t> b = head->ToBytes();
+          Decoder dec(b);
+          const bool ours = dec.GetU32() == kWcCkptMagic &&
+                            dec.GetU32() == kCkptVersion;
+          const uint64_t blob_len = dec.GetU64();
+          const uint64_t gen = dec.GetU64();
+          if (!ours || blob_len < kCkptFixedBytes || blob_len > slot_size_ ||
+              blob_len % kBlockSize != 0) {
+            continue;
+          }
+          const auto at = gen > newest_gen ? slots.begin() : slots.end();
+          slots.insert(at, {checkpoint_slot_offset(slot), blob_len});
+          newest_gen = std::max(newest_gen, gen);
+        }
+        RecoverFromSlot(std::move(slots), 0, std::move(done));
+      });
     });
+  });
+}
+
+void WriteCache::RecoverFromSlot(
+    std::vector<std::pair<uint64_t, uint64_t>> slots, size_t i,
+    std::function<void(Status)> done) {
+  if (i >= slots.size()) {
+    done(Status::Corruption("no valid write-cache checkpoint"));
+    return;
+  }
+  const auto [offset, blob_len] = slots[i];
+  auto alive = alive_;
+  ssd_->Read(offset, blob_len,
+             [this, alive, slots = std::move(slots), i,
+              done = std::move(done)](Result<Buffer> blob) mutable {
+    if (!*alive) {
+      return;
+    }
+    uint64_t gen = 0;
+    if (!blob.ok() || !LoadCheckpointBlob(*blob, &gen).ok()) {
+      // A torn or corrupt newest slot: fall back to the older one.
+      RecoverFromSlot(std::move(slots), i + 1, std::move(done));
+      return;
+    }
+    ckpt_gen_ = gen;
+    auto st = std::make_shared<ReplayState>();
+    st->pos = head_;
+    st->expected_seq = next_seq_;
+    st->done = std::move(done);
+    ReplayStep(st);
   });
 }
 

@@ -24,6 +24,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/lsvd/client_host.h"
@@ -92,16 +93,13 @@ class WriteCache {
                   std::function<void(Status)> done);
 
   // --- adaptive batching / group commit (DESIGN.md §12) ---
-  // Enables the gated tail-latency behaviors. `plug_deadline` bounds how
-  // long a lone small write may sit "plugged" waiting for company before its
-  // journal record is force-started (0 = wait indefinitely, the historical
-  // behavior); `flush_coalescing` makes concurrent Barrier() calls share SSD
-  // flushes (group commit); `fast_path` skips the plug wait entirely while
-  // the record pipeline is nearly idle. Registers the ".deadline_seals" and
-  // ".journal.coalesced_flushes" counters, so call only on adaptive configs
-  // to keep default metric dumps unchanged.
-  void EnableAdaptiveBatching(Nanos plug_deadline, bool flush_coalescing,
-                              bool fast_path);
+  // `plug_deadline` bounds how long a lone small write may sit "plugged"
+  // waiting for company before its journal record is force-started (0, the
+  // default, waits indefinitely); `flush_coalescing` makes concurrent
+  // Barrier() calls share SSD flushes (group commit); `fast_path` skips the
+  // plug wait entirely while the record pipeline is nearly idle.
+  void SetAdaptiveBatching(Nanos plug_deadline, bool flush_coalescing,
+                           bool fast_path);
 
   // --- write-heat tracking (docs/GC.md hot/cold segregation) ---
   // Enables per-region overwrite-heat tracking: every append adds 1 to the
@@ -154,8 +152,14 @@ class WriteCache {
                        std::function<void(Status)> done);
 
   // Rebuilds state from SSD: superblock, newest valid checkpoint, then log
-  // replay up to the first invalid/out-of-sequence record.
+  // replay up to the first invalid/out-of-sequence record. Of the two
+  // checkpoint slots only the first blocks and the one blob loaded are read.
   void Recover(std::function<void(Status)> done);
+  // Device offset of checkpoint slot `slot` (0 or 1). Checkpoint generation
+  // g is written to slot g % 2; Format writes generation 1.
+  uint64_t checkpoint_slot_offset(int slot) const {
+    return base_ + kBlockSize + static_cast<uint64_t>(slot) * slot_size_;
+  }
 
   // Records whose data may be missing from the backend (max_batch_seq >
   // synced_seq), in log order; used for the rewind-and-replay step (§3.3).
@@ -189,7 +193,7 @@ class WriteCache {
   void MaybeStartRecord();
   bool StartOneRecord();
   void ApplyCompletedRecords();
-  // Adaptive batching (EnableAdaptiveBatching): plug-deadline timer and the
+  // Adaptive batching (SetAdaptiveBatching): plug-deadline timer and the
   // coalesced barrier-flush pump.
   void ArmPlugTimer();
   void PlugTimerFire();
@@ -198,7 +202,14 @@ class WriteCache {
   // or nothing more can be evicted.
   void EvictForSpace(uint64_t needed);
   Buffer EncodeCheckpointBlob(uint64_t backend_synced_seq) const;
+  // Decodes a whole blob and, only if it is valid, replaces the cache state
+  // with it.
   Status LoadCheckpointBlob(const Buffer& blob, uint64_t* ckpt_gen);
+  // Recovery after the superblock: each slot's first block gives its
+  // generation and blob length; slots are tried newest first, reading only
+  // the blob, until one decodes. `slots` holds (offset, blob length) pairs.
+  void RecoverFromSlot(std::vector<std::pair<uint64_t, uint64_t>> slots,
+                       size_t i, std::function<void(Status)> done);
 
   // Log-replay state machine (see Recover).
   struct ReplayState {
@@ -248,7 +259,7 @@ class WriteCache {
   uint64_t head_;           // absolute append offset
   uint64_t used_ = 0;       // log bytes occupied (incl. wrap gaps)
 
-  // Adaptive batching (all inert until EnableAdaptiveBatching).
+  // Adaptive batching (all inert until SetAdaptiveBatching).
   Nanos plug_deadline_ = 0;         // 0 = plugged writes wait indefinitely
   bool flush_coalescing_ = false;
   bool fast_path_ = false;
@@ -274,7 +285,6 @@ class WriteCache {
   // in *metrics_ under `prefix`.
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_;
-  std::string prefix_;  // metric-name root, kept for lazy registration
   Counter* c_appends_;
   Counter* c_appended_bytes_;
   Counter* c_records_;
@@ -282,13 +292,9 @@ class WriteCache {
   Counter* c_stalled_appends_;
   Counter* c_checkpoints_;
   Counter* c_evicted_records_;
-  // Registered lazily by EnableAdaptiveBatching (null on default configs so
-  // metric dumps stay unchanged).
-  Counter* c_deadline_seals_ = nullptr;
-  Counter* c_coalesced_flushes_ = nullptr;
-  // Registered lazily on the first AppendTrim (trim-free volumes keep their
-  // metric dumps unchanged).
-  Counter* c_trim_records_ = nullptr;
+  Counter* c_deadline_seals_;
+  Counter* c_coalesced_flushes_;
+  Counter* c_trim_records_;
   // Journal append -> record releasable (backend batches committed): the
   // tail of the write lifecycle trace.
   Histogram* h_append_to_free_us_;

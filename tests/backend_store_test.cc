@@ -8,6 +8,7 @@
 #include "src/lsvd/backend_store.h"
 #include "src/lsvd/write_cache.h"
 #include "src/objstore/faulty_object_store.h"
+#include "src/util/crc32c.h"
 #include "tests/lsvd_test_util.h"
 
 namespace lsvd {
@@ -655,60 +656,183 @@ TEST(ShardingFormatTest, CheckpointRoundTripsConsistencyVector) {
   EXPECT_EQ(decoded.shard_consistent, (std::vector<uint64_t>{5, 6, 7, 4}));
 }
 
-TEST(ShardingFormatTest, UnshardedCheckpointStaysFormatV1) {
-  // shard_count <= 1 must encode as the legacy v1 layout — a decode yields
-  // no shard fields, and the bytes are identical to a state that never
-  // mentioned sharding (so old checkpoints and new unsharded checkpoints
-  // are interchangeable).
-  CheckpointState state;
-  state.through_seq = 3;
-  state.next_seq = 4;
-  state.object_map = {{0, 4096, ObjTarget{3, 0}}};
-  state.object_info[3] = ObjectInfo{4096, 4096};
-  const Buffer legacy = EncodeCheckpoint(state);
-
-  CheckpointState one_shard = state;
-  one_shard.shard_count = 1;
-  one_shard.shard_consistent = {3};
-  EXPECT_EQ(EncodeCheckpoint(one_shard), legacy);
-
-  CheckpointState decoded;
-  ASSERT_TRUE(DecodeCheckpoint(legacy, &decoded).ok());
-  EXPECT_EQ(decoded.shard_count, 0u);
-  EXPECT_TRUE(decoded.shard_consistent.empty());
-}
-
 TEST(ShardingFormatTest, CheckpointRoundTripsGenerations) {
-  // A non-empty generation table upgrades the checkpoint to v3 (the v2
-  // layout plus the table, shard fields present even when unsharded); an
-  // empty table keeps the legacy encoding byte for byte.
   CheckpointState state;
   state.through_seq = 9;
   state.next_seq = 11;
+  state.shard_consistent = {9};
   state.object_map = {{0, 4096, ObjTarget{9, 0}}};
   state.object_info[9] = ObjectInfo{4096, 4096};
-  const Buffer legacy = EncodeCheckpoint(state);
-
   state.generations[7] = 2;
   state.generations[9] = 1;
   CheckpointState decoded;
   ASSERT_TRUE(DecodeCheckpoint(EncodeCheckpoint(state), &decoded).ok());
   EXPECT_EQ(decoded.generations, state.generations);
   EXPECT_EQ(decoded.object_map, state.object_map);
-  EXPECT_EQ(decoded.shard_count, 0u);
+  EXPECT_EQ(decoded.shard_count, 1u);
+  EXPECT_EQ(decoded.shard_consistent, state.shard_consistent);
+}
 
-  state.generations.clear();
-  EXPECT_EQ(EncodeCheckpoint(state), legacy);
+// One layout per structure: every combination of {1, 4} shards, GC
+// generations and trim extents round-trips through the data-object header
+// and the backend checkpoint.
+struct FormatCase {
+  uint32_t shards;
+  bool generations;
+  bool trim;
+};
 
-  // Sharded + generations compose: both sections survive the round trip.
-  state.generations[7] = 3;
-  state.shard_count = 4;
-  state.shard_consistent = ConsistencyVector(9, 4);
-  CheckpointState both;
-  ASSERT_TRUE(DecodeCheckpoint(EncodeCheckpoint(state), &both).ok());
-  EXPECT_EQ(both.generations, state.generations);
-  EXPECT_EQ(both.shard_count, 4u);
-  EXPECT_EQ(both.shard_consistent, state.shard_consistent);
+class FormatRoundTripTest : public ::testing::TestWithParam<FormatCase> {};
+
+TEST_P(FormatRoundTripTest, HeaderAndCheckpointRoundTrip) {
+  const FormatCase c = GetParam();
+  const uint32_t gen = c.generations ? 3 : 0;
+
+  DataObjectHeader header;
+  header.seq = 12;
+  header.generation = gen;
+  header.extents.push_back({0, 8 * kKiB, 0, 0, false});
+  header.extents.push_back({64 * kKiB, 4 * kKiB, 5, 4096, false});
+  if (c.trim) {
+    header.extents.push_back({kMiB, 32 * kKiB, 0, 0, true});
+  }
+  const Buffer payload = TestPattern(12 * kKiB, 1);
+  const Buffer object = EncodeDataObject(header, payload);
+  EXPECT_EQ(object.size(),
+            DataObjectHeaderSize(header.extents.size()) + payload.size());
+  DataObjectHeader h;
+  ASSERT_TRUE(DecodeDataObjectHeader(object, &h).ok());
+  EXPECT_EQ(h.seq, header.seq);
+  EXPECT_EQ(h.generation, gen);
+  EXPECT_EQ(h.data_offset, DataObjectHeaderSize(header.extents.size()));
+  ASSERT_EQ(h.extents.size(), header.extents.size());
+  for (size_t i = 0; i < h.extents.size(); i++) {
+    EXPECT_EQ(h.extents[i].vlba, header.extents[i].vlba) << i;
+    EXPECT_EQ(h.extents[i].len, header.extents[i].len) << i;
+    EXPECT_EQ(h.extents[i].is_trim, header.extents[i].is_trim) << i;
+    EXPECT_EQ(h.extents[i].expected_seq, header.extents[i].expected_seq) << i;
+    EXPECT_EQ(h.extents[i].expected_offset,
+              header.extents[i].expected_offset)
+        << i;
+  }
+  EXPECT_EQ(DataObjectPayloadBytes(h), payload.size());
+
+  CheckpointState state;
+  state.through_seq = 12;
+  state.next_seq = 13;
+  state.shard_count = c.shards;
+  state.shard_consistent = ConsistencyVector(12, c.shards);
+  state.object_map = {{0, 8 * kKiB, ObjTarget{12, 4096}}};
+  state.object_info[12] = ObjectInfo{12 * kKiB, 8 * kKiB};
+  if (c.generations) {
+    state.generations[12] = gen;
+  }
+  CheckpointState decoded;
+  ASSERT_TRUE(DecodeCheckpoint(EncodeCheckpoint(state), &decoded).ok());
+  EXPECT_EQ(decoded.through_seq, state.through_seq);
+  EXPECT_EQ(decoded.next_seq, state.next_seq);
+  EXPECT_EQ(decoded.object_map, state.object_map);
+  EXPECT_EQ(decoded.shard_count, c.shards);
+  EXPECT_EQ(decoded.shard_consistent, state.shard_consistent);
+  EXPECT_EQ(decoded.generations, state.generations);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, FormatRoundTripTest,
+    ::testing::Values(FormatCase{1, false, false}, FormatCase{1, false, true},
+                      FormatCase{1, true, false}, FormatCase{1, true, true},
+                      FormatCase{4, false, false}, FormatCase{4, false, true},
+                      FormatCase{4, true, false}, FormatCase{4, true, true}),
+    [](const ::testing::TestParamInfo<FormatCase>& info) {
+      return "Shards" + std::to_string(info.param.shards) +
+             (info.param.generations ? "Gen" : "NoGen") +
+             (info.param.trim ? "Trim" : "NoTrim");
+    });
+
+// Overwrites the little-endian u32 at `pos` and recomputes the CRC stored at
+// `crc_pos` (over the whole buffer, CRC field zeroed), so only the decoder's
+// own checks stand between the patched field and the caller.
+std::vector<uint8_t> PatchU32WithCrc(std::vector<uint8_t> bytes, size_t pos,
+                                     uint32_t value, size_t crc_pos) {
+  const auto put = [&bytes](size_t at, uint32_t v) {
+    for (size_t i = 0; i < 4; i++) {
+      bytes[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  };
+  put(pos, value);
+  put(crc_pos, 0);
+  put(crc_pos, Crc32c(bytes.data(), bytes.size()));
+  return bytes;
+}
+
+// Data-object header: magic, version, seq, data_offset, the extent count at
+// byte 24, generation, the CRC at byte 32. Checkpoint: magic, version, two
+// u64 seqs, seven u32 counts (the map count at byte 24), the CRC at byte 52.
+constexpr size_t kVersionPos = 4;
+constexpr size_t kObjectCountPos = 24;
+constexpr size_t kObjectCrcPos = 32;
+constexpr size_t kCkptMapCountPos = 24;
+constexpr size_t kCkptCrcPos = 52;
+
+std::vector<uint8_t> SmallCheckpoint() {
+  CheckpointState state;
+  state.through_seq = 3;
+  state.next_seq = 4;
+  state.shard_consistent = {3};
+  state.object_map = {{0, 4096, ObjTarget{3, 4096}}};
+  state.object_info[3] = ObjectInfo{4096, 4096};
+  state.generations[3] = 1;
+  return EncodeCheckpoint(state).ToBytes();
+}
+
+std::vector<uint8_t> SmallObjectHeader() {
+  DataObjectHeader header;
+  header.seq = 3;
+  header.extents.push_back({0, 4096, 0, 0, false});
+  return EncodeDataObject(header, TestPattern(4096, 3))
+      .Slice(0, DataObjectHeaderSize(1))
+      .ToBytes();
+}
+
+TEST(FormatVersionTest, DecodersRejectEveryVersionButTheCurrentOne) {
+  const std::vector<uint8_t> object = SmallObjectHeader();
+  const std::vector<uint8_t> ckpt = SmallCheckpoint();
+  DataObjectHeader h;
+  ASSERT_TRUE(DecodeDataObjectHeader(Buffer::FromBytes(object), &h).ok());
+  CheckpointState cs;
+  ASSERT_TRUE(DecodeCheckpoint(Buffer::FromBytes(ckpt), &cs).ok());
+  for (uint32_t v = 0; v <= 8; v++) {
+    if (v != object[kVersionPos]) {
+      const auto bytes = PatchU32WithCrc(object, kVersionPos, v, kObjectCrcPos);
+      EXPECT_EQ(DecodeDataObjectHeader(Buffer::FromBytes(bytes), &h).code(),
+                StatusCode::kCorruption)
+          << "object version " << v;
+    }
+    if (v != ckpt[kVersionPos]) {
+      const auto bytes = PatchU32WithCrc(ckpt, kVersionPos, v, kCkptCrcPos);
+      EXPECT_EQ(DecodeCheckpoint(Buffer::FromBytes(bytes), &cs).code(),
+                StatusCode::kCorruption)
+          << "checkpoint version " << v;
+    }
+  }
+}
+
+TEST(FormatVersionTest, InflatedCountsWithValidCrcAreRejected) {
+  const std::vector<uint8_t> ckpt = SmallCheckpoint();
+  const std::vector<uint8_t> object = SmallObjectHeader();
+  for (const uint32_t count : {2u, 1000u, 0xFFFFFFFFu}) {
+    CheckpointState cs;
+    const auto c = PatchU32WithCrc(ckpt, kCkptMapCountPos, count, kCkptCrcPos);
+    EXPECT_EQ(DecodeCheckpoint(Buffer::FromBytes(c), &cs).code(),
+              StatusCode::kCorruption)
+        << "map count " << count;
+    DataObjectHeader h;
+    const auto o =
+        PatchU32WithCrc(object, kObjectCountPos, count, kObjectCrcPos);
+    EXPECT_EQ(DecodeDataObjectHeader(Buffer::FromBytes(o), &h).code(),
+              StatusCode::kCorruption)
+        << "extent count " << count;
+  }
 }
 
 TEST(ShardingFormatTest, CheckpointRejectsVectorShardCountMismatch) {
@@ -939,27 +1063,11 @@ TEST_F(BackendGcPolicyTest, EveryPolicyReclaimsAndRecoversConsistently) {
   }
 }
 
-TEST_F(BackendGcPolicyTest, GreedyDefaultKeepsV1HeadersAndNoExtraMetrics) {
-  // The compatibility guarantee: a plain greedy config never writes a v2
-  // header (generation stays 0 everywhere) and registers none of the
-  // extended GC metrics — outputs stay bit-identical to the pre-policy code.
-  RebuildWithPolicy(GcPolicyKind::kGreedy);
-  Churn(200);
-  ASSERT_GT(store_->stats().gc_objects_cleaned, 0u);
-  for (const auto& h : AllDataHeaders()) {
-    EXPECT_EQ(h.generation, 0u) << "seq " << h.seq;
-  }
-  const std::string json = metrics_->ToJson();
-  EXPECT_EQ(json.find("backend.gc_policy"), std::string::npos);
-  EXPECT_EQ(json.find("backend.gc.waf"), std::string::npos);
-  EXPECT_EQ(json.find("backend.gc.cold_objects"), std::string::npos);
-}
-
 TEST_F(BackendGcPolicyTest, ExtendedPolicyTagsGcGenerations) {
   RebuildWithPolicy(GcPolicyKind::kCostBenefit);
   Churn(300);
   ASSERT_GT(store_->stats().gc_objects_cleaned, 0u);
-  // GC output carries 1 + max victim generation, persisted via v2 headers.
+  // GC output carries 1 + max victim generation, persisted in its header.
   uint32_t max_gen = 0;
   for (const auto& h : AllDataHeaders()) {
     max_gen = std::max(max_gen, h.generation);
@@ -978,7 +1086,7 @@ TEST_F(BackendGcPolicyTest, GenerationsSurviveRecoveryReplay) {
   Churn(400);
   ASSERT_GT(store_->stats().gc_objects_cleaned, 0u);
 
-  // A fresh store recovers the same map (decoding v2 headers during the
+  // A fresh store recovers the same map (decoding generations during the
   // post-checkpoint replay) and keeps collecting with generations intact.
   auto fresh = std::make_unique<BackendStore>(&world_.host, &world_.store,
                                               nullptr, config_);

@@ -1,13 +1,15 @@
 // Randomized robustness tests: every on-disk/on-object codec must either
 // decode correctly or return an error — never crash, never accept corrupt
-// input — under random mutations; plus reference-model property tests for
-// the run allocator and Buffer.
+// input — under random mutations and truncations; plus reference-model
+// property tests for the run allocator and Buffer.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 
 #include "src/lsvd/journal.h"
 #include "src/lsvd/object_format.h"
+#include "src/lsvd/write_cache.h"
 #include "src/util/buffer.h"
 #include "src/util/crc32c.h"
 #include "src/util/rng.h"
@@ -58,18 +60,28 @@ TEST_P(CodecFuzz, JournalHeaderNeverAcceptsCorruption) {
   }
 }
 
+// Every case carries the whole layout: a non-zero generation, a trim
+// tombstone and conditional GC extents.
 TEST_P(CodecFuzz, ObjectHeaderNeverAcceptsCorruption) {
   Rng rng(GetParam() + 100);
   DataObjectHeader header;
   header.seq = rng.Next() % 100000;
-  const int n = 1 + static_cast<int>(rng.Uniform(50));
+  header.generation = 1 + static_cast<uint32_t>(rng.Uniform(7));
+  const int n = 2 + static_cast<int>(rng.Uniform(50));
   Buffer data;
   for (int i = 0; i < n; i++) {
-    const uint64_t len = (1 + rng.Uniform(4)) * kBlockSize;
-    header.extents.push_back({rng.Uniform(1 << 20) * kBlockSize, len,
-                              rng.Bernoulli(0.3) ? rng.Next() % 100 : 0,
-                              rng.Next() % 4096});
-    data.AppendZeros(len);
+    ObjectExtent e;
+    e.vlba = rng.Uniform(1 << 20) * kBlockSize;
+    e.len = (1 + rng.Uniform(4)) * kBlockSize;
+    e.is_trim = i == 0 || rng.Bernoulli(0.2);
+    if (!e.is_trim) {
+      if (rng.Bernoulli(0.3)) {
+        e.expected_seq = 1 + rng.Next() % 100;
+        e.expected_offset = rng.Next() % 4096;
+      }
+      data.AppendZeros(e.len);
+    }
+    header.extents.push_back(e);
   }
   Buffer object = EncodeDataObject(header, data);
   auto prefix = object.Slice(0, DataObjectHeaderSize(header.extents.size()))
@@ -77,7 +89,19 @@ TEST_P(CodecFuzz, ObjectHeaderNeverAcceptsCorruption) {
 
   DataObjectHeader out;
   ASSERT_TRUE(DecodeDataObjectHeader(Buffer::FromBytes(prefix), &out).ok());
+  EXPECT_EQ(out.seq, header.seq);
+  EXPECT_EQ(out.generation, header.generation);
+  EXPECT_EQ(DataObjectPayloadBytes(out), data.size());
   ASSERT_EQ(out.extents.size(), header.extents.size());
+  for (size_t i = 0; i < out.extents.size(); i++) {
+    const ObjectExtent& got = out.extents[i];
+    const ObjectExtent& want = header.extents[i];
+    EXPECT_EQ(got.vlba, want.vlba) << i;
+    EXPECT_EQ(got.len, want.len) << i;
+    EXPECT_EQ(got.is_trim, want.is_trim) << i;
+    EXPECT_EQ(got.expected_seq, want.expected_seq) << i;
+    EXPECT_EQ(got.expected_offset, want.expected_offset) << i;
+  }
 
   for (int trial = 0; trial < 200; trial++) {
     auto mutated = prefix;
@@ -87,13 +111,25 @@ TEST_P(CodecFuzz, ObjectHeaderNeverAcceptsCorruption) {
     EXPECT_FALSE(DecodeDataObjectHeader(Buffer::FromBytes(mutated), &m).ok())
         << "mutation at byte " << pos << " accepted";
   }
+  for (size_t len = 0; len < prefix.size(); len++) {
+    DataObjectHeader m;
+    const std::vector<uint8_t> cut(prefix.begin(),
+                                   prefix.begin() + static_cast<ptrdiff_t>(len));
+    EXPECT_FALSE(DecodeDataObjectHeader(Buffer::FromBytes(cut), &m).ok())
+        << "truncation to " << len << " bytes accepted";
+  }
 }
 
+// Every case carries a consistency vector for 1-8 shards and a generation
+// table.
 TEST_P(CodecFuzz, CheckpointNeverAcceptsCorruption) {
   Rng rng(GetParam() + 200);
   CheckpointState state;
   state.through_seq = rng.Next() % 10000;
   state.next_seq = state.through_seq + 1;
+  state.shard_count = 1 + static_cast<uint32_t>(rng.Uniform(8));
+  state.shard_consistent =
+      ConsistencyVector(state.through_seq, state.shard_count);
   const int n = static_cast<int>(rng.Uniform(40));
   for (int i = 0; i < n; i++) {
     state.object_map.push_back({rng.Uniform(1 << 20) * kBlockSize,
@@ -101,6 +137,11 @@ TEST_P(CodecFuzz, CheckpointNeverAcceptsCorruption) {
                                 ObjTarget{rng.Next() % 1000, rng.Uniform(1 << 22)}});
     state.object_info[rng.Next() % 1000] =
         ObjectInfo{rng.Uniform(1 << 24), rng.Uniform(1 << 20)};
+  }
+  const int gens = 1 + static_cast<int>(rng.Uniform(10));
+  for (int i = 0; i < gens; i++) {
+    state.generations[rng.Next() % 1000] =
+        1 + static_cast<uint32_t>(rng.Uniform(7));
   }
   if (rng.Bernoulli(0.5)) {
     state.snapshots.push_back(rng.Next() % 500);
@@ -110,7 +151,11 @@ TEST_P(CodecFuzz, CheckpointNeverAcceptsCorruption) {
 
   CheckpointState out;
   ASSERT_TRUE(DecodeCheckpoint(Buffer::FromBytes(bytes), &out).ok());
-  ASSERT_EQ(out.through_seq, state.through_seq);
+  EXPECT_EQ(out.through_seq, state.through_seq);
+  EXPECT_EQ(out.object_map, state.object_map);
+  EXPECT_EQ(out.shard_count, state.shard_count);
+  EXPECT_EQ(out.shard_consistent, state.shard_consistent);
+  EXPECT_EQ(out.generations, state.generations);
 
   for (int trial = 0; trial < 200; trial++) {
     auto mutated = bytes;
@@ -118,6 +163,102 @@ TEST_P(CodecFuzz, CheckpointNeverAcceptsCorruption) {
     mutated[pos] ^= static_cast<uint8_t>(1u << rng.Uniform(8));
     CheckpointState m;
     EXPECT_FALSE(DecodeCheckpoint(Buffer::FromBytes(mutated), &m).ok());
+  }
+  for (size_t len = 0; len < bytes.size(); len++) {
+    CheckpointState m;
+    const std::vector<uint8_t> cut(bytes.begin(),
+                                   bytes.begin() + static_cast<ptrdiff_t>(len));
+    EXPECT_FALSE(DecodeCheckpoint(Buffer::FromBytes(cut), &m).ok())
+        << "truncation to " << len << " bytes accepted";
+  }
+}
+
+// The write-cache checkpoint blob, through recovery: any bit flipped in the
+// newest slot's blob must make Recover fall back to the older slot and
+// replay the log to the same state a clean recovery reaches.
+TEST_P(CodecFuzz, WriteCacheRecoverSurvivesCorruptNewestSlot) {
+  Rng rng(GetParam() + 400);
+  TestWorld world;
+  constexpr uint64_t kRegion = 16 * kMiB;
+  const uint64_t base = *world.host.AllocRegion(kRegion);
+  const StageCosts zero{0, 0, 0, 0, 0, 0, 0, 0, 0};
+  SimSsd* ssd = world.host.ssd();
+  {
+    WriteCache wc(&world.host, base, kRegion, zero);
+    wc.Format([](Status s) { ASSERT_TRUE(s.ok()); });
+    world.sim.Run();
+    // Writes and trims, checkpointed twice: generation 2 lands in slot 0,
+    // generation 3 (the newest) in slot 1.
+    for (int ckpt = 0; ckpt < 2; ckpt++) {
+      for (int i = 0; i < 20; i++) {
+        const uint64_t vlba = rng.Uniform(256) * kBlockSize;
+        const uint64_t len = (1 + rng.Uniform(4)) * kBlockSize;
+        const auto ok = [](Status s) { ASSERT_TRUE(s.ok()); };
+        if (rng.Bernoulli(0.2)) {
+          wc.AppendTrim(vlba, len, 1, ok);
+        } else {
+          wc.Append(vlba, TestPattern(len, rng.Next()), 1, ok);
+        }
+        world.sim.Run();
+      }
+      wc.WriteCheckpoint(0, [](Status s) { ASSERT_TRUE(s.ok()); });
+      world.sim.Run();
+    }
+    wc.Kill();
+  }
+
+  using SsdExtents = std::vector<MapExtent<SsdTarget>>;
+  using TrimExtents = std::vector<MapExtent<ObjTarget>>;
+  const auto recover = [&](SsdExtents* map, TrimExtents* trims) {
+    WriteCache fresh(&world.host, base, kRegion, zero);
+    std::optional<Status> s;
+    fresh.Recover([&](Status st) { s = st; });
+    world.sim.Run();
+    *map = fresh.map().Extents();
+    *trims = fresh.trim_map().Extents();
+    return s.value_or(Status::Unavailable("recovery never finished"));
+  };
+  SsdExtents want_map;
+  TrimExtents want_trims;
+  ASSERT_TRUE(recover(&want_map, &want_trims).ok());
+  ASSERT_FALSE(want_map.empty());
+  ASSERT_FALSE(want_trims.empty());
+
+  const auto read_block = [&](uint64_t offset) {
+    std::optional<Result<Buffer>> r;
+    ssd->Read(offset, kBlockSize, [&](Result<Buffer> rr) { r = std::move(rr); });
+    world.sim.Run();
+    return r->value().ToBytes();
+  };
+  const auto write_block = [&](uint64_t offset, std::vector<uint8_t> bytes) {
+    ssd->Write(offset, Buffer::FromBytes(bytes),
+               [](Status s) { ASSERT_TRUE(s.ok()); });
+    world.sim.Run();
+  };
+  WriteCache layout(&world.host, base, kRegion, zero);
+  const uint64_t newest = layout.checkpoint_slot_offset(1);
+  const std::vector<uint8_t> head = read_block(newest);
+  uint64_t blob_len = 0;
+  for (int i = 0; i < 8; i++) {
+    blob_len |= static_cast<uint64_t>(head[8 + static_cast<size_t>(i)])
+                << (8 * i);
+  }
+  ASSERT_GE(blob_len, kBlockSize);
+
+  for (int trial = 0; trial < 40; trial++) {
+    const uint64_t pos = rng.Uniform(blob_len);
+    const uint64_t block = newest + pos / kBlockSize * kBlockSize;
+    const std::vector<uint8_t> original = read_block(block);
+    std::vector<uint8_t> mutated = original;
+    mutated[pos % kBlockSize] ^= static_cast<uint8_t>(1u << rng.Uniform(8));
+    write_block(block, mutated);
+    SsdExtents map;
+    TrimExtents trims;
+    const Status s = recover(&map, &trims);
+    EXPECT_TRUE(s.ok()) << "flip at blob byte " << pos << ": " << s.ToString();
+    EXPECT_EQ(map, want_map) << "flip at blob byte " << pos;
+    EXPECT_EQ(trims, want_trims) << "flip at blob byte " << pos;
+    write_block(block, original);
   }
 }
 

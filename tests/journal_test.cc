@@ -229,6 +229,7 @@ TEST(ObjectCodec, CheckpointRoundTrip) {
   CheckpointState state;
   state.through_seq = 55;
   state.next_seq = 60;
+  state.shard_consistent = {55};
   state.object_map = {{0, 4096, ObjTarget{3, 4096}},
                       {kMiB, 8192, ObjTarget{55, 12288}}};
   state.object_info[3] = ObjectInfo{100000, 50000};

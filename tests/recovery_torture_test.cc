@@ -608,10 +608,9 @@ TEST(ShardedRecoveryTortureTest, CacheLostWithOneShardTailLoss) {
   }
 }
 
-// Mixed per-shard victim-selection policies (docs/GC.md): a non-empty
-// gc_shard_policy also turns on the extended GC format (generation-tagged
-// v2 data-object headers), so these runs cover crash/recovery with every
-// policy collecting — and with v2 headers in the replayed tail.
+// Mixed per-shard victim-selection policies (docs/GC.md): these runs cover
+// crash/recovery with every policy collecting, and with generation-tagged
+// GC output in the replayed tail.
 const std::vector<GcPolicyKind> kMixedShardPolicies = {
     GcPolicyKind::kGreedy, GcPolicyKind::kCostBenefit,
     GcPolicyKind::kAgeBucketed, GcPolicyKind::kCostBenefit};

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "src/lsvd/write_cache.h"
+#include "src/util/crc32c.h"
 #include "tests/lsvd_test_util.h"
 
 namespace lsvd {
@@ -123,8 +124,8 @@ TEST_F(WriteCacheTest, PlugDeadlineForceStartsLoneSmallWrite) {
   ClientHost host(&sim_, hc);
   const uint64_t base = *host.AllocRegion(kRegionSize);
   WriteCache wc(&host, base, kRegionSize, ZeroCosts());
-  wc.EnableAdaptiveBatching(/*plug_deadline=*/5 * kMicrosecond,
-                            /*flush_coalescing=*/false, /*fast_path=*/false);
+  wc.SetAdaptiveBatching(/*plug_deadline=*/5 * kMicrosecond,
+                         /*flush_coalescing=*/false, /*fast_path=*/false);
   std::optional<Status> fmt;
   wc.Format([&](Status s) { fmt = s; });
   sim_.Run();
@@ -155,7 +156,7 @@ TEST_F(WriteCacheTest, FastPathSkipsPlugWaitAtShallowDepth) {
     const uint64_t base = *host.AllocRegion(kRegionSize);
     WriteCache wc(&host, base, kRegionSize, ZeroCosts());
     if (fast_path) {
-      wc.EnableAdaptiveBatching(0, false, /*fast_path=*/true);
+      wc.SetAdaptiveBatching(0, false, /*fast_path=*/true);
     }
     std::optional<Status> fmt;
     wc.Format([&](Status s) { fmt = s; });
@@ -177,7 +178,7 @@ TEST_F(WriteCacheTest, FastPathSkipsPlugWaitAtShallowDepth) {
 }
 
 TEST_F(WriteCacheTest, CoalescedBarriersShareFlushes) {
-  wc_->EnableAdaptiveBatching(0, /*flush_coalescing=*/true, false);
+  wc_->SetAdaptiveBatching(0, /*flush_coalescing=*/true, false);
   ASSERT_TRUE(Append(0, TestPattern(4096, 1)).ok());
   int done = 0;
   for (int i = 0; i < 4; i++) {
@@ -201,14 +202,6 @@ TEST_F(WriteCacheTest, CoalescedBarriersShareFlushes) {
   EXPECT_EQ(wc_->metrics()->Snapshot().CounterValue(
                 "lsvd.write_cache.journal.coalesced_flushes"),
             3u);
-}
-
-TEST_F(WriteCacheTest, DefaultConfigRegistersNoAdaptiveCounters) {
-  // The adaptive counters appear only after EnableAdaptiveBatching, so a
-  // default cache's metric dump stays byte-identical to the pre-§12 output.
-  const MetricsSnapshot snap = wc_->metrics()->Snapshot();
-  EXPECT_EQ(snap.Find("lsvd.write_cache.deadline_seals"), nullptr);
-  EXPECT_EQ(snap.Find("lsvd.write_cache.journal.coalesced_flushes"), nullptr);
 }
 
 TEST_F(WriteCacheTest, OverwriteShadowsOldData) {
@@ -407,6 +400,153 @@ TEST_F(WriteCacheTest, CheckpointSurvivesAlternatingSlots) {
   auto fresh = Reopen();
   EXPECT_EQ(fresh->map().mapped_bytes(), 5u * 4096);
   EXPECT_EQ(fresh->backend_synced_hint(), 4u);
+}
+
+// --- checkpoint slots (one blob layout; Recover reads only what it loads) ---
+
+// Blob layout: magic, version, blob length (u64 at byte 8), generation, four
+// u64 fields, the record count at byte 56, the map count at byte 60, the CRC
+// at byte 64 over the first `blob length` bytes.
+constexpr size_t kBlobVersionPos = 4;
+constexpr size_t kBlobLenPos = 8;
+constexpr size_t kBlobRecordCountPos = 56;
+constexpr size_t kBlobMapCountPos = 60;
+constexpr size_t kBlobCrcPos = 64;
+
+class WriteCacheSlotTest : public WriteCacheTest {
+ protected:
+  // Two checkpoints over distinct writes: generation 2 lands in slot 0,
+  // generation 3 (the newest) in slot 1. Returns the newest blob's length.
+  uint64_t WriteTwoCheckpoints() {
+    for (int round = 0; round < 2; round++) {
+      for (int i = 0; i < 8; i++) {
+        EXPECT_TRUE(Append(static_cast<uint64_t>(round * 8 + i) * 4096,
+                           TestPattern(4096, 40 + round * 8 + i))
+                        .ok());
+      }
+      std::optional<Status> cs;
+      const uint64_t before = host_.ssd()->stats().write_bytes;
+      wc_->WriteCheckpoint(round, [&](Status s) { cs = s; });
+      sim_.Run();
+      EXPECT_TRUE(cs.has_value() && cs->ok());
+      last_blob_len_ = host_.ssd()->stats().write_bytes - before;
+    }
+    return last_blob_len_;
+  }
+
+  std::vector<uint8_t> ReadSsd(uint64_t offset, uint64_t len) {
+    std::optional<Result<Buffer>> r;
+    host_.ssd()->Read(offset, len, [&](Result<Buffer> rr) { r = std::move(rr); });
+    sim_.Run();
+    return r->value().ToBytes();
+  }
+
+  void WriteSsd(uint64_t offset, const std::vector<uint8_t>& bytes) {
+    std::optional<Status> s;
+    host_.ssd()->Write(offset, Buffer::FromBytes(bytes),
+                       [&](Status st) { s = st; });
+    sim_.Run();
+    ASSERT_TRUE(s.has_value() && s->ok());
+  }
+
+  // Overwrites a u32 field of the blob in `slot` and recomputes its CRC.
+  void PatchSlot(int slot, size_t pos, uint32_t value) {
+    const uint64_t offset = wc_->checkpoint_slot_offset(slot);
+    std::vector<uint8_t> head = ReadSsd(offset, kBlockSize);
+    uint64_t len = 0;
+    for (size_t i = 0; i < 8; i++) {
+      len |= static_cast<uint64_t>(head[kBlobLenPos + i]) << (8 * i);
+    }
+    std::vector<uint8_t> blob = ReadSsd(offset, len);
+    const auto put = [&blob](size_t at, uint32_t v) {
+      for (size_t i = 0; i < 4; i++) {
+        blob[at + i] = static_cast<uint8_t>(v >> (8 * i));
+      }
+    };
+    put(pos, value);
+    put(kBlobCrcPos, 0);
+    put(kBlobCrcPos, Crc32c(blob.data(), blob.size()));
+    WriteSsd(offset, blob);
+  }
+
+  Status RecoverStatus() {
+    wc_->Kill();
+    WriteCache fresh(&host_, base_, kRegionSize, ZeroCosts());
+    std::optional<Status> s;
+    fresh.Recover([&](Status st) { s = st; });
+    sim_.Run();
+    return s.value_or(Status::Unavailable("recovery never finished"));
+  }
+
+  uint64_t last_blob_len_ = 0;
+};
+
+TEST_F(WriteCacheSlotTest, CorruptNewestSlotFallsBackToOlderSlot) {
+  WriteTwoCheckpoints();
+  // Flip one byte inside the newest blob, past its fixed fields.
+  const uint64_t newest = wc_->checkpoint_slot_offset(1);
+  std::vector<uint8_t> head = ReadSsd(newest, kBlockSize);
+  head[kBlobCrcPos + 100] ^= 0x40;
+  WriteSsd(newest, head);
+  // Generation 2 plus a replay of the eight later records restores all 16.
+  auto fresh = Reopen();
+  EXPECT_EQ(fresh->map().mapped_bytes(), 16u * 4096);
+  EXPECT_EQ(fresh->backend_synced_hint(), 0u);
+  for (int i = 0; i < 16; i++) {
+    auto t = fresh->map().LookupOne(static_cast<uint64_t>(i) * 4096);
+    ASSERT_TRUE(t.has_value()) << i;
+    std::optional<Result<Buffer>> r;
+    fresh->ReadData(t->plba, 4096, [&](Result<Buffer> rr) { r = std::move(rr); });
+    sim_.Run();
+    ASSERT_TRUE(r->ok());
+    EXPECT_EQ(r->value(), TestPattern(4096, 40 + i)) << i;
+  }
+}
+
+TEST_F(WriteCacheSlotTest, RecoverReadsSlotHeadsAndOneBlob) {
+  const uint64_t blob_len = WriteTwoCheckpoints();
+  ASSERT_GE(blob_len, kBlockSize);
+  const uint64_t before = host_.ssd()->stats().read_bytes;
+  auto fresh = Reopen();
+  const uint64_t read = host_.ssd()->stats().read_bytes - before;
+  // Superblock, the two slot heads, the newest blob, and the replay's probe
+  // of the (empty) log head and its wrap position: nowhere near the two
+  // whole slots of 2 MiB each that a 64 MiB cache reserves.
+  EXPECT_LE(read, 5 * kBlockSize + blob_len);
+  EXPECT_EQ(fresh->map().mapped_bytes(), 16u * 4096);
+}
+
+TEST_F(WriteCacheSlotTest, OnlyTheCurrentBlobVersionIsAccepted) {
+  WriteTwoCheckpoints();
+  const uint32_t current = ReadSsd(wc_->checkpoint_slot_offset(1),
+                                   kBlockSize)[kBlobVersionPos];
+  for (uint32_t v = 0; v <= 4; v++) {
+    if (v == current) {
+      continue;
+    }
+    PatchSlot(0, kBlobVersionPos, v);
+    PatchSlot(1, kBlobVersionPos, v);
+    EXPECT_EQ(RecoverStatus().code(), StatusCode::kCorruption) << v;
+  }
+}
+
+TEST_F(WriteCacheSlotTest, InflatedCountsWithValidCrcAreRejected) {
+  // Checkpoints of an empty cache: everything after the fixed fields is
+  // zero padding, so an unchecked count would loop over ~2^32 zero entries.
+  std::optional<Status> cs;
+  wc_->WriteCheckpoint(0, [&](Status s) { cs = s; });
+  sim_.Run();
+  ASSERT_TRUE(cs.has_value() && cs->ok());
+  const uint64_t begin = wc_->checkpoint_slot_offset(0);
+  const std::vector<uint8_t> slots =
+      ReadSsd(begin, wc_->checkpoint_slot_offset(1) + kBlockSize - begin);
+  for (const size_t pos : {kBlobRecordCountPos, kBlobMapCountPos}) {
+    for (int slot = 0; slot < 2; slot++) {
+      PatchSlot(slot, pos, 0xFFFFFFF0u);
+    }
+    EXPECT_EQ(RecoverStatus().code(), StatusCode::kCorruption) << pos;
+    WriteSsd(begin, slots);
+  }
 }
 
 }  // namespace
