@@ -70,8 +70,6 @@ CellResult RunCell(Sys sys, bool open_loop, double rate_iops, double seconds,
     LsvdConfig config = DefaultLsvdConfig(volume, kSmallCache);
     if (sys == Sys::kLsvdAdaptive) {
       config.batch_seal_deadline = FromSeconds(seal_deadline_us * 1e-6);
-      config.journal_flush_coalescing = true;
-      config.small_write_fast_path = true;
     }
     lsvd_sys = LsvdSystem::Create(&world, config);
     disk = lsvd_sys.disk.get();

@@ -16,8 +16,9 @@ Four checks, all wired into ctest as `check_docs`:
 
 3. Every data-member field of the config structs listed in CONFIG_STRUCTS
    must appear backticked in that struct's target doc (LsvdConfig and
-   GcSimConfig in docs/GC.md, FleetConfig in docs/FLEET.md), so new knobs
-   ship documented.
+   GcSimConfig in docs/GC.md, FleetConfig in docs/FLEET.md, the retry
+   policies and ReplicatorConfig in DESIGN.md), so new knobs ship
+   documented.
 
 4. The reverse of 3: every `LsvdConfig::x` and `config.x()` /
    `config_.x()` name cited in DESIGN.md or docs/*.md must be declared in
@@ -96,23 +97,34 @@ def check_bench_index(repo: Path, errors: list):
             )
 
 
-# Struct member declaration: `type name = default;` or `type name;` on one
-# line. Lines containing `(` are functions/ctors, not fields.
-FIELD_DECL = re.compile(r"^\s+[A-Za-z_][\w:<>,\* ]*?[\s&\*]([a-z_][a-z0-9_]*)\s*(?:=[^;]*)?;")
+# Struct member declaration: `type name = default;`, `type name{init};` or
+# `type name;` on one line. Lines containing `(` are functions/ctors, not
+# fields.
+FIELD_DECL = re.compile(
+    r"^\s+[A-Za-z_][\w:<>,\* ]*?[\s&\*]([a-z_][a-z0-9_]*)\s*"
+    r"(?:=[^;]*|\{[^;]*\})?;")
 
 # (header, struct, doc that must backtick every field of the struct)
 CONFIG_STRUCTS = [
     ("src/lsvd/config.h", "LsvdConfig", "docs/GC.md"),
     ("src/lsvd/gc_sim.h", "GcSimConfig", "docs/GC.md"),
     ("src/fleet/fleet.h", "FleetConfig", "docs/FLEET.md"),
+    ("src/objstore/retry.h", "RetryPolicy", "DESIGN.md"),
+    ("src/lsvd/config.h", "BackendRetryPolicy", "DESIGN.md"),
+    ("src/lsvd/replicator.h", "ReplicatorConfig", "DESIGN.md"),
 ]
 
 
 def struct_fields(text: str, struct: str):
-    """Yield the data-member names of `struct <name> { ... };` in `text`."""
-    start = text.find("struct %s {" % struct)
-    if start == -1:
+    """Yield the data-member names of `struct <name> { ... };` in `text`.
+
+    Fields inherited from a base struct are not yielded; list the base in
+    CONFIG_STRUCTS too.
+    """
+    m = re.search(r"struct %s\b[^;{]*\{" % re.escape(struct), text)
+    if m is None:
         return
+    start = m.start()
     depth = 0
     body_lines = []
     for i, ch in enumerate(text[start:], start):

@@ -32,9 +32,16 @@ BackendStore::BackendStore(ClientHost* host, std::vector<ObjectStore*> stores,
   config_.backend_shards = static_cast<int>(stores.size());
   shards_.resize(stores.size());
   for (size_t i = 0; i < stores.size(); i++) {
-    shards_[i].store = stores[i];
-    shards_[i].retry = i < config_.shard_retry.size() ? config_.shard_retry[i]
-                                                      : config_.retry;
+    shards_[i].io = RetryContext{
+        host_->sim(), stores[i], &config_.retry, &retry_rng_, alive_,
+        config_.retry.op_timeout,
+        [this, i] {
+          c_retries_->Inc();
+          if (shards_[i].c_retries != nullptr) {
+            shards_[i].c_retries->Inc();
+          }
+        },
+        [this] { c_timeouts_->Inc(); }};
   }
   next_seq_ = config_.base_last_seq + 1;
   applied_seq_ = config_.base_last_seq;
@@ -215,7 +222,7 @@ uint64_t BackendStore::AddWrite(uint64_t vlba, Buffer data) {
   // data shares a lifetime — hot objects die nearly whole, cold objects stay
   // nearly full, and both are cheap for the cleaner.
   const bool cold = config_.gc_hot_cold_split && cache_ != nullptr &&
-                    cache_->WriteHeat(vlba) < config_.gc_heat_threshold;
+                    cache_->WriteHeat(vlba) < kHotWriteHeat;
   std::optional<OpenBatch>& slot = cold ? cold_batch_ : batch_;
   const uint64_t seq = OpenBatchSeq(slot);
   slot->cold = cold;
@@ -420,194 +427,17 @@ bool BackendStore::degraded() const {
   return false;
 }
 
-Nanos BackendStore::RetryBackoff(const BackendRetryPolicy& p, int attempt) {
-  double backoff = static_cast<double>(p.initial_backoff);
-  for (int i = 1; i < attempt &&
-                  backoff < static_cast<double>(p.max_backoff); i++) {
-    backoff *= 2.0;
-  }
-  backoff = std::min(backoff, static_cast<double>(p.max_backoff));
-  const double factor =
-      1.0 + p.jitter * (2.0 * retry_rng_.NextDouble() - 1.0);
-  return static_cast<Nanos>(std::max(0.0, backoff * factor));
-}
-
 void BackendStore::PutWithRetry(size_t shard, std::string name, Buffer object,
                                 std::function<void(Status)> done) {
-  auto op = std::make_shared<PutRetryState>();
-  op->shard = shard;
-  op->name = std::move(name);
-  op->object = std::move(object);
-  op->done = std::move(done);
-  StartPutAttempt(std::move(op));
-}
-
-void BackendStore::StartPutAttempt(std::shared_ptr<PutRetryState> op) {
-  ObjectStore* store = shards_[op->shard].store;
-  if (op->attempt > 0) {
-    // A previous attempt may have landed after its timeout: objects are
-    // immutable, so blindly re-PUTting an existing name fails. Head is the
-    // (reliable) control plane: a size match means the object is complete
-    // and the PUT already succeeded; a mismatch is a torn object that must
-    // be deleted and re-uploaded.
-    auto existing = store->Head(op->name);
-    if (existing.ok()) {
-      if (*existing == op->object.size()) {
-        op->done(Status::Ok());
-        return;
-      }
-      auto alive = alive_;
-      store->Delete(op->name, [this, alive, op](Status) {
-        if (!*alive) {
-          return;
-        }
-        // If the delete itself failed, the re-PUT fails on the existing
-        // name and comes back through the retry loop.
-        RawPutAttempt(op);
-      });
-      return;
-    }
-  }
-  RawPutAttempt(std::move(op));
-}
-
-void BackendStore::RawPutAttempt(std::shared_ptr<PutRetryState> op) {
-  auto alive = alive_;
-  auto settled = std::make_shared<bool>(false);
-  const BackendRetryPolicy& policy = PolicyFor(op->shard);
-  if (policy.op_timeout > 0) {
-    host_->sim()->After(policy.op_timeout,
-                        [this, alive, settled, op]() {
-      if (!*alive || *settled) {
-        return;
-      }
-      *settled = true;
-      c_timeouts_->Inc();
-      OnPutAttemptFailed(op, Status::Unavailable("backend PUT timed out"));
-    });
-  }
-  shards_[op->shard].store->Put(op->name, op->object,
-                                [this, alive, settled, op](Status s) {
-    if (!*alive || *settled) {
-      return;
-    }
-    *settled = true;
-    if (s.ok()) {
-      op->done(Status::Ok());
-      return;
-    }
-    OnPutAttemptFailed(op, std::move(s));
-  });
-}
-
-void BackendStore::OnPutAttemptFailed(std::shared_ptr<PutRetryState> op,
-                                      Status s) {
-  if (s.code() == StatusCode::kFenced) {
-    // A fenced PUT can never succeed: this attachment's epoch is stale —
-    // another host owns the volume now. Fail the operation without retries;
-    // ParkFailedPut keeps the sealed object but skips degraded probing.
-    fenced_ = true;
-    op->done(std::move(s));
-    return;
-  }
-  const BackendRetryPolicy& policy = PolicyFor(op->shard);
-  op->attempt++;
-  if (op->attempt >= policy.max_attempts) {
-    op->done(std::move(s));
-    return;
-  }
-  c_retries_->Inc();
-  if (shards_[op->shard].c_retries != nullptr) {
-    shards_[op->shard].c_retries->Inc();
-  }
-  auto alive = alive_;
-  host_->sim()->After(RetryBackoff(policy, op->attempt), [this, alive, op]() {
-    if (!*alive) {
-      return;
-    }
-    StartPutAttempt(op);
-  });
-}
-
-void BackendStore::GetRangeWithRetry(
-    size_t shard, std::string name, uint64_t offset, uint64_t len,
-    std::function<void(Result<Buffer>)> done) {
-  auto op = std::make_shared<GetRetryState>();
-  op->shard = shard;
-  op->name = std::move(name);
-  op->offset = offset;
-  op->len = len;
-  op->done = std::move(done);
-  StartGetAttempt(std::move(op));
-}
-
-void BackendStore::StartGetAttempt(std::shared_ptr<GetRetryState> op) {
-  auto alive = alive_;
-  auto settled = std::make_shared<bool>(false);
-  const BackendRetryPolicy& policy = PolicyFor(op->shard);
-  if (policy.op_timeout > 0) {
-    host_->sim()->After(policy.op_timeout,
-                        [this, alive, settled, op]() {
-      if (!*alive || *settled) {
-        return;
-      }
-      *settled = true;
-      c_timeouts_->Inc();
-      OnGetAttemptFailed(op, Status::Unavailable("backend GET timed out"));
-    });
-  }
-  shards_[op->shard].store->GetRange(op->name, op->offset, op->len,
-                                     [this, alive, settled, op](Result<Buffer> r) {
-    if (!*alive || *settled) {
-      return;
-    }
-    *settled = true;
-    if (r.ok() || r.status().code() != StatusCode::kUnavailable) {
-      op->done(std::move(r));
-      return;
-    }
-    OnGetAttemptFailed(op, r.status());
-  });
-}
-
-void BackendStore::OnGetAttemptFailed(std::shared_ptr<GetRetryState> op,
-                                      Status s) {
-  const BackendRetryPolicy& policy = PolicyFor(op->shard);
-  op->attempt++;
-  if (op->attempt >= policy.max_attempts) {
-    op->done(std::move(s));
-    return;
-  }
-  c_retries_->Inc();
-  if (shards_[op->shard].c_retries != nullptr) {
-    shards_[op->shard].c_retries->Inc();
-  }
-  auto alive = alive_;
-  host_->sim()->After(RetryBackoff(policy, op->attempt), [this, alive, op]() {
-    if (!*alive) {
-      return;
-    }
-    StartGetAttempt(op);
-  });
-}
-
-void BackendStore::DeleteWithRetry(size_t shard, const std::string& name,
-                                   int attempt) {
-  auto alive = alive_;
-  shards_[shard].store->Delete(name,
-                               [this, alive, shard, name, attempt](Status s) {
-    if (!*alive || s.ok() || attempt + 1 >= PolicyFor(shard).max_attempts) {
-      return;
-    }
-    c_retries_->Inc();
-    host_->sim()->After(RetryBackoff(PolicyFor(shard), attempt + 1),
-                        [this, alive = alive_, shard, name, attempt]() {
-      if (!*alive) {
-        return;
-      }
-      DeleteWithRetry(shard, name, attempt + 1);
-    });
-  });
+  RetryPut(shards_[shard].io, std::move(name), std::move(object),
+           [this, done = std::move(done)](Status s) {
+             // A fenced PUT can never succeed: another host owns the volume
+             // now. ParkFailedPut keeps the sealed object but skips probing.
+             if (s.code() == StatusCode::kFenced) {
+               fenced_ = true;
+             }
+             done(std::move(s));
+           });
 }
 
 void BackendStore::PumpPuts() {
@@ -654,13 +484,9 @@ void BackendStore::PumpPuts() {
           shards_[shard_index].c_objects_put->Inc();
           shards_[shard_index].c_object_bytes->Inc(object.size());
         }
-        PutWithRetry(shard_index, NameForSeq(seq), std::move(object),
-                     [this, alive, seq](Status s) {
-          if (!*alive) {
-            return;
-          }
-          OnPutComplete(seq, std::move(s));
-        });
+        PutWithRetry(
+            shard_index, NameForSeq(seq), std::move(object),
+            [this, seq](Status s) { OnPutComplete(seq, std::move(s)); });
       });
     };
 
@@ -730,7 +556,7 @@ void BackendStore::ParkFailedPut(uint64_t seq) {
 // exhausts its budget, re-parks, and re-arms the probe.
 void BackendStore::ScheduleDegradedProbe(size_t shard) {
   auto alive = alive_;
-  host_->sim()->After(PolicyFor(shard).degraded_probe_interval,
+  host_->sim()->After(config_.retry.degraded_probe_interval,
                       [this, alive, shard]() {
     if (!*alive || !shards_[shard].degraded) {
       return;
@@ -991,13 +817,9 @@ void BackendStore::CleanOneObject(uint64_t victim) {
     FinishGcRound();
     return;
   }
-  auto alive = alive_;
   const uint64_t window = std::min(*size, kHeaderReadWindow);
-  GetRangeWithRetry(ShardOf(victim), name, 0, window,
-                    [this, alive, victim, name](Result<Buffer> r) {
-    if (!*alive) {
-      return;
-    }
+  RetryGetRange(IoFor(victim), name, 0, window,
+                    [this, alive = alive_, victim, name](Result<Buffer> r) {
     if (!r.ok() && r.status().code() == StatusCode::kUnavailable) {
       // Backend unreachable even after retries: abort the round without
       // touching the victim (its data is still live) and without re-picking
@@ -1189,7 +1011,7 @@ void BackendStore::CleanOneObject(uint64_t victim) {
       } else {
         // Plugged pieces may live in other objects; fetch from wherever the
         // map says the data is.
-        GetRangeWithRetry(ShardOf(piece.src.seq), NameForSeq(piece.src.seq),
+        RetryGetRange(IoFor(piece.src.seq), NameForSeq(piece.src.seq),
                           piece.src.offset, piece.len,
                           [piece, finish_piece](Result<Buffer> r) {
           finish_piece(piece, std::move(r));
@@ -1239,7 +1061,7 @@ void BackendStore::ProcessDelete(uint64_t seq) {
     return;
   }
   c_objects_deleted_->Inc();
-  DeleteWithRetry(ShardOf(seq), NameForSeq(seq));
+  RetryDelete(IoFor(seq), NameForSeq(seq));
 }
 
 void BackendStore::ReexamineDeferred() {
@@ -1256,7 +1078,7 @@ void BackendStore::ReexamineDeferred() {
       still_deferred.push_back(d);
     } else {
       c_objects_deleted_->Inc();
-      DeleteWithRetry(ShardOf(d.seq), NameForSeq(d.seq));
+      RetryDelete(IoFor(d.seq), NameForSeq(d.seq));
     }
   }
   deferred_deletes_ = std::move(still_deferred);
@@ -1266,11 +1088,7 @@ void BackendStore::CreateSnapshot(
     std::function<void(Result<uint64_t>)> done) {
   const uint64_t seq = applied_seq_;
   snapshots_.insert(seq);
-  auto alive = alive_;
-  WriteCheckpoint([alive, seq, done = std::move(done)](Status s) {
-    if (!*alive) {
-      return;
-    }
+  WriteCheckpoint([seq, done = std::move(done)](Status s) {
     if (!s.ok()) {
       done(s);
       return;
@@ -1327,13 +1145,9 @@ void BackendStore::WriteCheckpoint(std::function<void(Status)> done) {
   const std::string name =
       CheckpointObjectName(config_.volume_name, ckpt_id);
   const uint64_t through = state.through_seq;
-  auto alive = alive_;
   // Checkpoints always go to shard 0, the volume's metadata home.
   PutWithRetry(0, name, EncodeCheckpoint(state),
-               [this, alive, through, done = std::move(done)](Status s) {
-    if (!*alive) {
-      return;
-    }
+               [this, through, done = std::move(done)](Status s) {
     checkpoint_in_flight_ = false;
     if (!s.ok()) {
       done(s);
@@ -1359,7 +1173,7 @@ void BackendStore::WriteCheckpoint(std::function<void(Status)> done) {
     // Keep only the two newest checkpoints.
     auto names = meta_store()->List(CheckpointPrefix(config_.volume_name));
     while (names.size() > 2) {
-      DeleteWithRetry(0, names.front());
+      RetryDelete(shards_[0].io, names.front());
       names.erase(names.begin());
     }
     done(Status::Ok());
@@ -1413,12 +1227,8 @@ void BackendStore::RecoverTryCheckpoint(std::shared_ptr<RecoverState> st,
     RecoverTryCheckpoint(std::move(st), back_index + 1);
     return;
   }
-  auto alive = alive_;
-  GetRangeWithRetry(0, name, 0, *size,
-                    [this, alive, st, name, back_index](Result<Buffer> r) {
-    if (!*alive) {
-      return;
-    }
+  RetryGetRange(shards_[0].io, name, 0, *size,
+                    [this, st, name, back_index](Result<Buffer> r) {
     if (!r.ok() && r.status().code() == StatusCode::kUnavailable) {
       // Transient: falling back to an older checkpoint here could replay
       // across a GC hole; report the failure and let the caller re-open.
@@ -1470,8 +1280,8 @@ void BackendStore::RecoverTryCheckpoint(std::shared_ptr<RecoverState> st,
 // the shard the striping rule assigns them to.
 void BackendStore::RecoverScanAndReplay(std::shared_ptr<RecoverState> st) {
   for (size_t shard = 0; shard < shards_.size(); shard++) {
-    for (const auto& name :
-         shards_[shard].store->List(DataObjectPrefix(config_.volume_name))) {
+    ObjectStore* store = shards_[shard].io.store;
+    for (const auto& name : store->List(DataObjectPrefix(config_.volume_name))) {
       if (auto s = ParseDataObjectSeq(config_.volume_name, name)) {
         if (ShardOf(*s) == shard) {
           st->seqs.insert(*s);
@@ -1480,7 +1290,7 @@ void BackendStore::RecoverScanAndReplay(std::shared_ptr<RecoverState> st) {
     }
     if (!config_.base_image.empty()) {
       for (const auto& name :
-           shards_[shard].store->List(DataObjectPrefix(config_.base_image))) {
+           store->List(DataObjectPrefix(config_.base_image))) {
         if (auto s = ParseDataObjectSeq(config_.base_image, name)) {
           if (*s <= config_.base_last_seq && ShardOf(*s) == shard) {
             st->seqs.insert(*s);
@@ -1512,12 +1322,8 @@ void BackendStore::RecoverReplayNext(std::shared_ptr<RecoverState> st) {
   }
   const uint64_t window = std::min(*size, kHeaderReadWindow);
   const uint64_t object_size = *size;
-  auto alive = alive_;
-  GetRangeWithRetry(ShardOf(want), name, 0, window,
-                    [this, alive, st, want, object_size](Result<Buffer> r) {
-    if (!*alive) {
-      return;
-    }
+  RetryGetRange(IoFor(want), name, 0, window,
+                    [this, st, want, object_size](Result<Buffer> r) {
     if (!r.ok() && r.status().code() == StatusCode::kUnavailable) {
       // Transient even after retries: stopping the prefix here would
       // silently truncate the volume, so surface the error instead.
@@ -1582,7 +1388,7 @@ void BackendStore::RecoverFinish(std::shared_ptr<RecoverState> st) {
   if (config_.open_limit_seq == 0) {
     for (const uint64_t s : st->seqs) {
       if (s > applied_seq_ && s > config_.base_last_seq) {
-        DeleteWithRetry(ShardOf(s), NameForSeq(s));
+        RetryDelete(IoFor(s), NameForSeq(s));
       }
     }
   }
@@ -1592,15 +1398,8 @@ void BackendStore::RecoverFinish(std::shared_ptr<RecoverState> st) {
 
 void BackendStore::Fetch(ObjTarget target, uint64_t len,
                          std::function<void(Result<Buffer>)> done) {
-  auto alive = alive_;
-  GetRangeWithRetry(ShardOf(target.seq), NameForSeq(target.seq),
-                    target.offset, len,
-                    [alive, done = std::move(done)](Result<Buffer> r) {
-    if (!*alive) {
-      return;
-    }
-    done(std::move(r));
-  });
+  RetryGetRange(IoFor(target.seq), NameForSeq(target.seq),
+                    target.offset, len, std::move(done));
 }
 
 }  // namespace lsvd

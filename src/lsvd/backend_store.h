@@ -32,6 +32,7 @@
 #include "src/lsvd/paged_extent_map.h"
 #include "src/lsvd/write_cache.h"
 #include "src/objstore/object_store.h"
+#include "src/objstore/retry.h"
 #include "src/util/metrics.h"
 #include "src/util/rng.h"
 
@@ -112,7 +113,6 @@ class BackendStore {
   // Utilization of one shard's slice of the object stream; victims are
   // selected per shard against the watermarks (DESIGN.md §9).
   double ShardUtilization(size_t shard) const;
-  bool gc_running() const { return gc_running_; }
   uint64_t live_bytes() const;
   uint64_t total_bytes() const;
 
@@ -221,11 +221,11 @@ class BackendStore {
     Nanos sealed_at = -1;   // for the seal -> commit lifecycle histogram
   };
 
-  // One backend shard: an independent object store with its own PUT window,
-  // degraded flag, retry policy and (when sharded) metric counters.
+  // One backend shard: an independent object store (`io.store`, retried
+  // under config.retry with retries counted here and in the aggregate) with
+  // its own PUT window, degraded flag and (when sharded) metric counters.
   struct Shard {
-    ObjectStore* store = nullptr;
-    BackendRetryPolicy retry;
+    RetryContext io;
     int outstanding = 0;
     bool degraded = false;
     Counter* c_objects_put = nullptr;
@@ -234,23 +234,6 @@ class BackendStore {
     Counter* c_retries = nullptr;
   };
 
-  // Retry state for one logical backend PUT/GET; lives on the heap across
-  // attempts, backoff sleeps, and timeout races.
-  struct PutRetryState {
-    size_t shard = 0;
-    std::string name;
-    Buffer object;
-    int attempt = 0;
-    std::function<void(Status)> done;
-  };
-  struct GetRetryState {
-    size_t shard = 0;
-    std::string name;
-    uint64_t offset = 0;
-    uint64_t len = 0;
-    int attempt = 0;
-    std::function<void(Result<Buffer>)> done;
-  };
   // Recovery pipeline state; owned only by the in-flight continuation
   // lambdas (never by a lambda reachable from itself, so no retain cycle).
   struct RecoverState {
@@ -264,14 +247,12 @@ class BackendStore {
     std::function<void(Status)> done;
   };
 
-  ObjectStore* StoreFor(uint64_t seq) const {
-    return shards_[ShardOf(seq)].store;
+  const RetryContext& IoFor(uint64_t seq) const {
+    return shards_[ShardOf(seq)].io;
   }
+  ObjectStore* StoreFor(uint64_t seq) const { return IoFor(seq).store; }
   // Checkpoints and other volume metadata always live on shard 0.
-  ObjectStore* meta_store() const { return shards_[0].store; }
-  const BackendRetryPolicy& PolicyFor(size_t shard) const {
-    return shards_[shard].retry;
-  }
+  ObjectStore* meta_store() const { return shards_[0].io.store; }
 
   // Lazily opens `slot` (assigning the next sequence number) and returns its
   // seq. `slot` is batch_ for hot client writes, cold_batch_ for cold ones.
@@ -287,26 +268,11 @@ class BackendStore {
   void PumpPuts();
   void OnPutComplete(uint64_t seq, Status s);
   void ParkFailedPut(uint64_t seq);
-  // Backoff delay before retry number `attempt` (>= 1), with jitter.
-  Nanos RetryBackoff(const BackendRetryPolicy& policy, int attempt);
-  // PUT with timeout, bounded retries, and torn-object healing: a retry that
-  // finds `name` already existing treats a size match as success (a prior
-  // attempt landed after its timeout) and deletes + re-uploads on mismatch.
+  // PUT through the shared retry driver (src/objstore/retry.h); a fenced
+  // PUT marks the store fenced(). GETs and DELETEs call the driver directly
+  // (a DELETE is fire-and-forget: a final failure only leaves garbage).
   void PutWithRetry(size_t shard, std::string name, Buffer object,
                     std::function<void(Status)> done);
-  void StartPutAttempt(std::shared_ptr<PutRetryState> op);
-  void RawPutAttempt(std::shared_ptr<PutRetryState> op);
-  void OnPutAttemptFailed(std::shared_ptr<PutRetryState> op, Status s);
-  // Range GET with timeout and bounded retries on Unavailable; other errors
-  // (NotFound, OutOfRange, Corruption) are permanent and pass through.
-  void GetRangeWithRetry(size_t shard, std::string name, uint64_t offset,
-                         uint64_t len,
-                         std::function<void(Result<Buffer>)> done);
-  void StartGetAttempt(std::shared_ptr<GetRetryState> op);
-  void OnGetAttemptFailed(std::shared_ptr<GetRetryState> op, Status s);
-  // Fire-and-forget DELETE with bounded retries; a final failure only
-  // leaves garbage behind.
-  void DeleteWithRetry(size_t shard, const std::string& name, int attempt = 0);
   void ScheduleDegradedProbe(size_t shard);
   void ApplyReady();
   void ApplyObjectExtents(uint64_t seq, const DataObjectHeader& header,

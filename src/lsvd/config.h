@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/lsvd/gc_policy.h"
+#include "src/objstore/retry.h"
 #include "src/util/units.h"
 
 namespace lsvd {
@@ -34,21 +35,14 @@ struct StageCosts {
   Nanos read_miss_golang = 34 * kMicrosecond;      // u: daemon work
 };
 
-// Retry/backoff policy for backend object operations. All delays are in
-// simulated time. An operation is attempted up to `max_attempts` times; the
-// k-th retry waits min(initial_backoff * 2^k, max_backoff) scaled by a
-// uniform jitter factor in [1-jitter, 1+jitter]. Attempts that produce no
-// response within `op_timeout` are treated as failed (the response, if it
-// ever arrives, is ignored). When a PUT exhausts its budget the store goes
-// degraded and probes the backend every `degraded_probe_interval`.
-struct BackendRetryPolicy {
-  int max_attempts = 5;
-  Nanos initial_backoff = 10 * kMillisecond;
-  Nanos max_backoff = 2 * kSecond;
-  double jitter = 0.25;
+// Retry rules for backend object requests (src/objstore/retry.h, DESIGN.md
+// §7) plus the backend's own two: a PUT or GET attempt with no answer within
+// `op_timeout` counts as failed (a late answer is ignored), and a shard whose
+// data PUT exhausted its budget goes degraded and is probed every
+// `degraded_probe_interval`.
+struct BackendRetryPolicy : RetryPolicy {
   Nanos op_timeout = 30 * kSecond;
   Nanos degraded_probe_interval = kSecond;
-  uint64_t seed = 0xBACC0FF;  // jitter RNG seed
 };
 
 // Per-volume QoS caps, enforced by the client host's token-bucket admission
@@ -88,16 +82,12 @@ struct LsvdConfig {
   // first write even if far from batch_bytes, on a per-batch timer (unlike
   // batch_max_age, which is only polled at batch_max_age granularity). The
   // same deadline bounds how long the write cache "plugs" a lone small write
-  // waiting for company before force-starting its journal record. 0 = off:
-  // only size sealing plus the coarse age poll.
+  // waiting for company before force-starting its journal record. Set, it
+  // also turns on the journal's group commit: concurrent Flush barriers share
+  // one SSD flush, and a lone small write skips the plug wait while the
+  // record pipeline is nearly idle. 0 = off: only size sealing plus the
+  // coarse age poll.
   Nanos batch_seal_deadline = 0;
-  // Group commit for the journal: concurrent Flush barriers share one SSD
-  // flush instead of each issuing their own (BtrLog-style flush coalescing).
-  bool journal_flush_coalescing = false;
-  // Under light load (journal pipeline nearly idle) a lone small write
-  // skips the plug wait entirely and starts its record immediately, trading
-  // batching efficiency for latency only when there is no queue to amortize.
-  bool small_write_fast_path = false;
 
   // Backend sharding (DESIGN.md §9): the volume's object stream is striped
   // round-robin by batch sequence across this many independent object-store
@@ -124,15 +114,12 @@ struct LsvdConfig {
   std::vector<GcPolicyKind> gc_shard_policy;
 
   // Hot/cold segregation of *client* writes (docs/GC.md): writes whose 1 MiB
-  // region shows a decayed overwrite heat >= gc_heat_threshold are batched
-  // separately from cold first-touch writes, so objects die either mostly
-  // together (hot) or not at all (cold). GC output is always packed into its
-  // own objects regardless of this flag. Off by default — splitting opens a
-  // second batch stream, which changes object boundaries.
+  // region shows a decayed overwrite heat >= kHotWriteHeat (write_cache.h)
+  // are batched separately from cold first-touch writes, so objects die
+  // either mostly together (hot) or not at all (cold). GC output is always
+  // packed into its own objects regardless of this flag. Off by default —
+  // splitting opens a second batch stream, which changes object boundaries.
   bool gc_hot_cold_split = false;
-  double gc_heat_threshold = 2.0;
-  // Half-life of the write-heat decay clock.
-  Nanos gc_heat_halflife = 10 * kSecond;
 
   // --- Paged object map (DESIGN.md §13) ---
   // Resident-memory budget for the backend object map's unpacked leaf pages:
@@ -160,10 +147,7 @@ struct LsvdConfig {
 
   StageCosts costs;
 
-  BackendRetryPolicy retry;
-  // Optional per-shard retry-policy overrides, indexed by shard. Shards
-  // beyond the vector's length (and all shards when it is empty) use `retry`.
-  std::vector<BackendRetryPolicy> shard_retry;
+  BackendRetryPolicy retry;  // every shard's requests
 
   // Clone support (§3.6): objects with seq <= base_last_seq are read from
   // `base_image`'s object stream.

@@ -91,7 +91,7 @@ class GcPolicy {
 };
 
 // Resolves a per-shard policy table: `overrides[shard]` when the vector is
-// long enough, else `base` (mirrors LsvdConfig::shard_retry's convention).
+// long enough, else `base`.
 GcPolicyKind GcPolicyForShard(GcPolicyKind base,
                               const std::vector<GcPolicyKind>& overrides,
                               size_t shard);

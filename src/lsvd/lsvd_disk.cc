@@ -63,11 +63,9 @@ void LsvdDisk::InitComponents() {
       host_, wc_base_, config_.write_cache_size, config_.costs, metrics_,
       p + ".write_cache", config_.volume_size);
   if (config_.gc_hot_cold_split) {
-    write_cache_->EnableHeatTracking(config_.gc_heat_halflife);
+    write_cache_->EnableHeatTracking();
   }
-  write_cache_->SetAdaptiveBatching(config_.batch_seal_deadline,
-                                    config_.journal_flush_coalescing,
-                                    config_.small_write_fast_path);
+  write_cache_->SetAdaptiveBatching(config_.batch_seal_deadline);
   read_cache_ = std::make_unique<ReadCache>(
       host_, rc_base_, config_.read_cache_size, config_.read_cache_line,
       metrics_, p + ".read_cache");

@@ -1,6 +1,5 @@
 #include "src/lsvd/replicator.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -19,7 +18,7 @@ Replicator::Replicator(Simulator* sim, std::vector<ObjectStore*> primaries,
                        std::vector<ObjectStore*> replicas,
                        ReplicatorConfig config, MetricsRegistry* metrics,
                        const std::string& prefix)
-    : sim_(sim), config_(std::move(config)), retry_rng_(config_.retry_seed) {
+    : sim_(sim), config_(std::move(config)), retry_rng_(config_.retry.seed) {
   assert(!primaries.empty() && primaries.size() == replicas.size());
   shards_.resize(primaries.size());
   for (size_t i = 0; i < primaries.size(); i++) {
@@ -145,93 +144,50 @@ void Replicator::PollOnce(std::function<void()> done) {
   };
   for (const auto& [shard, name] : to_copy) {
     shards_[shard].copied.insert(name);
-    CopyObject(shard, name, 0, one_done);
+    CopyObject(shard, name, one_done);
   }
-}
-
-Nanos Replicator::RetryBackoff(int attempt) {
-  double backoff = static_cast<double>(config_.initial_backoff);
-  for (int i = 1; i < attempt &&
-                  backoff < static_cast<double>(config_.max_backoff); i++) {
-    backoff *= 2.0;
-  }
-  backoff = std::min(backoff, static_cast<double>(config_.max_backoff));
-  const double factor =
-      1.0 + config_.jitter * (2.0 * retry_rng_.NextDouble() - 1.0);
-  return static_cast<Nanos>(std::max(0.0, backoff * factor));
 }
 
 void Replicator::CopyObject(size_t shard_index, const std::string& name,
-                            int attempt, std::function<void()> done) {
+                            std::function<void()> done) {
   ShardStream& shard = shards_[shard_index];
-  auto alive = alive_;
-  auto retry = [this, alive, shard_index, name, attempt, done]() {
-    if (attempt + 1 >= config_.max_attempts) {
-      // Out of budget: forget the object so a later poll starts over
-      // (leaving it in copied would silently drop it from the replica
-      // forever).
-      c_copy_failures_->Inc();
-      shards_[shard_index].copied.erase(name);
+  const RetryContext get{sim_, shard.primary, &config_.retry, &retry_rng_,
+                         alive_, 0, [this] { c_retries_->Inc(); }, nullptr};
+  RetryContext put = get;
+  put.store = shard.replica;
+  // Out of budget: forget the object so a later poll starts over (leaving it
+  // in copied would silently drop it from the replica forever).
+  auto fail = [this, shard_index, name, done] {
+    c_copy_failures_->Inc();
+    shards_[shard_index].copied.erase(name);
+    done();
+  };
+  RetryGet(get, name, [this, &shard, put, name, fail, done](Result<Buffer> r) {
+    if (r.status().code() == StatusCode::kNotFound) {
+      // Garbage collection deleted the object before we aged it in.
+      c_objects_skipped_deleted_->Inc();
+      shard.copied.erase(name);
+      shard.first_seen.erase(name);
       done();
       return;
     }
-    c_retries_->Inc();
-    sim_->After(RetryBackoff(attempt + 1), [this, alive, shard_index, name,
-                                            attempt, done]() {
-      if (!*alive) {
-        return;
-      }
-      CopyObject(shard_index, name, attempt + 1, done);
-    });
-  };
-  shard.primary->Get(name, [this, alive, shard_index, name, retry,
-                            done](Result<Buffer> r) {
-    if (!*alive) {
-      return;
-    }
-    ShardStream& shard = shards_[shard_index];
     if (!r.ok()) {
-      if (r.status().code() == StatusCode::kNotFound) {
-        // Garbage collection deleted the object before we aged it in.
-        c_objects_skipped_deleted_->Inc();
-        shard.copied.erase(name);
-        shard.first_seen.erase(name);
-        done();
-        return;
-      }
-      retry();
+      fail();
       return;
     }
     const uint64_t size = r->size();
     const auto seen = shard.first_seen.find(name);
     const Nanos seen_at = seen != shard.first_seen.end() ? seen->second : 0;
-    shard.replica->Put(name, std::move(r).value(),
-                       [this, alive, shard_index, name, size, seen_at, retry,
-                        done](Status s) {
-      if (!*alive) {
+    RetryPut(put, name, std::move(r).value(),
+             [this, size, seen_at, fail, done](Status s) {
+      if (!s.ok()) {
+        fail();
         return;
       }
-      ShardStream& shard = shards_[shard_index];
-      bool complete = s.ok();
-      if (!complete && s.code() == StatusCode::kInvalidArgument) {
-        // The name already exists on the replica: a previous attempt's PUT
-        // landed without us seeing the ack. A full-size copy is a success; a
-        // short one is torn — delete it and go around again.
-        const auto have = shard.replica->Head(name);
-        if (have.ok() && *have == size) {
-          complete = true;
-        } else {
-          shard.replica->Delete(name, [](Status) {});
-        }
-      }
-      if (complete) {
-        c_objects_copied_->Inc();
-        c_bytes_copied_->Inc(size);
-        RecordLatencyUs(h_copy_lag_us_, sim_->now() - seen_at);
-        done();
-        return;
-      }
-      retry();
+      c_objects_copied_->Inc();
+      c_bytes_copied_->Inc(size);
+      RecordLatencyUs(h_copy_lag_us_, sim_->now() - seen_at);
+      done();
     });
   });
 }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/objstore/object_store.h"
+#include "src/objstore/retry.h"
 #include "src/sim/simulator.h"
 #include "src/util/metrics.h"
 #include "src/util/rng.h"
@@ -30,14 +31,10 @@ struct ReplicatorConfig {
   std::string volume_name = "vol";
   Nanos min_age = 60 * kSecond;        // copy objects older than this
   Nanos poll_interval = 5 * kSecond;
-  // Per-object retry budget for transient primary GETs / replica PUTs,
-  // with exponential backoff and jitter (cf. BackendRetryPolicy). An object
-  // whose budget is exhausted is retried from scratch on a later poll.
-  int max_attempts = 5;
-  Nanos initial_backoff = 10 * kMillisecond;
-  Nanos max_backoff = 2 * kSecond;
-  double jitter = 0.25;
-  uint64_t retry_seed = 0x5EED;
+  // Retry rules for each copy's primary GET and replica PUT (separate
+  // budgets, no per-attempt timeout; src/objstore/retry.h). A copy whose
+  // budget runs out is retried from scratch on a later poll.
+  RetryPolicy retry{.seed = 0x5EED};
 };
 
 struct ReplicatorStats {
@@ -90,10 +87,9 @@ class Replicator {
   };
 
   void ScheduleNext();
-  Nanos RetryBackoff(int attempt);
-  // One object's GET-then-PUT with per-stage retries; always calls `done`
-  // exactly once.
-  void CopyObject(size_t shard, const std::string& name, int attempt,
+  // One object's GET-then-PUT with per-stage retries; calls `done` exactly
+  // once unless Stop() or Start() cancels it.
+  void CopyObject(size_t shard, const std::string& name,
                   std::function<void()> done);
 
   Simulator* sim_;

@@ -34,7 +34,7 @@ constexpr uint64_t kMaxRecordData = 4 * kMiB;
 
 // Record pipelining and plugging (MaybeStartRecord): up to kRecordWindow
 // concurrent record writes; a lone small write (< kPlugBytes) waits for
-// company while others are in flight. With the small-write fast path on, a
+// company while others are in flight. With adaptive batching on, a
 // pipeline no deeper than kFastPathDepth skips the wait — there is no queue
 // to amortize against, so plugging would only add idle latency.
 constexpr size_t kRecordWindow = 12;
@@ -144,7 +144,7 @@ void WriteCache::Append(uint64_t vlba, Buffer data, uint64_t batch_seq,
   }
   c_appends_->Inc();
   c_appended_bytes_->Inc(data.size());
-  if (heat_halflife_ > 0) {
+  if (heat_tracking_) {
     // Bump the overwrite heat of every 1 MiB region this write touches.
     const Nanos now = host_->sim()->now();
     const uint64_t first = vlba >> 20;
@@ -153,7 +153,7 @@ void WriteCache::Append(uint64_t vlba, Buffer data, uint64_t batch_seq,
       HeatCell& cell = heat_[region];
       if (cell.updated < now && cell.value > 0.0) {
         cell.value *= std::exp2(-static_cast<double>(now - cell.updated) /
-                                static_cast<double>(heat_halflife_));
+                                static_cast<double>(kWriteHeatHalflife));
       }
       cell.value += 1.0;
       cell.updated = now;
@@ -178,7 +178,7 @@ void WriteCache::AppendTrim(uint64_t vlba, uint64_t len, uint64_t batch_seq,
 }
 
 double WriteCache::WriteHeat(uint64_t vlba) const {
-  if (heat_halflife_ <= 0) {
+  if (!heat_tracking_) {
     return 0.0;
   }
   auto it = heat_.find(vlba >> 20);
@@ -191,7 +191,7 @@ double WriteCache::WriteHeat(uint64_t vlba) const {
   }
   return it->second.value *
          std::exp2(-static_cast<double>(now - it->second.updated) /
-                   static_cast<double>(heat_halflife_));
+                   static_cast<double>(kWriteHeatHalflife));
 }
 
 void WriteCache::MaybeStartRecord() {
@@ -203,7 +203,7 @@ void WriteCache::MaybeStartRecord() {
     if (!in_flight_.empty() && pending_.size() < 2 &&
         !pending_.front().is_trim &&
         pending_.front().data.size() < kPlugBytes &&
-        !(fast_path_ && in_flight_.size() <= kFastPathDepth)) {
+        !(plug_deadline_ > 0 && in_flight_.size() <= kFastPathDepth)) {
       if (plug_deadline_ > 0 && !plug_timer_armed_) {
         ArmPlugTimer();
       }
@@ -395,7 +395,7 @@ void WriteCache::ApplyCompletedRecords() {
 }
 
 void WriteCache::Barrier(std::function<void(Status)> done) {
-  if (!flush_coalescing_) {
+  if (plug_deadline_ == 0) {
     auto alive = alive_;
     ssd_->Flush([alive, done = std::move(done)](Status s) {
       if (!*alive) {
@@ -437,13 +437,6 @@ void WriteCache::StartBarrierFlush() {
       StartBarrierFlush();
     }
   });
-}
-
-void WriteCache::SetAdaptiveBatching(Nanos plug_deadline,
-                                     bool flush_coalescing, bool fast_path) {
-  plug_deadline_ = plug_deadline;
-  flush_coalescing_ = flush_coalescing;
-  fast_path_ = fast_path;
 }
 
 void WriteCache::ReadData(uint64_t plba, uint64_t len,

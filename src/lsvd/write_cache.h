@@ -35,6 +35,12 @@
 
 namespace lsvd {
 
+// Write-heat tracking (WriteCache::EnableHeatTracking): a region's heat
+// halves every kWriteHeatHalflife, and a region at or above kHotWriteHeat is
+// "hot" for the backend's hot/cold batch split (docs/GC.md).
+inline constexpr Nanos kWriteHeatHalflife = 10 * kSecond;
+inline constexpr double kHotWriteHeat = 2.0;
+
 // View over the write cache's registry counters (see docs/METRICS.md,
 // "lsvd.write_cache.*").
 struct WriteCacheStats {
@@ -94,21 +100,23 @@ class WriteCache {
 
   // --- adaptive batching / group commit (DESIGN.md §12) ---
   // `plug_deadline` bounds how long a lone small write may sit "plugged"
-  // waiting for company before its journal record is force-started (0, the
-  // default, waits indefinitely); `flush_coalescing` makes concurrent
-  // Barrier() calls share SSD flushes (group commit); `fast_path` skips the
-  // plug wait entirely while the record pipeline is nearly idle.
-  void SetAdaptiveBatching(Nanos plug_deadline, bool flush_coalescing,
-                           bool fast_path);
+  // waiting for company before its journal record is force-started. Set
+  // (> 0), it also turns on group commit: concurrent Barrier() calls share
+  // SSD flushes, and a small write skips the plug wait entirely while the
+  // record pipeline is nearly idle. 0, the default, waits indefinitely and
+  // flushes once per barrier.
+  void SetAdaptiveBatching(Nanos plug_deadline) {
+    plug_deadline_ = plug_deadline;
+  }
 
   // --- write-heat tracking (docs/GC.md hot/cold segregation) ---
   // Enables per-region overwrite-heat tracking: every append adds 1 to the
-  // heat of each 1 MiB region it touches, and heat halves every `halflife`.
-  // Off (zero cost on the append path) until enabled.
-  void EnableHeatTracking(Nanos halflife) { heat_halflife_ = halflife; }
+  // heat of each 1 MiB region it touches, and heat halves every
+  // kWriteHeatHalflife. Off (zero cost on the append path) until enabled.
+  void EnableHeatTracking() { heat_tracking_ = true; }
   // Decayed heat of the region containing `vlba`; 0.0 when tracking is off
-  // or the region was never written. The backend store compares this against
-  // LsvdConfig::gc_heat_threshold to route writes to hot vs cold batches.
+  // or the region was never written. The backend store routes writes to
+  // regions below kHotWriteHeat to its cold batch stream.
   double WriteHeat(uint64_t vlba) const;
 
   // Commit barrier: flush the SSD (§3.2).
@@ -174,7 +182,6 @@ class WriteCache {
   void Kill() { *alive_ = false; }
 
   uint64_t free_bytes() const { return log_size_ - used_; }
-  uint64_t log_size() const { return log_size_; }
   uint64_t used_bytes() const { return used_; }
   uint64_t backend_synced_hint() const { return recovered_synced_; }
   WriteCacheStats stats() const;
@@ -260,9 +267,7 @@ class WriteCache {
   uint64_t used_ = 0;       // log bytes occupied (incl. wrap gaps)
 
   // Adaptive batching (all inert until SetAdaptiveBatching).
-  Nanos plug_deadline_ = 0;         // 0 = plugged writes wait indefinitely
-  bool flush_coalescing_ = false;
-  bool fast_path_ = false;
+  Nanos plug_deadline_ = 0;  // 0 = off: plugged writes wait indefinitely
   bool plug_timer_armed_ = false;
   bool flush_in_flight_ = false;    // coalescing path only
   std::vector<std::function<void(Status)>> pending_barriers_;
@@ -273,7 +278,7 @@ class WriteCache {
     double value = 0.0;
     Nanos updated = 0;
   };
-  Nanos heat_halflife_ = 0;  // 0 = tracking off
+  bool heat_tracking_ = false;
   std::map<uint64_t, HeatCell> heat_;
   uint64_t next_seq_ = 1;
   uint64_t ckpt_gen_ = 0;   // checkpoint generation (picks newest slot)

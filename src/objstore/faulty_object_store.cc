@@ -1,6 +1,5 @@
 #include "src/objstore/faulty_object_store.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace lsvd {
@@ -49,19 +48,6 @@ void FaultyObjectStore::Put(const std::string& name, Buffer data,
   Delayed([this, name, data = std::move(data),
            done = std::move(done)]() mutable {
     inner_->Put(name, std::move(data), std::move(done));
-  });
-}
-
-void FaultyObjectStore::Get(const std::string& name, GetCallback done) {
-  if (offline_ || rng_.Bernoulli(config_.get_error_p)) {
-    stats_.get_errors++;
-    Delayed([done = std::move(done)]() {
-      done(Status::Unavailable("injected GET failure"));
-    });
-    return;
-  }
-  Delayed([this, name, done = std::move(done)]() mutable {
-    inner_->Get(name, std::move(done));
   });
 }
 

@@ -52,7 +52,6 @@ class FaultyObjectStore : public ObjectStore {
                     FaultInjectionConfig config);
 
   void Put(const std::string& name, Buffer data, PutCallback done) override;
-  void Get(const std::string& name, GetCallback done) override;
   void GetRange(const std::string& name, uint64_t offset, uint64_t len,
                 GetCallback done) override;
   void Delete(const std::string& name, PutCallback done) override;

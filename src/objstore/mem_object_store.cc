@@ -20,20 +20,6 @@ void MemObjectStore::Put(const std::string& name, Buffer data,
   sim_->After(0, [done = std::move(done)]() { done(Status::Ok()); });
 }
 
-void MemObjectStore::Get(const std::string& name, GetCallback done) {
-  auto it = objects_.find(name);
-  if (it == objects_.end()) {
-    sim_->After(0, [done = std::move(done), name]() {
-      done(Status::NotFound(name));
-    });
-    return;
-  }
-  Buffer data = it->second;
-  sim_->After(0, [done = std::move(done), data = std::move(data)]() {
-    done(data);
-  });
-}
-
 void MemObjectStore::GetRange(const std::string& name, uint64_t offset,
                               uint64_t len, GetCallback done) {
   auto it = objects_.find(name);
@@ -78,14 +64,6 @@ Result<uint64_t> MemObjectStore::Head(const std::string& name) const {
     return Status::NotFound(name);
   }
   return it->second.size();
-}
-
-uint64_t MemObjectStore::bytes_stored() const {
-  uint64_t total = 0;
-  for (const auto& [name, data] : objects_) {
-    total += data.size();
-  }
-  return total;
 }
 
 }  // namespace lsvd

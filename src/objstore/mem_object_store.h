@@ -16,7 +16,6 @@ class MemObjectStore : public ObjectStore {
   explicit MemObjectStore(Simulator* sim) : sim_(sim) {}
 
   void Put(const std::string& name, Buffer data, PutCallback done) override;
-  void Get(const std::string& name, GetCallback done) override;
   void GetRange(const std::string& name, uint64_t offset, uint64_t len,
                 GetCallback done) override;
   void Delete(const std::string& name, PutCallback done) override;
@@ -32,7 +31,6 @@ class MemObjectStore : public ObjectStore {
   void Corrupt(const std::string& name) { objects_.erase(name); }
 
   size_t object_count() const { return objects_.size(); }
-  uint64_t bytes_stored() const;
 
  private:
   Simulator* sim_;

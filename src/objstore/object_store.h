@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/util/buffer.h"
@@ -35,11 +36,17 @@ class ObjectStore {
   virtual void Put(const std::string& name, Buffer data,
                    PutCallback done) = 0;
 
-  virtual void Get(const std::string& name, GetCallback done) = 0;
-
   // Reads [offset, offset+len) of the object.
   virtual void GetRange(const std::string& name, uint64_t offset,
                         uint64_t len, GetCallback done) = 0;
+
+  // Reads the whole object: a range GET over the size `Head` reports (a
+  // missing object reads as an empty range, which GetRange reports
+  // NotFound).
+  virtual void Get(const std::string& name, GetCallback done) {
+    const auto size = Head(name);
+    GetRange(name, 0, size.ok() ? *size : 0, std::move(done));
+  }
 
   virtual void Delete(const std::string& name, PutCallback done) = 0;
 

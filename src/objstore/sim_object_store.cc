@@ -287,22 +287,6 @@ void SimObjectStore::ReadViaDomain(uint64_t bytes,
       });
 }
 
-void SimObjectStore::Get(const std::string& name, GetCallback done) {
-  auto it = bucket_->objects.find(name);
-  if (it == bucket_->objects.end()) {
-    sim_->After(0, [done = std::move(done), name]() {
-      done(Status::NotFound(name));
-    });
-    return;
-  }
-  c_gets_->Inc();
-  c_get_bytes_->Inc(it->second.size());
-  Buffer data = it->second;
-  ReadTiming(data.size(), [done = std::move(done), data = std::move(data)]() {
-    done(data);
-  });
-}
-
 void SimObjectStore::GetRange(const std::string& name, uint64_t offset,
                               uint64_t len, GetCallback done) {
   auto it = bucket_->objects.find(name);

@@ -93,7 +93,6 @@ class SimObjectStore : public ObjectStore {
                          CrossDomainChannel* to_client);
 
   void Put(const std::string& name, Buffer data, PutCallback done) override;
-  void Get(const std::string& name, GetCallback done) override;
   void GetRange(const std::string& name, uint64_t offset, uint64_t len,
                 GetCallback done) override;
   void Delete(const std::string& name, PutCallback done) override;

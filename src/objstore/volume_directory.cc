@@ -44,10 +44,6 @@ void FencedObjectStore::Put(const std::string& name, Buffer data,
   base_->Put(name, std::move(data), std::move(done));
 }
 
-void FencedObjectStore::Get(const std::string& name, GetCallback done) {
-  base_->Get(name, std::move(done));
-}
-
 void FencedObjectStore::GetRange(const std::string& name, uint64_t offset,
                                  uint64_t len, GetCallback done) {
   base_->GetRange(name, offset, len, std::move(done));

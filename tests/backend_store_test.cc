@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
+#include <string>
 
 #include "src/lsvd/backend_store.h"
 #include "src/lsvd/write_cache.h"
+#include "src/lsvd/replicator.h"
 #include "src/objstore/faulty_object_store.h"
+#include "src/objstore/volume_directory.h"
 #include "src/util/crc32c.h"
 #include "tests/lsvd_test_util.h"
 
@@ -605,6 +609,311 @@ TEST(BackendStoreFaultTest, RetryHealsTornObjectLeftByPriorAttempt) {
   EXPECT_GT(*have, 64u * kKiB);  // the real object, not the torn stub
 }
 
+// --- one retry driver for every object-store request (DESIGN.md §7) ---
+//
+// One table: each backend verb and each replicator copy stage against each
+// fault the driver handles, all on FaultyObjectStore.
+
+enum class Verb { kPut, kGet, kDelete };
+
+// Sends the first `faulty_calls` calls of `verb` through `faulty` and every
+// other call straight to `clean` (the store `faulty` wraps); counts the
+// data-plane calls of each verb, and the PUTs sent while a DELETE of the
+// same name was still unanswered.
+class RoutedStore : public ObjectStore {
+ public:
+  RoutedStore(ObjectStore* faulty, ObjectStore* clean, Verb verb)
+      : faulty_(faulty), clean_(clean), verb_(verb) {}
+
+  void Put(const std::string& name, Buffer data, PutCallback done) override {
+    puts_racing_delete += deleting_.contains(name);
+    Pick(Verb::kPut)->Put(name, std::move(data), std::move(done));
+  }
+  void Get(const std::string& name, GetCallback done) override {
+    Pick(Verb::kGet)->Get(name, std::move(done));
+  }
+  void GetRange(const std::string& name, uint64_t offset, uint64_t len,
+                GetCallback done) override {
+    Pick(Verb::kGet)->GetRange(name, offset, len, std::move(done));
+  }
+  void Delete(const std::string& name, PutCallback done) override {
+    deleting_.insert(name);
+    Pick(Verb::kDelete)->Delete(name, [this, name, done](Status s) {
+      deleting_.erase(name);
+      done(std::move(s));
+    });
+  }
+  std::vector<std::string> List(const std::string& prefix) const override {
+    return clean_->List(prefix);
+  }
+  Result<uint64_t> Head(const std::string& name) const override {
+    return clean_->Head(name);
+  }
+
+  int calls(Verb verb) const { return calls_[static_cast<int>(verb)]; }
+  int faulty_calls = 0;
+  int puts_racing_delete = 0;
+
+ private:
+  ObjectStore* Pick(Verb verb) {
+    calls_[static_cast<int>(verb)]++;
+    if (verb == verb_ && faulty_calls > 0) {
+      faulty_calls--;
+      return faulty_;
+    }
+    return clean_;
+  }
+
+  ObjectStore* faulty_;
+  ObjectStore* clean_;
+  Verb verb_;
+  int calls_[3] = {0, 0, 0};
+  std::set<std::string> deleting_;
+};
+
+enum class RetryOp { kBackendPut, kBackendGet, kBackendDelete, kCopyGet,
+                     kCopyPut };
+enum class Fault { kTransient, kLateAnswer, kTornPut, kExhausted };
+
+struct RetryCase {
+  RetryOp op;
+  Fault fault;
+};
+
+constexpr int kTableAttempts = 3;
+
+Verb VerbOf(RetryOp op) {
+  switch (op) {
+    case RetryOp::kBackendPut:
+    case RetryOp::kCopyPut:
+      return Verb::kPut;
+    case RetryOp::kBackendGet:
+    case RetryOp::kCopyGet:
+      return Verb::kGet;
+    case RetryOp::kBackendDelete:
+      return Verb::kDelete;
+  }
+  return Verb::kPut;
+}
+
+FaultInjectionConfig FaultsFor(Fault fault, Verb verb) {
+  FaultInjectionConfig fc;
+  switch (fault) {
+    case Fault::kTransient:
+    case Fault::kExhausted:
+      (verb == Verb::kPut   ? fc.put_error_p
+       : verb == Verb::kGet ? fc.get_error_p
+                            : fc.delete_error_p) = 1.0;
+      break;
+    case Fault::kLateAnswer:  // answers after the 1 s attempt timeout
+      fc.added_latency_min = fc.added_latency_max = 2 * kSecond;
+      break;
+    case Fault::kTornPut:
+      fc.torn_put_p = 1.0;
+      break;
+  }
+  return fc;
+}
+
+LsvdConfig RetryTableConfig() {
+  LsvdConfig c = FaultTestConfig();
+  c.retry.max_attempts = kTableAttempts;
+  c.retry.op_timeout = kSecond;
+  c.retry.degraded_probe_interval = 3600 * kSecond;  // no probe in the run
+  return c;
+}
+
+// A data object under `seq` with nothing before it: recovery's prefix rule
+// deletes it as stranded.
+void PlantStrandedObject(TestWorld* world, uint64_t seq) {
+  world->store.Put(DataObjectName("vol", seq), Buffer::Zeros(4096),
+                   [](Status s) { ASSERT_TRUE(s.ok()); });
+  world->sim.Run();
+}
+
+struct RetryOutcome {
+  bool ok = false;
+  int calls = 0;  // calls of the op's verb
+  int deletes = 0;
+  int puts_racing_delete = 0;
+  uint64_t retries = 0;
+  uint64_t timeouts = 0;
+  uint64_t failures = 0;  // .put_failures or .copy_failures
+  bool recopied = false;  // an exhausted copy succeeded on the next poll
+};
+
+RetryOutcome RunBackendOp(RetryOp op, TestWorld* world, RoutedStore* routed,
+                          int faulty_calls) {
+  BackendStore store(&world->host, routed, nullptr, RetryTableConfig());
+  uint64_t seq = 0;
+  if (op == RetryOp::kBackendGet) {
+    seq = store.AddWrite(0, TestPattern(64 * kKiB, 7));
+    world->sim.Run();
+  }
+  routed->faulty_calls = faulty_calls;
+  const int before = routed->calls(VerbOf(op));
+  RetryOutcome out;
+  std::optional<Result<Buffer>> got;
+  int answers = 0;
+  switch (op) {
+    case RetryOp::kBackendPut:
+      seq = store.AddWrite(0, TestPattern(64 * kKiB, 7));
+      break;
+    case RetryOp::kBackendGet:
+      store.Fetch(ObjTarget{seq, 0}, 4096,
+                  [&](Result<Buffer> r) {
+                    got = std::move(r);
+                    answers++;
+                  });
+      break;
+    default:
+      PlantStrandedObject(world, 2);
+      store.Recover([](Status s) { ASSERT_TRUE(s.ok()); });
+      break;
+  }
+  world->sim.RunUntil(world->sim.now() + 10 * kSecond);
+  switch (op) {
+    case RetryOp::kBackendPut: {
+      const auto have = world->store.Head(store.NameForSeq(seq));
+      out.ok = store.applied_seq() == seq && have.ok() && *have > 64 * kKiB;
+      break;
+    }
+    case RetryOp::kBackendGet:
+      out.ok = answers == 1 && got->ok();  // the late answer is dropped
+      break;
+    default:
+      out.ok = !world->store.Head(DataObjectName("vol", 2)).ok();
+      break;
+  }
+  out.calls = routed->calls(VerbOf(op)) - before;
+  out.deletes = routed->calls(Verb::kDelete);
+  out.puts_racing_delete = routed->puts_racing_delete;
+  out.retries = store.stats().retries;
+  out.timeouts = store.stats().timeouts;
+  out.failures = store.stats().put_failures;
+  return out;
+}
+
+RetryOutcome RunCopyOp(RetryOp op, TestWorld* world, RoutedStore* routed,
+                       ObjectStore* primary, ObjectStore* replica,
+                       int faulty_calls) {
+  ReplicatorConfig rc;
+  rc.min_age = 0;
+  rc.retry.max_attempts = kTableAttempts;
+  rc.retry.initial_backoff = kMillisecond;
+  rc.retry.max_backoff = 8 * kMillisecond;
+  Replicator rep(&world->sim, primary, replica, rc);
+  const std::string name = DataObjectName("vol", 1);
+  world->store.Put(name, TestPattern(64 * kKiB, 8),
+                   [](Status s) { ASSERT_TRUE(s.ok()); });
+  world->sim.Run();
+
+  routed->faulty_calls = faulty_calls;
+  rep.PollOnce([] {});
+  world->sim.Run();
+  RetryOutcome out;
+  out.ok = rep.stats().objects_copied == 1;
+  out.calls = routed->calls(VerbOf(op));
+  out.deletes = routed->calls(Verb::kDelete);
+  out.puts_racing_delete = routed->puts_racing_delete;
+  out.retries = rep.stats().retries;
+  out.failures = rep.stats().copy_failures;
+  if (!out.ok) {
+    routed->faulty_calls = 0;
+    rep.PollOnce([] {});
+    world->sim.Run();
+    out.recopied = rep.stats().objects_copied == 1;
+  }
+  return out;
+}
+
+class RetryTableTest : public ::testing::TestWithParam<RetryCase> {};
+
+TEST_P(RetryTableTest, AttemptsAndCounters) {
+  const auto [op, fault] = GetParam();
+  TestWorld world;
+  MemObjectStore replica(&world.sim);
+  const bool copy = op == RetryOp::kCopyGet || op == RetryOp::kCopyPut;
+  // The faults sit on the primary, except for the copy's replica PUT.
+  ObjectStore* faulted = op == RetryOp::kCopyPut
+                             ? static_cast<ObjectStore*>(&replica)
+                             : &world.store;
+  FaultyObjectStore faulty(faulted, &world.sim, FaultsFor(fault, VerbOf(op)));
+  RoutedStore routed(&faulty, faulted, VerbOf(op));
+  const int faulty_calls = fault == Fault::kExhausted ? 1000 : 1;
+  const RetryOutcome out =
+      !copy ? RunBackendOp(op, &world, &routed, faulty_calls)
+      : op == RetryOp::kCopyGet
+          ? RunCopyOp(op, &world, &routed, &routed, &replica, faulty_calls)
+          : RunCopyOp(op, &world, &routed, &world.store, &routed,
+                      faulty_calls);
+
+  const bool exhausted = fault == Fault::kExhausted;
+  EXPECT_EQ(out.ok, !exhausted);
+  EXPECT_EQ(out.calls, exhausted ? kTableAttempts : 2);
+  EXPECT_EQ(out.retries, static_cast<uint64_t>(out.calls - 1));
+  EXPECT_EQ(out.timeouts, fault == Fault::kLateAnswer ? 1u : 0u);
+  const bool counts_failures = op == RetryOp::kBackendPut || copy;
+  EXPECT_EQ(out.failures, exhausted && counts_failures ? 1u : 0u);
+  if (fault == Fault::kTornPut) {
+    // The torn leftover is deleted, and only then is the PUT re-sent.
+    EXPECT_EQ(out.deletes, 1);
+  }
+  EXPECT_EQ(out.puts_racing_delete, 0);
+  // An exhausted copy is re-queued: the next poll copies the object.
+  EXPECT_EQ(out.recopied, copy && exhausted);
+}
+
+std::string RetryCaseName(const ::testing::TestParamInfo<RetryCase>& info) {
+  static const char* kOps[] = {"BackendPut", "BackendGet", "BackendDelete",
+                               "CopyGet", "CopyPut"};
+  static const char* kFaults[] = {"Transient", "LateAnswer", "TornPut",
+                                  "Exhausted"};
+  return std::string(kOps[static_cast<int>(info.param.op)]) + "_" +
+         kFaults[static_cast<int>(info.param.fault)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Faults, RetryTableTest,
+    ::testing::Values(
+        RetryCase{RetryOp::kBackendPut, Fault::kTransient},
+        RetryCase{RetryOp::kBackendPut, Fault::kLateAnswer},
+        RetryCase{RetryOp::kBackendPut, Fault::kTornPut},
+        RetryCase{RetryOp::kBackendPut, Fault::kExhausted},
+        RetryCase{RetryOp::kBackendGet, Fault::kTransient},
+        RetryCase{RetryOp::kBackendGet, Fault::kLateAnswer},
+        RetryCase{RetryOp::kBackendGet, Fault::kExhausted},
+        RetryCase{RetryOp::kBackendDelete, Fault::kTransient},
+        RetryCase{RetryOp::kBackendDelete, Fault::kExhausted},
+        RetryCase{RetryOp::kCopyGet, Fault::kTransient},
+        RetryCase{RetryOp::kCopyGet, Fault::kExhausted},
+        RetryCase{RetryOp::kCopyPut, Fault::kTransient},
+        RetryCase{RetryOp::kCopyPut, Fault::kTornPut},
+        RetryCase{RetryOp::kCopyPut, Fault::kExhausted}),
+    RetryCaseName);
+
+TEST(BackendStoreFaultTest, FencedDeleteIsSentOnce) {
+  // A stale attachment's DELETE: kFenced is terminal for every verb, so the
+  // stranded object's delete goes out once and is never retried.
+  TestWorld world;
+  VolumeDirectory directory;
+  const uint64_t epoch = directory.Register("vol", /*host=*/0);
+  FencedObjectStore fenced(&world.sim, &world.store, &directory, "vol",
+                           epoch);
+  RoutedStore counted(&fenced, &fenced, Verb::kDelete);
+  BackendStore store(&world.host, &counted, nullptr, RetryTableConfig());
+  PlantStrandedObject(&world, 2);
+  directory.Flip("vol", /*host=*/1);
+
+  std::optional<Status> recovered;
+  store.Recover([&](Status s) { recovered = s; });
+  world.sim.Run();
+  ASSERT_TRUE(recovered.has_value() && recovered->ok());
+  EXPECT_EQ(counted.calls(Verb::kDelete), 1);
+  EXPECT_EQ(store.stats().retries, 0u);
+  EXPECT_TRUE(world.store.Head(DataObjectName("vol", 2)).ok());
+}
+
 // --- backend sharding (DESIGN.md §9) ---
 
 TEST(ShardingFormatTest, ShardForSeqRoundRobin) {
@@ -1116,7 +1425,7 @@ TEST(BackendHeatSplitTest, HotAndColdWritesLandInSeparateObjects) {
   cache.Format([&](Status s) { fs = s; });
   world.sim.Run();
   ASSERT_TRUE(fs.has_value() && fs->ok());
-  cache.EnableHeatTracking(10 * kSecond);
+  cache.EnableHeatTracking();
 
   LsvdConfig config = TestWorld::SmallVolumeConfig();
   config.batch_bytes = 64 * kKiB;
@@ -1126,7 +1435,7 @@ TEST(BackendHeatSplitTest, HotAndColdWritesLandInSeparateObjects) {
   BackendStore store(&world.host, &world.store, &cache, config, &metrics);
 
   // Heat up the 1 MiB region at vlba 0 with repeated appends; the region at
-  // 8 MiB stays untouched (heat 0 < gc_heat_threshold).
+  // 8 MiB stays untouched (heat 0 < kHotWriteHeat).
   for (int i = 0; i < 3; i++) {
     std::optional<Status> s;
     cache.Append(0, TestPattern(4096, 900 + i), 1,
@@ -1134,7 +1443,7 @@ TEST(BackendHeatSplitTest, HotAndColdWritesLandInSeparateObjects) {
     world.sim.Run();
     ASSERT_TRUE(s.has_value() && s->ok());
   }
-  EXPECT_GE(cache.WriteHeat(0), config.gc_heat_threshold);
+  EXPECT_GE(cache.WriteHeat(0), kHotWriteHeat);
   EXPECT_EQ(cache.WriteHeat(8 * kMiB), 0.0);
 
   // One hot and one cold write: routed to separate open batches with their
@@ -1196,6 +1505,37 @@ TEST(ShardedBackendFaultTest, OneShardOfflineParksOnlyItsStripe) {
   EXPECT_EQ(store.applied_seq(), last_seq);
   EXPECT_EQ(store.consistency_vector(),
             (std::vector<uint64_t>{3, 4}));
+}
+
+TEST(ShardedBackendFaultTest, ShardRetriesSumToAggregate) {
+  // Stranded objects on both shards whose DELETEs fail every attempt: each
+  // shard's row counts its own DELETE retries, and the rows add up to the
+  // aggregate.
+  TestWorld world;
+  Simulator& sim = world.sim;
+  MemObjectStore mem0(&sim), mem1(&sim);
+  FaultInjectionConfig fc;
+  fc.delete_error_p = 1.0;
+  FaultyObjectStore faulty0(&mem0, &sim, fc), faulty1(&mem1, &sim, fc);
+  MetricsRegistry metrics;
+  BackendStore store(&world.host, {&faulty0, &faulty1}, nullptr,
+                     RetryTableConfig(), &metrics);
+  for (uint64_t seq : {2, 3, 5}) {  // seq 1 is missing: all are stranded
+    (ShardForSeq(seq, 2) == 0 ? mem0 : mem1)
+        .Put(DataObjectName("vol", seq), Buffer::Zeros(4096),
+             [](Status s) { ASSERT_TRUE(s.ok()); });
+  }
+  std::optional<Status> recovered;
+  store.Recover([&](Status s) { recovered = s; });
+  sim.Run();
+  ASSERT_TRUE(recovered.has_value() && recovered->ok());
+
+  const auto snap = metrics.Snapshot();
+  const uint64_t shard0 = snap.CounterValue("backend.shard0.retries");
+  const uint64_t shard1 = snap.CounterValue("backend.shard1.retries");
+  EXPECT_EQ(shard0, 2u * (kTableAttempts - 1));  // seqs 3 and 5
+  EXPECT_EQ(shard1, 1u * (kTableAttempts - 1));  // seq 2
+  EXPECT_EQ(shard0 + shard1, store.stats().retries);
 }
 
 }  // namespace

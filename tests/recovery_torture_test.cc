@@ -293,8 +293,6 @@ size_t CheckPrefixConsistent(const std::vector<PlannedWrite>& plan,
 LsvdConfig AdaptiveTortureConfig() {
   LsvdConfig config = TortureConfig();
   config.batch_seal_deadline = 500 * kMicrosecond;
-  config.journal_flush_coalescing = true;
-  config.small_write_fast_path = true;
   return config;
 }
 

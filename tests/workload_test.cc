@@ -327,8 +327,6 @@ std::string RunOnce(uint64_t seed, uint64_t* ops_out = nullptr) {
   MetricsRegistry metrics;
   LsvdConfig config = TestWorld::SmallVolumeConfig();
   config.batch_seal_deadline = 200 * kMicrosecond;
-  config.journal_flush_coalescing = true;
-  config.small_write_fast_path = true;
   LsvdDisk disk(&host, &store, config, &metrics);
   EXPECT_TRUE(OpenSync(&sim, &disk, &LsvdDisk::Create).ok());
 

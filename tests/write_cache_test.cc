@@ -114,39 +114,42 @@ TEST_F(WriteCacheTest, ConcurrentAppendsBatchIntoFewerRecords) {
 // --- adaptive batching (DESIGN.md §12) ---
 
 TEST_F(WriteCacheTest, PlugDeadlineForceStartsLoneSmallWrite) {
-  // Under realistic device timing: a large record in flight plus one small
-  // pending write is exactly the plug scenario. With a 5 us deadline (far
-  // below the ~40 us record write) the timer, not the pipeline drain, starts
-  // the lone write's record.
+  // Under realistic device timing: two large records in flight (deeper than
+  // the fast path skips) plus one small pending write is exactly the plug
+  // scenario. With a 5 us deadline (far below the ~40 us record write) the
+  // timer, not the pipeline drain, starts the lone write's record.
   ClientHostConfig hc;
   hc.ssd_capacity = 2 * kGiB;
   hc.ssd = SsdParams::P3700();
   ClientHost host(&sim_, hc);
   const uint64_t base = *host.AllocRegion(kRegionSize);
   WriteCache wc(&host, base, kRegionSize, ZeroCosts());
-  wc.SetAdaptiveBatching(/*plug_deadline=*/5 * kMicrosecond,
-                         /*flush_coalescing=*/false, /*fast_path=*/false);
+  wc.SetAdaptiveBatching(/*plug_deadline=*/5 * kMicrosecond);
   std::optional<Status> fmt;
   wc.Format([&](Status s) { fmt = s; });
   sim_.Run();
   ASSERT_TRUE(fmt->ok());
 
-  std::optional<Status> s1, s2;
+  std::optional<Status> s1, s2, s3;
   wc.Append(0, TestPattern(64 * kKiB, 1), 1, [&](Status s) { s1 = s; });
-  wc.Append(kMiB, TestPattern(4096, 2), 1, [&](Status s) { s2 = s; });
+  wc.Append(kMiB, TestPattern(64 * kKiB, 2), 1, [&](Status s) { s2 = s; });
+  wc.Append(2 * kMiB, TestPattern(4096, 3), 1, [&](Status s) { s3 = s; });
   sim_.Run();
   ASSERT_TRUE(s1.has_value() && s1->ok());
   ASSERT_TRUE(s2.has_value() && s2->ok());
-  EXPECT_EQ(wc.stats().records, 2u);
+  ASSERT_TRUE(s3.has_value() && s3->ok());
+  EXPECT_EQ(wc.stats().records, 3u);
   EXPECT_EQ(wc.metrics()->Snapshot().CounterValue(
                 "lsvd.write_cache.deadline_seals"),
             1u);
 }
 
 TEST_F(WriteCacheTest, FastPathSkipsPlugWaitAtShallowDepth) {
-  // Same two-write sequence with and without the small-write fast path; the
-  // second (small) write must acknowledge strictly earlier with it, because
-  // it no longer waits for the first record to drain.
+  // Same two-write sequence with and without a plug deadline, which turns
+  // on the small-write fast path; the second (small) write must acknowledge
+  // strictly earlier with it, because it no longer waits for the first
+  // record to drain. The deadline is far beyond the run, so only the fast
+  // path can start the record early.
   auto ack_time = [this](bool fast_path) {
     Simulator sim;
     ClientHostConfig hc;
@@ -156,7 +159,7 @@ TEST_F(WriteCacheTest, FastPathSkipsPlugWaitAtShallowDepth) {
     const uint64_t base = *host.AllocRegion(kRegionSize);
     WriteCache wc(&host, base, kRegionSize, ZeroCosts());
     if (fast_path) {
-      wc.SetAdaptiveBatching(0, false, /*fast_path=*/true);
+      wc.SetAdaptiveBatching(/*plug_deadline=*/kSecond);
     }
     std::optional<Status> fmt;
     wc.Format([&](Status s) { fmt = s; });
@@ -178,7 +181,7 @@ TEST_F(WriteCacheTest, FastPathSkipsPlugWaitAtShallowDepth) {
 }
 
 TEST_F(WriteCacheTest, CoalescedBarriersShareFlushes) {
-  wc_->SetAdaptiveBatching(0, /*flush_coalescing=*/true, false);
+  wc_->SetAdaptiveBatching(/*plug_deadline=*/kSecond);
   ASSERT_TRUE(Append(0, TestPattern(4096, 1)).ok());
   int done = 0;
   for (int i = 0; i < 4; i++) {
