@@ -20,10 +20,13 @@ Four checks, all wired into ctest as `check_docs`:
    policies and ReplicatorConfig in DESIGN.md), so new knobs ship
    documented.
 
-4. The reverse of 3: every `LsvdConfig::x` and `config.x()` /
-   `config_.x()` name cited in DESIGN.md or docs/*.md must be declared in
-   src/lsvd/config.h, so a deleted field or predicate cannot stay
-   documented.
+4. The reverse of 3, so a deleted field or predicate cannot stay
+   documented: every `LsvdConfig::x`, `GcSimConfig::x` and `config.x()` /
+   `config_.x()` name cited in DESIGN.md, EXPERIMENTS.md, README.md or
+   docs/*.md must be declared in the struct's header (src/lsvd/config.h,
+   src/lsvd/gc_sim.h), and every backticked first-column name in a config
+   table (the table under a `### \`Struct\`` heading of a CONFIG_STRUCTS
+   doc) must be a field of that struct.
 
 Run from anywhere: `python3 scripts/check_docs.py [repo_root]`.
 Exit 0 = docs in sync; exit 1 = findings (listed on stderr).
@@ -165,26 +168,66 @@ def check_config_reference(repo: Path, errors: list):
                       "check_docs.py is broken, fix its patterns")
 
 
-# `LsvdConfig::name` and `config.name()` / `config_.name()` citations.
+# `LsvdConfig::name` / `GcSimConfig::name` and `config.name()` /
+# `config_.name()` citations; the bare `config` forms mean LsvdConfig.
 CONFIG_CITATION = re.compile(
-    r"\bLsvdConfig::([A-Za-z_]\w*)|\bconfig_?\.([A-Za-z_]\w*)\(\)")
+    r"\b(LsvdConfig|GcSimConfig)::([A-Za-z_]\w*)"
+    r"|\bconfig_?\.([A-Za-z_]\w*)\(\)")
+CITED_HEADERS = {
+    "LsvdConfig": "src/lsvd/config.h",
+    "GcSimConfig": "src/lsvd/gc_sim.h",
+}
+CITING_DOCS = ["DESIGN.md", "EXPERIMENTS.md", "README.md"]
 
 
 def check_config_citations(repo: Path, errors: list):
-    header = (repo / "src/lsvd/config.h").read_text(encoding="utf-8")
-    # A declaration: the name followed by a default, `;` or a parameter list.
-    declared = set(re.findall(r"\b([A-Za-z_]\w*)\s*(?:=[^=]|;|\()", header))
-    for doc in [repo / "DESIGN.md"] + sorted((repo / "docs").glob("*.md")):
+    declared = {}
+    for struct, rel in CITED_HEADERS.items():
+        header = (repo / rel).read_text(encoding="utf-8")
+        # A declaration: the name followed by a default, `;` or a parameter
+        # list.
+        declared[struct] = set(
+            re.findall(r"\b([A-Za-z_]\w*)\s*(?:=[^=]|;|\()", header))
+    docs = [repo / d for d in CITING_DOCS] + sorted((repo / "docs").glob("*.md"))
+    for doc in docs:
         text = doc.read_text(encoding="utf-8")
         for lineno, line in enumerate(text.splitlines(), 1):
             for m in CONFIG_CITATION.finditer(line):
-                name = m.group(1) or m.group(2)
-                if name not in declared:
+                struct = m.group(1) or "LsvdConfig"
+                name = m.group(2) or m.group(3)
+                if name not in declared[struct]:
                     errors.append(
                         f"{doc.relative_to(repo)}:{lineno}: cites "
-                        f"{m.group(0)}, which src/lsvd/config.h does not "
-                        "declare"
+                        f"{m.group(0)}, which {CITED_HEADERS[struct]} does "
+                        "not declare"
                     )
+
+
+def check_config_tables(repo: Path, errors: list):
+    for rel, struct, doc in CONFIG_STRUCTS:
+        lines = (repo / doc).read_text(encoding="utf-8").splitlines()
+        heading = f"`{struct}`"
+        try:
+            start = next(i for i, line in enumerate(lines)
+                         if line.startswith("#") and
+                         line.lstrip("#").strip() == heading)
+        except StopIteration:
+            continue  # this doc lists the struct some other way
+        fields = set(struct_fields(
+            (repo / rel).read_text(encoding="utf-8"), struct))
+        in_table = False
+        for lineno, line in enumerate(lines[start + 1:], start + 2):
+            if not line.startswith("|"):
+                if in_table:
+                    break
+                continue
+            in_table = True
+            m = re.fullmatch(r"\s*`([A-Za-z_]\w*)`\s*", line.split("|")[1])
+            if m and m.group(1) not in fields:
+                errors.append(
+                    f"{doc}:{lineno}: config table row `{m.group(1)}` is "
+                    f"not a field of {struct} in {rel}"
+                )
 
 
 def main() -> int:
@@ -195,6 +238,7 @@ def main() -> int:
     check_bench_index(repo, errors)
     check_config_reference(repo, errors)
     check_config_citations(repo, errors)
+    check_config_tables(repo, errors)
     if errors:
         print("check_docs: %d finding(s)" % len(errors), file=sys.stderr)
         for e in errors:

@@ -26,7 +26,7 @@ BackendStore::BackendStore(ClientHost* host, std::vector<ObjectStore*> stores,
                            WriteCache* cache, const LsvdConfig& config,
                            MetricsRegistry* metrics, const std::string& prefix)
     : host_(host), cache_(cache), config_(config),
-      object_map_(config.map_resident_bytes, config.map_page_span),
+      object_map_(config.map_resident_bytes),
       retry_rng_(config.retry.seed) {
   assert(!stores.empty());
   config_.backend_shards = static_cast<int>(stores.size());
@@ -46,10 +46,7 @@ BackendStore::BackendStore(ClientHost* host, std::vector<ObjectStore*> stores,
   next_seq_ = config_.base_last_seq + 1;
   applied_seq_ = config_.base_last_seq;
   last_checkpoint_seq_ = config_.base_last_seq;
-  for (size_t i = 0; i < shards_.size(); i++) {
-    gc_policies_.push_back(GcPolicy::Create(
-        GcPolicyForShard(config_.gc_policy, config_.gc_shard_policy, i)));
-  }
+  gc_policy_ = GcPolicy::Create(config_.gc_policy);
 
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
@@ -181,22 +178,22 @@ std::string BackendStore::NameForSeq(uint64_t seq) const {
   return DataObjectName(config_.volume_name, seq);
 }
 
-uint64_t BackendStore::OpenBatchSeq(std::optional<OpenBatch>& slot) {
-  if (!slot.has_value()) {
-    slot = OpenBatch{};
-    slot->seq = next_seq_++;
-    slot->opened_at = host_->sim()->now();
+uint64_t BackendStore::OpenBatchSeq() {
+  if (!batch_.has_value()) {
+    batch_ = OpenBatch{};
+    batch_->seq = next_seq_++;
+    batch_->opened_at = host_->sim()->now();
     if (config_.batch_seal_deadline > 0) {
-      ArmSealDeadline(&slot);
+      ArmSealDeadline();
     }
   }
-  return slot->seq;
+  return batch_->seq;
 }
 
-void BackendStore::ArmSealDeadline(std::optional<OpenBatch>* slot) {
-  const uint64_t seq = (*slot)->seq;
+void BackendStore::ArmSealDeadline() {
+  const uint64_t seq = batch_->seq;
   auto alive = alive_;
-  host_->sim()->After(config_.batch_seal_deadline, [this, alive, slot, seq] {
+  host_->sim()->After(config_.batch_seal_deadline, [this, alive, seq] {
     if (!*alive) {
       return;
     }
@@ -205,38 +202,31 @@ void BackendStore::ArmSealDeadline(std::optional<OpenBatch>* slot) {
     // identifies the exact batch. Never seal a batch with no entries: an
     // empty object would advance the sync watermark past journal records
     // whose data the backend does not hold yet.
-    if (!slot->has_value() || (*slot)->seq != seq ||
-        (*slot)->entries.empty()) {
+    if (!batch_.has_value() || batch_->seq != seq || batch_->entries.empty()) {
       return;
     }
-    OpenBatch b = std::move(**slot);
-    slot->reset();
     c_deadline_seals_->Inc();
-    SealBatch(std::move(b), /*from_gc=*/false, {});
+    SealClientBatch();
   });
 }
 
+void BackendStore::SealClientBatch() {
+  if (!batch_.has_value() || batch_->entries.empty()) {
+    return;
+  }
+  OpenBatch b = std::move(*batch_);
+  batch_.reset();
+  SealBatch(std::move(b), /*from_gc=*/false, {});
+}
+
 uint64_t BackendStore::AddWrite(uint64_t vlba, Buffer data) {
-  // Hot/cold segregation (docs/GC.md): writes to regions the cache has not
-  // seen overwritten recently go to a separate cold batch, so each object's
-  // data shares a lifetime — hot objects die nearly whole, cold objects stay
-  // nearly full, and both are cheap for the cleaner.
-  const bool cold = config_.gc_hot_cold_split && cache_ != nullptr &&
-                    cache_->WriteHeat(vlba) < kHotWriteHeat;
-  std::optional<OpenBatch>& slot = cold ? cold_batch_ : batch_;
-  const uint64_t seq = OpenBatchSeq(slot);
-  slot->cold = cold;
+  const uint64_t seq = OpenBatchSeq();
   c_client_bytes_->Inc(data.size());
-  slot->raw_bytes += data.size();
-  slot->entries.push_back(BatchEntry{vlba, std::move(data), std::nullopt});
-  if (slot->raw_bytes >= config_.batch_bytes ||
-      slot->entries.size() >= kMaxObjectExtents) {
-    // Seal only the batch that filled; its sibling stream keeps batching
-    // (each holds its own sequence number, so the in-order apply just waits
-    // for the younger one — bounded by batch_max_age).
-    OpenBatch b = std::move(*slot);
-    slot.reset();
-    SealBatch(std::move(b), /*from_gc=*/false, {});
+  batch_->raw_bytes += data.size();
+  batch_->entries.push_back(BatchEntry{vlba, std::move(data), std::nullopt});
+  if (batch_->raw_bytes >= config_.batch_bytes ||
+      batch_->entries.size() >= kMaxObjectExtents) {
+    SealClientBatch();
     SealGcBatch();
   }
   return seq;
@@ -245,49 +235,31 @@ uint64_t BackendStore::AddWrite(uint64_t vlba, Buffer data) {
 uint64_t BackendStore::AddTrim(uint64_t vlba, uint64_t len) {
   assert(len > 0);
   // Seal-first protocol (see header comment): every write accepted before
-  // this trim must land in an object with a smaller sequence number, so any
+  // this trim must land in an object with a smaller sequence number, so an
   // open client batch holding write entries seals now. Writes always follow
   // trims within a batch, so a non-trim tail means the batch holds writes.
   if (batch_.has_value() && !batch_->entries.empty() &&
       !batch_->entries.back().is_trim) {
-    OpenBatch b = std::move(*batch_);
-    batch_.reset();
-    SealBatch(std::move(b), /*from_gc=*/false, {});
-  }
-  if (cold_batch_.has_value() && !cold_batch_->entries.empty()) {
-    OpenBatch b = std::move(*cold_batch_);
-    cold_batch_.reset();
-    SealBatch(std::move(b), /*from_gc=*/false, {});
+    SealClientBatch();
   }
   // The open GC batch needs no seal: its extents apply conditionally, so a
   // copy of data this trim punches finds no matching map entry and is
   // skipped no matter when its object commits.
   c_trim_extents_->Inc();
-  const uint64_t seq = OpenBatchSeq(batch_);
+  const uint64_t seq = OpenBatchSeq();
   BatchEntry e;
   e.vlba = vlba;
   e.is_trim = true;
   e.trim_len = len;
   batch_->entries.push_back(std::move(e));
   if (batch_->entries.size() >= kMaxObjectExtents) {
-    OpenBatch b = std::move(*batch_);
-    batch_.reset();
-    SealBatch(std::move(b), /*from_gc=*/false, {});
+    SealClientBatch();
   }
   return seq;
 }
 
 void BackendStore::Seal() {
-  if (batch_.has_value() && !batch_->entries.empty()) {
-    OpenBatch b = std::move(*batch_);
-    batch_.reset();
-    SealBatch(std::move(b), /*from_gc=*/false, {});
-  }
-  if (cold_batch_.has_value() && !cold_batch_->entries.empty()) {
-    OpenBatch b = std::move(*cold_batch_);
-    cold_batch_.reset();
-    SealBatch(std::move(b), /*from_gc=*/false, {});
-  }
+  SealClientBatch();
   SealGcBatch();
 }
 
@@ -310,7 +282,6 @@ void BackendStore::SealGcBatchNow() {
   gc_batch_.reset();
   b.seq = next_seq_++;
   b.generation = gc_batch_generation_;
-  b.cold = true;
   gc_batch_generation_ = 0;
   std::vector<uint64_t> cleaned = std::move(gc_batch_cleaned_);
   gc_batch_cleaned_.clear();
@@ -319,17 +290,8 @@ void BackendStore::SealGcBatchNow() {
 
 void BackendStore::SealIfAged(Nanos max_age) {
   const Nanos now = host_->sim()->now();
-  if (batch_.has_value() && !batch_->entries.empty() &&
-      now - batch_->opened_at >= max_age) {
-    OpenBatch b = std::move(*batch_);
-    batch_.reset();
-    SealBatch(std::move(b), /*from_gc=*/false, {});
-  }
-  if (cold_batch_.has_value() && !cold_batch_->entries.empty() &&
-      now - cold_batch_->opened_at >= max_age) {
-    OpenBatch b = std::move(*cold_batch_);
-    cold_batch_.reset();
-    SealBatch(std::move(b), /*from_gc=*/false, {});
+  if (batch_.has_value() && now - batch_->opened_at >= max_age) {
+    SealClientBatch();
   }
   if (gc_batch_.has_value() && !gc_batch_->entries.empty() &&
       now - gc_batch_->opened_at >= max_age) {
@@ -346,7 +308,7 @@ void BackendStore::SealBatch(OpenBatch batch, bool from_gc,
   sealed.header.seq = batch.seq;
   sealed.header.generation = batch.generation;
   sealed.sealed_at = host_->sim()->now();
-  if (batch.cold) {
+  if (from_gc) {
     c_gc_cold_objects_->Inc();
   }
   if (batch.opened_at >= 0) {
@@ -739,14 +701,13 @@ std::optional<GcCandidate> BackendStore::gc_candidate_for(
 }
 
 std::optional<uint64_t> BackendStore::PickGcVictim(size_t shard) const {
-  // Policy-scored victim selection (docs/GC.md): the shard's policy ranks
-  // eligible objects and the best score wins (ties to the lowest seq, since
+  // Policy-scored victim selection (docs/GC.md): the volume's policy ranks
+  // the shard's eligible objects and the best score wins (ties to the lowest seq, since
   // the ascending scan only replaces on a strictly greater score — with the
   // greedy policy this is exactly §3.5's least-utilized scan). Eligibility
   // is unchanged: older than the last checkpoint (so recovery never sees
   // holes above it), never from the clone base image, not already pending,
   // and not fully live.
-  const GcPolicy& policy = *gc_policies_[shard];
   std::optional<uint64_t> best;
   double best_score = -std::numeric_limits<double>::infinity();
   for (const auto& [seq, info] : object_info_) {
@@ -759,7 +720,7 @@ std::optional<uint64_t> BackendStore::PickGcVictim(size_t shard) const {
     if (c.utilization() >= 1.0) {
       continue;  // fully live: nothing to reclaim
     }
-    const double score = policy.Score(c);
+    const double score = gc_policy_->Score(c);
     if (score > best_score) {
       best_score = score;
       best = seq;
@@ -850,7 +811,7 @@ void BackendStore::CleanOneObject(uint64_t victim) {
       uint64_t len;
       ObjTarget src;
     };
-    auto pieces = std::make_shared<std::vector<LivePiece>>();
+    std::vector<LivePiece> pieces;
     uint64_t offset = header.data_offset;
     ExtentMap<ObjTarget>::SegmentVec scan;
     for (const auto& ext : header.extents) {
@@ -866,13 +827,13 @@ void BackendStore::CleanOneObject(uint64_t victim) {
         }
         const ObjTarget want = created.Advanced(seg.start - ext.vlba);
         if (*seg.target == want) {
-          pieces->push_back(LivePiece{seg.start, seg.len, want});
+          pieces.push_back(LivePiece{seg.start, seg.len, want});
         }
       }
       offset += ext.len;
     }
 
-    if (pieces->empty()) {
+    if (pieces.empty()) {
       // Nothing live: the object can be deleted (or deferred) right away.
       c_gc_objects_cleaned_->Inc();
       ProcessDelete(victim);
@@ -880,47 +841,16 @@ void BackendStore::CleanOneObject(uint64_t victim) {
       return;
     }
 
-    // Defragmentation (§4.6): plug small fully-mapped holes between
-    // adjacent live pieces by copying the holes' current data (wherever it
-    // lives) into the same new object, so the copied run becomes one
-    // contiguous map extent.
-    std::sort(pieces->begin(), pieces->end(),
+    // Copy in address order, which fixes the GC output's byte order.
+    std::sort(pieces.begin(), pieces.end(),
               [](const LivePiece& a, const LivePiece& b) {
                 return a.vlba < b.vlba;
               });
-    if (config_.gc_defrag_hole_max > 0 && pieces->size() > 1) {
-      std::vector<LivePiece> plugged;
-      plugged.push_back((*pieces)[0]);
-      for (size_t i = 1; i < pieces->size(); i++) {
-        const uint64_t prev_end =
-            plugged.back().vlba + plugged.back().len;
-        const LivePiece& next = (*pieces)[i];
-        const uint64_t gap = next.vlba > prev_end ? next.vlba - prev_end : 0;
-        if (gap > 0 && gap <= config_.gc_defrag_hole_max) {
-          ExtentMap<ObjTarget>::SegmentVec hole;
-          object_map_.Lookup(prev_end, gap, &hole);
-          bool fully_mapped = true;
-          for (const auto& seg : hole) {
-            if (!seg.target.has_value()) {
-              fully_mapped = false;
-              break;
-            }
-          }
-          if (fully_mapped) {
-            for (const auto& seg : hole) {
-              plugged.push_back(LivePiece{seg.start, seg.len, *seg.target});
-            }
-          }
-        }
-        plugged.push_back(next);
-      }
-      *pieces = std::move(plugged);
-    }
 
     // Fetch each live piece — from the local write cache when it fully
     // covers the range (§3.5 optimization), otherwise a backend range read —
     // and append it to the GC batch.
-    auto remaining = std::make_shared<size_t>(pieces->size());
+    auto remaining = std::make_shared<size_t>(pieces.size());
     auto failed = std::make_shared<bool>(false);
     auto finish_piece = [this, alive, victim, remaining, failed](
                             const LivePiece& piece, Result<Buffer> data) {
@@ -968,7 +898,7 @@ void BackendStore::CleanOneObject(uint64_t victim) {
       }
     };
 
-    for (const auto& piece : *pieces) {
+    for (const auto& piece : pieces) {
       bool cache_covers = cache_ != nullptr;
       if (cache_covers) {
         ExtentMap<SsdTarget>::SegmentVec csegs;
@@ -1009,11 +939,8 @@ void BackendStore::CleanOneObject(uint64_t victim) {
           });
         }
       } else {
-        // Plugged pieces may live in other objects; fetch from wherever the
-        // map says the data is.
-        RetryGetRange(IoFor(piece.src.seq), NameForSeq(piece.src.seq),
-                          piece.src.offset, piece.len,
-                          [piece, finish_piece](Result<Buffer> r) {
+        RetryGetRange(IoFor(victim), name, piece.src.offset, piece.len,
+                      [piece, finish_piece](Result<Buffer> r) {
           finish_piece(piece, std::move(r));
         });
       }
@@ -1183,7 +1110,6 @@ void BackendStore::WriteCheckpoint(std::function<void(Status)> done) {
 bool BackendStore::idle() const {
   const bool batch_open =
       (batch_.has_value() && !batch_->entries.empty()) ||
-      (cold_batch_.has_value() && !cold_batch_->entries.empty()) ||
       (gc_batch_.has_value() && !gc_batch_->entries.empty());
   return !batch_open && put_queue_.empty() && in_flight_.empty() &&
          completed_.empty() && !gc_running_;

@@ -206,9 +206,6 @@ class BackendStore {
     // GC generation of the batch's data (docs/GC.md): 0 for client writes,
     // 1 + max victim generation for GC copies.
     uint32_t generation = 0;
-    // Cold stream member (GC output, or a cold client batch under
-    // gc_hot_cold_split); counted by backend.gc.cold_objects.
-    bool cold = false;
     std::vector<BatchEntry> entries;
   };
   struct SealedObject {
@@ -254,13 +251,15 @@ class BackendStore {
   // Checkpoints and other volume metadata always live on shard 0.
   ObjectStore* meta_store() const { return shards_[0].io.store; }
 
-  // Lazily opens `slot` (assigning the next sequence number) and returns its
-  // seq. `slot` is batch_ for hot client writes, cold_batch_ for cold ones.
-  uint64_t OpenBatchSeq(std::optional<OpenBatch>& slot);
+  // Lazily opens the client batch (assigning the next sequence number) and
+  // returns its seq.
+  uint64_t OpenBatchSeq();
   // Seal-on-deadline (LsvdConfig::batch_seal_deadline): per-batch timer armed
-  // at open that seals the batch if it is still the slot's occupant when the
-  // deadline passes. `slot` must outlive the store (it is a member).
-  void ArmSealDeadline(std::optional<OpenBatch>* slot);
+  // at open that seals the client batch if it is still open when the
+  // deadline passes.
+  void ArmSealDeadline();
+  // Seals the open client batch, if it holds any entries.
+  void SealClientBatch();
   void SealBatch(OpenBatch batch, bool from_gc,
                  std::vector<uint64_t> cleaned_seqs);
   // Seals the open GC batch inline (size threshold reached mid-round).
@@ -300,9 +299,9 @@ class BackendStore {
   WriteCache* cache_;
   LsvdConfig config_;
 
-  // The object map: leaf pages of config.map_page_span bytes, packed down
-  // when their live bytes exceed config.map_resident_bytes (0 = never pack;
-  // DESIGN.md §13).
+  // The object map: 256 MiB leaf pages (PagedExtentMap's default span),
+  // packed down when their live bytes exceed config.map_resident_bytes
+  // (0 = never pack; DESIGN.md §13).
   PagedExtentMap<ObjTarget> object_map_;
   std::map<uint64_t, ObjectInfo> object_info_;  // applied data objects
   // Per-object GC generation, feeding the policy's pedigree floor.
@@ -310,11 +309,7 @@ class BackendStore {
   // scoring — which also ages candidates on the recoverable object-sequence
   // clock, never a wall clock — is identical before and after recovery.
   std::map<uint64_t, uint32_t> object_generation_;
-  std::optional<OpenBatch> batch_;              // client-write batch (hot)
-  // Cold client-write batch, open only under gc_hot_cold_split: writes to
-  // regions below the heat threshold batch separately so objects die either
-  // mostly together (hot) or not at all (cold).
-  std::optional<OpenBatch> cold_batch_;
+  std::optional<OpenBatch> batch_;              // client-write batch
   std::optional<OpenBatch> gc_batch_;           // GC-copy batch
   std::vector<uint64_t> gc_batch_cleaned_;      // victims of the open GC batch
   // Running generation of the open GC batch: 1 + max generation among the
@@ -335,9 +330,9 @@ class BackendStore {
   uint64_t checkpoint_counter_ = 0;  // monotonic checkpoint-object id
   bool checkpoint_in_flight_ = false;
 
-  // Per-shard victim-selection policies (docs/GC.md), resolved from
-  // config.gc_policy / gc_shard_policy at construction.
-  std::vector<std::unique_ptr<GcPolicy>> gc_policies_;
+  // Victim-selection policy (docs/GC.md) from config.gc_policy; every shard
+  // is cleaned under it.
+  std::unique_ptr<GcPolicy> gc_policy_;
 
   bool gc_running_ = false;
   // Victims whose live data sits in the open (unsealed) GC batch: excluded
@@ -368,7 +363,7 @@ class BackendStore {
   Counter* c_gc_aborted_corrupt_;
   Counter* c_trim_extents_;
   Counter* c_trim_punched_bytes_;
-  Counter* c_gc_cold_objects_;
+  Counter* c_gc_cold_objects_;  // GC-output objects
   Counter* c_deadline_seals_;  // batches sealed by batch_seal_deadline
   Gauge* g_cost_benefit_score_;  // score of the last GC victim picked
   // Write-lifecycle stages downstream of the journal ack: batch open ->

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/lsvd/gc_policy.h"
 #include "src/objstore/retry.h"
@@ -100,39 +99,18 @@ struct LsvdConfig {
   double gc_low_watermark = 0.70;   // start cleaning below this
   double gc_high_watermark = 0.75;  // stop cleaning at this
   bool gc_enabled = true;
-  // §4.6's modified collector: while copying live data, also copy ("plug")
-  // mapped holes up to this size between adjacent live pieces, merging map
-  // extents at a small write-amplification cost. 0 disables.
-  uint64_t gc_defrag_hole_max = 0;
 
-  // Victim-selection policy (docs/GC.md; DESIGN.md §11). `greedy` is the
-  // paper's least-utilized collector; `cost-benefit` and `age-bucketed` also
-  // weigh object age.
+  // Victim-selection policy (docs/GC.md; DESIGN.md §11), used for every
+  // shard. `greedy` is the paper's least-utilized collector; `cost-benefit`
+  // and `age-bucketed` also weigh object age.
   GcPolicyKind gc_policy = GcPolicyKind::kGreedy;
-  // Optional per-shard policy overrides, indexed by shard. Shards beyond the
-  // vector's length (and all shards when it is empty) use `gc_policy`.
-  std::vector<GcPolicyKind> gc_shard_policy;
-
-  // Hot/cold segregation of *client* writes (docs/GC.md): writes whose 1 MiB
-  // region shows a decayed overwrite heat >= kHotWriteHeat (write_cache.h)
-  // are batched separately from cold first-touch writes, so objects die
-  // either mostly together (hot) or not at all (cold). GC output is always
-  // packed into its own objects regardless of this flag. Off by default —
-  // splitting opens a second batch stream, which changes object boundaries.
-  bool gc_hot_cold_split = false;
 
   // --- Paged object map (DESIGN.md §13) ---
-  // Resident-memory budget for the backend object map's unpacked leaf pages:
-  // when their live bytes exceed it, the least recently used pages are
-  // packed down to their run-length form. 0 (the default) never packs, so
-  // every page stays resident.
+  // Resident-memory budget for the backend object map's unpacked leaf pages
+  // (256 MiB of address space each): when their live bytes exceed it, the
+  // least recently used pages are packed down to their run-length form.
+  // 0 (the default) never packs, so every page stays resident.
   uint64_t map_resident_bytes = 0;
-  // Virtual-address span covered by one leaf page of the object map.
-  uint64_t map_page_span = 256 * kMiB;
-
-  // Read cache geometry.
-  uint64_t read_cache_line = 64 * kKiB;
-  uint64_t prefetch_bytes = 256 * kKiB;
 
   // Object-map checkpoint cadence, in data objects written.
   uint64_t checkpoint_interval_objects = 64;

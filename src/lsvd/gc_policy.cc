@@ -104,10 +104,4 @@ std::unique_ptr<GcPolicy> GcPolicy::Create(GcPolicyKind kind) {
   return std::make_unique<GreedyPolicy>();
 }
 
-GcPolicyKind GcPolicyForShard(GcPolicyKind base,
-                              const std::vector<GcPolicyKind>& overrides,
-                              size_t shard) {
-  return shard < overrides.size() ? overrides[shard] : base;
-}
-
 }  // namespace lsvd

@@ -36,7 +36,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace lsvd {
 
@@ -89,12 +88,6 @@ class GcPolicy {
 
   static std::unique_ptr<GcPolicy> Create(GcPolicyKind kind);
 };
-
-// Resolves a per-shard policy table: `overrides[shard]` when the vector is
-// long enough, else `base`.
-GcPolicyKind GcPolicyForShard(GcPolicyKind base,
-                              const std::vector<GcPolicyKind>& overrides,
-                              size_t shard);
 
 }  // namespace lsvd
 

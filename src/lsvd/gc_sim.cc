@@ -6,6 +6,12 @@
 #include <vector>
 
 namespace lsvd {
+namespace {
+
+// Largest mapped hole the `defrag` ablation plugs (§4.6: 8 KiB).
+constexpr uint64_t kDefragHoleMax = 8 * kKiB;
+
+}  // namespace
 
 void GcSimulator::Write(uint64_t vlba, uint64_t len) {
   assert(len > 0);
@@ -140,7 +146,6 @@ double GcSimulator::AgeOf(const ObjMeta& meta) const {
 }
 
 uint64_t GcSimulator::PickVictim(size_t shard, double ceiling) const {
-  const GcPolicy& policy = *policies_[shard == SIZE_MAX ? 0 : shard];
   uint64_t victim = 0;
   double best = -std::numeric_limits<double>::infinity();
   for (const auto& [seq, inf] : info_) {
@@ -166,7 +171,7 @@ uint64_t GcSimulator::PickVictim(size_t shard, double ceiling) const {
     // output, and for generation-tagged output the same crash-stable clock
     // the backend store uses (see GcCandidate::age).
     c.age = static_cast<double>(next_seq_ - seq);
-    const double s = policy.Score(c);
+    const double s = policy_->Score(c);
     if (s > best) {
       best = s;
       victim = seq;
@@ -247,7 +252,7 @@ std::vector<GcSimulator::Piece> GcSimulator::CollectLivePieces(
             [](const Piece& a, const Piece& b) { return a.vlba < b.vlba; });
 
   if (config_.defrag && !pieces.empty()) {
-    // Plug mapped holes of <= defrag_hole_max between consecutive pieces so
+    // Plug mapped holes of <= kDefragHoleMax between consecutive pieces so
     // the copied run becomes one contiguous map extent.
     std::vector<Piece> plugged;
     plugged.push_back(pieces[0]);
@@ -255,7 +260,7 @@ std::vector<GcSimulator::Piece> GcSimulator::CollectLivePieces(
       const uint64_t prev_end = plugged.back().vlba + plugged.back().len;
       const uint64_t gap =
           pieces[i].vlba > prev_end ? pieces[i].vlba - prev_end : 0;
-      if (gap > 0 && gap <= config_.defrag_hole_max) {
+      if (gap > 0 && gap <= kDefragHoleMax) {
         // Only plug if the whole gap is currently mapped (reads exist).
         bool mapped = true;
         map_.Lookup(prev_end, gap, &segs);
@@ -423,7 +428,6 @@ double GcSimulator::ZonedUtilization() const {
 }
 
 uint64_t GcSimulator::PickZoneVictim(double ceiling) const {
-  const GcPolicy& policy = *policies_[0];
   uint64_t victim = 0;
   double best = -std::numeric_limits<double>::infinity();
   for (const auto& [zid, zone] : zones_) {
@@ -440,7 +444,7 @@ uint64_t GcSimulator::PickZoneVictim(double ceiling) const {
     }
     c.age = AgeOf(ObjMeta{zone.youngest_seal, 0, 0});
     c.generation = zone.cold ? 1 : 0;
-    const double s = policy.Score(c);
+    const double s = policy_->Score(c);
     if (s > best) {
       best = s;
       victim = zid;

@@ -32,8 +32,7 @@ struct GcSimConfig {
   double gc_low_watermark = 0.70;
   double gc_high_watermark = 0.75;
   bool merge = true;    // within-batch write coalescing
-  bool defrag = false;  // plug small holes during GC copies
-  uint64_t defrag_hole_max = 8 * kKiB;
+  bool defrag = false;  // plug holes of <= 8 KiB during GC copies
   // Backend shards (DESIGN.md §9): objects stripe round-robin by seq and
   // each shard is collected independently against the watermarks. 1 = the
   // classic single-stream collector (bit-identical behavior).
@@ -42,9 +41,6 @@ struct GcSimConfig {
   // bit-identical to the historical least-utilized scan. Age is measured in
   // client batches written since the candidate was sealed.
   GcPolicyKind policy = GcPolicyKind::kGreedy;
-  // Optional per-shard policy overrides, indexed by shard; shards beyond the
-  // vector's length (and all shards when empty) use `policy`.
-  std::vector<GcPolicyKind> shard_policy;
   // Pack GC copies into shared cold output objects that fill across cleaning
   // rounds (instead of one copy object per victim), segregating twice-
   // written cold data from fresh client batches (DESIGN.md §11).
@@ -94,13 +90,9 @@ class GcSimulator {
   explicit GcSimulator(GcSimConfig config, MetricsRegistry* metrics = nullptr)
       : config_(config),
         shard_live_(config.shards > 1 ? config.shards : 1, 0),
-        shard_total_(config.shards > 1 ? config.shards : 1, 0) {
+        shard_total_(config.shards > 1 ? config.shards : 1, 0),
+        policy_(GcPolicy::Create(config.policy)) {
     assert(config.zone_bytes == 0 || config.shards <= 1);
-    const size_t shards = config.shards > 1 ? config.shards : 1;
-    for (size_t s = 0; s < shards; s++) {
-      policies_.push_back(GcPolicy::Create(
-          GcPolicyForShard(config.policy, config.shard_policy, s)));
-    }
     if (metrics != nullptr) {
       metrics->RegisterCallback("gcsim.client_bytes", [this] {
         return static_cast<double>(result_.client_bytes);
@@ -204,7 +196,6 @@ class GcSimulator {
   void CleanZone(uint64_t zid);
 
   GcSimConfig config_;
-  std::vector<std::unique_ptr<GcPolicy>> policies_;  // one per shard
   ExtentMap<ObjTarget> map_;
   std::map<uint64_t, ObjectInfo> info_;
   std::map<uint64_t, ObjMeta> meta_;
@@ -219,6 +210,7 @@ class GcSimulator {
   uint64_t total_sum_ = 0;
   std::vector<uint64_t> shard_live_;
   std::vector<uint64_t> shard_total_;
+  std::unique_ptr<GcPolicy> policy_;  // every shard's victim selection
   uint64_t self_dead_ = 0;  // bytes overwritten within the object being applied
   // Cold output object under construction (segregate_cold / zoned mode).
   uint64_t cold_seq_ = 0;    // 0 = no cold object open

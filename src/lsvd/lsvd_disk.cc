@@ -10,6 +10,10 @@ namespace {
 
 // Write-cache map checkpoint cadence, in journal records.
 constexpr uint64_t kCacheCheckpointRecords = 4096;
+// Read-cache line size, and the temporal-locality prefetch window of a
+// backend read (§3.2).
+constexpr uint64_t kReadCacheLine = 64 * kKiB;
+constexpr uint64_t kPrefetchBytes = 256 * kKiB;
 
 bool Aligned(uint64_t v) { return v % kBlockSize == 0; }
 
@@ -62,13 +66,10 @@ void LsvdDisk::InitComponents() {
   write_cache_ = std::make_unique<WriteCache>(
       host_, wc_base_, config_.write_cache_size, config_.costs, metrics_,
       p + ".write_cache", config_.volume_size);
-  if (config_.gc_hot_cold_split) {
-    write_cache_->EnableHeatTracking();
-  }
   write_cache_->SetAdaptiveBatching(config_.batch_seal_deadline);
   read_cache_ = std::make_unique<ReadCache>(
-      host_, rc_base_, config_.read_cache_size, config_.read_cache_line,
-      metrics_, p + ".read_cache");
+      host_, rc_base_, config_.read_cache_size, kReadCacheLine, metrics_,
+      p + ".read_cache");
   backend_ = std::make_unique<BackendStore>(host_, stores_, write_cache_.get(),
                                             config_, metrics_,
                                             config_.backend_metrics_prefix);
@@ -351,21 +352,22 @@ void LsvdDisk::Write(uint64_t offset, Buffer data,
 
 void LsvdDisk::WriteAdmitted(uint64_t offset, Buffer data, Nanos submitted,
                              std::function<void(Status)> done) {
-  // Stale read-cache lines for this range must never be served again.
-  read_cache_->Invalidate(offset, data.size());
-
   // A copy of the write goes to the block store's open batch (§3.2 step c);
   // the batch seq is journaled for crash replay.
+  const uint64_t len = data.size();
   const uint64_t batch_seq = backend_->AddWrite(offset, data);
   ArmBatchTimer();
   MaybeCheckpointCache();
 
   // Ack latency: submission to journal-record-durable (when `done` fires).
   auto alive = alive_;
-  auto acked = [this, alive, submitted,
+  auto acked = [this, alive, offset, len, submitted,
                 done = std::move(done)](Status s) mutable {
     if (*alive) {
       RecordLatencyUs(h_write_ack_us_, host_->sim()->now() - submitted);
+      // The ack installs the write-cache map entry; stale read-cache lines,
+      // including fills that landed while the write was in flight, go now.
+      read_cache_->Invalidate(offset, len);
     }
     done(s);
   };
@@ -413,9 +415,6 @@ void LsvdDisk::Trim(uint64_t offset, uint64_t len,
 
 void LsvdDisk::TrimAdmitted(uint64_t offset, uint64_t len, Nanos submitted,
                             std::function<void(Status)> done) {
-  // Stale read-cache lines must never serve pre-trim data again.
-  read_cache_->Invalidate(offset, len);
-
   // The trim enters the object stream like a write (§3.2 step c): AddTrim
   // seals any open write batch first, so the punch applies strictly after
   // every earlier write. The batch seq is journaled for crash replay.
@@ -424,10 +423,12 @@ void LsvdDisk::TrimAdmitted(uint64_t offset, uint64_t len, Nanos submitted,
   MaybeCheckpointCache();
 
   auto alive = alive_;
-  auto acked = [this, alive, submitted,
+  auto acked = [this, alive, offset, len, submitted,
                 done = std::move(done)](Status s) mutable {
     if (*alive) {
       RecordLatencyUs(h_write_ack_us_, host_->sim()->now() - submitted);
+      // As for writes: the ack installs the tombstone, so pre-trim lines go.
+      read_cache_->Invalidate(offset, len);
     }
     done(s);
   };
@@ -472,6 +473,22 @@ void LsvdDisk::Read(uint64_t offset, uint64_t len,
 
 void LsvdDisk::ReadAdmitted(uint64_t offset, uint64_t len, Nanos started,
                             std::function<void(Result<Buffer>)> done) {
+  // Charge the kernel-side lookup once per client read, then route. The plan
+  // is built in the same event that issues its cache reads: built before the
+  // charge, it could name write-cache space that was evicted and rewritten,
+  // or a read-cache slot that was recycled, while the charge ran.
+  auto alive = alive_;
+  host_->kernel_cpu()->Submit(
+      config_.costs.read_map_lookup + config_.costs.read_hit,
+      [this, alive, offset, len, started, done = std::move(done)]() mutable {
+    if (*alive) {
+      RouteRead(offset, len, started, std::move(done));
+    }
+  });
+}
+
+void LsvdDisk::RouteRead(uint64_t offset, uint64_t len, Nanos started,
+                         std::function<void(Result<Buffer>)> done) {
   // Build the routing plan: write cache > read cache > backend > zeros.
   struct Fragment {
     FragmentKind kind;
@@ -577,88 +594,119 @@ void LsvdDisk::ReadAdmitted(uint64_t offset, uint64_t len, Nanos started,
     }
   };
 
-  // Charge the kernel-side lookup once per client read.
-  host_->kernel_cpu()->Submit(
-      config_.costs.read_map_lookup + config_.costs.read_hit,
-      [this, alive, plan, finish_part]() {
-    if (!*alive) {
-      return;
-    }
-    for (size_t i = 0; i < plan->size(); i++) {
-      const Fragment& frag = (*plan)[i];
-      switch (frag.kind) {
-        case FragmentKind::kWriteCache:
-          c_write_cache_hits_->Inc();
-          write_cache_->ReadData(frag.plba, frag.len,
-                                 [i, finish_part](Result<Buffer> r) {
-            finish_part(i, std::move(r));
-          });
-          break;
-        case FragmentKind::kReadCache:
-          c_read_cache_hits_->Inc();
-          read_cache_->ReadData(frag.plba, frag.len,
-                                [i, finish_part](Result<Buffer> r) {
-            finish_part(i, std::move(r));
-          });
-          break;
-        case FragmentKind::kZero:
-          c_zero_reads_->Inc();
-          finish_part(i, Buffer::Zeros(frag.len));
-          break;
-        case FragmentKind::kBackend: {
-          c_backend_reads_->Inc();
-          // Temporal-locality prefetch (§3.2): extend the fetch to the
-          // remainder of the extent, up to the prefetch window — data
-          // written together is fetched together.
-          uint64_t fetch_len = frag.len;
-          if (fetch_len < config_.prefetch_bytes) {
-            ExtentMap<ObjTarget>::SegmentVec around;
-            backend_->object_map().Lookup(frag.vlba, config_.prefetch_bytes,
-                                          &around);
-            if (!around.empty() && around[0].target.has_value() &&
-                *around[0].target == frag.target) {
-              fetch_len = std::min(around[0].len, config_.prefetch_bytes);
-            }
+  for (size_t i = 0; i < plan->size(); i++) {
+    const Fragment& frag = (*plan)[i];
+    switch (frag.kind) {
+      case FragmentKind::kWriteCache:
+        c_write_cache_hits_->Inc();
+        write_cache_->ReadData(frag.plba, frag.len,
+                               [i, finish_part](Result<Buffer> r) {
+          finish_part(i, std::move(r));
+        });
+        break;
+      case FragmentKind::kReadCache:
+        c_read_cache_hits_->Inc();
+        read_cache_->ReadData(frag.plba, frag.len,
+                              [i, finish_part](Result<Buffer> r) {
+          finish_part(i, std::move(r));
+        });
+        break;
+      case FragmentKind::kZero:
+        c_zero_reads_->Inc();
+        finish_part(i, Buffer::Zeros(frag.len));
+        break;
+      case FragmentKind::kBackend: {
+        c_backend_reads_->Inc();
+        // Temporal-locality prefetch (§3.2): extend the fetch to the
+        // remainder of the extent, up to the prefetch window — data written
+        // together is fetched together.
+        uint64_t fetch_len = frag.len;
+        if (fetch_len < kPrefetchBytes) {
+          backend_->object_map().Lookup(frag.vlba, kPrefetchBytes, &osegs);
+          if (!osegs.empty() && osegs[0].target.has_value() &&
+              *osegs[0].target == frag.target) {
+            fetch_len = std::min(osegs[0].len, kPrefetchBytes);
           }
-          fetch_len = std::max(fetch_len, frag.len);
-          const uint64_t frag_len = frag.len;
-          const uint64_t frag_vlba = frag.vlba;
-          // Miss path overheads (Table 6): kernel/user transitions + daemon.
-          host_->kernel_cpu()->Submit(config_.costs.read_miss_kernel,
-                                      [this, alive, i, frag, fetch_len,
-                                       frag_len, frag_vlba, finish_part]() {
+        }
+        fetch_len = std::max(fetch_len, frag.len);
+        // Miss path overheads (Table 6): kernel/user transitions + daemon.
+        host_->kernel_cpu()->Submit(config_.costs.read_miss_kernel,
+                                    [this, alive, i, frag, fetch_len,
+                                     finish_part]() {
+          if (!*alive) {
+            return;
+          }
+          host_->user_cpu()->Submit(config_.costs.read_miss_golang,
+                                    [this, alive, i, frag, fetch_len,
+                                     finish_part]() {
             if (!*alive) {
               return;
             }
-            host_->user_cpu()->Submit(config_.costs.read_miss_golang,
-                                      [this, alive, i, frag, fetch_len,
-                                       frag_len, frag_vlba, finish_part]() {
+            backend_->Fetch(frag.target, fetch_len,
+                            [this, alive, i, frag,
+                             finish_part](Result<Buffer> r) {
               if (!*alive) {
                 return;
               }
-              backend_->Fetch(frag.target, fetch_len,
-                              [this, alive, i, fetch_len, frag_len, frag_vlba,
-                               finish_part](Result<Buffer> r) {
-                if (!*alive) {
-                  return;
-                }
-                if (!r.ok()) {
-                  finish_part(i, std::move(r));
-                  return;
-                }
-                // Cache the whole fetched window (the requested fragment
-                // plus prefetch), then return the requested part.
-                read_cache_->Insert(frag_vlba, *r);
-                (void)fetch_len;
-                finish_part(i, r->Slice(0, frag_len));
-              });
+              if (r.ok()) {
+                // Cache the fetched window (the requested fragment plus
+                // prefetch), then return the requested part.
+                CacheFetched(frag.vlba, frag.target, *r);
+                r = r->Slice(0, frag.len);
+              }
+              finish_part(i, std::move(r));
             });
           });
-          break;
-        }
+        });
+        break;
       }
     }
-  });
+  }
+}
+
+void LsvdDisk::CacheFetched(uint64_t vlba, ObjTarget target,
+                            const Buffer& data) {
+  // The maps may have moved on while the fetch was in flight. Install only
+  // the pieces the object map still routes to the fetched bytes and that
+  // neither the write cache nor a pending trim shadows; anything else would
+  // outlive a newer write once its write-cache record is evicted. Adjacent
+  // survivors go in as one run, so an unraced fetch is one Insert.
+  ExtentMap<ObjTarget>::SegmentVec osegs;
+  ExtentMap<SsdTarget>::SegmentVec wsegs;
+  ExtentMap<ObjTarget>::SegmentVec tsegs;
+  uint64_t run_start = vlba;
+  uint64_t run_end = vlba;
+  auto insert_run = [&] {
+    if (run_end > run_start) {
+      read_cache_->Insert(run_start,
+                          data.Slice(run_start - vlba, run_end - run_start));
+    }
+  };
+  backend_->object_map().Lookup(vlba, data.size(), &osegs);
+  for (const auto& oseg : osegs) {
+    if (!oseg.target.has_value() ||
+        !(*oseg.target == target.Advanced(oseg.start - vlba))) {
+      continue;
+    }
+    write_cache_->map().Lookup(oseg.start, oseg.len, &wsegs);
+    for (const auto& wseg : wsegs) {
+      if (wseg.target.has_value()) {
+        continue;
+      }
+      write_cache_->trim_map().Lookup(wseg.start, wseg.len, &tsegs);
+      for (const auto& tseg : tsegs) {
+        if (tseg.target.has_value()) {
+          continue;
+        }
+        if (tseg.start != run_end) {
+          insert_run();
+          run_start = tseg.start;
+        }
+        run_end = tseg.start + tseg.len;
+      }
+    }
+  }
+  insert_run();
 }
 
 void LsvdDisk::Flush(std::function<void(Status)> done) {

@@ -166,6 +166,13 @@ class LsvdDisk : public VirtualDisk {
                     std::function<void(Status)> done);
   void ReadAdmitted(uint64_t offset, uint64_t len, Nanos started,
                     std::function<void(Result<Buffer>)> done);
+  // Routes a read once its lookup is charged: plans fragments across the
+  // write cache, read cache, backend and zeros, and issues them.
+  void RouteRead(uint64_t offset, uint64_t len, Nanos started,
+                 std::function<void(Result<Buffer>)> done);
+  // Installs a completed backend fetch of `target` at `vlba` in the read
+  // cache, minus the pieces a newer write or trim has superseded.
+  void CacheFetched(uint64_t vlba, ObjTarget target, const Buffer& data);
   void ArmBatchTimer();
   void MaybeCheckpointCache();
   void ReplayCacheTail(std::function<void(Status)> done);

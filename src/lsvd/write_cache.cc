@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <utility>
 
 #include "src/util/codec.h"
@@ -144,21 +143,6 @@ void WriteCache::Append(uint64_t vlba, Buffer data, uint64_t batch_seq,
   }
   c_appends_->Inc();
   c_appended_bytes_->Inc(data.size());
-  if (heat_tracking_) {
-    // Bump the overwrite heat of every 1 MiB region this write touches.
-    const Nanos now = host_->sim()->now();
-    const uint64_t first = vlba >> 20;
-    const uint64_t last = (vlba + data.size() - 1) >> 20;
-    for (uint64_t region = first; region <= last; region++) {
-      HeatCell& cell = heat_[region];
-      if (cell.updated < now && cell.value > 0.0) {
-        cell.value *= std::exp2(-static_cast<double>(now - cell.updated) /
-                                static_cast<double>(kWriteHeatHalflife));
-      }
-      cell.value += 1.0;
-      cell.updated = now;
-    }
-  }
   pending_.push_back(Pending{vlba, std::move(data), batch_seq,
                              std::move(done)});
   MaybeStartRecord();
@@ -175,23 +159,6 @@ void WriteCache::AppendTrim(uint64_t vlba, uint64_t len, uint64_t batch_seq,
   p.trim_len = len;
   pending_.push_back(std::move(p));
   MaybeStartRecord();
-}
-
-double WriteCache::WriteHeat(uint64_t vlba) const {
-  if (!heat_tracking_) {
-    return 0.0;
-  }
-  auto it = heat_.find(vlba >> 20);
-  if (it == heat_.end()) {
-    return 0.0;
-  }
-  const Nanos now = host_->sim()->now();
-  if (it->second.updated >= now) {
-    return it->second.value;
-  }
-  return it->second.value *
-         std::exp2(-static_cast<double>(now - it->second.updated) /
-                   static_cast<double>(kWriteHeatHalflife));
 }
 
 void WriteCache::MaybeStartRecord() {

@@ -35,12 +35,6 @@
 
 namespace lsvd {
 
-// Write-heat tracking (WriteCache::EnableHeatTracking): a region's heat
-// halves every kWriteHeatHalflife, and a region at or above kHotWriteHeat is
-// "hot" for the backend's hot/cold batch split (docs/GC.md).
-inline constexpr Nanos kWriteHeatHalflife = 10 * kSecond;
-inline constexpr double kHotWriteHeat = 2.0;
-
 // View over the write cache's registry counters (see docs/METRICS.md,
 // "lsvd.write_cache.*").
 struct WriteCacheStats {
@@ -108,16 +102,6 @@ class WriteCache {
   void SetAdaptiveBatching(Nanos plug_deadline) {
     plug_deadline_ = plug_deadline;
   }
-
-  // --- write-heat tracking (docs/GC.md hot/cold segregation) ---
-  // Enables per-region overwrite-heat tracking: every append adds 1 to the
-  // heat of each 1 MiB region it touches, and heat halves every
-  // kWriteHeatHalflife. Off (zero cost on the append path) until enabled.
-  void EnableHeatTracking() { heat_tracking_ = true; }
-  // Decayed heat of the region containing `vlba`; 0.0 when tracking is off
-  // or the region was never written. The backend store routes writes to
-  // regions below kHotWriteHeat to its cold batch stream.
-  double WriteHeat(uint64_t vlba) const;
 
   // Commit barrier: flush the SSD (§3.2).
   void Barrier(std::function<void(Status)> done);
@@ -272,14 +256,6 @@ class WriteCache {
   bool flush_in_flight_ = false;    // coalescing path only
   std::vector<std::function<void(Status)>> pending_barriers_;
 
-  // Write-heat tracking (EnableHeatTracking): decayed append count per 1 MiB
-  // region, keyed by vlba >> 20. Empty while disabled.
-  struct HeatCell {
-    double value = 0.0;
-    Nanos updated = 0;
-  };
-  bool heat_tracking_ = false;
-  std::map<uint64_t, HeatCell> heat_;
   uint64_t next_seq_ = 1;
   uint64_t ckpt_gen_ = 0;   // checkpoint generation (picks newest slot)
   uint64_t recovered_synced_ = 0;

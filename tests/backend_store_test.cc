@@ -414,60 +414,45 @@ TEST_F(BackendGcTest, SnapshotDefersDeletes) {
   EXPECT_TRUE(store_->deferred_deletes().empty());
 }
 
-TEST_F(BackendGcTest, DefragPlugsHolesAndShrinksMap) {
+TEST_F(BackendGcTest, GcKeepsFragmentedBlocksReadable) {
   // Interleaved 4 KiB writes (even blocks, then odd blocks much later)
-  // fragment the map; with hole plugging enabled, GC copies contiguous runs
-  // and the map shrinks. Same workload, defrag on vs off.
-  auto run = [&](uint64_t hole_max) -> size_t {
-    LsvdConfig config = MakeConfig();
-    config.volume_name = "defrag" + std::to_string(hole_max);
-    config.gc_enabled = true;
-    config.checkpoint_interval_objects = 2;
-    config.gc_defrag_hole_max = hole_max;
-    auto store = std::make_unique<BackendStore>(&world_.host, &world_.store,
-                                                nullptr, config);
-    // Phase 1: a contiguous 2 MiB region (few fully-live objects).
-    for (uint64_t b = 0; b < 512; b += 16) {
-      store->AddWrite(b * 4096, TestPattern(16 * 4096, 7000 + b));
-      world_.sim.Run();
-    }
-    // Phase 2: overwrite 3 of every 4 blocks, leaving the phase-1 objects
-    // 25% live with 4 KiB live pieces separated by 12 KiB holes.
-    for (uint64_t b = 0; b < 512; b++) {
-      if (b % 4 != 0) {
-        store->AddWrite(b * 4096, TestPattern(4096, 8000 + b));
-        world_.sim.Run();
-      }
-    }
-    store->Seal();
+  // fragment the map; GC copies only the live pieces, and every block must
+  // still read back its newest data.
+  LsvdConfig config = MakeConfig();
+  config.volume_name = "frag";
+  config.gc_enabled = true;
+  config.checkpoint_interval_objects = 2;
+  auto store = std::make_unique<BackendStore>(&world_.host, &world_.store,
+                                              nullptr, config);
+  // Phase 1: a contiguous 2 MiB region (few fully-live objects).
+  for (uint64_t b = 0; b < 512; b += 16) {
+    store->AddWrite(b * 4096, TestPattern(16 * 4096, 7000 + b));
     world_.sim.Run();
-    EXPECT_GT(store->stats().gc_objects_cleaned, 0u);
-    // All 512 blocks of the fragmented region must still read correctly.
-    for (uint64_t b = 0; b < 512; b += 97) {
-      auto t = store->object_map().LookupOne(b * 4096);
-      if (!t.has_value()) {
-        ADD_FAILURE() << "block " << b << " unmapped";
-        return 0;
-      }
-      std::optional<Result<Buffer>> r;
-      store->Fetch(*t, 4096, [&](Result<Buffer> rr) { r = std::move(rr); });
+  }
+  // Phase 2: overwrite 3 of every 4 blocks, leaving the phase-1 objects
+  // 25% live with 4 KiB live pieces separated by 12 KiB holes.
+  for (uint64_t b = 0; b < 512; b++) {
+    if (b % 4 != 0) {
+      store->AddWrite(b * 4096, TestPattern(4096, 8000 + b));
       world_.sim.Run();
-      if (!r.has_value() || !r->ok()) {
-        ADD_FAILURE() << "block " << b << " unreadable";
-        return 0;
-      }
-      const Buffer expect = b % 4 == 0
-                                ? TestPattern(16 * 4096, 7000 + b / 16 * 16)
-                                      .Slice(b % 16 * 4096, 4096)
-                                : TestPattern(4096, 8000 + b);
-      EXPECT_EQ(r->value(), expect) << "block " << b;
     }
-    return store->object_map().extent_count();
-  };
-
-  const size_t plain = run(0);
-  const size_t defragged = run(16 * kKiB);
-  EXPECT_LT(defragged, plain);
+  }
+  store->Seal();
+  world_.sim.Run();
+  EXPECT_GT(store->stats().gc_objects_cleaned, 0u);
+  for (uint64_t b = 0; b < 512; b += 97) {
+    auto t = store->object_map().LookupOne(b * 4096);
+    ASSERT_TRUE(t.has_value()) << "block " << b << " unmapped";
+    std::optional<Result<Buffer>> r;
+    store->Fetch(*t, 4096, [&](Result<Buffer> rr) { r = std::move(rr); });
+    world_.sim.Run();
+    ASSERT_TRUE(r.has_value() && r->ok()) << "block " << b << " unreadable";
+    const Buffer expect = b % 4 == 0
+                              ? TestPattern(16 * 4096, 7000 + b / 16 * 16)
+                                    .Slice(b % 16 * 4096, 4096)
+                              : TestPattern(4096, 8000 + b);
+    EXPECT_EQ(r->value(), expect) << "block " << b;
+  }
 }
 
 TEST_F(BackendGcTest, CorruptVictimAbortsRoundAndKeepsAccounting) {
@@ -1281,7 +1266,7 @@ TEST_F(ShardedBackendTest, ShardTailLossTruncatesGlobalPrefix) {
             StatusCode::kNotFound);
 }
 
-// --- GC policy selection, generations, hot/cold split (docs/GC.md) ---
+// --- GC policy selection and generations (docs/GC.md) ---
 
 class BackendGcPolicyTest : public BackendStoreTest {
  protected:
@@ -1413,63 +1398,6 @@ TEST_F(BackendGcPolicyTest, GenerationsSurviveRecoveryReplay) {
     max_gen = std::max(max_gen, h.generation);
   }
   EXPECT_GE(max_gen, 2u);  // re-cleaned GC output climbed past gen 1
-}
-
-TEST(BackendHeatSplitTest, HotAndColdWritesLandInSeparateObjects) {
-  TestWorld world;
-  const uint64_t region = 16 * kMiB;
-  const uint64_t base = *world.host.AllocRegion(region);
-  WriteCache cache(&world.host, base, region,
-                   StageCosts{0, 0, 0, 0, 0, 0, 0, 0, 0});
-  std::optional<Status> fs;
-  cache.Format([&](Status s) { fs = s; });
-  world.sim.Run();
-  ASSERT_TRUE(fs.has_value() && fs->ok());
-  cache.EnableHeatTracking();
-
-  LsvdConfig config = TestWorld::SmallVolumeConfig();
-  config.batch_bytes = 64 * kKiB;
-  config.gc_enabled = false;
-  config.gc_hot_cold_split = true;
-  MetricsRegistry metrics;
-  BackendStore store(&world.host, &world.store, &cache, config, &metrics);
-
-  // Heat up the 1 MiB region at vlba 0 with repeated appends; the region at
-  // 8 MiB stays untouched (heat 0 < kHotWriteHeat).
-  for (int i = 0; i < 3; i++) {
-    std::optional<Status> s;
-    cache.Append(0, TestPattern(4096, 900 + i), 1,
-                 [&](Status st) { s = st; });
-    world.sim.Run();
-    ASSERT_TRUE(s.has_value() && s->ok());
-  }
-  EXPECT_GE(cache.WriteHeat(0), kHotWriteHeat);
-  EXPECT_EQ(cache.WriteHeat(8 * kMiB), 0.0);
-
-  // One hot and one cold write: routed to separate open batches with their
-  // own sequence numbers, sealed as two objects, one counted cold.
-  Buffer hot_data = TestPattern(32 * kKiB, 901);
-  Buffer cold_data = TestPattern(32 * kKiB, 902);
-  const uint64_t hot_seq = store.AddWrite(0, hot_data);
-  const uint64_t cold_seq = store.AddWrite(8 * kMiB, cold_data);
-  EXPECT_NE(hot_seq, cold_seq);
-  store.Seal();
-  world.sim.Run();
-
-  EXPECT_EQ(store.stats().objects_put, 2u);
-  EXPECT_EQ(metrics.GetCounter("backend.gc.cold_objects")->value(), 1u);
-  // Both streams are readable through the object map.
-  for (const auto& [vlba, data] :
-       std::vector<std::pair<uint64_t, Buffer>>{{0, hot_data},
-                                                {8 * kMiB, cold_data}}) {
-    auto t = store.object_map().LookupOne(vlba);
-    ASSERT_TRUE(t.has_value()) << vlba;
-    std::optional<Result<Buffer>> r;
-    store.Fetch(*t, 32 * kKiB, [&](Result<Buffer> rr) { r = std::move(rr); });
-    world.sim.Run();
-    ASSERT_TRUE(r.has_value() && r->ok()) << vlba;
-    EXPECT_EQ(r->value(), data) << vlba;
-  }
 }
 
 TEST(ShardedBackendFaultTest, OneShardOfflineParksOnlyItsStripe) {

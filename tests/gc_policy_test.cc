@@ -137,20 +137,6 @@ TEST(GcPolicyTest, AscendingScanTieBreaksToLowestSeq) {
   }
 }
 
-TEST(GcPolicyForShardTest, OverridesApplyPerShard) {
-  const std::vector<GcPolicyKind> overrides = {GcPolicyKind::kCostBenefit,
-                                               GcPolicyKind::kAgeBucketed};
-  EXPECT_EQ(GcPolicyForShard(GcPolicyKind::kGreedy, overrides, 0),
-            GcPolicyKind::kCostBenefit);
-  EXPECT_EQ(GcPolicyForShard(GcPolicyKind::kGreedy, overrides, 1),
-            GcPolicyKind::kAgeBucketed);
-  // Shards past the override vector fall back to the base policy.
-  EXPECT_EQ(GcPolicyForShard(GcPolicyKind::kGreedy, overrides, 2),
-            GcPolicyKind::kGreedy);
-  EXPECT_EQ(GcPolicyForShard(GcPolicyKind::kCostBenefit, {}, 7),
-            GcPolicyKind::kCostBenefit);
-}
-
 // --- end-to-end: the policies driving the trace simulator ---
 
 TraceProfile ProfileByName(const std::string& name) {
@@ -264,12 +250,13 @@ TEST(GcSimZonedTest, PolicyChangesZonedReclaim) {
   }
 }
 
-TEST(GcSimShardedTest, MixedPerShardPolicies) {
+TEST(GcSimShardedTest, CollectsEveryShardDeterministically) {
+  // Three shards, each collected on its own utilization under the one
+  // policy: the run collects and repeats exactly.
   const TraceProfile w04 = ProfileByName("w04");
   GcSimConfig config = HighPressureConfig();
   config.shards = 3;
-  config.shard_policy = {GcPolicyKind::kGreedy, GcPolicyKind::kCostBenefit,
-                         GcPolicyKind::kAgeBucketed};
+  config.policy = GcPolicyKind::kCostBenefit;
   const GcSimResult r = RunProfile(w04, 512, config);
   EXPECT_GT(r.gc_copied_bytes, 0u);
   EXPECT_GE(r.waf(), 1.0);

@@ -179,6 +179,79 @@ TEST_F(LsvdDiskTest, WriteInvalidatesReadCache) {
   EXPECT_EQ(*r, newer);
 }
 
+// A read's routing plan must be built when its lookup charge completes,
+// not before: meanwhile the write cache can evict the planned record and
+// reuse its space for new journal records.
+TEST(LsvdDiskReadRaceTest, SlowLookupNeverReadsRecycledCacheSpace) {
+  TestWorld world;
+  LsvdConfig config = TestWorld::SmallVolumeConfig();
+  config.write_cache_size = 8 * kMiB;
+  config.costs.read_hit = 50 * kMillisecond;
+  LsvdDisk disk(&world.host, &world.store, config);
+  ASSERT_TRUE(OpenSync(&world.sim, &disk, &LsvdDisk::Create).ok());
+  const Buffer data = TestPattern(64 * kKiB, 31);
+  ASSERT_TRUE(WriteSync(&world.sim, &disk, 0, data).ok());
+  ASSERT_TRUE(DrainSync(&world.sim, &disk).ok());
+
+  std::optional<Result<Buffer>> r;
+  disk.Read(0, 64 * kKiB, [&](Result<Buffer> rr) { r = std::move(rr); });
+  // 16 MiB of writes elsewhere wrap the 8 MiB cache while the lookup runs.
+  for (uint64_t off = 0; off < 16 * kMiB; off += 64 * kKiB) {
+    ASSERT_TRUE(WriteSync(&world.sim, &disk, 16 * kMiB + off,
+                          TestPattern(64 * kKiB, 1000 + off / kKiB))
+                    .ok());
+  }
+  while (!r.has_value() && world.sim.Step()) {
+  }
+  ASSERT_TRUE(r.has_value() && r->ok());
+  EXPECT_EQ(**r, data);
+}
+
+// A backend fetch that started before an overwrite must not leave the old
+// bytes in the read cache, where they would surface once the overwrite's
+// write-cache record is evicted. The fetch's daemon step takes
+// `fetch_delay`, so the fetch lands before or after the overwrite's ack;
+// with `evict_first` the overwrite has also been drained and evicted by
+// then.
+Buffer ReadAfterFetchRacesOverwrite(Nanos fetch_delay, bool evict_first,
+                                    const Buffer& v1, const Buffer& v2) {
+  TestWorld world;
+  LsvdConfig config = TestWorld::SmallVolumeConfig();
+  config.costs.read_miss_golang = fetch_delay;
+  LsvdDisk disk(&world.host, &world.store, config);
+  EXPECT_TRUE(OpenSync(&world.sim, &disk, &LsvdDisk::Create).ok());
+  EXPECT_TRUE(WriteSync(&world.sim, &disk, 0, v1).ok());
+  EXPECT_TRUE(DrainSync(&world.sim, &disk).ok());
+  disk.write_cache().EvictReleasable();  // the read misses to the backend
+
+  std::optional<Result<Buffer>> first;
+  disk.Read(0, v1.size(), [&](Result<Buffer> r) { first = std::move(r); });
+  EXPECT_TRUE(WriteSync(&world.sim, &disk, 0, v2).ok());
+  for (int pass = evict_first ? 0 : 1; pass < 2; pass++) {
+    if (pass == 1) {
+      world.sim.Run();  // the first read and any read-cache fill land
+      EXPECT_TRUE(first.has_value() && first->ok());
+    }
+    EXPECT_TRUE(DrainSync(&world.sim, &disk).ok());
+    disk.write_cache().EvictReleasable();
+  }
+  auto r = ReadSync(&world.sim, &disk, 0, v2.size());
+  EXPECT_TRUE(r.ok());
+  return r.ok() ? *r : Buffer();
+}
+
+TEST(LsvdDiskReadRaceTest, FetchRacingAnOverwriteNeverCachesOldData) {
+  const Buffer v1 = TestPattern(64 * kKiB, 41);
+  const Buffer v2 = TestPattern(64 * kKiB, 42);
+  const std::pair<Nanos, bool> cases[] = {
+      {0, false}, {10 * kMillisecond, false}, {10 * kMillisecond, true}};
+  for (const auto& [delay, evict_first] : cases) {
+    SCOPED_TRACE("fetch delay " + std::to_string(delay) +
+                 (evict_first ? ", overwrite evicted first" : ""));
+    EXPECT_EQ(ReadAfterFetchRacesOverwrite(delay, evict_first, v1, v2), v2);
+  }
+}
+
 TEST_F(LsvdDiskTest, FlushCompletes) {
   ASSERT_TRUE(WriteSync(&world_.sim, disk_.get(), 0, TestPattern(4096, 7)).ok());
   EXPECT_TRUE(FlushSync(&world_.sim, disk_.get()).ok());

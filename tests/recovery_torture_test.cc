@@ -203,24 +203,61 @@ FaultInjectionConfig TortureFaults(uint64_t seed) {
   return fc;
 }
 
-// One seeded workload world.  The same (seed, faults) pair always produces
-// the identical event trajectory, which lets a dry run to completion measure
-// the total step count so a crash point can be drawn uniformly from it.
+enum class CrashMode {
+  kClientOnly,     // client dies; cache survives (OpenAfterCrash)
+  kClientAndPower, // client dies and the SSD loses power (OpenAfterCrash)
+  kCacheLost,      // cache gone: recovery sees only the backend
+  kShardTailLoss,  // cache gone and one shard lost its newest object
+};
+
+// One torture family: a config point and crash mode, run for every seed in
+// [first_seed, last_seed].
+struct TortureCase {
+  CrashMode crash;
+  uint64_t first_seed;
+  uint64_t last_seed;
+  size_t shards = 1;
+  bool faults = false;
+  bool trims = false;
+  // Adaptive group commit (DESIGN.md §12) with a deliberately aggressive
+  // deadline, so crash windows are full of deadline-sealed partial batches,
+  // force-started journal records and coalesced barrier flushes.
+  bool adaptive = false;
+  GcPolicyKind policy = GcPolicyKind::kGreedy;
+};
+
+// One seeded workload world over `shards` object stores, each with its own
+// fault stream when faults are on. The same (seed, case) pair always
+// produces the identical event trajectory, which lets a dry run to
+// completion measure the total step count so a crash point can be drawn
+// uniformly from it.
 struct TortureWorld {
-  TestWorld world;
-  std::unique_ptr<FaultyObjectStore> faulty;
+  TestWorld world;  // sim + host; world.store is shard 0
+  std::vector<std::unique_ptr<MemObjectStore>> extra_shards;
+  std::vector<std::unique_ptr<FaultyObjectStore>> faulties;
+  std::vector<MemObjectStore*> mems;      // durable contents, per shard
+  std::vector<ObjectStore*> raw_stores;   // the same, as the disk takes them
   std::unique_ptr<LsvdDisk> disk;
   std::shared_ptr<Runner> runner;
 
-  TortureWorld(uint64_t seed, const LsvdConfig& config, bool with_faults,
-               bool with_trims = false) {
-    ObjectStore* store = &world.store;
-    if (with_faults) {
-      faulty = std::make_unique<FaultyObjectStore>(&world.store, &world.sim,
-                                                   TortureFaults(seed));
-      store = faulty.get();
+  TortureWorld(uint64_t seed, const LsvdConfig& config, size_t shards,
+               bool with_faults, bool with_trims) {
+    std::vector<ObjectStore*> workload_stores;
+    for (size_t i = 0; i < shards; i++) {
+      if (i > 0) {
+        extra_shards.push_back(std::make_unique<MemObjectStore>(&world.sim));
+      }
+      mems.push_back(i == 0 ? &world.store : extra_shards.back().get());
+      raw_stores.push_back(mems.back());
+      if (with_faults) {
+        faulties.push_back(std::make_unique<FaultyObjectStore>(
+            mems.back(), &world.sim, TortureFaults(seed + 7919 * i)));
+        workload_stores.push_back(faulties.back().get());
+      } else {
+        workload_stores.push_back(mems.back());
+      }
     }
-    disk = std::make_unique<LsvdDisk>(&world.host, store, config);
+    disk = std::make_unique<LsvdDisk>(&world.host, workload_stores, config);
     EXPECT_TRUE(OpenSync(&world.sim, disk.get(), &LsvdDisk::Create).ok());
     runner = std::make_shared<Runner>();
     runner->disk = disk.get();
@@ -237,13 +274,22 @@ struct TortureWorld {
     EXPECT_LT(steps, kStepCap) << "workload failed to quiesce";
     return steps;
   }
-};
 
-uint64_t DryRunTotalSteps(uint64_t seed, const LsvdConfig& config,
-                          bool with_faults, bool with_trims = false) {
-  TortureWorld dry(seed, config, with_faults, with_trims);
-  return dry.StepUpTo(kStepCap);
-}
+  // Deletes the highest-sequence data object on one shard, simulating a
+  // backend that lost the tail of that shard's stream.
+  void LoseShardTail(size_t shard) {
+    uint64_t max_seq = 0;
+    for (const auto& name : mems[shard]->List(DataObjectPrefix("vol"))) {
+      if (auto s = ParseDataObjectSeq("vol", name)) {
+        max_seq = std::max(max_seq, *s);
+      }
+    }
+    if (max_seq != 0) {
+      mems[shard]->Delete(DataObjectName("vol", max_seq), [](Status) {});
+      world.sim.Run();
+    }
+  }
+};
 
 std::vector<uint8_t> ReadImage(Simulator* sim, LsvdDisk* disk) {
   auto r = ReadSync(sim, disk, 0, kStampRegion);
@@ -287,50 +333,57 @@ size_t CheckPrefixConsistent(const std::vector<PlannedWrite>& plan,
   return max_stamp;
 }
 
-// Adaptive group commit (DESIGN.md §12) with deliberately aggressive
-// deadlines, so crash windows are full of deadline-sealed partial batches,
-// force-started journal records, and coalesced barrier flushes.
-LsvdConfig AdaptiveTortureConfig() {
-  LsvdConfig config = TortureConfig();
-  config.batch_seal_deadline = 500 * kMicrosecond;
-  return config;
-}
-
-enum class CrashMode { kClientOnly, kClientAndPower };
-
-// Runs the workload, crashes at a seed-chosen random step, reopens via
-// OpenAfterCrash on the surviving host, and verifies the recovered image.
-void TortureAfterCrash(uint64_t seed, bool with_faults, CrashMode mode,
-                       const LsvdConfig& config = TortureConfig(),
-                       bool with_trims = false) {
-  SCOPED_TRACE("seed " + std::to_string(seed));
-  const uint64_t total =
-      DryRunTotalSteps(seed, config, with_faults, with_trims);
+// Runs the workload, crashes at a seed-chosen random step and reopens. After
+// a client crash (OpenAfterCrash on the surviving host) the image must hold
+// at least every acknowledged write, or every flush-covered write when the
+// SSD also lost power. With the cache lost (OpenCacheLost on a fresh host)
+// it must still replay some prefix of the plan; a lost shard tail must
+// truncate that prefix at the gap, never corrupt it.
+void TortureOnce(const TortureCase& c, const LsvdConfig& config,
+                 uint64_t seed) {
+  SCOPED_TRACE("seed " + std::to_string(seed) + " shards " +
+               std::to_string(c.shards));
+  const bool cache_lost =
+      c.crash == CrashMode::kCacheLost || c.crash == CrashMode::kShardTailLoss;
+  const uint64_t total = TortureWorld(seed, config, c.shards, c.faults,
+                                      c.trims)
+                             .StepUpTo(kStepCap);
   ASSERT_GT(total, 0u);
-  Rng crash_rng(seed ^ 0xC4A5481DEAD5EEDull);
+  Rng crash_rng(seed ^ (cache_lost ? 0x10CACE1057ull : 0xC4A5481DEAD5EEDull));
   const uint64_t crash_step = crash_rng.UniformRange(1, total + 1);
 
-  TortureWorld t(seed, config, with_faults, with_trims);
+  TortureWorld t(seed, config, c.shards, c.faults, c.trims);
   t.StepUpTo(crash_step);
   t.runner->dead = true;
   const DiskRegions regions = t.disk->regions();
   t.disk->Kill();
-  if (mode == CrashMode::kClientAndPower) {
+  if (c.crash == CrashMode::kClientAndPower) {
     t.world.host.ssd()->PowerFail();
   }
   t.world.sim.Run();  // drain stale in-flight events
+  if (c.crash == CrashMode::kShardTailLoss) {
+    t.LoseShardTail(seed % c.shards);
+  }
 
-  // Recovery talks to the real store: the backend's own transient faults are
-  // a workload-phase concern, but torn objects it left behind persist.
-  LsvdDisk recovered(&t.world.host, &t.world.store, config, regions);
+  // Recovery talks to the raw stores: the backend's own transient faults
+  // are a workload-phase concern, but torn objects it left behind persist.
+  if (cache_lost) {
+    ClientHost host2(&t.world.sim, TestWorld::InstantHostConfig());
+    LsvdDisk recovered(&host2, t.raw_stores, config);
+    const Status open =
+        OpenSync(&t.world.sim, &recovered, &LsvdDisk::OpenCacheLost);
+    ASSERT_TRUE(open.ok()) << open.message();
+    CheckPrefixConsistent(t.runner->plan,
+                          ReadImage(&t.world.sim, &recovered));
+    return;
+  }
+  LsvdDisk recovered(&t.world.host, t.raw_stores, config, regions);
   const Status open =
       OpenSync(&t.world.sim, &recovered, &LsvdDisk::OpenAfterCrash);
   ASSERT_TRUE(open.ok()) << open.message();
-
-  const std::vector<uint8_t> image = ReadImage(&t.world.sim, &recovered);
-  const size_t recovered_prefix =
-      CheckPrefixConsistent(t.runner->plan, image);
-  const size_t floor = mode == CrashMode::kClientAndPower
+  const size_t recovered_prefix = CheckPrefixConsistent(
+      t.runner->plan, ReadImage(&t.world.sim, &recovered));
+  const size_t floor = c.crash == CrashMode::kClientAndPower
                            ? t.runner->flush_durable
                            : t.runner->acked;
   EXPECT_GE(recovered_prefix, floor)
@@ -338,351 +391,119 @@ void TortureAfterCrash(uint64_t seed, bool with_faults, CrashMode mode,
       << " flush_durable=" << t.runner->flush_durable << ")";
 }
 
-// Same crash, but the write cache is gone: recovery sees only the backend.
-// The recovered image must still be a replay of some prefix of the plan.
-void TortureCacheLost(uint64_t seed, bool with_faults,
-                      const LsvdConfig& config = TortureConfig(),
-                      bool with_trims = false) {
-  SCOPED_TRACE("seed " + std::to_string(seed));
-  const uint64_t total =
-      DryRunTotalSteps(seed, config, with_faults, with_trims);
-  ASSERT_GT(total, 0u);
-  Rng crash_rng(seed ^ 0x10CACE1057ull);
-  const uint64_t crash_step = crash_rng.UniformRange(1, total + 1);
-
-  TortureWorld t(seed, config, with_faults, with_trims);
-  t.StepUpTo(crash_step);
-  t.runner->dead = true;
-  t.disk->Kill();
-  t.world.sim.Run();
-
-  ClientHost host2(&t.world.sim, TestWorld::InstantHostConfig());
-  LsvdDisk recovered(&host2, &t.world.store, config);
-  const Status open =
-      OpenSync(&t.world.sim, &recovered, &LsvdDisk::OpenCacheLost);
-  ASSERT_TRUE(open.ok()) << open.message();
-
-  const std::vector<uint8_t> image = ReadImage(&t.world.sim, &recovered);
-  CheckPrefixConsistent(t.runner->plan, image);
-}
-
-TEST(RecoveryTortureTest, AfterCrashRecoversAckedWrites) {
-  for (uint64_t seed = 1; seed <= 50; seed++) {
-    TortureAfterCrash(seed, /*with_faults=*/false, CrashMode::kClientOnly);
-  }
-}
-
-TEST(RecoveryTortureTest, AfterCrashWithPowerFailure) {
-  for (uint64_t seed = 101; seed <= 125; seed++) {
-    TortureAfterCrash(seed, /*with_faults=*/false, CrashMode::kClientAndPower);
-  }
-}
-
-TEST(RecoveryTortureTest, AfterCrashUnderBackendFaults) {
-  for (uint64_t seed = 201; seed <= 220; seed++) {
-    TortureAfterCrash(seed, /*with_faults=*/true, CrashMode::kClientOnly);
-  }
-}
-
-TEST(RecoveryTortureTest, CacheLostRecoversConsistentPrefix) {
-  for (uint64_t seed = 301; seed <= 350; seed++) {
-    TortureCacheLost(seed, /*with_faults=*/false);
-  }
-}
-
-TEST(RecoveryTortureTest, CacheLostUnderBackendFaults) {
-  for (uint64_t seed = 401; seed <= 420; seed++) {
-    TortureCacheLost(seed, /*with_faults=*/true);
-  }
-}
-
-// --- adaptive group commit under crashes (DESIGN.md §12) ---
-//
-// Same invariants as above, but with deadline sealing, flush coalescing, and
-// the small-write fast path all on: acked writes survive a client crash,
-// flush-covered writes survive power loss, and a deadline-sealed partial
-// batch must never advance the backend sync watermark past journal records
-// whose data the backend does not hold (the ReleaseThrough safety edge).
-
-TEST(RecoveryTortureTest, AdaptiveSealAfterCrashRecoversAckedWrites) {
-  for (uint64_t seed = 1301; seed <= 1330; seed++) {
-    TortureAfterCrash(seed, /*with_faults=*/false, CrashMode::kClientOnly,
-                      AdaptiveTortureConfig());
-  }
-}
-
-TEST(RecoveryTortureTest, AdaptiveSealAfterCrashWithPowerFailure) {
-  for (uint64_t seed = 1401; seed <= 1420; seed++) {
-    TortureAfterCrash(seed, /*with_faults=*/false, CrashMode::kClientAndPower,
-                      AdaptiveTortureConfig());
-  }
-}
-
-TEST(RecoveryTortureTest, AdaptiveSealAfterCrashUnderBackendFaults) {
-  for (uint64_t seed = 1501; seed <= 1515; seed++) {
-    TortureAfterCrash(seed, /*with_faults=*/true, CrashMode::kClientOnly,
-                      AdaptiveTortureConfig());
-  }
-}
-
-TEST(RecoveryTortureTest, AdaptiveSealCacheLostRecoversConsistentPrefix) {
-  for (uint64_t seed = 1601; seed <= 1625; seed++) {
-    TortureCacheLost(seed, /*with_faults=*/false, AdaptiveTortureConfig());
-  }
-}
-
-// --- sharded backends (DESIGN.md §9) ---
-//
-// The same harness over a volume striped across N independent object stores,
-// each with its own fault injector. The shadow model is unchanged: sharding
-// must be invisible to the prefix-consistency contract.
-
-struct ShardedTortureWorld {
-  TestWorld world;  // sim + host (its built-in store is unused here)
-  std::vector<std::unique_ptr<MemObjectStore>> mems;
-  std::vector<std::unique_ptr<FaultyObjectStore>> faulties;
-  std::vector<ObjectStore*> workload_stores;  // faulty wrappers (or raw)
-  std::vector<ObjectStore*> raw_stores;       // durable contents
-  std::unique_ptr<LsvdDisk> disk;
-  std::shared_ptr<Runner> runner;
-
-  ShardedTortureWorld(uint64_t seed, const LsvdConfig& config, size_t shards,
-                      bool with_faults, bool with_trims = false) {
-    for (size_t i = 0; i < shards; i++) {
-      mems.push_back(std::make_unique<MemObjectStore>(&world.sim));
-      raw_stores.push_back(mems.back().get());
-      if (with_faults) {
-        // Distinct fault stream per shard.
-        faulties.push_back(std::make_unique<FaultyObjectStore>(
-            mems.back().get(), &world.sim, TortureFaults(seed + 7919 * i)));
-        workload_stores.push_back(faulties.back().get());
-      } else {
-        workload_stores.push_back(mems.back().get());
-      }
+void RunTorture(const std::vector<TortureCase>& cases) {
+  for (const TortureCase& c : cases) {
+    LsvdConfig config = TortureConfig();
+    if (c.adaptive) {
+      config.batch_seal_deadline = 500 * kMicrosecond;
     }
-    disk = std::make_unique<LsvdDisk>(&world.host, workload_stores, config);
-    EXPECT_TRUE(OpenSync(&world.sim, disk.get(), &LsvdDisk::Create).ok());
-    runner = std::make_shared<Runner>();
-    runner->disk = disk.get();
-    runner->plan = MakePlan(seed, with_trims);
-    Pump(runner);
-  }
-
-  uint64_t StepUpTo(uint64_t limit) {
-    uint64_t steps = 0;
-    while (steps < limit && world.sim.Step()) {
-      steps++;
-    }
-    EXPECT_LT(steps, kStepCap) << "workload failed to quiesce";
-    return steps;
-  }
-
-  // Deletes the highest-sequence data object on one shard, simulating a
-  // backend that lost the tail of that shard's stream.
-  void LoseShardTail(size_t shard) {
-    uint64_t max_seq = 0;
-    for (const auto& name : mems[shard]->List(DataObjectPrefix("vol"))) {
-      if (auto s = ParseDataObjectSeq("vol", name)) {
-        max_seq = std::max(max_seq, *s);
-      }
-    }
-    if (max_seq != 0) {
-      mems[shard]->Delete(DataObjectName("vol", max_seq), [](Status) {});
-      world.sim.Run();
+    config.gc_policy = c.policy;
+    for (uint64_t seed = c.first_seed; seed <= c.last_seed; seed++) {
+      TortureOnce(c, config, seed);
     }
   }
-};
-
-uint64_t ShardedDryRunTotalSteps(uint64_t seed, const LsvdConfig& config,
-                                 size_t shards, bool with_faults,
-                                 bool with_trims = false) {
-  ShardedTortureWorld dry(seed, config, shards, with_faults, with_trims);
-  return dry.StepUpTo(kStepCap);
 }
 
-// Client crash with the cache surviving: OpenAfterCrash on the shard set
-// must recover at least every acknowledged write.
-void ShardedTortureAfterCrash(
-    uint64_t seed, size_t shards, bool with_faults,
-    const std::vector<GcPolicyKind>& shard_policy = {},
-    bool with_trims = false) {
-  SCOPED_TRACE("seed " + std::to_string(seed) + " shards " +
-               std::to_string(shards));
-  LsvdConfig config = TortureConfig();
-  config.gc_shard_policy = shard_policy;
-  const uint64_t total =
-      ShardedDryRunTotalSteps(seed, config, shards, with_faults, with_trims);
-  ASSERT_GT(total, 0u);
-  Rng crash_rng(seed ^ 0xC4A5481DEAD5EEDull);
-  const uint64_t crash_step = crash_rng.UniformRange(1, total + 1);
+// The torture table: one test per family, each running one or more cases.
+#define TORTURE_TEST(suite, name, ...) \
+  TEST(suite, name) { RunTorture({__VA_ARGS__}); }
 
-  ShardedTortureWorld t(seed, config, shards, with_faults, with_trims);
-  t.StepUpTo(crash_step);
-  t.runner->dead = true;
-  const DiskRegions regions = t.disk->regions();
-  t.disk->Kill();
-  t.world.sim.Run();
+using enum CrashMode;
+constexpr GcPolicyKind kCostBenefit = GcPolicyKind::kCostBenefit;
 
-  LsvdDisk recovered(&t.world.host, t.raw_stores, config, regions);
-  const Status open =
-      OpenSync(&t.world.sim, &recovered, &LsvdDisk::OpenAfterCrash);
-  ASSERT_TRUE(open.ok()) << open.message();
+// Single-stream volumes.
+TORTURE_TEST(RecoveryTortureTest, AfterCrashRecoversAckedWrites,
+             {.crash = kClientOnly, .first_seed = 1, .last_seed = 50})
+TORTURE_TEST(RecoveryTortureTest, AfterCrashWithPowerFailure,
+             {.crash = kClientAndPower, .first_seed = 101, .last_seed = 125})
+TORTURE_TEST(RecoveryTortureTest, AfterCrashUnderBackendFaults,
+             {.crash = kClientOnly, .first_seed = 201, .last_seed = 220,
+              .faults = true})
+TORTURE_TEST(RecoveryTortureTest, CacheLostRecoversConsistentPrefix,
+             {.crash = kCacheLost, .first_seed = 301, .last_seed = 350})
+TORTURE_TEST(RecoveryTortureTest, CacheLostUnderBackendFaults,
+             {.crash = kCacheLost, .first_seed = 401, .last_seed = 420,
+              .faults = true})
 
-  const std::vector<uint8_t> image = ReadImage(&t.world.sim, &recovered);
-  const size_t recovered_prefix = CheckPrefixConsistent(t.runner->plan, image);
-  EXPECT_GE(recovered_prefix, t.runner->acked)
-      << "lost acknowledged writes (acked=" << t.runner->acked << ")";
-}
+// Adaptive group commit: a deadline-sealed partial batch must never advance
+// the backend sync watermark past journal records whose data the backend
+// does not hold (the ReleaseThrough safety edge).
+TORTURE_TEST(RecoveryTortureTest, AdaptiveSealAfterCrashRecoversAckedWrites,
+             {.crash = kClientOnly, .first_seed = 1301, .last_seed = 1330,
+              .adaptive = true})
+TORTURE_TEST(RecoveryTortureTest, AdaptiveSealAfterCrashWithPowerFailure,
+             {.crash = kClientAndPower, .first_seed = 1401,
+              .last_seed = 1420, .adaptive = true})
+TORTURE_TEST(RecoveryTortureTest, AdaptiveSealAfterCrashUnderBackendFaults,
+             {.crash = kClientOnly, .first_seed = 1501, .last_seed = 1515,
+              .faults = true, .adaptive = true})
+TORTURE_TEST(RecoveryTortureTest,
+             AdaptiveSealCacheLostRecoversConsistentPrefix,
+             {.crash = kCacheLost, .first_seed = 1601, .last_seed = 1625,
+              .adaptive = true})
 
-// Cache lost: recovery sees only the shard streams; optionally one shard
-// also lost its newest object, which must truncate the recovered prefix at
-// the gap, never corrupt it.
-void ShardedTortureCacheLost(uint64_t seed, size_t shards, bool with_faults,
-                             bool lose_one_tail,
-                             const std::vector<GcPolicyKind>& shard_policy = {},
-                             bool with_trims = false) {
-  SCOPED_TRACE("seed " + std::to_string(seed) + " shards " +
-               std::to_string(shards));
-  LsvdConfig config = TortureConfig();
-  config.gc_shard_policy = shard_policy;
-  const uint64_t total =
-      ShardedDryRunTotalSteps(seed, config, shards, with_faults, with_trims);
-  ASSERT_GT(total, 0u);
-  Rng crash_rng(seed ^ 0x10CACE1057ull);
-  const uint64_t crash_step = crash_rng.UniformRange(1, total + 1);
+// Sharded backends (DESIGN.md §9): the shadow model is unchanged, since
+// sharding must be invisible to the prefix-consistency contract.
+TORTURE_TEST(ShardedRecoveryTortureTest, AfterCrashRecoversAckedWrites,
+             {.crash = kClientOnly, .first_seed = 601, .last_seed = 615,
+              .shards = 2},
+             {.crash = kClientOnly, .first_seed = 601, .last_seed = 615,
+              .shards = 4})
+TORTURE_TEST(ShardedRecoveryTortureTest, AfterCrashUnderPerShardFaults,
+             {.crash = kClientOnly, .first_seed = 701, .last_seed = 710,
+              .shards = 4, .faults = true})
+TORTURE_TEST(ShardedRecoveryTortureTest, CacheLostRecoversConsistentPrefix,
+             {.crash = kCacheLost, .first_seed = 801, .last_seed = 815,
+              .shards = 4})
+TORTURE_TEST(ShardedRecoveryTortureTest, CacheLostUnderPerShardFaults,
+             {.crash = kCacheLost, .first_seed = 901, .last_seed = 910,
+              .shards = 4, .faults = true})
+TORTURE_TEST(ShardedRecoveryTortureTest, CacheLostWithOneShardTailLoss,
+             {.crash = kShardTailLoss, .first_seed = 1001,
+              .last_seed = 1010, .shards = 2},
+             {.crash = kShardTailLoss, .first_seed = 1001,
+              .last_seed = 1010, .shards = 4, .faults = true})
 
-  ShardedTortureWorld t(seed, config, shards, with_faults, with_trims);
-  t.StepUpTo(crash_step);
-  t.runner->dead = true;
-  t.disk->Kill();
-  t.world.sim.Run();
-  if (lose_one_tail) {
-    t.LoseShardTail(seed % shards);
-  }
+// Cost-benefit cleaning on every shard (docs/GC.md): crash and recovery
+// with generation-tagged GC output in the replayed tail (DESIGN.md §11).
+TORTURE_TEST(ShardedRecoveryTortureTest, AfterCrashWithCostBenefitPolicy,
+             {.crash = kClientOnly, .first_seed = 1101, .last_seed = 1108,
+              .shards = 4, .policy = kCostBenefit},
+             {.crash = kClientOnly, .first_seed = 1101, .last_seed = 1108,
+              .shards = 4, .faults = true, .policy = kCostBenefit})
+TORTURE_TEST(ShardedRecoveryTortureTest, CacheLostWithCostBenefitPolicy,
+             {.crash = kCacheLost, .first_seed = 1201, .last_seed = 1208,
+              .shards = 4, .policy = kCostBenefit},
+             {.crash = kShardTailLoss, .first_seed = 1201,
+              .last_seed = 1208, .shards = 4, .faults = true,
+              .policy = kCostBenefit})
 
-  ClientHost host2(&t.world.sim, TestWorld::InstantHostConfig());
-  LsvdDisk recovered(&host2, t.raw_stores, config);
-  const Status open =
-      OpenSync(&t.world.sim, &recovered, &LsvdDisk::OpenCacheLost);
-  ASSERT_TRUE(open.ok()) << open.message();
-
-  const std::vector<uint8_t> image = ReadImage(&t.world.sim, &recovered);
-  CheckPrefixConsistent(t.runner->plan, image);
-}
-
-TEST(ShardedRecoveryTortureTest, AfterCrashRecoversAckedWrites) {
-  for (uint64_t seed = 601; seed <= 615; seed++) {
-    ShardedTortureAfterCrash(seed, /*shards=*/2, /*with_faults=*/false);
-    ShardedTortureAfterCrash(seed, /*shards=*/4, /*with_faults=*/false);
-  }
-}
-
-TEST(ShardedRecoveryTortureTest, AfterCrashUnderPerShardFaults) {
-  for (uint64_t seed = 701; seed <= 710; seed++) {
-    ShardedTortureAfterCrash(seed, /*shards=*/4, /*with_faults=*/true);
-  }
-}
-
-TEST(ShardedRecoveryTortureTest, CacheLostRecoversConsistentPrefix) {
-  for (uint64_t seed = 801; seed <= 815; seed++) {
-    ShardedTortureCacheLost(seed, /*shards=*/4, /*with_faults=*/false,
-                            /*lose_one_tail=*/false);
-  }
-}
-
-TEST(ShardedRecoveryTortureTest, CacheLostUnderPerShardFaults) {
-  for (uint64_t seed = 901; seed <= 910; seed++) {
-    ShardedTortureCacheLost(seed, /*shards=*/4, /*with_faults=*/true,
-                            /*lose_one_tail=*/false);
-  }
-}
-
-TEST(ShardedRecoveryTortureTest, CacheLostWithOneShardTailLoss) {
-  for (uint64_t seed = 1001; seed <= 1010; seed++) {
-    ShardedTortureCacheLost(seed, /*shards=*/2, /*with_faults=*/false,
-                            /*lose_one_tail=*/true);
-    ShardedTortureCacheLost(seed, /*shards=*/4, /*with_faults=*/true,
-                            /*lose_one_tail=*/true);
-  }
-}
-
-// Mixed per-shard victim-selection policies (docs/GC.md): these runs cover
-// crash/recovery with every policy collecting, and with generation-tagged
-// GC output in the replayed tail.
-const std::vector<GcPolicyKind> kMixedShardPolicies = {
-    GcPolicyKind::kGreedy, GcPolicyKind::kCostBenefit,
-    GcPolicyKind::kAgeBucketed, GcPolicyKind::kCostBenefit};
-
-TEST(ShardedRecoveryTortureTest, AfterCrashWithMixedPerShardPolicies) {
-  for (uint64_t seed = 1101; seed <= 1108; seed++) {
-    ShardedTortureAfterCrash(seed, /*shards=*/4, /*with_faults=*/false,
-                             kMixedShardPolicies);
-    ShardedTortureAfterCrash(seed, /*shards=*/4, /*with_faults=*/true,
-                             kMixedShardPolicies);
-  }
-}
-
-TEST(ShardedRecoveryTortureTest, CacheLostWithMixedPerShardPolicies) {
-  for (uint64_t seed = 1201; seed <= 1208; seed++) {
-    ShardedTortureCacheLost(seed, /*shards=*/4, /*with_faults=*/false,
-                            /*lose_one_tail=*/false, kMixedShardPolicies);
-    ShardedTortureCacheLost(seed, /*shards=*/4, /*with_faults=*/true,
-                            /*lose_one_tail=*/true, kMixedShardPolicies);
-  }
-}
-
-// --- TRIM under crashes (DESIGN.md §13) ---
-//
-// The plans mix ~25% trims into the write stream, so crash windows land
-// between a trim journal record and the checkpoint that would absorb it, on
-// half-applied trim batches, and on replayed trim records. The shadow model
-// treats a trim as returning its blocks to the all-zero state; ObservedStamps
-// already fails any block that is only partially zero, so a trim can never
-// expose stale or torn data.
-
-TEST(TrimRecoveryTortureTest, AfterCrashRecoversAckedOps) {
-  for (uint64_t seed = 2001; seed <= 2020; seed++) {
-    TortureAfterCrash(seed, /*with_faults=*/false, CrashMode::kClientOnly,
-                      TortureConfig(), /*with_trims=*/true);
-  }
-}
-
-TEST(TrimRecoveryTortureTest, AfterCrashWithPowerFailure) {
-  for (uint64_t seed = 2101; seed <= 2115; seed++) {
-    TortureAfterCrash(seed, /*with_faults=*/false, CrashMode::kClientAndPower,
-                      TortureConfig(), /*with_trims=*/true);
-  }
-}
-
-TEST(TrimRecoveryTortureTest, AfterCrashUnderBackendFaults) {
-  for (uint64_t seed = 2201; seed <= 2210; seed++) {
-    TortureAfterCrash(seed, /*with_faults=*/true, CrashMode::kClientOnly,
-                      TortureConfig(), /*with_trims=*/true);
-  }
-}
-
-TEST(TrimRecoveryTortureTest, CacheLostRecoversConsistentPrefix) {
-  for (uint64_t seed = 2301; seed <= 2320; seed++) {
-    TortureCacheLost(seed, /*with_faults=*/false, TortureConfig(),
-                     /*with_trims=*/true);
-  }
-}
-
-TEST(TrimRecoveryTortureTest, ShardedAfterCrashRecoversAckedOps) {
-  for (uint64_t seed = 2401; seed <= 2410; seed++) {
-    ShardedTortureAfterCrash(seed, /*shards=*/4, /*with_faults=*/false, {},
-                             /*with_trims=*/true);
-  }
-}
-
-TEST(TrimRecoveryTortureTest, ShardedCacheLostRecoversConsistentPrefix) {
-  for (uint64_t seed = 2501; seed <= 2510; seed++) {
-    ShardedTortureCacheLost(seed, /*shards=*/4, /*with_faults=*/false,
-                            /*lose_one_tail=*/false, {}, /*with_trims=*/true);
-    ShardedTortureCacheLost(seed, /*shards=*/2, /*with_faults=*/true,
-                            /*lose_one_tail=*/false, {}, /*with_trims=*/true);
-  }
-}
+// TRIM under crashes (DESIGN.md §13): ~25% of ops are trims, so crash
+// windows land between a trim journal record and the checkpoint that would
+// absorb it, on half-applied trim batches, and on replayed trim records. The
+// shadow model treats a trim as returning its blocks to the all-zero state;
+// ObservedStamps already fails any block that is only partially zero, so a
+// trim can never expose stale or torn data.
+TORTURE_TEST(TrimRecoveryTortureTest, AfterCrashRecoversAckedOps,
+             {.crash = kClientOnly, .first_seed = 2001, .last_seed = 2020,
+              .trims = true})
+TORTURE_TEST(TrimRecoveryTortureTest, AfterCrashWithPowerFailure,
+             {.crash = kClientAndPower, .first_seed = 2101,
+              .last_seed = 2115, .trims = true})
+TORTURE_TEST(TrimRecoveryTortureTest, AfterCrashUnderBackendFaults,
+             {.crash = kClientOnly, .first_seed = 2201, .last_seed = 2210,
+              .faults = true, .trims = true})
+TORTURE_TEST(TrimRecoveryTortureTest, CacheLostRecoversConsistentPrefix,
+             {.crash = kCacheLost, .first_seed = 2301, .last_seed = 2320,
+              .trims = true})
+TORTURE_TEST(TrimRecoveryTortureTest, ShardedAfterCrashRecoversAckedOps,
+             {.crash = kClientOnly, .first_seed = 2401, .last_seed = 2410,
+              .shards = 4, .trims = true})
+TORTURE_TEST(TrimRecoveryTortureTest, ShardedCacheLostRecoversConsistentPrefix,
+             {.crash = kCacheLost, .first_seed = 2501, .last_seed = 2510,
+              .shards = 4, .trims = true},
+             {.crash = kCacheLost, .first_seed = 2501, .last_seed = 2510,
+              .shards = 2, .faults = true, .trims = true})
 
 // Acceptance: a seeded workload against a backend with 10% transient PUT
 // failures runs to completion with zero data-integrity errors, and after a
@@ -691,7 +512,8 @@ TEST(RecoveryTortureTest, FaultyWorkloadCompletesWithFullIntegrity) {
   for (uint64_t seed = 501; seed <= 505; seed++) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const LsvdConfig config = TortureConfig();
-    TortureWorld t(seed, config, /*with_faults=*/true);
+    TortureWorld t(seed, config, /*shards=*/1, /*with_faults=*/true,
+                   /*with_trims=*/false);
     t.StepUpTo(kStepCap);
     EXPECT_EQ(t.runner->acked, t.runner->plan.size());
     EXPECT_EQ(t.runner->write_failures, 0u);

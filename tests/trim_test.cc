@@ -217,23 +217,30 @@ TEST_F(TrimBackendTest, PagedMapMatchesFlatThroughTrimsAndRecovery) {
   // budget: identical observable map.
   LsvdConfig paged_config = config_;
   paged_config.volume_name = "volp";  // shares world_.store with store_
-  paged_config.map_resident_bytes = 16 * kKiB;  // force eviction traffic
-  paged_config.map_page_span = kMiB;
+  paged_config.map_resident_bytes = 4 * kKiB;  // force eviction traffic
   auto paged = std::make_unique<BackendStore>(&world_.host, &world_.store,
                                               nullptr, paged_config);
-  // Interleave the same writes and trims into both stores.
+  // Interleave the same writes and trims into both stores, placed around
+  // the 256 MiB page boundaries at 256, 512 and 768 MiB so some ops span
+  // two leaf pages.
+  constexpr uint64_t kPageSpan = 256 * kMiB;
   Rng rng(9);
+  int crossings = 0;
   for (int i = 0; i < 40; i++) {
-    const uint64_t vlba = rng.Uniform(256) * 16 * kKiB;
+    const uint64_t boundary = (1 + rng.Uniform(3)) * kPageSpan;
+    const uint64_t vlba = boundary - 32 * kKiB + rng.Uniform(8) * 8 * kKiB;
+    const uint64_t len = i % 5 == 4 ? 32 * kKiB : 16 * kKiB;
+    crossings += vlba < boundary && vlba + len > boundary ? 1 : 0;
     if (i % 5 == 4) {
-      store_->AddTrim(vlba, 32 * kKiB);
-      paged->AddTrim(vlba, 32 * kKiB);
+      store_->AddTrim(vlba, len);
+      paged->AddTrim(vlba, len);
     } else {
-      store_->AddWrite(vlba, TestPattern(16 * kKiB, 50 + i));
-      paged->AddWrite(vlba, TestPattern(16 * kKiB, 50 + i));
+      store_->AddWrite(vlba, TestPattern(len, 50 + i));
+      paged->AddWrite(vlba, TestPattern(len, 50 + i));
     }
     Run();
   }
+  EXPECT_GT(crossings, 0);
   store_->Seal();
   paged->Seal();
   Run();
@@ -242,6 +249,7 @@ TEST_F(TrimBackendTest, PagedMapMatchesFlatThroughTrimsAndRecovery) {
   EXPECT_EQ(store_->object_map().Extents(), paged->object_map().Extents());
   EXPECT_LE(paged->object_map().ResidentBytes(),
             paged_config.map_resident_bytes);
+  EXPECT_GT(paged->object_map().page_evictions(), 0u);
 }
 
 // --- generation scoring across recovery (the GC bugfix regression) ---
