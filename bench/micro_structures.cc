@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for LSVD's core data structures: the
 // extent map (all three translation maps, §3.1/§6.1), the event engine,
-// CRC32C, and the journal/object codecs. These justify the in-memory-map
+// CRC32C, the journal/object codecs, the SSD's block store and the
+// write-cache checkpoint encoder. These justify the in-memory-map
 // design decision (§6.1: ~24 bytes and sub-microsecond operations per entry)
 // and track the hot-path CPU work (docs/PERF.md).
 //
@@ -15,10 +16,13 @@
 #include <utility>
 #include <vector>
 
+#include "src/blockdev/sim_ssd.h"
+#include "src/lsvd/client_host.h"
 #include "src/lsvd/extent_map.h"
 #include "src/lsvd/journal.h"
 #include "src/lsvd/object_format.h"
 #include "src/lsvd/paged_extent_map.h"
+#include "src/lsvd/write_cache.h"
 #include "src/sim/simulator.h"
 #include "src/util/crc32c.h"
 #include "src/util/rng.h"
@@ -318,6 +322,71 @@ void BM_ObjectHeaderDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObjectHeaderDecode)->Arg(16)->Arg(512)->Arg(2048);
+
+// SimSsd's block store under the journal's write shape: one non-zero
+// header block (an encoded record header, shared rather than copied) plus
+// a symbolic zero payload of `range(0)` blocks, written at the log head,
+// flushed, and read back.
+void BM_SimSsdJournalWriteFlushRead(benchmark::State& state) {
+  const auto payload = static_cast<uint64_t>(state.range(0)) * 4 * kKiB;
+  constexpr uint64_t kCapacity = 256 * kMiB;
+  Simulator sim;
+  SimSsd ssd(&sim, kCapacity, SsdParams::Instant());
+  auto header = std::make_shared<const std::vector<uint8_t>>(4 * kKiB, 0x5A);
+  uint64_t offset = 0;
+  uint64_t sink = 0;
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    const uint64_t len = 4 * kKiB + payload;
+    if (offset + len > kCapacity) {
+      offset = 0;
+    }
+    Buffer record;
+    record.AppendShared(header, 0, header->size());
+    record.AppendZeros(payload);
+    ssd.Write(offset, std::move(record), [](Status) {});
+    ssd.Flush([](Status) {});
+    ssd.Read(offset, len, [&sink](Result<Buffer> r) { sink += r->size(); });
+    sim.Run();
+    offset += len;
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SimSsdJournalWriteFlushRead)->Arg(4)->Arg(256);
+
+// A write-cache checkpoint: encoding the map of `range(0)` non-adjacent
+// 4 KiB extents (plus the records holding them) into one blob, and handing
+// it to the SSD with its flush.
+void BM_CheckpointEncode(benchmark::State& state) {
+  const auto extents = static_cast<uint64_t>(state.range(0));
+  Simulator sim;
+  ClientHostConfig hc;
+  hc.ssd_capacity = 2 * kGiB;
+  hc.ssd = SsdParams::Instant();
+  ClientHost host(&sim, hc);
+  constexpr uint64_t kRegion = kGiB;
+  WriteCache wc(&host, *host.AllocRegion(kRegion), kRegion,
+                StageCosts{0, 0, 0, 0, 0, 0, 0, 0, 0});
+  wc.Format([](Status) {});
+  sim.Run();
+  for (uint64_t i = 0; i < extents; i++) {
+    wc.Append(2 * i * 4 * kKiB, Buffer::Zeros(4 * kKiB), 1, [](Status) {});
+  }
+  sim.Run();
+  uint64_t ok = 0;
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    wc.WriteCheckpoint(0, [&ok](Status s) { ok += s.ok() ? 1 : 0; });
+    sim.Run();
+  }
+  if (ok != static_cast<uint64_t>(state.iterations()) ||
+      wc.map().extent_count() != extents) {
+    state.SkipWithError("checkpoint failed or map not fragmented");
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CheckpointEncode)->Arg(4096)->Arg(65536);
 
 }  // namespace
 }  // namespace lsvd

@@ -108,16 +108,7 @@ void RbdDisk::Write(uint64_t offset, Buffer data,
 
   // Store contents immediately (the acknowledgement below gates the caller,
   // and RBD has no client-side volatile state to lose).
-  for (uint64_t b = 0; b < data.size() / kBlockSize; b++) {
-    Buffer slice = data.Slice(b * kBlockSize, kBlockSize);
-    const uint64_t block = offset / kBlockSize + b;
-    if (slice.IsAllZeros()) {
-      blocks_[block] = nullptr;
-    } else {
-      blocks_[block] =
-          std::make_shared<const std::vector<uint8_t>>(slice.ToBytes());
-    }
-  }
+  image_.Write(offset, data);
 
   // Split on chunk boundaries; each piece is replicated independently.
   std::vector<std::pair<uint64_t, uint64_t>> pieces;
@@ -180,16 +171,7 @@ void RbdDisk::Read(uint64_t offset, uint64_t len,
   c_read_bytes_->Inc(len);
   const Nanos started = sim_->now();
 
-  Buffer out;
-  for (uint64_t b = 0; b < len / kBlockSize; b++) {
-    auto it = blocks_.find(offset / kBlockSize + b);
-    if (it == blocks_.end() || it->second == nullptr) {
-      out.AppendZeros(kBlockSize);
-    } else {
-      out.AppendBytes(
-          std::span<const uint8_t>(it->second->data(), it->second->size()));
-    }
-  }
+  Buffer out = image_.Read(offset, len);
 
   // Timing: request to primary, disk read, transfer back.
   const uint64_t chunk = ChunkIndex(offset);

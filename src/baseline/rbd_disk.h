@@ -12,9 +12,9 @@
 #define SRC_BASELINE_RBD_DISK_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "src/blockdev/block_store.h"
 #include "src/blockdev/virtual_disk.h"
 #include "src/sim/cluster.h"
 #include "src/sim/net_link.h"
@@ -73,9 +73,7 @@ class RbdDisk : public VirtualDisk {
   RbdConfig config_;
   uint64_t volume_id_;
 
-  // Image contents at 4 KiB granularity (absent or null = zeros).
-  std::unordered_map<uint64_t, std::shared_ptr<const std::vector<uint8_t>>>
-      blocks_;
+  BlockStore image_;  // image contents; unwritten blocks read as zeros
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   std::unique_ptr<MetricsRegistry> owned_metrics_;

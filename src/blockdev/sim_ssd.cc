@@ -96,55 +96,6 @@ void SimSsd::SubmitOp(bool is_write, uint64_t offset, uint64_t len,
   }
 }
 
-void SimSsd::StoreBlocks(BlockMap* map, uint64_t offset, const Buffer& data) {
-  const uint64_t blocks = data.size() / kBlockSize;
-  if (data.IsAllZeros()) {
-    // Bulk payloads are symbolic zero runs; skip per-block slicing.
-    for (uint64_t i = 0; i < blocks; i++) {
-      (*map)[offset / kBlockSize + i] = nullptr;
-    }
-    return;
-  }
-  for (uint64_t i = 0; i < blocks; i++) {
-    const uint64_t block = offset / kBlockSize + i;
-    // A block that is exactly one already-materialized chunk (e.g. an
-    // encoded journal header) is stored by reference, not copied.
-    if (auto whole = data.SharedSpan(i * kBlockSize, kBlockSize)) {
-      (*map)[block] = std::move(whole);
-      continue;
-    }
-    Buffer slice = data.Slice(i * kBlockSize, kBlockSize);
-    if (slice.IsAllZeros()) {
-      (*map)[block] = nullptr;
-    } else {
-      (*map)[block] = std::make_shared<const std::vector<uint8_t>>(
-          slice.ToBytes());
-    }
-  }
-}
-
-Buffer SimSsd::LoadBlocks(uint64_t offset, uint64_t len) const {
-  Buffer out;
-  const uint64_t blocks = len / kBlockSize;
-  for (uint64_t i = 0; i < blocks; i++) {
-    const uint64_t block = offset / kBlockSize + i;
-    const BlockData* data = nullptr;
-    if (auto it = volatile_.find(block); it != volatile_.end()) {
-      data = &it->second;
-    } else if (auto jt = durable_.find(block); jt != durable_.end()) {
-      data = &jt->second;
-    }
-    if (data == nullptr || *data == nullptr) {
-      out.AppendZeros(kBlockSize);
-    } else {
-      // Share the stored block's storage; stored blocks are immutable and
-      // map-value replacement only swaps the shared_ptr, so sharing is safe.
-      out.AppendShared(*data);
-    }
-  }
-  return out;
-}
-
 void SimSsd::Write(uint64_t offset, Buffer data, WriteCallback done) {
   if (!Aligned(offset) || !Aligned(data.size()) || data.empty()) {
     done(Status::InvalidArgument("unaligned or empty SSD write"));
@@ -163,10 +114,12 @@ void SimSsd::Write(uint64_t offset, Buffer data, WriteCallback done) {
     });
     return;
   }
-  // Contents land in the volatile cache as soon as the op is accepted;
+  // Contents are visible to reads as soon as the op is accepted;
   // completion is acknowledged after the service time.
-  StoreBlocks(&volatile_, offset, data);
-  SubmitOp(true, offset, data.size(),
+  const uint64_t len = data.size();
+  current_.Write(offset, data);
+  unflushed_.push_back(Unflushed{next_write_seq_++, offset, std::move(data)});
+  SubmitOp(true, offset, len,
            [done = std::move(done)]() { done(Status::Ok()); });
 }
 
@@ -181,7 +134,7 @@ void SimSsd::Read(uint64_t offset, uint64_t len, ReadCallback done) {
   }
   stats_.read_ops++;
   stats_.read_bytes += len;
-  Buffer data = LoadBlocks(offset, len);
+  Buffer data = current_.Read(offset, len);
   SubmitOp(false, offset, len,
            [done = std::move(done), data = std::move(data)]() {
     done(data);
@@ -190,35 +143,28 @@ void SimSsd::Read(uint64_t offset, uint64_t len, ReadCallback done) {
 
 void SimSsd::Flush(WriteCallback done) {
   stats_.flushes++;
-  // Everything currently in the volatile cache becomes durable when the
-  // flush completes; writes submitted after this point are not covered.
-  auto flushed = std::make_shared<BlockMap>(std::move(volatile_));
-  volatile_.clear();
-  // The moved-from map lost its buckets; pre-size for the next flush window
-  // (steady-state windows carry similar write counts) to avoid re-growing
-  // the table from scratch every cycle.
-  volatile_.reserve(flushed->size());
-  const uint64_t epoch = epoch_;
-  write_queue_.Submit(params_.flush,
-                      [this, epoch, flushed, done = std::move(done)]() {
-    if (epoch == epoch_) {
-      for (auto& [block, data] : *flushed) {
-        durable_[block] = std::move(data);
-      }
+  // Writes accepted from here on are not covered by this flush.
+  const uint64_t covers = next_write_seq_;
+  write_queue_.Submit(params_.flush, [this, covers, done = std::move(done)]() {
+    while (!unflushed_.empty() && unflushed_.front().seq < covers) {
+      durable_.Write(unflushed_.front().offset, unflushed_.front().data);
+      unflushed_.pop_front();
     }
     done(Status::Ok());
   });
 }
 
 void SimSsd::PowerFail() {
-  volatile_.clear();
-  epoch_++;
+  for (const Unflushed& w : unflushed_) {
+    current_.CopyFrom(durable_, w.offset, w.data.size());
+  }
+  unflushed_.clear();
 }
 
 void SimSsd::DiscardAll() {
-  volatile_.clear();
-  durable_.clear();
-  epoch_++;
+  current_.Clear();
+  durable_.Clear();
+  unflushed_.clear();
 }
 
 }  // namespace lsvd

@@ -8,19 +8,20 @@
 // (bcache allocation) pays the per-op random-write cost — the mechanism
 // behind the paper's Figure 6 result.
 //
-// Crash semantics: completed writes sit in a volatile cache until Flush;
-// PowerFail() drops the volatile cache (crash with device surviving),
-// DiscardAll() models total cache loss (device gone / machine replaced).
+// Crash semantics: reads always see the newest accepted write. A flush
+// makes durable every write accepted before it was issued, once it
+// completes. PowerFail() (crash with the device surviving) reverts the
+// contents to what the last completed flush made durable; DiscardAll()
+// models total cache loss (device gone / machine replaced).
 #ifndef SRC_BLOCKDEV_SIM_SSD_H_
 #define SRC_BLOCKDEV_SIM_SSD_H_
 
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
-#include <vector>
 
 #include "src/blockdev/block_device.h"
+#include "src/blockdev/block_store.h"
 #include "src/sim/server_queue.h"
 #include "src/sim/simulator.h"
 
@@ -103,17 +104,17 @@ class SimSsd : public BlockDevice {
   const SsdStats& stats() const { return stats_; }
 
  private:
-  using BlockData = std::shared_ptr<const std::vector<uint8_t>>;
-  // nullptr value = explicitly-written zero block; absent key = never written
-  // (also zeros). The distinction matters only for the volatile overlay.
-  using BlockMap = std::unordered_map<uint64_t, BlockData>;
+  // An accepted write that no completed flush covers yet.
+  struct Unflushed {
+    uint64_t seq;
+    uint64_t offset;
+    Buffer data;
+  };
 
   void SubmitOp(bool is_write, uint64_t offset, uint64_t len,
                 std::function<void()> done);
   bool MatchStream(std::deque<uint64_t>* streams, uint64_t offset,
                    uint64_t end);
-  void StoreBlocks(BlockMap* map, uint64_t offset, const Buffer& data);
-  Buffer LoadBlocks(uint64_t offset, uint64_t len) const;
 
   Simulator* sim_;
   uint64_t capacity_;
@@ -123,13 +124,15 @@ class SimSsd : public BlockDevice {
   // bandwidths.
   ServerQueue read_queue_;
   ServerQueue write_queue_;
-  BlockMap durable_;
-  BlockMap volatile_;
+  BlockStore current_;  // what reads see: every accepted write
+  BlockStore durable_;  // what survives PowerFail
+  // Accepted writes not yet in durable_, oldest first; a completed flush
+  // promotes those accepted before it was issued. PowerFail drops them, so
+  // a flush still in flight across a failure finds nothing to promote.
+  std::deque<Unflushed> unflushed_;
+  uint64_t next_write_seq_ = 0;
   std::deque<uint64_t> write_streams_;  // recent write end offsets
   std::deque<uint64_t> read_streams_;
-  // Bumped by PowerFail/DiscardAll so that in-flight flushes cannot promote
-  // pre-crash volatile data to durable after the failure.
-  uint64_t epoch_ = 0;
   int fail_next_writes_ = 0;
   SsdStats stats_;
 };

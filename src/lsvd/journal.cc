@@ -57,19 +57,14 @@ Buffer EncodeJournalRecord(const JournalRecord& record) {
   enc.PadTo(kBlockSize);
   assert(enc.size() == kBlockSize);
 
-  std::vector<uint8_t> header = enc.Take();
   // CRC covers the whole header block with the CRC field zeroed.
-  const uint32_t crc = Crc32c(header.data(), header.size());
-  for (int i = 0; i < 4; i++) {
-    header[crc_pos + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(crc >> (8 * i));
-  }
+  enc.PatchU32(crc_pos, Crc32c(enc.bytes().data(), kBlockSize));
 
   Buffer out;
   // Donate the header block instead of copying it; downstream consumers
   // (the SSD block store) can then share the same storage copy-free.
-  out.AppendShared(
-      std::make_shared<const std::vector<uint8_t>>(std::move(header)));
+  out.AppendShared(std::make_shared<const std::vector<uint8_t>>(enc.Take()),
+                   0, kBlockSize);
   out.Append(record.data);
   return out;
 }

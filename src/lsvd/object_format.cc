@@ -124,14 +124,9 @@ Buffer EncodeDataObject(const DataObjectHeader& header, const Buffer& data) {
   enc.PadTo(kHeaderAlign);
   assert(enc.size() == data_offset);
 
-  std::vector<uint8_t> bytes = enc.Take();
-  const uint32_t crc = Crc32c(bytes.data(), bytes.size());
-  for (int i = 0; i < 4; i++) {
-    bytes[crc_pos + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(crc >> (8 * i));
-  }
+  enc.PatchU32(crc_pos, Crc32c(enc.bytes().data(), enc.size()));
   Buffer out;
-  out.AppendBytes(bytes);
+  out.AppendBytes(enc.bytes());
   out.Append(data);
   return out;
 }
@@ -268,13 +263,8 @@ Buffer EncodeCheckpoint(const CheckpointState& state) {
     enc.PutU32(gen);
   }
 
-  std::vector<uint8_t> bytes = enc.Take();
-  const uint32_t crc = Crc32c(bytes.data(), bytes.size());
-  for (int i = 0; i < 4; i++) {
-    bytes[crc_pos + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(crc >> (8 * i));
-  }
-  return Buffer::FromBytes(bytes);
+  enc.PatchU32(crc_pos, Crc32c(enc.bytes().data(), enc.size()));
+  return Buffer::FromBytes(enc.bytes());
 }
 
 Status DecodeCheckpoint(const Buffer& object, CheckpointState* state) {

@@ -175,18 +175,13 @@ void ReadCache::PersistMap(std::function<void(Status)> done) {
     enc.PutU64(s.len);
   }
   enc.PadTo(kBlockSize);
-  std::vector<uint8_t> bytes = enc.Take();
-  if (bytes.size() > map_area_) {
+  if (enc.size() > map_area_) {
     done(Status::ResourceExhausted("read-cache map exceeds persist area"));
     return;
   }
-  const uint32_t crc = Crc32c(bytes.data(), bytes.size());
-  for (int i = 0; i < 4; i++) {
-    bytes[crc_pos + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(crc >> (8 * i));
-  }
+  enc.PatchU32(crc_pos, Crc32c(enc.bytes().data(), enc.size()));
   auto alive = alive_;
-  ssd_->Write(base_, Buffer::FromBytes(bytes),
+  ssd_->Write(base_, Buffer::FromBytes(enc.bytes()),
               [alive, done = std::move(done)](Status s) {
     if (!*alive) {
       return;

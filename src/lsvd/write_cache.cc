@@ -113,14 +113,10 @@ void WriteCache::Format(std::function<void(Status)> done) {
   const size_t crc_pos = enc.size();
   enc.PutU32(0);
   enc.PadTo(kBlockSize);
-  std::vector<uint8_t> sb = enc.Take();
-  const uint32_t crc = Crc32c(sb.data(), sb.size());
-  for (int i = 0; i < 4; i++) {
-    sb[crc_pos + static_cast<size_t>(i)] = static_cast<uint8_t>(crc >> (8 * i));
-  }
+  enc.PatchU32(crc_pos, Crc32c(enc.bytes().data(), enc.size()));
 
   auto alive = alive_;
-  ssd_->Write(base_, Buffer::FromBytes(sb),
+  ssd_->Write(base_, Buffer::FromBytes(enc.bytes()),
               [this, alive, done = std::move(done)](Status s) {
     if (!*alive) {
       return;
@@ -514,11 +510,18 @@ void WriteCache::ChargeReadback(uint64_t bytes, std::function<void()> done) {
 }
 
 Buffer WriteCache::EncodeCheckpointBlob(uint64_t backend_synced_seq) const {
+  // Sized exactly up front, so every field is written in place in one pass.
+  uint64_t len = kCkptFixedBytes + records_.size() * kCkptRecordBytes +
+                 map_.extent_count() * kCkptMapExtentBytes;
+  for (const auto& rec : records_) {
+    len += rec.extents.size() * kCkptRecordExtentBytes;
+  }
+  len = RoundUpBlock(len);
   Encoder enc;
+  enc.Reserve(len);
   enc.PutU32(kWcCkptMagic);
   enc.PutU32(kCkptVersion);
-  const size_t len_pos = enc.size();
-  enc.PutU64(0);  // blob length, backpatched after padding
+  enc.PutU64(len);
   enc.PutU64(ckpt_gen_ + 1);
   enc.PutU64(next_seq_);
   enc.PutU64(head_);
@@ -549,15 +552,13 @@ Buffer WriteCache::EncodeCheckpointBlob(uint64_t backend_synced_seq) const {
     return true;
   });
   enc.PadTo(kBlockSize);
-  enc.PatchU32(len_pos, static_cast<uint32_t>(enc.size()));
-  enc.PatchU32(len_pos + 4, static_cast<uint32_t>(enc.size() >> 32));
-  std::vector<uint8_t> bytes = enc.Take();
-  const uint32_t crc = Crc32c(bytes.data(), bytes.size());
-  for (int i = 0; i < 4; i++) {
-    bytes[crc_pos + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(crc >> (8 * i));
-  }
-  return Buffer::FromBytes(bytes);
+  assert(enc.size() == len);
+  enc.PatchU32(crc_pos, Crc32c(enc.bytes().data(), len));
+  // Hand the encoded vector over by reference; the SSD keeps it shared.
+  Buffer blob;
+  blob.AppendShared(std::make_shared<const std::vector<uint8_t>>(enc.Take()),
+                    0, len);
+  return blob;
 }
 
 Status WriteCache::LoadCheckpointBlob(const Buffer& blob,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "src/util/crc32c.h"
 
@@ -29,17 +30,10 @@ void Buffer::AppendBytes(std::span<const uint8_t> bytes) {
   size_ += bytes.size();
 }
 
-void Buffer::AppendShared(std::shared_ptr<const std::vector<uint8_t>> bytes) {
-  if (bytes == nullptr || bytes->empty()) {
-    return;
-  }
-  if (AllZero({bytes->data(), bytes->size()})) {
-    AppendZeros(bytes->size());
-    return;
-  }
-  const uint64_t len = bytes->size();
-  chunks_.push_back(Chunk{std::move(bytes), 0, len});
-  size_ += len;
+void Buffer::AppendShared(std::shared_ptr<const std::vector<uint8_t>> bytes,
+                          uint64_t offset, uint64_t len) {
+  assert(bytes != nullptr && offset + len <= bytes->size());
+  AppendChunk(Chunk{std::move(bytes), offset, len});
 }
 
 void Buffer::AppendZeros(uint64_t n) {
@@ -54,7 +48,7 @@ void Buffer::AppendZeros(uint64_t n) {
   size_ += n;
 }
 
-void Buffer::AppendChunk(const Chunk& c) {
+void Buffer::AppendChunk(Chunk c) {
   if (c.len == 0) {
     return;
   }
@@ -70,8 +64,8 @@ void Buffer::AppendChunk(const Chunk& c) {
       return;
     }
   }
-  chunks_.push_back(c);
   size_ += c.len;
+  chunks_.push_back(std::move(c));
 }
 
 void Buffer::Append(const Buffer& other) {
@@ -84,7 +78,6 @@ void Buffer::Append(const Buffer& other) {
 bool Buffer::IsAllZeros() const {
   for (const auto& c : chunks_) {
     if (c.data != nullptr) {
-      // Chunks with backing data were non-zero at append time.
       return false;
     }
   }
@@ -140,26 +133,6 @@ Buffer Buffer::Slice(uint64_t offset, uint64_t len) const {
   }
   assert(out.size_ == len);
   return out;
-}
-
-std::shared_ptr<const std::vector<uint8_t>> Buffer::SharedSpan(
-    uint64_t offset, uint64_t len) const {
-  assert(offset + len <= size_);
-  uint64_t pos = 0;
-  for (const auto& c : chunks_) {
-    const uint64_t chunk_end = pos + c.len;
-    if (offset < chunk_end) {
-      // First chunk overlapping the range: the whole range must lie inside
-      // it and line up with the full backing vector.
-      if (c.data != nullptr && offset + len <= chunk_end &&
-          c.offset + (offset - pos) == 0 && c.data->size() == len) {
-        return c.data;
-      }
-      return nullptr;
-    }
-    pos = chunk_end;
-  }
-  return nullptr;
 }
 
 std::vector<uint8_t> Buffer::ToBytes() const {

@@ -41,15 +41,20 @@ class Buffer {
 
   // Appends a copy of `bytes`. All-zero inputs are stored as a zero run.
   void AppendBytes(std::span<const uint8_t> bytes);
-  // Appends `bytes` by sharing its backing storage instead of copying.
-  // Same zero-run normalization as AppendBytes, so the resulting buffer is
-  // indistinguishable from one built with AppendBytes — only cheaper.
-  void AppendShared(std::shared_ptr<const std::vector<uint8_t>> bytes);
+  // Appends bytes [offset, offset+len) of `bytes` by sharing its backing
+  // storage instead of copying it. Adjacent ranges of one vector merge into
+  // a single chunk, so a range split block by block re-assembles whole.
+  // The range is not scanned: it stays a data chunk even if its bytes are
+  // zero.
+  void AppendShared(std::shared_ptr<const std::vector<uint8_t>> bytes,
+                    uint64_t offset, uint64_t len);
   void AppendZeros(uint64_t n);
   // Appends another buffer (chunks are shared, O(chunks)).
   void Append(const Buffer& other);
 
-  // True if every byte is zero.
+  // True if every chunk is a zero run. A data chunk counts as non-zero even
+  // when its bytes happen to be zero (a slice or a shared range of a larger
+  // vector), so false means "may hold non-zero bytes".
   bool IsAllZeros() const;
 
   // Copies [offset, offset+out.size()) into `out`. Asserts in range.
@@ -58,12 +63,16 @@ class Buffer {
   // Sub-range view; shares chunk storage.
   Buffer Slice(uint64_t offset, uint64_t len) const;
 
-  // If [offset, offset+len) is exactly one data chunk covering its entire
-  // backing vector, returns that vector (no copy); otherwise null. Lets a
-  // block store keep a reference to an already-materialized block (e.g. an
-  // encoded journal header) instead of copying it out.
-  std::shared_ptr<const std::vector<uint8_t>> SharedSpan(uint64_t offset,
-                                                         uint64_t len) const;
+  // Calls fn(data, data_offset, n) for each chunk in order. `data` is null
+  // (and data_offset 0) for a zero run; otherwise the chunk is bytes
+  // [data_offset, data_offset+n) of *data, which the callee may keep a
+  // reference to. Visit a sub-range through Slice.
+  template <typename Fn>
+  void ForEachChunk(Fn&& fn) const {
+    for (const Chunk& c : chunks_) {
+      fn(c.data, c.offset, c.len);
+    }
+  }
 
   // Materializes the whole buffer (tests / codec paths on small data only).
   std::vector<uint8_t> ToBytes() const;
@@ -84,7 +93,7 @@ class Buffer {
   // runs always merge, and data chunks merge when they reference contiguous
   // ranges of the same backing vector (common when a sliced buffer is
   // re-assembled piecewise, e.g. batch encode and journal replay).
-  void AppendChunk(const Chunk& c);
+  void AppendChunk(Chunk c);
 
   std::vector<Chunk> chunks_;
   uint64_t size_ = 0;

@@ -2,6 +2,8 @@
 #ifndef SRC_UTIL_CODEC_H_
 #define SRC_UTIL_CODEC_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -10,25 +12,18 @@
 
 namespace lsvd {
 
+// Puts write each field in place through a pointer into the output.
+// An encoder that knows its final size calls Reserve with it once; its puts
+// then never grow the output.
 class Encoder {
  public:
-  void PutU8(uint8_t v) { out_.push_back(v); }
-  void PutU32(uint32_t v) {
-    const size_t pos = out_.size();
-    out_.resize(pos + 4);
-    for (int i = 0; i < 4; i++) {
-      out_[pos + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
-    }
-  }
-  void PutU64(uint64_t v) {
-    const size_t pos = out_.size();
-    out_.resize(pos + 8);
-    for (int i = 0; i < 8; i++) {
-      out_[pos + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
-    }
-  }
+  void PutU8(uint8_t v) { *Claim(1) = v; }
+  void PutU32(uint32_t v) { StoreLe(Claim(4), v); }
+  void PutU64(uint64_t v) { StoreLe(Claim(8), v); }
   void PutBytes(std::span<const uint8_t> bytes) {
-    out_.insert(out_.end(), bytes.begin(), bytes.end());
+    if (!bytes.empty()) {
+      std::memcpy(Claim(bytes.size()), bytes.data(), bytes.size());
+    }
   }
   void PutString(const std::string& s) {
     PutU32(static_cast<uint32_t>(s.size()));
@@ -36,24 +31,51 @@ class Encoder {
   }
   // Zero-pads to a multiple of `align`.
   void PadTo(size_t align) {
-    out_.resize((out_.size() + align - 1) / align * align);
+    Claim((pos_ + align - 1) / align * align - pos_);
   }
-  // Pre-sizes the output for encoders on a hot path (journal records pad to
-  // a full block, so the final size is known up front).
-  void Reserve(size_t n) { out_.reserve(n); }
+  // Sizes the output to hold `n` bytes in all, so puts up to that size
+  // write in place.
+  void Reserve(size_t n) {
+    if (n > out_.size()) {
+      out_.resize(n);
+    }
+  }
   // Overwrites 4 bytes at `pos` (for CRC backpatching).
-  void PatchU32(size_t pos, uint32_t v) {
-    for (int i = 0; i < 4; i++) {
-      out_[pos + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
+  void PatchU32(size_t pos, uint32_t v) { StoreLe(out_.data() + pos, v); }
+
+  size_t size() const { return pos_; }
+  std::span<const uint8_t> bytes() const { return {out_.data(), pos_}; }
+  std::vector<uint8_t> Take() {
+    out_.resize(pos_);
+    pos_ = 0;
+    return std::move(out_);
+  }
+
+ private:
+  // Advances the write position by `n` bytes and returns where they start.
+  // Bytes past the position are always zero (resize zero-fills and puts
+  // only write below it), which is what PadTo relies on.
+  uint8_t* Claim(size_t n) {
+    if (pos_ + n > out_.size()) {
+      out_.resize(std::max(pos_ + n, 2 * out_.size()));
+    }
+    uint8_t* p = out_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+  template <typename T>
+  static void StoreLe(uint8_t* p, T v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(p, &v, sizeof(T));
+    } else {
+      for (size_t i = 0; i < sizeof(T); i++) {
+        p[i] = static_cast<uint8_t>(v >> (8 * i));
+      }
     }
   }
 
-  size_t size() const { return out_.size(); }
-  const std::vector<uint8_t>& bytes() const { return out_; }
-  std::vector<uint8_t> Take() { return std::move(out_); }
-
- private:
   std::vector<uint8_t> out_;
+  size_t pos_ = 0;
 };
 
 class Decoder {

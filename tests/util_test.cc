@@ -1,6 +1,7 @@
 // Unit tests for src/util: CRC32C, Buffer, Histogram, Rng, Table, Status.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -102,29 +103,83 @@ TEST(Buffer, AllZeroBytesStoredAsZeroRun) {
   EXPECT_TRUE(b.IsAllZeros());
 }
 
-TEST(Buffer, SharedSpanReturnsExactWholeChunkOnly) {
-  auto block = std::make_shared<const std::vector<uint8_t>>(
-      std::vector<uint8_t>{1, 2, 3, 4});
+// One visited chunk piece: its backing vector (null for a zero run), the
+// offset into it, and its length.
+struct Piece {
+  const std::vector<uint8_t>* data;
+  uint64_t offset;
+  uint64_t len;
+  bool operator==(const Piece&) const = default;
+};
+
+std::vector<Piece> Pieces(const Buffer& b) {
+  std::vector<Piece> out;
+  b.ForEachChunk([&out](const auto& data, uint64_t from, uint64_t n) {
+    out.push_back(Piece{data.get(), from, n});
+  });
+  return out;
+}
+
+TEST(Buffer, ForEachChunkVisitsSubBlockChunkAndZeroRun) {
+  // A stamped block: a 16-byte data chunk, then a 4 080-byte zero tail.
   Buffer b;
-  b.AppendZeros(4);
-  b.AppendShared(block);
-  b.AppendBytes(std::vector<uint8_t>{9, 9, 9, 9});
+  b.AppendBytes(std::vector<uint8_t>(16, 0x5A));
+  b.AppendZeros(4096 - 16);
+  const std::vector<Piece> whole = Pieces(b);
+  ASSERT_EQ(whole.size(), 2u);
+  ASSERT_NE(whole[0].data, nullptr);
+  EXPECT_EQ(whole[0].offset, 0u);
+  EXPECT_EQ(whole[0].len, 16u);
+  EXPECT_EQ(whole[1], (Piece{nullptr, 0, 4096 - 16}));
+  // A slice starting inside the data chunk and ending inside the zero run.
+  EXPECT_EQ(Pieces(b.Slice(10, 100)),
+            (std::vector<Piece>{{whole[0].data, 10, 6}, {nullptr, 0, 94}}));
+  // A slice wholly inside the zero run sees only the zero run.
+  EXPECT_EQ(Pieces(b.Slice(100, 200)),
+            (std::vector<Piece>{{nullptr, 0, 200}}));
+}
 
-  // Exactly the shared chunk: same backing vector, no copy.
-  EXPECT_EQ(b.SharedSpan(4, 4).get(), block.get());
-  // Zero runs, partial chunks, chunk-crossing ranges, and the trailing
-  // copied chunk (whose vector matches the range but was appended by copy —
-  // still a valid share of its own backing storage) behave as specified.
-  EXPECT_EQ(b.SharedSpan(0, 4), nullptr);     // zero run
-  EXPECT_EQ(b.SharedSpan(4, 2), nullptr);     // proper prefix of the chunk
-  EXPECT_EQ(b.SharedSpan(5, 3), nullptr);     // proper suffix of the chunk
-  EXPECT_EQ(b.SharedSpan(2, 4), nullptr);     // crosses a chunk boundary
-  ASSERT_NE(b.SharedSpan(8, 4), nullptr);     // AppendBytes chunk, whole
-  EXPECT_EQ(*b.SharedSpan(8, 4), (std::vector<uint8_t>{9, 9, 9, 9}));
+TEST(Buffer, ForEachChunkSeesAChunkStraddlingABlockEdge) {
+  auto bytes = std::make_shared<const std::vector<uint8_t>>(6000, 0x11);
+  Buffer b;
+  b.AppendZeros(1000);
+  b.AppendShared(bytes, 0, 6000);  // bytes 1000..7000 straddle 4096
+  b.AppendZeros(8192 - 7000);
+  EXPECT_EQ(Pieces(b.Slice(0, 4096)),
+            (std::vector<Piece>{{nullptr, 0, 1000}, {bytes.get(), 0, 3096}}));
+  EXPECT_EQ(Pieces(b.Slice(4096, 4096)),
+            (std::vector<Piece>{{bytes.get(), 3096, 2904},
+                                {nullptr, 0, 8192 - 7000}}));
+}
 
-  // A slice that lands exactly on the shared chunk still shares it.
-  Buffer s = b.Slice(4, 4);
-  EXPECT_EQ(s.SharedSpan(0, 4).get(), block.get());
+TEST(Buffer, AppendSharedKeepsTheVectorAndReMergesContiguousRanges) {
+  std::vector<uint8_t> raw(3 * 4096);
+  for (size_t i = 0; i < raw.size(); i++) {
+    raw[i] = static_cast<uint8_t>(i * 13 + 1);
+  }
+  auto bytes = std::make_shared<const std::vector<uint8_t>>(raw);
+  // Block by block, in order: the three ranges merge back into one chunk
+  // that references the vector, not a copy of it.
+  Buffer b;
+  for (uint64_t i = 0; i < 3; i++) {
+    b.AppendShared(bytes, i * 4096, 4096);
+  }
+  EXPECT_EQ(Pieces(b),
+            (std::vector<Piece>{{bytes.get(), 0, 3 * 4096}}));
+  EXPECT_EQ(b.ToBytes(), raw);
+  // Out of order the ranges stay separate chunks.
+  Buffer c;
+  c.AppendShared(bytes, 4096, 4096);
+  c.AppendShared(bytes, 0, 4096);
+  EXPECT_EQ(Pieces(c),
+            (std::vector<Piece>{{bytes.get(), 4096, 4096},
+                                {bytes.get(), 0, 4096}}));
+  // A shared range is not scanned: zero bytes stay a data chunk.
+  auto zeros = std::make_shared<const std::vector<uint8_t>>(64, 0);
+  Buffer z;
+  z.AppendShared(zeros, 0, 64);
+  EXPECT_FALSE(z.IsAllZeros());
+  EXPECT_EQ(z.ToBytes(), std::vector<uint8_t>(64, 0));
 }
 
 TEST(Buffer, CrcMatchesMaterialized) {

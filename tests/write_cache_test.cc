@@ -3,7 +3,11 @@
 // and log replay after crashes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/lsvd/write_cache.h"
 #include "src/util/crc32c.h"
@@ -551,6 +555,226 @@ TEST_F(WriteCacheSlotTest, InflatedCountsWithValidCrcAreRejected) {
     WriteSsd(begin, slots);
   }
 }
+
+// --- checkpoint blob bytes against a reference encoding ---
+
+// The v3 blob, field by field, from the cache state its public API shows.
+std::vector<uint8_t> ReferenceBlob(
+    uint64_t gen, uint64_t next_seq, uint64_t head, uint64_t used,
+    uint64_t synced, const std::vector<WriteCache::RecordMeta>& records,
+    const std::vector<MapExtent<SsdTarget>>& map) {
+  std::vector<uint8_t> out;
+  const auto put = [&out](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; i++) {
+      out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  };
+  put(0x4C535643, 4);  // "LSVC"
+  put(3, 4);           // blob version
+  put(0, 8);           // blob length, filled in below
+  put(gen, 8);
+  put(next_seq, 8);
+  put(head, 8);
+  put(used, 8);
+  put(synced, 8);
+  put(records.size(), 4);
+  put(map.size(), 4);
+  put(0, 4);  // CRC, filled in below
+  for (const auto& rec : records) {
+    put(rec.seq, 8);
+    put(rec.offset, 8);
+    put(rec.total_len, 8);
+    put(rec.footprint, 8);
+    put(rec.max_batch_seq, 8);
+    put(rec.extents.size() | (rec.is_trim ? 1u << 31 : 0u), 4);
+    for (const auto& e : rec.extents) {
+      put(e.vlba, 8);
+      put(e.len, 8);
+    }
+  }
+  for (const auto& e : map) {
+    put(e.start, 8);
+    put(e.len, 8);
+    put(e.target.plba, 8);
+  }
+  out.resize((out.size() + kBlockSize - 1) / kBlockSize * kBlockSize);
+  for (size_t i = 0; i < 8; i++) {
+    out[kBlobLenPos + i] = static_cast<uint8_t>(out.size() >> (8 * i));
+  }
+  const uint32_t crc = Crc32c(out.data(), out.size());
+  for (size_t i = 0; i < 4; i++) {
+    out[kBlobCrcPos + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  return out;
+}
+
+std::vector<MapExtent<SsdTarget>> MapExtents(const WriteCache& wc) {
+  std::vector<MapExtent<SsdTarget>> out;
+  wc.map().ForEachFrom(0, [&out](const MapExtent<SsdTarget>& e) {
+    out.push_back(e);
+    return true;
+  });
+  return out;
+}
+
+bool SameRecords(const std::vector<WriteCache::RecordMeta>& a,
+                 const std::vector<WriteCache::RecordMeta>& b) {
+  const auto key = [](const WriteCache::RecordMeta& r) {
+    std::vector<uint64_t> k = {r.seq, r.offset, r.total_len, r.footprint,
+                               r.max_batch_seq, r.is_trim ? 1u : 0u};
+    for (const auto& e : r.extents) {
+      k.push_back(e.vlba);
+      k.push_back(e.len);
+    }
+    return k;
+  };
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); i++) {
+    if (key(a[i]) != key(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+enum class CacheState { kEmpty, kTrims, kMultiExtentRecords, kManyLeaves };
+
+class CheckpointEncodingTest
+    : public WriteCacheSlotTest,
+      public ::testing::WithParamInterface<std::tuple<CacheState, int>> {
+ protected:
+  // Builds the parameter's cache state from its seed. Every write and trim
+  // carries a batch seq >= 1, so RecordsAfterBatch(0) lists every record.
+  void Build(CacheState state, Rng* rng) {
+    int issued = 0;
+    int acked = 0;
+    const auto append = [&](uint64_t vlba, uint64_t blocks) {
+      issued++;
+      wc_->Append(vlba, TestPattern(blocks * kBlockSize, rng->Next()),
+                  1 + rng->Uniform(5), [&acked](Status s) {
+                    EXPECT_TRUE(s.ok());
+                    acked++;
+                  });
+    };
+    switch (state) {
+      case CacheState::kEmpty:
+        return;
+      case CacheState::kTrims:
+        for (int i = 0; i < 20; i++) {
+          const uint64_t vlba = rng->Uniform(256) * kBlockSize;
+          if (rng->Uniform(3) == 0) {
+            issued++;
+            wc_->AppendTrim(vlba, (1 + rng->Uniform(8)) * kBlockSize,
+                            1 + rng->Uniform(5), [&acked](Status s) {
+                              EXPECT_TRUE(s.ok());
+                              acked++;
+                            });
+          } else {
+            append(vlba, 1 + rng->Uniform(4));
+          }
+          sim_.Run();
+        }
+        break;
+      case CacheState::kMultiExtentRecords:
+        // Issued together, so appends queue behind the record window and
+        // share records.
+        for (int i = 0; i < 300; i++) {
+          append(rng->Uniform(4096) * kBlockSize, 1 + rng->Uniform(3));
+        }
+        sim_.Run();
+        break;
+      case CacheState::kManyLeaves:
+        // Every other block: no two map extents merge.
+        for (uint64_t i = 0; i < 3000; i++) {
+          append((2 * i + rng->Uniform(2) * 8192) * kBlockSize, 1);
+        }
+        sim_.Run();
+        break;
+    }
+    EXPECT_EQ(acked, issued);
+  }
+};
+
+TEST_P(CheckpointEncodingTest, BlobMatchesReferenceAndRecovers) {
+  const auto [state, seed] = GetParam();
+  Rng rng(static_cast<uint64_t>(seed));
+  Build(state, &rng);
+
+  const std::vector<WriteCache::RecordMeta> records = wc_->RecordsAfterBatch(0);
+  const std::vector<MapExtent<SsdTarget>> map = MapExtents(*wc_);
+  switch (state) {
+    case CacheState::kEmpty:
+      EXPECT_TRUE(records.empty() && map.empty());
+      break;
+    case CacheState::kTrims:
+      EXPECT_TRUE(std::any_of(records.begin(), records.end(),
+                              [](const auto& r) { return r.is_trim; }));
+      break;
+    case CacheState::kMultiExtentRecords:
+      EXPECT_TRUE(std::any_of(records.begin(), records.end(), [](const auto& r) {
+        return r.extents.size() > 1;
+      }));
+      break;
+    case CacheState::kManyLeaves:
+      EXPECT_GE(map.size(), 3000u);
+      break;
+  }
+
+  // Format wrote generation 1; generation g lands in slot g % 2. With
+  // nothing evicted, the log head follows the newest record.
+  const uint64_t gen = wc_->stats().checkpoints + 1;
+  const uint64_t slot0 = wc_->checkpoint_slot_offset(0);
+  const uint64_t slot1 = wc_->checkpoint_slot_offset(1);
+  const uint64_t log_base = slot1 + (slot1 - slot0);
+  const uint64_t next_seq = records.empty() ? 1 : records.back().seq + 1;
+  const uint64_t head =
+      records.empty() ? log_base
+                      : records.back().offset + records.back().total_len;
+  const uint64_t synced = rng.Uniform(100);
+  const std::vector<uint8_t> want = ReferenceBlob(
+      gen, next_seq, head, wc_->used_bytes(), synced, records, map);
+
+  std::optional<Status> cs;
+  wc_->WriteCheckpoint(synced, [&](Status s) { cs = s; });
+  sim_.Run();
+  ASSERT_TRUE(cs.has_value() && cs->ok());
+  const std::vector<uint8_t> got = ReadSsd(
+      wc_->checkpoint_slot_offset(static_cast<int>(gen % 2)), want.size());
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_TRUE(got == want) << "checkpoint blob differs from the reference";
+
+  host_.ssd()->PowerFail();
+  auto fresh = Reopen();
+  EXPECT_TRUE(SameRecords(fresh->RecordsAfterBatch(0), records));
+  const std::vector<MapExtent<SsdTarget>> recovered = MapExtents(*fresh);
+  ASSERT_EQ(recovered.size(), map.size());
+  for (size_t i = 0; i < map.size(); i++) {
+    EXPECT_EQ(recovered[i].start, map[i].start) << i;
+    EXPECT_EQ(recovered[i].len, map[i].len) << i;
+    EXPECT_EQ(recovered[i].target.plba, map[i].target.plba) << i;
+  }
+  EXPECT_EQ(fresh->used_bytes(), wc_->used_bytes());
+  EXPECT_EQ(fresh->backend_synced_hint(), synced);
+}
+
+std::string StateName(
+    const ::testing::TestParamInfo<std::tuple<CacheState, int>>& info) {
+  static const char* const kNames[] = {"Empty", "Trims", "MultiExtentRecords",
+                                       "ManyLeaves"};
+  return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
+         "Seed" + std::to_string(std::get<1>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    States, CheckpointEncodingTest,
+    ::testing::Combine(::testing::Values(CacheState::kEmpty,
+                                         CacheState::kTrims,
+                                         CacheState::kMultiExtentRecords,
+                                         CacheState::kManyLeaves),
+                       ::testing::Values(1, 2)),
+    StateName);
 
 }  // namespace
 }  // namespace lsvd
