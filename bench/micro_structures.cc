@@ -355,9 +355,9 @@ void BM_SimSsdJournalWriteFlushRead(benchmark::State& state) {
 }
 BENCHMARK(BM_SimSsdJournalWriteFlushRead)->Arg(4)->Arg(256);
 
-// A write-cache checkpoint: encoding the map of `range(0)` non-adjacent
-// 4 KiB extents (plus the records holding them) into one blob, and handing
-// it to the SSD with its flush.
+// A write-cache checkpoint: encoding the records that hold `range(0)`
+// non-adjacent 4 KiB extents into one blob, and handing it to the SSD with
+// its flush.
 void BM_CheckpointEncode(benchmark::State& state) {
   const auto extents = static_cast<uint64_t>(state.range(0));
   Simulator sim;
@@ -377,7 +377,7 @@ void BM_CheckpointEncode(benchmark::State& state) {
   uint64_t ok = 0;
   AllocCounter allocs(state);
   for (auto _ : state) {
-    wc.WriteCheckpoint(0, [&ok](Status s) { ok += s.ok() ? 1 : 0; });
+    wc.WriteCheckpoint([&ok](Status s) { ok += s.ok() ? 1 : 0; });
     sim.Run();
   }
   if (ok != static_cast<uint64_t>(state.iterations()) ||

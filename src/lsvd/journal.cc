@@ -13,12 +13,13 @@ constexpr uint32_t kTrimMagic = 0x4C535654;     // "LSVT": trim record, no data
 
 }  // namespace
 
-uint64_t JournalRecordSize(const JournalRecord& record) {
-  if (record.is_trim) {
+uint64_t JournalRecordSize(bool is_trim,
+                           const std::vector<JournalExtent>& extents) {
+  if (is_trim) {
     return kBlockSize;
   }
   uint64_t data = 0;
-  for (const auto& e : record.extents) {
+  for (const auto& e : extents) {
     data += e.len;
   }
   return kBlockSize + data;
@@ -54,11 +55,15 @@ Buffer EncodeJournalRecord(const JournalRecord& record) {
     enc.PutU64(e.vlba);
     enc.PutU64(e.len);
   }
+  const size_t encoded = enc.size();
   enc.PadTo(kBlockSize);
   assert(enc.size() == kBlockSize);
 
-  // CRC covers the whole header block with the CRC field zeroed.
-  enc.PatchU32(crc_pos, Crc32c(enc.bytes().data(), kBlockSize));
+  // CRC covers the whole header block with the CRC field zeroed; the zero
+  // padding after the encoded fields is folded in without reading it.
+  enc.PatchU32(crc_pos,
+               Crc32cExtendZeros(Crc32c(enc.bytes().data(), encoded),
+                                 kBlockSize - encoded));
 
   Buffer out;
   // Donate the header block instead of copying it; downstream consumers

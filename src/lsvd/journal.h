@@ -46,7 +46,8 @@ inline constexpr size_t kMaxJournalExtents = 250;
 Buffer EncodeJournalRecord(const JournalRecord& record);
 
 // Bytes of header + payload a record with these extents occupies in the log.
-uint64_t JournalRecordSize(const JournalRecord& record);
+uint64_t JournalRecordSize(bool is_trim,
+                           const std::vector<JournalExtent>& extents);
 
 // Parses and validates the header block. On success fills `record` (without
 // data) and sets `data_len` to the payload size following the header.

@@ -8,8 +8,6 @@
 namespace lsvd {
 namespace {
 
-// Write-cache map checkpoint cadence, in journal records.
-constexpr uint64_t kCacheCheckpointRecords = 4096;
 // Read-cache line size, and the temporal-locality prefetch window of a
 // backend read (§3.2).
 constexpr uint64_t kReadCacheLine = 64 * kKiB;
@@ -222,20 +220,15 @@ void LsvdDisk::OpenCacheLost(std::function<void(Status)> done) {
 // numbers. Committed-and-cached writes that get resent are harmless
 // duplicates — replay preserves order, so the final image is identical.
 void LsvdDisk::ReplayCacheTail(std::function<void(Status)> done) {
-  // A power failure can drop journal records whose batches the backend had
-  // already committed. A surviving *older* record for the same blocks would
-  // then shadow the newer backend data through the cache map, so evict
-  // everything the backend already owns before serving reads.
   write_cache_->ReleaseThrough(backend_->applied_seq());
-  write_cache_->EvictReleasable();
   auto records = std::make_shared<std::vector<WriteCache::RecordMeta>>(
       write_cache_->RecordsAfterBatch(backend_->applied_seq()));
   auto index = std::make_shared<size_t>(0);
   auto alive = alive_;
   // The loop body holds only a weak reference to itself; each async hop's
   // callback re-locks it, so the last strong reference (the callback of the
-  // final payload read, or the local below) dies when the loop ends instead
-  // of leaking in a shared_ptr cycle.
+  // final payload read, or the eviction callback below) dies when the loop
+  // ends instead of leaking in a shared_ptr cycle.
   auto step = std::make_shared<std::function<void()>>();
   std::weak_ptr<std::function<void()>> weak_step = step;
   *step = [this, alive, records, index, weak_step, done]() {
@@ -279,7 +272,18 @@ void LsvdDisk::ReplayCacheTail(std::function<void(Status)> done) {
       (*step)();
     });
   };
-  (*step)();
+  // A power failure can drop journal records whose batches the backend had
+  // already committed. A surviving *older* record for the same blocks would
+  // then shadow the newer backend data through the cache map, so evict
+  // everything the backend already owns before serving reads. Eviction
+  // keeps every record the loop resends.
+  write_cache_->EvictReleasable([step, done](Status s) {
+    if (!s.ok()) {
+      done(s);
+      return;
+    }
+    (*step)();
+  });
 }
 
 void LsvdDisk::ArmBatchTimer() {
@@ -298,24 +302,6 @@ void LsvdDisk::ArmBatchTimer() {
     if (!backend_->idle()) {
       ArmBatchTimer();
     }
-  });
-}
-
-void LsvdDisk::MaybeCheckpointCache() {
-  if (cache_ckpt_in_flight_ ||
-      write_cache_->stats().records - records_at_last_ckpt_ <
-          kCacheCheckpointRecords) {
-    return;
-  }
-  cache_ckpt_in_flight_ = true;
-  records_at_last_ckpt_ = write_cache_->stats().records;
-  auto alive = alive_;
-  write_cache_->WriteCheckpoint(backend_->applied_seq(),
-                                [this, alive](Status) {
-    if (!*alive) {
-      return;
-    }
-    cache_ckpt_in_flight_ = false;
   });
 }
 
@@ -357,7 +343,6 @@ void LsvdDisk::WriteAdmitted(uint64_t offset, Buffer data, Nanos submitted,
   const uint64_t len = data.size();
   const uint64_t batch_seq = backend_->AddWrite(offset, data);
   ArmBatchTimer();
-  MaybeCheckpointCache();
 
   // Ack latency: submission to journal-record-durable (when `done` fires).
   auto alive = alive_;
@@ -420,7 +405,6 @@ void LsvdDisk::TrimAdmitted(uint64_t offset, uint64_t len, Nanos submitted,
   // every earlier write. The batch seq is journaled for crash replay.
   const uint64_t batch_seq = backend_->AddTrim(offset, len);
   ArmBatchTimer();
-  MaybeCheckpointCache();
 
   auto alive = alive_;
   auto acked = [this, alive, offset, len, submitted,
@@ -744,8 +728,7 @@ void LsvdDisk::CleanShutdown(std::function<void(Status)> done) {
       done(s);
       return;
     }
-    write_cache_->WriteCheckpoint(backend_->applied_seq(),
-                                  [this, alive,
+    write_cache_->WriteCheckpoint([this, alive,
                                    done = std::move(done)](Status s2) mutable {
       if (!*alive) {
         return;

@@ -174,7 +174,6 @@ class LsvdDisk : public VirtualDisk {
   // cache, minus the pieces a newer write or trim has superseded.
   void CacheFetched(uint64_t vlba, ObjTarget target, const Buffer& data);
   void ArmBatchTimer();
-  void MaybeCheckpointCache();
   void ReplayCacheTail(std::function<void(Status)> done);
   void PollDrain(std::function<void(Status)> done);
 
@@ -193,8 +192,6 @@ class LsvdDisk : public VirtualDisk {
   std::unique_ptr<BackendStore> backend_;
 
   bool batch_timer_armed_ = false;
-  uint64_t records_at_last_ckpt_ = 0;
-  bool cache_ckpt_in_flight_ = false;
 
   // Host registrations: QoS admission (-1 = uncapped volume, admission
   // bypassed) and the host's attached-volume registry.

@@ -15,18 +15,27 @@ constexpr uint32_t kWcCkptMagic = 0x4C535643;   // "LSVC"
 constexpr uint32_t kSuperVersion = 1;
 // The one checkpoint-blob layout the decoder accepts; the number is past
 // those of the superseded layouts.
-constexpr uint32_t kCkptVersion = 3;
+constexpr uint32_t kCkptVersion = 4;
 // A checkpointed record's extent-count word carries the trim-record flag in
 // its top bit (a record holds at most kMaxJournalExtents extents).
 constexpr uint32_t kRecordTrimBit = 1u << 31;
 // Checkpoint blob layout: magic, version, blob length, generation, next
-// seq, head, used, synced seq, record count, map extent count, CRC; then
-// per record 5 u64 fields, the extent-count word and 16 bytes per extent;
-// then 24 bytes per map extent. The blob is padded to a block.
-constexpr uint64_t kCkptFixedBytes = 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 4 + 4 + 4;
-constexpr uint64_t kCkptRecordBytes = 5 * 8 + 4;
+// seq, head, record count, CRC; then per record its seq, offset, footprint
+// and max batch seq (u64 each), the extent-count word and 16 bytes per
+// extent. The blob is padded to a block.
+constexpr uint64_t kCkptFixedBytes = 4 + 4 + 8 + 8 + 8 + 8 + 4 + 4;
+constexpr uint64_t kCkptRecordBytes = 4 * 8 + 4;
 constexpr uint64_t kCkptRecordExtentBytes = 16;
-constexpr uint64_t kCkptMapExtentBytes = 24;
+// Extents per trim record. A record's checkpoint entry must stay within
+// 1/32 of its log footprint, as a data record's always does (it spans a
+// block per extent): a checkpoint of a full log then fits its slot, so the
+// log can always lap its replay start.
+constexpr size_t kMaxTrimRecordExtents = 5;
+static_assert(kCkptRecordBytes +
+                  kMaxTrimRecordExtents * kCkptRecordExtentBytes <=
+              kBlockSize / 32);
+// Checkpoint cadence, in applied journal records.
+constexpr uint64_t kCheckpointRecords = 4096;
 // Bound on the data carried by one journal record, to keep record latency
 // bounded and recovery reads reasonable.
 constexpr uint64_t kMaxRecordData = 4 * kMiB;
@@ -61,6 +70,7 @@ WriteCache::WriteCache(ClientHost* host, uint64_t base, uint64_t size,
   log_base_ = base_ + kBlockSize + 2 * slot_size_;
   log_size_ = base_ + size_ - log_base_;
   head_ = log_base_;
+  apply_head_ = log_base_;
   readback_head_ = log_base_;
 
   if (metrics == nullptr) {
@@ -125,8 +135,8 @@ void WriteCache::Format(std::function<void(Status)> done) {
       done(s);
       return;
     }
-    // Initial empty checkpoint in slot 0.
-    WriteCheckpoint(0, std::move(done));
+    // Initial empty checkpoint, generation 1.
+    WriteCheckpoint(std::move(done));
   });
 }
 
@@ -216,21 +226,22 @@ bool WriteCache::StartOneRecord() {
   // Records are type-homogeneous: trims pack only with trims (the record
   // carries no payload), writes only with writes.
   record.is_trim = pending_.front().is_trim;
+  const size_t max_extents =
+      record.is_trim ? kMaxTrimRecordExtents : kMaxJournalExtents;
   std::vector<Pending> writes;
   uint64_t data_len = 0;
   uint64_t max_batch = 0;
-  while (!pending_.empty() && record.extents.size() < kMaxJournalExtents &&
+  while (!pending_.empty() && record.extents.size() < max_extents &&
          data_len < kMaxRecordData) {
     Pending& p = pending_.front();
     if (p.is_trim != record.is_trim) {
       break;
     }
-    const uint64_t record_size = kBlockSize + data_len + p.data.size();
     // Space feasibility including a potential wrap gap; evict releasable
     // records (FIFO) on demand.
-    const uint64_t contiguous = base_ + size_ - head_;
-    const uint64_t gap = record_size > contiguous ? contiguous : 0;
-    const uint64_t need = gap + record_size + kBlockSize;
+    const uint64_t need =
+        Place(head_, kBlockSize + data_len + p.data.size()).footprint +
+        kBlockSize;
     if (used_ + need > log_size_) {
       EvictForSpace(need);
     }
@@ -255,15 +266,12 @@ bool WriteCache::StartOneRecord() {
   record.batch_seq = max_batch;
 
   const uint64_t record_size = kBlockSize + data_len;
-  const uint64_t contiguous = base_ + size_ - head_;
-  const uint64_t gap = record_size > contiguous ? contiguous : 0;
-  const uint64_t target = gap > 0 ? log_base_ : head_;
+  const Placement at = Place(head_, record_size);
 
   RecordMeta meta;
   meta.seq = record.seq;
-  meta.offset = target;
-  meta.total_len = record_size;
-  meta.footprint = gap + record_size;
+  meta.offset = at.offset;
+  meta.footprint = at.footprint;
   meta.max_batch_seq = max_batch;
   meta.is_trim = record.is_trim;
   meta.extents = record.extents;
@@ -271,21 +279,21 @@ bool WriteCache::StartOneRecord() {
 
   const uint64_t seq = record.seq;
   next_seq_++;
-  head_ = target + record_size;
-  used_ += meta.footprint;
+  head_ = at.offset + record_size;
   c_records_->Inc();
   c_record_bytes_->Inc(record_size);
   if (record.is_trim) {
     c_trim_records_->Inc();
   }
-  records_.push_back(meta);  // in sequence order; applied later
+  used_ += meta.footprint;
+  records_.push_back(std::move(meta));  // in sequence order; applied later
   in_flight_[seq] = InFlightRecord{std::move(writes), false, Status::Ok()};
 
   Buffer encoded = EncodeJournalRecord(record);
   auto alive = alive_;
   // The record write is preceded by the journal worker wakeup (Table 6).
   record_cpu_.Submit(costs_.record_context_switch,
-                     [this, alive, seq, target,
+                     [this, alive, seq, target = at.offset,
                       encoded = std::move(encoded)]() mutable {
     if (!*alive) {
       return;
@@ -299,7 +307,6 @@ bool WriteCache::StartOneRecord() {
       it->second.write_done = true;
       it->second.status = s;
       ApplyCompletedRecords();
-      MaybeStartRecord();
     });
   });
   return true;
@@ -312,49 +319,80 @@ void WriteCache::ApplyCompletedRecords() {
   while (!in_flight_.empty()) {
     auto it = in_flight_.find(next_apply_seq_);
     if (it == in_flight_.end() || !it->second.write_done) {
-      return;
+      break;
     }
-    // Find this record's metadata; it is among the most recently appended.
-    const RecordMeta* meta = nullptr;
-    for (auto rit = records_.rbegin(); rit != records_.rend(); ++rit) {
-      if (rit->seq == next_apply_seq_) {
-        meta = &*rit;
-        break;
-      }
-      if (rit->seq < next_apply_seq_) {
-        break;
-      }
+    // In-flight records are never evicted, and records_ holds consecutive
+    // seqs, so this record's metadata is at a known index.
+    const RecordMeta& meta = records_[next_apply_seq_ - records_.front().seq];
+    if (it->second.status.ok()) {
+      ApplyRecord(meta);
     }
-    if (it->second.status.ok() && meta != nullptr) {
-      if (meta->is_trim) {
-        // Punch the cache map and remember the tombstone until the backend
-        // batch that carries the object-map punch commits (ReleaseThrough).
-        for (const auto& e : meta->extents) {
-          map_.Remove(e.vlba, e.len, nullptr);
-          trim_map_.Update(e.vlba, e.len,
-                           ObjTarget{meta->max_batch_seq, e.vlba}, nullptr);
-        }
-      } else {
-        uint64_t data_plba = meta->offset + kBlockSize;
-        for (const auto& e : meta->extents) {
-          map_.Update(e.vlba, e.len, SsdTarget{data_plba}, nullptr);
-          if (!trim_map_.empty()) {
-            // A later write over a trimmed range supersedes the tombstone.
-            trim_map_.Remove(e.vlba, e.len, nullptr);
-          }
-          data_plba += e.len;
-        }
-      }
-    }
+    apply_head_ = meta.offset + meta.size();
     for (auto& w : it->second.writes) {
       w.done(it->second.status);
     }
     in_flight_.erase(it);
     next_apply_seq_++;
   }
+  MaybeCheckpoint();
   // Stalled appends may proceed now: applied records are no longer pinned
   // in flight, so lazy eviction can reclaim them if they are releasable.
   MaybeStartRecord();
+}
+
+void WriteCache::ApplyRecord(const RecordMeta& rec) {
+  uint64_t data_plba = rec.offset + kBlockSize;
+  for (const auto& e : rec.extents) {
+    if (rec.is_trim) {
+      // Punch the cache map and remember the tombstone until the backend
+      // batch that carries the object-map punch commits (ReleaseThrough).
+      map_.Remove(e.vlba, e.len, nullptr);
+      trim_map_.Update(e.vlba, e.len, ObjTarget{rec.max_batch_seq, e.vlba},
+                       nullptr);
+      continue;
+    }
+    map_.Update(e.vlba, e.len, SsdTarget{data_plba}, nullptr);
+    if (!trim_map_.empty()) {
+      // A later write over a trimmed range supersedes the tombstone.
+      trim_map_.Remove(e.vlba, e.len, nullptr);
+    }
+    data_plba += e.len;
+  }
+}
+
+void WriteCache::EvictFront() {
+  const RecordMeta& rec = records_.front();
+  // Remove map entries that still point into this record's data area;
+  // ranges overwritten by newer records are left alone. Trim records carry
+  // no data, so no map entry can point into them.
+  if (!rec.is_trim) {
+    uint64_t extent_plba = rec.offset + kBlockSize;
+    ExtentMap<SsdTarget>::SegmentVec segs;
+    for (const auto& e : rec.extents) {
+      map_.Lookup(e.vlba, e.len, &segs);
+      for (const auto& seg : segs) {
+        if (seg.target.has_value() &&
+            seg.target->plba == extent_plba + (seg.start - e.vlba)) {
+          map_.Remove(seg.start, seg.len, nullptr);
+        }
+      }
+      extent_plba += e.len;
+    }
+  }
+  used_ -= rec.footprint;
+  c_evicted_records_->Inc();
+  records_.pop_front();
+  if (release_timed_count_ > 0) {
+    release_timed_count_--;
+  }
+}
+
+WriteCache::Placement WriteCache::Place(uint64_t head, uint64_t size) const {
+  const uint64_t tail = base_ + size_ - head;
+  if (size <= tail) {
+    return {head, size};
+  }
+  return {log_base_, tail + size};
 }
 
 void WriteCache::Barrier(std::function<void(Status)> done) {
@@ -443,40 +481,39 @@ void WriteCache::ReleaseThrough(uint64_t synced_batch_seq) {
   }
 }
 
-void WriteCache::EvictReleasable() { EvictForSpace(log_size_); }
+void WriteCache::EvictReleasable(std::function<void(Status)> done) {
+  // The checkpoint lists every applied record, so the guard in
+  // EvictForSpace holds none of them back.
+  WriteCheckpoint([this, done = std::move(done)](Status s) {
+    if (s.ok()) {
+      EvictForSpace(log_size_);
+    }
+    done(s);
+  });
+}
 
 void WriteCache::EvictForSpace(uint64_t needed) {
+  // A record also waits until the durable checkpoint lists it: replay starts
+  // at the first record that checkpoint does not list.
   while (free_bytes() < needed && !records_.empty() &&
          records_.front().max_batch_seq <= release_watermark_ &&
-         !in_flight_.contains(records_.front().seq)) {
-    const RecordMeta& rec = records_.front();
-    // Remove map entries that still point into this record's data area;
-    // ranges overwritten by newer records are left alone. Trim records carry
-    // no data, so no map entry can point into them.
-    if (!rec.is_trim) {
-      const uint64_t data_base = rec.offset + kBlockSize;
-      uint64_t extent_plba = data_base;
-      ExtentMap<SsdTarget>::SegmentVec segs;
-      for (const auto& e : rec.extents) {
-        map_.Lookup(e.vlba, e.len, &segs);
-        for (const auto& seg : segs) {
-          if (!seg.target.has_value()) {
-            continue;
-          }
-          const uint64_t expected = extent_plba + (seg.start - e.vlba);
-          if (seg.target->plba == expected) {
-            map_.Remove(seg.start, seg.len, nullptr);
-          }
-        }
-        extent_plba += e.len;
-      }
-    }
-    used_ -= rec.footprint;
-    c_evicted_records_->Inc();
-    records_.pop_front();
-    if (release_timed_count_ > 0) {
-      release_timed_count_--;
-    }
+         records_.front().seq < ckpt_next_seq_) {
+    EvictFront();
+  }
+  MaybeCheckpoint();
+}
+
+void WriteCache::MaybeCheckpoint() {
+  if (ckpt_in_flight_) {
+    return;
+  }
+  // The front record is applied but unlisted: only a newer checkpoint lets
+  // the log lap it.
+  const bool lap = !records_.empty() &&
+                   records_.front().seq >= ckpt_next_seq_ &&
+                   records_.front().seq < next_apply_seq_;
+  if (lap || next_apply_seq_ - ckpt_next_seq_ >= kCheckpointRecords) {
+    StartCheckpoint();
   }
 }
 
@@ -509,12 +546,18 @@ void WriteCache::ChargeReadback(uint64_t bytes, std::function<void()> done) {
   *issued = true;
 }
 
-Buffer WriteCache::EncodeCheckpointBlob(uint64_t backend_synced_seq) const {
-  // Sized exactly up front, so every field is written in place in one pass.
-  uint64_t len = kCkptFixedBytes + records_.size() * kCkptRecordBytes +
-                 map_.extent_count() * kCkptMapExtentBytes;
+Buffer WriteCache::EncodeCheckpointBlob() const {
+  // Only applied records are listed (a record in flight may never reach the
+  // SSD), with the head and next seq just past them. Sized exactly up
+  // front, so every field is written in place in one pass.
+  size_t count = 0;
+  uint64_t len = kCkptFixedBytes;
   for (const auto& rec : records_) {
-    len += rec.extents.size() * kCkptRecordExtentBytes;
+    if (rec.seq >= next_apply_seq_) {
+      break;
+    }
+    count++;
+    len += kCkptRecordBytes + rec.extents.size() * kCkptRecordExtentBytes;
   }
   len = RoundUpBlock(len);
   Encoder enc;
@@ -523,18 +566,15 @@ Buffer WriteCache::EncodeCheckpointBlob(uint64_t backend_synced_seq) const {
   enc.PutU32(kCkptVersion);
   enc.PutU64(len);
   enc.PutU64(ckpt_gen_ + 1);
-  enc.PutU64(next_seq_);
-  enc.PutU64(head_);
-  enc.PutU64(used_);
-  enc.PutU64(backend_synced_seq);
-  enc.PutU32(static_cast<uint32_t>(records_.size()));
-  enc.PutU32(static_cast<uint32_t>(map_.extent_count()));
+  enc.PutU64(next_apply_seq_);
+  enc.PutU64(apply_head_);
+  enc.PutU32(static_cast<uint32_t>(count));
   const size_t crc_pos = enc.size();
   enc.PutU32(0);
-  for (const auto& rec : records_) {
+  for (size_t i = 0; i < count; i++) {
+    const RecordMeta& rec = records_[i];
     enc.PutU64(rec.seq);
     enc.PutU64(rec.offset);
-    enc.PutU64(rec.total_len);
     enc.PutU64(rec.footprint);
     enc.PutU64(rec.max_batch_seq);
     const auto n = static_cast<uint32_t>(rec.extents.size());
@@ -545,12 +585,6 @@ Buffer WriteCache::EncodeCheckpointBlob(uint64_t backend_synced_seq) const {
       enc.PutU64(e.len);
     }
   }
-  map_.ForEachFrom(0, [&enc](const MapExtent<SsdTarget>& e) {
-    enc.PutU64(e.start);
-    enc.PutU64(e.len);
-    enc.PutU64(e.target.plba);
-    return true;
-  });
   enc.PadTo(kBlockSize);
   assert(enc.size() == len);
   enc.PatchU32(crc_pos, Crc32c(enc.bytes().data(), len));
@@ -581,10 +615,7 @@ Status WriteCache::LoadCheckpointBlob(const Buffer& blob,
   const uint64_t gen = dec.GetU64();
   const uint64_t next_seq = dec.GetU64();
   const uint64_t head = dec.GetU64();
-  const uint64_t used = dec.GetU64();
-  const uint64_t synced = dec.GetU64();
   const uint32_t rec_count = dec.GetU32();
-  const uint32_t ext_count = dec.GetU32();
   const size_t crc_pos = dec.position();
   const uint32_t crc = dec.GetU32();
   std::vector<uint8_t> check = bytes;
@@ -600,15 +631,15 @@ Status WriteCache::LoadCheckpointBlob(const Buffer& blob,
   const auto fits = [&dec](uint64_t count, uint64_t entry_bytes) {
     return count * entry_bytes <= dec.remaining();
   };
-  if (!fits(rec_count, kCkptRecordBytes)) {
+  if (!fits(rec_count, kCkptRecordBytes) || rec_count >= next_seq) {
     return Status::Corruption("write-cache checkpoint record count too large");
   }
-  std::deque<RecordMeta> records;
+  std::deque<RecordMeta> records(rec_count);
+  uint64_t used = 0;
   for (uint32_t i = 0; i < rec_count; i++) {
-    RecordMeta rec;
+    RecordMeta& rec = records[i];
     rec.seq = dec.GetU64();
     rec.offset = dec.GetU64();
-    rec.total_len = dec.GetU64();
     rec.footprint = dec.GetU64();
     rec.max_batch_seq = dec.GetU64();
     const uint32_t word = dec.GetU32();
@@ -622,77 +653,89 @@ Status WriteCache::LoadCheckpointBlob(const Buffer& blob,
       e.vlba = dec.GetU64();
       e.len = dec.GetU64();
     }
-    records.push_back(std::move(rec));
-  }
-  if (!fits(ext_count, kCkptMapExtentBytes)) {
-    return Status::Corruption("write-cache checkpoint map count too large");
-  }
-  std::vector<MapExtent<SsdTarget>> map(ext_count);
-  for (auto& e : map) {
-    e.start = dec.GetU64();
-    e.len = dec.GetU64();
-    e.target.plba = dec.GetU64();
+    // The listed records are the consecutive seqs just below next_seq.
+    if (rec.seq != next_seq - rec_count + i) {
+      return Status::Corruption("write-cache checkpoint records out of order");
+    }
+    used += rec.footprint;
   }
   if (!dec.ok()) {
     return Status::Corruption("write-cache checkpoint truncated");
+  }
+  if (used > log_size_) {
+    return Status::Corruption("write-cache checkpoint overfills the log");
   }
 
   *ckpt_gen = gen;
   next_seq_ = next_seq;
   next_apply_seq_ = next_seq;
+  ckpt_next_seq_ = next_seq;
   head_ = head;
+  apply_head_ = head;
   used_ = used;
-  recovered_synced_ = synced;
   records_ = std::move(records);
   release_timed_count_ = 0;
   map_.Clear();
-  for (const auto& e : map) {
-    map_.Update(e.start, e.len, e.target, nullptr);
-  }
-  // Rebuild the tombstone map from the live records in sequence order: a
-  // trim raises a tombstone, a later write over the range clears it.
   trim_map_.Clear();
-  for (const auto& rec : records_) {
-    for (const auto& e : rec.extents) {
-      if (rec.is_trim) {
-        trim_map_.Update(e.vlba, e.len, ObjTarget{rec.max_batch_seq, e.vlba},
-                         nullptr);
-      } else if (!trim_map_.empty()) {
-        trim_map_.Remove(e.vlba, e.len, nullptr);
-      }
-    }
+  for (const RecordMeta& rec : records_) {
+    ApplyRecord(rec);
   }
   return Status::Ok();
 }
 
-void WriteCache::WriteCheckpoint(uint64_t backend_synced_seq,
-                                 std::function<void(Status)> done) {
-  Buffer blob = EncodeCheckpointBlob(backend_synced_seq);
+void WriteCache::WriteCheckpoint(std::function<void(Status)> done) {
+  ckpt_waiters_.push_back(std::move(done));
+  if (!ckpt_in_flight_) {
+    StartCheckpoint();
+  }
+}
+
+void WriteCache::StartCheckpoint() {
+  ckpt_in_flight_ = true;
+  const uint64_t listed = next_apply_seq_;
+  Buffer blob = EncodeCheckpointBlob();
+  auto alive = alive_;
+  auto finish = [this, alive, listed,
+                 waiters = std::move(ckpt_waiters_)](Status s) {
+    ckpt_in_flight_ = false;
+    if (s.ok()) {
+      ckpt_gen_++;
+      ckpt_next_seq_ = listed;
+      c_checkpoints_->Inc();
+    }
+    for (const auto& done : waiters) {
+      done(s);
+    }
+    if (!*alive) {
+      return;
+    }
+    if (!ckpt_waiters_.empty()) {
+      StartCheckpoint();
+    } else if (s.ok()) {
+      // The records it lists may now be evicted for stalled appends.
+      MaybeStartRecord();
+    }
+  };
+  ckpt_waiters_.clear();
   if (blob.size() > slot_size_) {
-    done(Status::ResourceExhausted("write-cache map exceeds checkpoint slot"));
+    finish(Status::ResourceExhausted("write-cache checkpoint exceeds slot"));
     return;
   }
   const uint64_t slot_offset =
-      base_ + kBlockSize + ((ckpt_gen_ + 1) % 2) * slot_size_;
-  auto alive = alive_;
+      checkpoint_slot_offset(static_cast<int>((ckpt_gen_ + 1) % 2));
   ssd_->Write(slot_offset, std::move(blob),
-              [this, alive, done = std::move(done)](Status s) mutable {
+              [this, alive, finish = std::move(finish)](Status s) mutable {
     if (!*alive) {
       return;
     }
     if (!s.ok()) {
-      done(s);
+      finish(s);
       return;
     }
-    ssd_->Flush([this, alive, done = std::move(done)](Status s2) {
-      if (!*alive) {
-        return;
+    ssd_->Flush([alive, finish = std::move(finish)](Status s2) mutable {
+      if (*alive) {
+        finish(s2);
       }
-      if (s2.ok()) {
-        ckpt_gen_++;
-        c_checkpoints_->Inc();
-      }
-      done(s2);
     });
   });
 }
@@ -792,122 +835,96 @@ void WriteCache::RecoverFromSlot(
       return;
     }
     ckpt_gen_ = gen;
-    auto st = std::make_shared<ReplayState>();
-    st->pos = head_;
-    st->expected_seq = next_seq_;
-    st->done = std::move(done);
-    ReplayStep(st);
+    ReplayStep(head_, std::move(done));
   });
 }
 
-// Replay rules (§3.3): records must appear at the expected position with the
-// expected sequence number; any mismatch first probes the wrap position
-// (log_base_) once — the writer wraps when a record does not fit contiguously
-// — and otherwise ends the log. Stale data from a previous lap fails the
-// sequence check because sequence numbers are strictly increasing.
-void WriteCache::ReplayMiss(const std::shared_ptr<ReplayState>& st) {
-  if (!st->wrapped && st->pos != log_base_) {
-    st->wrapped = true;
-    st->fail_pos = st->pos;
-    st->pos = log_base_;
-    ReplayStep(st);
+// Replay rules (§3.3): the next record must carry the next sequence number
+// and sit where the writer's placement rule (Place) puts it after head_. A
+// miss at the head probes the wrap position (log_base_) once; any other
+// miss ends the log. Stale data from a previous lap fails the sequence
+// check because sequence numbers are strictly increasing.
+void WriteCache::ReplayMiss(uint64_t pos, std::function<void(Status)> done) {
+  if (pos == head_ && head_ != log_base_) {
+    ReplayStep(log_base_, std::move(done));
     return;
   }
-  // End of log. If we got here via a failed wrap probe, the writer never
-  // wrapped and the true head is the pre-wrap position.
-  head_ = st->wrapped ? st->fail_pos : st->pos;
-  next_seq_ = st->expected_seq;
-  next_apply_seq_ = st->expected_seq;
-  st->done(Status::Ok());
+  next_apply_seq_ = next_seq_;
+  apply_head_ = head_;
+  done(Status::Ok());
 }
 
-void WriteCache::ReplayStep(std::shared_ptr<ReplayState> st) {
+void WriteCache::ReplayStep(uint64_t pos, std::function<void(Status)> done) {
   const uint64_t region_end = base_ + size_;
-  if (st->pos + 2 * kBlockSize > region_end) {
-    ReplayMiss(st);
+  if (pos + kBlockSize > region_end) {
+    ReplayMiss(pos, std::move(done));
     return;
   }
   auto alive = alive_;
-  ssd_->Read(st->pos, kBlockSize,
-             [this, alive, st](Result<Buffer> r) {
+  ssd_->Read(pos, kBlockSize,
+             [this, alive, pos, region_end,
+              done = std::move(done)](Result<Buffer> r) mutable {
     if (!*alive) {
       return;
     }
     if (!r.ok()) {
-      st->done(r.status());
+      done(r.status());
       return;
     }
     JournalRecord rec;
     uint64_t data_len = 0;
     if (!DecodeJournalHeader(*r, &rec, &data_len, volume_limit_).ok() ||
-        rec.seq != st->expected_seq ||
-        st->pos + kBlockSize + data_len > base_ + size_ ||
-        (data_len == 0 && !rec.is_trim)) {
-      ReplayMiss(st);
+        rec.seq != next_seq_ || (data_len == 0 && !rec.is_trim)) {
+      ReplayMiss(pos, std::move(done));
+      return;
+    }
+    const Placement at = Place(head_, kBlockSize + data_len);
+    if (at.offset != pos || pos + kBlockSize + data_len > region_end) {
+      ReplayMiss(pos, std::move(done));
       return;
     }
     if (rec.is_trim) {
       // Trim records are a bare header; nothing to verify beyond its CRC.
-      ReplayAccept(st, std::move(rec), 0);
+      ReplayAccept(std::move(rec), at, std::move(done));
       return;
     }
     // Header valid; verify the payload before accepting the record.
-    ssd_->Read(st->pos + kBlockSize, data_len,
-               [this, alive, st, rec = std::move(rec),
-                data_len](Result<Buffer> dr) mutable {
+    ssd_->Read(pos + kBlockSize, data_len,
+               [this, alive, pos, rec = std::move(rec), at,
+                done = std::move(done)](Result<Buffer> dr) mutable {
       if (!*alive) {
         return;
       }
       if (!dr.ok() || !VerifyJournalData(rec, *dr).ok()) {
-        ReplayMiss(st);
+        ReplayMiss(pos, std::move(done));
         return;
       }
-      ReplayAccept(st, std::move(rec), data_len);
+      ReplayAccept(std::move(rec), at, std::move(done));
     });
   });
 }
 
-void WriteCache::ReplayAccept(const std::shared_ptr<ReplayState>& st,
-                              JournalRecord rec, uint64_t data_len) {
+void WriteCache::ReplayAccept(JournalRecord rec, Placement at,
+                              std::function<void(Status)> done) {
   RecordMeta meta;
   meta.seq = rec.seq;
-  meta.offset = st->pos;
-  meta.total_len = kBlockSize + data_len;
-  // A record found at the wrap position means the writer wrapped here; the
-  // skipped tail of the region counts against the record's footprint.
-  const uint64_t gap =
-      st->wrapped ? (base_ + size_) - st->fail_pos : st->pending_gap;
-  meta.footprint = gap + meta.total_len;
+  meta.offset = at.offset;
+  meta.footprint = at.footprint;
   meta.max_batch_seq = rec.batch_seq;
   meta.is_trim = rec.is_trim;
-  meta.extents = rec.extents;
-
-  if (rec.is_trim) {
-    for (const auto& e : rec.extents) {
-      map_.Remove(e.vlba, e.len, nullptr);
-      trim_map_.Update(e.vlba, e.len, ObjTarget{rec.batch_seq, e.vlba},
-                       nullptr);
-    }
-  } else {
-    uint64_t data_plba = st->pos + kBlockSize;
-    for (const auto& e : rec.extents) {
-      map_.Update(e.vlba, e.len, SsdTarget{data_plba}, nullptr);
-      if (!trim_map_.empty()) {
-        trim_map_.Remove(e.vlba, e.len, nullptr);
-      }
-      data_plba += e.len;
-    }
+  meta.extents = std::move(rec.extents);
+  // Records sit back to back in log order, so this one overwrote the front
+  // record exactly when the log cannot hold both: the writer evicted it
+  // first, and so does replay.
+  while (!records_.empty() && used_ + meta.footprint > log_size_) {
+    EvictFront();
   }
+  ApplyRecord(meta);
+  head_ = at.offset + meta.size();
+  next_seq_ = meta.seq + 1;
   used_ += meta.footprint;
-  const uint64_t next_pos = st->pos + meta.total_len;
   records_.push_back(std::move(meta));
-
-  st->pos = next_pos;
-  st->expected_seq++;
-  st->wrapped = false;
-  st->fail_pos = 0;
-  st->pending_gap = 0;
-  ReplayStep(st);
+  ReplayStep(head_, std::move(done));
 }
 
 std::vector<WriteCache::RecordMeta> WriteCache::RecordsAfterBatch(
@@ -923,8 +940,7 @@ std::vector<WriteCache::RecordMeta> WriteCache::RecordsAfterBatch(
 
 void WriteCache::ReadRecordPayload(const RecordMeta& rec,
                                    std::function<void(Result<Buffer>)> done) {
-  ReadData(rec.offset + kBlockSize, rec.total_len - kBlockSize,
-           std::move(done));
+  ReadData(rec.offset + kBlockSize, rec.size() - kBlockSize, std::move(done));
 }
 
 }  // namespace lsvd

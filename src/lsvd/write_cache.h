@@ -9,13 +9,14 @@
 //
 // Region layout:
 //   [base, base+4K)            superblock
-//   [.., +2 checkpoint slots)  alternating map checkpoints
+//   [.., +2 checkpoint slots)  alternating checkpoints of the live records
 //   [log_base, base+size)      circular record log
 //
 // Eviction is FIFO and gated on backend progress: a record may only be
 // released once every backend batch it contributed to has committed
-// (ReleaseThrough). When the log fills, appends stall — this is the
-// writeback-bound regime of the paper's Figures 9-11.
+// (ReleaseThrough), and once a durable checkpoint lists it. When the log
+// fills, appends stall — this is the writeback-bound regime of the paper's
+// Figures 9-11.
 #ifndef SRC_LSVD_WRITE_CACHE_H_
 #define SRC_LSVD_WRITE_CACHE_H_
 
@@ -49,13 +50,12 @@ struct WriteCacheStats {
 
 class WriteCache {
  public:
-  // Metadata for a live (not yet evicted) record, kept in memory and in map
+  // Metadata for a live (not yet evicted) record, kept in memory and in
   // checkpoints; used for eviction and post-crash replay to the backend.
   struct RecordMeta {
     uint64_t seq = 0;
     uint64_t offset = 0;     // device offset of the header block
-    uint64_t total_len = 0;  // header + data bytes
-    uint64_t footprint = 0;  // total_len + any wrap gap preceding it
+    uint64_t footprint = 0;  // size() plus any wrap gap preceding it
     uint64_t max_batch_seq = 0;
     bool is_trim = false;    // trim tombstone record (extents, no data)
     std::vector<JournalExtent> extents;
@@ -63,6 +63,8 @@ class WriteCache {
     // append-to-releasable lifecycle histogram. -1 for recovered records
     // (whose true append time is unknown).
     Nanos appended_at = -1;
+    // Header + payload bytes in the log.
+    uint64_t size() const { return JournalRecordSize(is_trim, extents); }
   };
 
   // `metrics`/`prefix` name this cache's counters in a shared registry; a
@@ -130,18 +132,19 @@ class WriteCache {
            records_.back().max_batch_seq <= release_watermark_;
   }
 
-  // Evicts every releasable record immediately (e.g. handing the cache
-  // device to another volume after migration). Normal operation relies on
-  // the lazy FIFO eviction instead.
-  void EvictReleasable();
+  // Checkpoints, then evicts every releasable record (after crash recovery,
+  // so that no replayed record shadows newer backend data). Normal
+  // operation relies on the lazy FIFO eviction instead.
+  void EvictReleasable(std::function<void(Status)> done);
 
   // Charges the prototype's kernel/user SSD pass-through read (§4.7): the
   // userspace daemon reads `bytes` of outgoing batch data back from the log.
   void ChargeReadback(uint64_t bytes, std::function<void()> done);
 
-  // Writes a map checkpoint (alternating slots) and flushes.
-  void WriteCheckpoint(uint64_t backend_synced_seq,
-                       std::function<void(Status)> done);
+  // Writes a checkpoint of the applied live records (alternating slots) and
+  // flushes; a call made while one is in flight gets the next one. The
+  // cache also checkpoints on its own (policy and invariants: DESIGN.md §6).
+  void WriteCheckpoint(std::function<void(Status)> done);
 
   // Rebuilds state from SSD: superblock, newest valid checkpoint, then log
   // replay up to the first invalid/out-of-sequence record. Of the two
@@ -167,7 +170,6 @@ class WriteCache {
 
   uint64_t free_bytes() const { return log_size_ - used_; }
   uint64_t used_bytes() const { return used_; }
-  uint64_t backend_synced_hint() const { return recovered_synced_; }
   WriteCacheStats stats() const;
   MetricsRegistry* metrics() const { return metrics_; }
 
@@ -181,9 +183,23 @@ class WriteCache {
     uint64_t trim_len = 0;  // trims carry no data, so length lives here
   };
 
+  // Where the writer puts a record of `size` bytes at `head`: there if it
+  // fits before the region end, else at log_base_, with the skipped tail
+  // counted in its footprint. Replay checks the same rule.
+  struct Placement {
+    uint64_t offset;
+    uint64_t footprint;
+  };
+  Placement Place(uint64_t head, uint64_t size) const;
+
   void MaybeStartRecord();
   bool StartOneRecord();
   void ApplyCompletedRecords();
+  // The record lifecycle, shared by the writer, checkpoint load and replay:
+  // ApplyRecord edits the cache map and trim tombstones for a record, and
+  // EvictFront drops the front record's map entries and footprint.
+  void ApplyRecord(const RecordMeta& rec);
+  void EvictFront();
   // Adaptive batching (SetAdaptiveBatching): plug-deadline timer and the
   // coalesced barrier-flush pump.
   void ArmPlugTimer();
@@ -192,9 +208,13 @@ class WriteCache {
   // Evicts releasable records (FIFO) until at least `needed` bytes are free
   // or nothing more can be evicted.
   void EvictForSpace(uint64_t needed);
-  Buffer EncodeCheckpointBlob(uint64_t backend_synced_seq) const;
+  // Starts a checkpoint every kCheckpointRecords applied records, and when
+  // the front record is the first one the durable checkpoint does not list.
+  void MaybeCheckpoint();
+  void StartCheckpoint();
+  Buffer EncodeCheckpointBlob() const;
   // Decodes a whole blob and, only if it is valid, replaces the cache state
-  // with it.
+  // with its records, folded through ApplyRecord.
   Status LoadCheckpointBlob(const Buffer& blob, uint64_t* ckpt_gen);
   // Recovery after the superblock: each slot's first block gives its
   // generation and blob length; slots are tried newest first, reading only
@@ -202,19 +222,11 @@ class WriteCache {
   void RecoverFromSlot(std::vector<std::pair<uint64_t, uint64_t>> slots,
                        size_t i, std::function<void(Status)> done);
 
-  // Log-replay state machine (see Recover).
-  struct ReplayState {
-    uint64_t pos = 0;          // next header position to try
-    uint64_t expected_seq = 0; // sequence number the next record must carry
-    bool wrapped = false;      // currently probing the wrap position
-    uint64_t fail_pos = 0;     // pre-wrap position (head if wrap probe fails)
-    uint64_t pending_gap = 0;  // wrap gap to charge to the next record
-    std::function<void(Status)> done;
-  };
-  void ReplayStep(std::shared_ptr<ReplayState> st);
-  void ReplayMiss(const std::shared_ptr<ReplayState>& st);
-  void ReplayAccept(const std::shared_ptr<ReplayState>& st,
-                    JournalRecord rec, uint64_t data_len);
+  // Log replay (see Recover), probing for the next record at `pos`.
+  void ReplayStep(uint64_t pos, std::function<void(Status)> done);
+  void ReplayMiss(uint64_t pos, std::function<void(Status)> done);
+  void ReplayAccept(JournalRecord rec, Placement at,
+                    std::function<void(Status)> done);
 
   ClientHost* host_;
   SimSsd* ssd_;
@@ -248,6 +260,7 @@ class WriteCache {
   uint64_t next_apply_seq_ = 1;
   uint64_t release_watermark_ = 0;  // highest backend-synced batch seen
   uint64_t head_;           // absolute append offset
+  uint64_t apply_head_;     // end of the newest applied record
   uint64_t used_ = 0;       // log bytes occupied (incl. wrap gaps)
 
   // Adaptive batching (all inert until SetAdaptiveBatching).
@@ -258,7 +271,11 @@ class WriteCache {
 
   uint64_t next_seq_ = 1;
   uint64_t ckpt_gen_ = 0;   // checkpoint generation (picks newest slot)
-  uint64_t recovered_synced_ = 0;
+  // Next seq of the newest durable checkpoint: it lists the records below.
+  uint64_t ckpt_next_seq_ = 1;
+  bool ckpt_in_flight_ = false;
+  // WriteCheckpoint callers for the next checkpoint.
+  std::vector<std::function<void(Status)>> ckpt_waiters_;
   uint64_t readback_head_ = 0;  // cursor for pass-through readback charging
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 

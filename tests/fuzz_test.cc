@@ -183,12 +183,13 @@ TEST_P(CodecFuzz, WriteCacheRecoverSurvivesCorruptNewestSlot) {
   const uint64_t base = *world.host.AllocRegion(kRegion);
   const StageCosts zero{0, 0, 0, 0, 0, 0, 0, 0, 0};
   SimSsd* ssd = world.host.ssd();
+  int newest_slot = 0;
   {
     WriteCache wc(&world.host, base, kRegion, zero);
     wc.Format([](Status s) { ASSERT_TRUE(s.ok()); });
     world.sim.Run();
-    // Writes and trims, checkpointed twice: generation 2 lands in slot 0,
-    // generation 3 (the newest) in slot 1.
+    // Writes and trims, checkpointed twice (the cache adds one of its own
+    // after the first record).
     for (int ckpt = 0; ckpt < 2; ckpt++) {
       for (int i = 0; i < 20; i++) {
         const uint64_t vlba = rng.Uniform(256) * kBlockSize;
@@ -201,9 +202,11 @@ TEST_P(CodecFuzz, WriteCacheRecoverSurvivesCorruptNewestSlot) {
         }
         world.sim.Run();
       }
-      wc.WriteCheckpoint(0, [](Status s) { ASSERT_TRUE(s.ok()); });
+      wc.WriteCheckpoint([](Status s) { ASSERT_TRUE(s.ok()); });
       world.sim.Run();
     }
+    // Format wrote generation 1; generation g lands in slot g % 2.
+    newest_slot = static_cast<int>(wc.stats().checkpoints % 2);
     wc.Kill();
   }
 
@@ -236,7 +239,7 @@ TEST_P(CodecFuzz, WriteCacheRecoverSurvivesCorruptNewestSlot) {
     world.sim.Run();
   };
   WriteCache layout(&world.host, base, kRegion, zero);
-  const uint64_t newest = layout.checkpoint_slot_offset(1);
+  const uint64_t newest = layout.checkpoint_slot_offset(newest_slot);
   const std::vector<uint8_t> head = read_block(newest);
   uint64_t blob_len = 0;
   for (int i = 0; i < 8; i++) {

@@ -48,7 +48,7 @@ TEST(JournalCodec, RoundTrip) {
 
   Buffer encoded = EncodeJournalRecord(rec);
   EXPECT_EQ(encoded.size(), kBlockSize + 12288);
-  EXPECT_EQ(JournalRecordSize(rec), encoded.size());
+  EXPECT_EQ(JournalRecordSize(rec.is_trim, rec.extents), encoded.size());
 
   JournalRecord out;
   uint64_t data_len = 0;
@@ -63,6 +63,36 @@ TEST(JournalCodec, RoundTrip) {
   EXPECT_EQ(out.extents[1].len, 8192u);
   EXPECT_TRUE(
       VerifyJournalData(out, encoded.Slice(kBlockSize, data_len)).ok());
+}
+
+// The header CRC is computed over the encoded fields and extended over the
+// zero tail; it must equal a CRC over the whole block (with the CRC field
+// zeroed), which is what the decoder checks.
+TEST(JournalCodec, HeaderCrcEqualsFullBlockCrc) {
+  constexpr size_t kHeaderCrcPos = 4 + 8 + 8 + 4 + 8 + 4;
+  for (const size_t extents : {0, 1, 250}) {
+    for (const bool is_trim : {false, true}) {
+      JournalRecord rec;
+      rec.seq = 9;
+      rec.batch_seq = 3;
+      rec.is_trim = is_trim;
+      for (size_t i = 0; i < extents; i++) {
+        rec.extents.push_back({2 * i * kBlockSize, kBlockSize});
+      }
+      if (!is_trim) {
+        rec.data = TestPattern(extents * kBlockSize, extents + 1);
+      }
+      std::vector<uint8_t> header =
+          EncodeJournalRecord(rec).Slice(0, kBlockSize).ToBytes();
+      uint32_t stored = 0;
+      for (size_t i = 0; i < 4; i++) {
+        stored |= static_cast<uint32_t>(header[kHeaderCrcPos + i]) << (8 * i);
+        header[kHeaderCrcPos + i] = 0;
+      }
+      EXPECT_EQ(stored, Crc32c(header.data(), header.size()))
+          << extents << " extents, trim " << is_trim;
+    }
+  }
 }
 
 TEST(JournalCodec, DetectsHeaderCorruption) {

@@ -86,7 +86,8 @@ TEST_F(LsvdDiskTest, DataFlowsToBackendAndStaysReadable) {
   EXPECT_EQ(disk_->backend().object_map().mapped_bytes(), 8u * 256 * kKiB);
 
   // After eviction (e.g. space pressure), reads route to the backend.
-  disk_->write_cache().EvictReleasable();
+  ASSERT_TRUE(
+      EvictReleasableSync(&world_.sim, &disk_->write_cache()).ok());
   EXPECT_EQ(disk_->write_cache().map().mapped_bytes(), 0u);
   auto r = ReadSync(&world_.sim, disk_.get(), 3 * kMiB, 256 * kKiB);
   ASSERT_TRUE(r.ok());
@@ -143,7 +144,9 @@ TEST_F(LsvdDiskTest, PrefetchFillsReadCache) {
                         TestPattern(512 * kKiB, 4))
                   .ok());
   ASSERT_TRUE(DrainSync(&world_.sim, disk_.get()).ok());
-  disk_->write_cache().EvictReleasable();  // force reads to the backend
+  // Force reads to the backend.
+  ASSERT_TRUE(
+      EvictReleasableSync(&world_.sim, &disk_->write_cache()).ok());
   // First 4 KiB read misses to the backend but prefetches a whole window.
   auto r1 = ReadSync(&world_.sim, disk_.get(), 0, 4 * kKiB);
   ASSERT_TRUE(r1.ok());
@@ -163,7 +166,9 @@ TEST_F(LsvdDiskTest, WriteInvalidatesReadCache) {
                         TestPattern(128 * kKiB, 5))
                   .ok());
   ASSERT_TRUE(DrainSync(&world_.sim, disk_.get()).ok());
-  disk_->write_cache().EvictReleasable();  // miss to the backend, fill rc
+  // Miss to the backend, fill rc.
+  ASSERT_TRUE(
+      EvictReleasableSync(&world_.sim, &disk_->write_cache()).ok());
   ASSERT_TRUE(ReadSync(&world_.sim, disk_.get(), 0, 128 * kKiB).ok());
   world_.sim.Run();  // lines appear once their background fills land
   ASSERT_GT(disk_->read_cache().map().mapped_bytes(), 0u);
@@ -173,7 +178,9 @@ TEST_F(LsvdDiskTest, WriteInvalidatesReadCache) {
   Buffer newer = TestPattern(128 * kKiB, 6);
   ASSERT_TRUE(WriteSync(&world_.sim, disk_.get(), 0, newer).ok());
   ASSERT_TRUE(DrainSync(&world_.sim, disk_.get()).ok());
-  disk_->write_cache().EvictReleasable();  // the write-after-read hazard case
+  // The write-after-read hazard case.
+  ASSERT_TRUE(
+      EvictReleasableSync(&world_.sim, &disk_->write_cache()).ok());
   auto r = ReadSync(&world_.sim, disk_.get(), 0, 128 * kKiB);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, newer);
@@ -222,7 +229,8 @@ Buffer ReadAfterFetchRacesOverwrite(Nanos fetch_delay, bool evict_first,
   EXPECT_TRUE(OpenSync(&world.sim, &disk, &LsvdDisk::Create).ok());
   EXPECT_TRUE(WriteSync(&world.sim, &disk, 0, v1).ok());
   EXPECT_TRUE(DrainSync(&world.sim, &disk).ok());
-  disk.write_cache().EvictReleasable();  // the read misses to the backend
+  // The read misses to the backend.
+  EXPECT_TRUE(EvictReleasableSync(&world.sim, &disk.write_cache()).ok());
 
   std::optional<Result<Buffer>> first;
   disk.Read(0, v1.size(), [&](Result<Buffer> r) { first = std::move(r); });
@@ -233,7 +241,7 @@ Buffer ReadAfterFetchRacesOverwrite(Nanos fetch_delay, bool evict_first,
       EXPECT_TRUE(first.has_value() && first->ok());
     }
     EXPECT_TRUE(DrainSync(&world.sim, &disk).ok());
-    disk.write_cache().EvictReleasable();
+    EXPECT_TRUE(EvictReleasableSync(&world.sim, &disk.write_cache()).ok());
   }
   auto r = ReadSync(&world.sim, &disk, 0, v2.size());
   EXPECT_TRUE(r.ok());
@@ -335,7 +343,9 @@ TEST_F(LsvdDiskTest, CleanShutdownAndReopenRestoresReadCache) {
                         TestPattern(256 * kKiB, 9))
                   .ok());
   ASSERT_TRUE(DrainSync(&world_.sim, disk_.get()).ok());
-  disk_->write_cache().EvictReleasable();  // miss to the backend, fill rc
+  // Miss to the backend, fill rc.
+  ASSERT_TRUE(
+      EvictReleasableSync(&world_.sim, &disk_->write_cache()).ok());
   ASSERT_TRUE(ReadSync(&world_.sim, disk_.get(), 0, 256 * kKiB).ok());
   world_.sim.Run();  // lines appear once their background fills land
   ASSERT_GT(disk_->read_cache().map().mapped_bytes(), 0u);

@@ -73,6 +73,15 @@ inline Status DrainSync(Simulator* sim, LsvdDisk* disk) {
   return result.value_or(Status::Unavailable("drain never completed"));
 }
 
+// Checkpoints the write cache, then evicts every releasable record.
+inline Status EvictReleasableSync(Simulator* sim, WriteCache* wc) {
+  std::optional<Status> result;
+  wc->EvictReleasable([&](Status s) { result = s; });
+  while (!result.has_value() && sim->Step()) {
+  }
+  return result.value_or(Status::Unavailable("eviction never completed"));
+}
+
 inline Status OpenSync(Simulator* sim, LsvdDisk* disk,
                        void (LsvdDisk::*open)(std::function<void(Status)>)) {
   std::optional<Status> result;

@@ -32,7 +32,7 @@ namespace {
 
 constexpr uint64_t kStampBlock = 4096;
 constexpr uint64_t kStampRegion = 4 * kMiB;  // all writes land in this window
-constexpr size_t kNumWrites = 64;
+constexpr size_t kNumWrites = 64;  // plan length unless a case sets one
 constexpr int kQueueDepth = 4;
 constexpr size_t kFlushEvery = 9;  // a flush barrier every N writes
 constexpr uint64_t kStepCap = 20'000'000;
@@ -43,11 +43,12 @@ struct PlannedWrite {
   bool is_trim = false;  // TRIM op: zeros the range instead of stamping it
 };
 
-std::vector<PlannedWrite> MakePlan(uint64_t seed, bool with_trims = false) {
+std::vector<PlannedWrite> MakePlan(uint64_t seed, bool with_trims,
+                                   size_t writes) {
   Rng rng(seed * 0x9E3779B97F4A7C15ull + 1);
   std::vector<PlannedWrite> plan;
-  plan.reserve(kNumWrites);
-  for (size_t i = 0; i < kNumWrites; i++) {
+  plan.reserve(writes);
+  for (size_t i = 0; i < writes; i++) {
     const uint64_t len = (1 + rng.Uniform(8)) * kStampBlock;  // 4..32 KiB
     const uint64_t max_block = (kStampRegion - len) / kStampBlock;
     const uint64_t vlba = rng.Uniform(max_block + 1) * kStampBlock;
@@ -224,6 +225,10 @@ struct TortureCase {
   // force-started journal records and coalesced barrier flushes.
   bool adaptive = false;
   GcPolicyKind policy = GcPolicyKind::kGreedy;
+  // Write-cache size (0: the config's 32 MiB) and plan length; the wrap rows
+  // pair a small journal with a plan that laps it several times.
+  uint64_t journal = 0;
+  size_t writes = kNumWrites;
 };
 
 // One seeded workload world over `shards` object stores, each with its own
@@ -241,7 +246,8 @@ struct TortureWorld {
   std::shared_ptr<Runner> runner;
 
   TortureWorld(uint64_t seed, const LsvdConfig& config, size_t shards,
-               bool with_faults, bool with_trims) {
+               bool with_faults, bool with_trims,
+               size_t writes = kNumWrites) {
     std::vector<ObjectStore*> workload_stores;
     for (size_t i = 0; i < shards; i++) {
       if (i > 0) {
@@ -261,7 +267,7 @@ struct TortureWorld {
     EXPECT_TRUE(OpenSync(&world.sim, disk.get(), &LsvdDisk::Create).ok());
     runner = std::make_shared<Runner>();
     runner->disk = disk.get();
-    runner->plan = MakePlan(seed, with_trims);
+    runner->plan = MakePlan(seed, with_trims, writes);
     Pump(runner);
   }
 
@@ -346,13 +352,13 @@ void TortureOnce(const TortureCase& c, const LsvdConfig& config,
   const bool cache_lost =
       c.crash == CrashMode::kCacheLost || c.crash == CrashMode::kShardTailLoss;
   const uint64_t total = TortureWorld(seed, config, c.shards, c.faults,
-                                      c.trims)
+                                      c.trims, c.writes)
                              .StepUpTo(kStepCap);
   ASSERT_GT(total, 0u);
   Rng crash_rng(seed ^ (cache_lost ? 0x10CACE1057ull : 0xC4A5481DEAD5EEDull));
   const uint64_t crash_step = crash_rng.UniformRange(1, total + 1);
 
-  TortureWorld t(seed, config, c.shards, c.faults, c.trims);
+  TortureWorld t(seed, config, c.shards, c.faults, c.trims, c.writes);
   t.StepUpTo(crash_step);
   t.runner->dead = true;
   const DiskRegions regions = t.disk->regions();
@@ -398,6 +404,9 @@ void RunTorture(const std::vector<TortureCase>& cases) {
       config.batch_seal_deadline = 500 * kMicrosecond;
     }
     config.gc_policy = c.policy;
+    if (c.journal != 0) {
+      config.write_cache_size = c.journal;
+    }
     for (uint64_t seed = c.first_seed; seed <= c.last_seed; seed++) {
       TortureOnce(c, config, seed);
     }
@@ -504,6 +513,23 @@ TORTURE_TEST(TrimRecoveryTortureTest, ShardedCacheLostRecoversConsistentPrefix,
               .shards = 4, .trims = true},
              {.crash = kCacheLost, .first_seed = 2501, .last_seed = 2510,
               .shards = 2, .faults = true, .trims = true})
+
+// Journal wrap (DESIGN.md §6): ~2000 ops of 4-32 KiB (~36 MiB) lap a
+// 16 MiB write cache about three times, so crashes land after the log has
+// overwritten records the newest checkpoint lists, and while the cache waits
+// for a lap checkpoint before reusing its replay start.
+constexpr uint64_t kWrapJournal = 16 * kMiB;
+constexpr size_t kWrapWrites = 2000;
+TORTURE_TEST(WrapRecoveryTortureTest, AfterCrashRecoversAckedWrites,
+             {.crash = kClientOnly, .first_seed = 3001, .last_seed = 3008,
+              .journal = kWrapJournal, .writes = kWrapWrites},
+             {.crash = kClientOnly, .first_seed = 3101, .last_seed = 3108,
+              .trims = true, .journal = kWrapJournal, .writes = kWrapWrites})
+TORTURE_TEST(WrapRecoveryTortureTest, AfterCrashWithPowerFailure,
+             {.crash = kClientAndPower, .first_seed = 3201, .last_seed = 3208,
+              .journal = kWrapJournal, .writes = kWrapWrites},
+             {.crash = kClientAndPower, .first_seed = 3301, .last_seed = 3308,
+              .trims = true, .journal = kWrapJournal, .writes = kWrapWrites})
 
 // Acceptance: a seeded workload against a backend with 10% transient PUT
 // failures runs to completion with zero data-integrity errors, and after a

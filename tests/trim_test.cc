@@ -85,7 +85,8 @@ TEST_F(TrimDiskTest, TrimPunchesBackendMapAndInvalidatesCaches) {
   Buffer data = TestPattern(256 * kKiB, 5);
   ASSERT_TRUE(WriteSync(&world_.sim, disk_.get(), 0, data).ok());
   ASSERT_TRUE(DrainSync(&world_.sim, disk_.get()).ok());
-  disk_->write_cache().EvictReleasable();
+  ASSERT_TRUE(
+      EvictReleasableSync(&world_.sim, &disk_->write_cache()).ok());
   ASSERT_EQ(disk_->backend().object_map().mapped_bytes(), 256u * kKiB);
   // Warm the read cache over the range so the trim must invalidate it.
   ASSERT_TRUE(ReadSync(&world_.sim, disk_.get(), 0, 64 * kKiB).ok());
@@ -97,7 +98,8 @@ TEST_F(TrimDiskTest, TrimPunchesBackendMapAndInvalidatesCaches) {
   // The backend map is punched and the trimmed half reads zeros even after
   // the write cache forgets the trim record.
   EXPECT_EQ(disk_->backend().object_map().mapped_bytes(), 128u * kKiB);
-  disk_->write_cache().EvictReleasable();
+  ASSERT_TRUE(
+      EvictReleasableSync(&world_.sim, &disk_->write_cache()).ok());
   auto r = ReadSync(&world_.sim, disk_.get(), 0, 256 * kKiB);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->Slice(0, 128 * kKiB).IsAllZeros());

@@ -251,7 +251,7 @@ TEST_F(WriteCacheTest, PowerFailLosesUnflushedTail) {
 TEST_F(WriteCacheTest, RecoveryReplaysLogAfterCheckpoint) {
   ASSERT_TRUE(Append(0, TestPattern(4096, 1), 1).ok());
   std::optional<Status> cs;
-  wc_->WriteCheckpoint(0, [&](Status s) { cs = s; });
+  wc_->WriteCheckpoint([&](Status s) { cs = s; });
   sim_.Run();
   ASSERT_TRUE(cs->ok());
   // More appends after the checkpoint.
@@ -288,7 +288,7 @@ TEST_F(WriteCacheTest, ReleaseIsLazyEvictionIsOnDemand) {
   EXPECT_TRUE(wc_->fully_synced());
 
   // Explicit eviction drops mappings and frees space.
-  wc_->EvictReleasable();
+  ASSERT_TRUE(EvictReleasableSync(&sim_, wc_.get()).ok());
   EXPECT_LT(wc_->used_bytes(), used_before);
   EXPECT_FALSE(wc_->map().LookupOne(0).has_value());
   EXPECT_FALSE(wc_->map().LookupOne(4096).has_value());
@@ -302,7 +302,7 @@ TEST_F(WriteCacheTest, EvictionKeepsNewerOverwrites) {
   ASSERT_TRUE(Append(0, newer, 2).ok());
   // Evicting record 1 must not remove the newer mapping.
   wc_->ReleaseThrough(1);
-  wc_->EvictReleasable();
+  ASSERT_TRUE(EvictReleasableSync(&sim_, wc_.get()).ok());
   EXPECT_EQ(wc_->stats().evicted_records, 1u);
   auto r = ReadVlba(0, 4096);
   ASSERT_TRUE(r.ok());
@@ -357,12 +357,170 @@ TEST_F(WriteCacheTest, LogWrapsAroundAndRecovers) {
 
   // Checkpoint so recovery has a recent anchor, then crash and replay.
   std::optional<Status> cs;
-  wc_->WriteCheckpoint(laps, [&](Status s) { cs = s; });
+  wc_->WriteCheckpoint([&](Status s) { cs = s; });
   sim_.Run();
   ASSERT_TRUE(cs->ok());
   host_.ssd()->PowerFail();
   auto fresh = Reopen();
   EXPECT_TRUE(fresh->map().LookupOne(kMiB).has_value());
+}
+
+// --- the log wrapping past what the newest checkpoint lists ---
+
+TEST_F(WriteCacheTest, ReplayRetiresCheckpointedRecordItOverwrote) {
+  // Record A, then 1 MiB records filling half the log, all listed in one
+  // checkpoint.
+  ASSERT_TRUE(Append(0, TestPattern(4096, 1), 1).ok());
+  const uint64_t a_offset = wc_->RecordsAfterBatch(0).front().offset;
+  uint64_t batch = 2;
+  while (wc_->used_bytes() < wc_->free_bytes()) {
+    ASSERT_TRUE(Append(batch % 16 * kMiB + kMiB, Buffer::Zeros(kMiB), batch)
+                    .ok());
+    batch++;
+  }
+  std::optional<Status> cs;
+  wc_->WriteCheckpoint([&](Status s) { cs = s; });
+  sim_.Run();
+  ASSERT_TRUE(cs.has_value() && cs->ok());
+  const uint64_t checkpoints = wc_->stats().checkpoints;
+  // Release everything and append until the log wraps over A's record.
+  for (int i = 0;; i++) {
+    ASSERT_LT(i, 2 * static_cast<int>(kRegionSize / kMiB)) << "never wrapped";
+    wc_->ReleaseThrough(batch - 1);
+    ASSERT_TRUE(Append(batch % 16 * kMiB + kMiB, Buffer::Zeros(kMiB), batch)
+                    .ok());
+    if (wc_->RecordsAfterBatch(batch - 1).front().offset == a_offset) {
+      break;
+    }
+    batch++;
+  }
+  // Recovery starts from the checkpoint that lists A, so replay must retire
+  // it.
+  ASSERT_EQ(wc_->stats().checkpoints, checkpoints);
+  std::optional<Status> fs;
+  wc_->Barrier([&](Status s) { fs = s; });
+  sim_.Run();
+  ASSERT_TRUE(fs.has_value() && fs->ok());
+
+  host_.ssd()->PowerFail();
+  auto fresh = Reopen();
+  EXPECT_FALSE(fresh->map().LookupOne(0).has_value());
+  EXPECT_LE(fresh->used_bytes(), wc_->used_bytes() + wc_->free_bytes());
+}
+
+TEST_F(WriteCacheTest, LogLappingItsReplayStartKeepsNewestRecord) {
+  std::optional<Status> cs;
+  wc_->WriteCheckpoint([&](Status s) { cs = s; });
+  sim_.Run();
+  ASSERT_TRUE(cs.has_value() && cs->ok());
+  // More than one lap of 1 MiB records, keeping only the newest.
+  const uint64_t records = kRegionSize / kMiB + 8;
+  for (uint64_t i = 1; i <= records; i++) {
+    wc_->ReleaseThrough(i - 1);
+    ASSERT_TRUE(Append(i % 16 * kMiB, Buffer::Zeros(kMiB), i).ok());
+  }
+  wc_->ReleaseThrough(records);
+  const Buffer newest = TestPattern(4096, 7);
+  ASSERT_TRUE(Append(20 * kMiB, newest, records + 1).ok());
+  std::optional<Status> fs;
+  wc_->Barrier([&](Status s) { fs = s; });
+  sim_.Run();
+  ASSERT_TRUE(fs.has_value() && fs->ok());
+
+  host_.ssd()->PowerFail();
+  wc_ = Reopen();
+  auto r = ReadVlba(20 * kMiB, 4096);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r, newest);
+}
+
+TEST_F(WriteCacheTest, RecordEndingAtRegionEndWrapsTheNext) {
+  // 59 records of 1 MiB + header and 98 of 4 KiB + header fill the
+  // 60 MiB - 4 KiB log of a 64 MiB region exactly to its end.
+  const uint64_t log_base = wc_->checkpoint_slot_offset(1) +
+                            (wc_->checkpoint_slot_offset(1) -
+                             wc_->checkpoint_slot_offset(0));
+  uint64_t batch = 1;
+  for (int i = 0; i < 59 + 98; i++) {
+    wc_->ReleaseThrough(batch - 1);
+    const uint64_t len = i < 59 ? kMiB : 4096;
+    ASSERT_TRUE(Append(0, Buffer::Zeros(len), batch++).ok());
+  }
+  const WriteCache::RecordMeta last = wc_->RecordsAfterBatch(batch - 2)[0];
+  ASSERT_EQ(last.offset + last.size(), base_ + kRegionSize);
+
+  wc_->ReleaseThrough(batch - 1);
+  const Buffer data = TestPattern(4096, 3);
+  ASSERT_TRUE(Append(4096, data, batch).ok());
+  EXPECT_EQ(wc_->RecordsAfterBatch(batch - 1)[0].offset, log_base);
+  std::optional<Status> fs;
+  wc_->Barrier([&](Status s) { fs = s; });
+  sim_.Run();
+  ASSERT_TRUE(fs.has_value() && fs->ok());
+  host_.ssd()->PowerFail();
+  wc_ = Reopen();
+  auto r = ReadVlba(4096, 4096);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r, data);
+}
+
+TEST_F(WriteCacheTest, TrimStormLapsTheLog) {
+  // Bursts of 512 trims over a 16 MiB cache, released as they go: after
+  // the first 12 fill the record window, the rest pack into records of
+  // many extents. Such records must not make a checkpoint of the full log
+  // outgrow its 1 MiB slot: the log could then never lap its replay start.
+  constexpr uint64_t kRegion = 16 * kMiB;
+  const uint64_t base = *host_.AllocRegion(kRegion);
+  WriteCache wc(&host_, base, kRegion, ZeroCosts());
+  std::optional<Status> fmt;
+  wc.Format([&](Status s) { fmt = s; });
+  sim_.Run();
+  ASSERT_TRUE(fmt.has_value() && fmt->ok());
+  constexpr uint64_t kBursts = 600;
+  constexpr uint64_t kTrims = 512;
+  uint64_t acked = 0;
+  for (uint64_t b = 1; b <= kBursts; b++) {
+    wc.ReleaseThrough(b - 1);
+    for (uint64_t i = 0; i < kTrims; i++) {
+      wc.AppendTrim(2 * i * kBlockSize, kBlockSize, b, [&](Status s) {
+        EXPECT_TRUE(s.ok());
+        acked++;
+      });
+    }
+    sim_.Run();
+    ASSERT_EQ(acked, b * kTrims) << "appends stalled in burst " << b;
+  }
+  EXPECT_GT(wc.stats().evicted_records, 0u);
+}
+
+TEST_F(WriteCacheTest, CheckpointListsOnlyAppliedRecords) {
+  // A journal worker wakeup of 1 ms holds the record's write back while a
+  // checkpoint is written and flushed.
+  StageCosts costs = ZeroCosts();
+  costs.record_context_switch = kMillisecond;
+  wc_->Kill();
+  wc_ = std::make_unique<WriteCache>(&host_, base_, kRegionSize, costs);
+  std::optional<Status> fmt;
+  wc_->Format([&](Status s) { fmt = s; });
+  sim_.Run();
+  ASSERT_TRUE(fmt.has_value() && fmt->ok());
+
+  bool acked = false;
+  wc_->Append(0, TestPattern(4096, 1), 1, [&](Status) { acked = true; });
+  std::optional<Status> cs;
+  wc_->WriteCheckpoint([&](Status s) {
+    cs = s;
+    // The checkpoint is durable; the record never reaches the SSD.
+    host_.ssd()->PowerFail();
+    wc_->Kill();
+  });
+  sim_.Run();
+  ASSERT_TRUE(cs.has_value() && cs->ok());
+  EXPECT_FALSE(acked);
+
+  auto fresh = Reopen();
+  EXPECT_TRUE(fresh->RecordsAfterBatch(0).empty());
+  EXPECT_EQ(fresh->map().mapped_bytes(), 0u);
 }
 
 TEST_F(WriteCacheTest, RecoverWithoutFormatFails) {
@@ -399,31 +557,31 @@ TEST_F(WriteCacheTest, CheckpointSurvivesAlternatingSlots) {
                        TestPattern(4096, 20 + round), round + 1)
                     .ok());
     std::optional<Status> cs;
-    wc_->WriteCheckpoint(round, [&](Status s) { cs = s; });
+    wc_->WriteCheckpoint([&](Status s) { cs = s; });
     sim_.Run();
     ASSERT_TRUE(cs->ok());
   }
   host_.ssd()->PowerFail();
   auto fresh = Reopen();
   EXPECT_EQ(fresh->map().mapped_bytes(), 5u * 4096);
-  EXPECT_EQ(fresh->backend_synced_hint(), 4u);
 }
 
 // --- checkpoint slots (one blob layout; Recover reads only what it loads) ---
 
-// Blob layout: magic, version, blob length (u64 at byte 8), generation, four
-// u64 fields, the record count at byte 56, the map count at byte 60, the CRC
-// at byte 64 over the first `blob length` bytes.
+// Blob layout: magic, version, blob length (u64 at byte 8), generation,
+// next seq, head, the record count at byte 40 and the CRC at byte 44 over
+// the first `blob length` bytes; the first record's extent-count word
+// follows its four u64 fields at byte 80.
 constexpr size_t kBlobVersionPos = 4;
 constexpr size_t kBlobLenPos = 8;
-constexpr size_t kBlobRecordCountPos = 56;
-constexpr size_t kBlobMapCountPos = 60;
-constexpr size_t kBlobCrcPos = 64;
+constexpr size_t kBlobRecordCountPos = 40;
+constexpr size_t kBlobCrcPos = 44;
+constexpr size_t kBlobFirstExtentCountPos = 80;
 
 class WriteCacheSlotTest : public WriteCacheTest {
  protected:
-  // Two checkpoints over distinct writes: generation 2 lands in slot 0,
-  // generation 3 (the newest) in slot 1. Returns the newest blob's length.
+  // Two checkpoints over distinct writes (the cache adds one of its own
+  // after the first write). Returns the newest blob's length.
   uint64_t WriteTwoCheckpoints() {
     for (int round = 0; round < 2; round++) {
       for (int i = 0; i < 8; i++) {
@@ -433,12 +591,17 @@ class WriteCacheSlotTest : public WriteCacheTest {
       }
       std::optional<Status> cs;
       const uint64_t before = host_.ssd()->stats().write_bytes;
-      wc_->WriteCheckpoint(round, [&](Status s) { cs = s; });
+      wc_->WriteCheckpoint([&](Status s) { cs = s; });
       sim_.Run();
       EXPECT_TRUE(cs.has_value() && cs->ok());
       last_blob_len_ = host_.ssd()->stats().write_bytes - before;
     }
     return last_blob_len_;
+  }
+
+  // Format wrote generation 1; generation g lands in slot g % 2.
+  int NewestSlot() const {
+    return static_cast<int>(wc_->stats().checkpoints % 2);
   }
 
   std::vector<uint8_t> ReadSsd(uint64_t offset, uint64_t len) {
@@ -491,14 +654,14 @@ class WriteCacheSlotTest : public WriteCacheTest {
 TEST_F(WriteCacheSlotTest, CorruptNewestSlotFallsBackToOlderSlot) {
   WriteTwoCheckpoints();
   // Flip one byte inside the newest blob, past its fixed fields.
-  const uint64_t newest = wc_->checkpoint_slot_offset(1);
+  const uint64_t newest = wc_->checkpoint_slot_offset(NewestSlot());
   std::vector<uint8_t> head = ReadSsd(newest, kBlockSize);
   head[kBlobCrcPos + 100] ^= 0x40;
   WriteSsd(newest, head);
-  // Generation 2 plus a replay of the eight later records restores all 16.
+  // The older checkpoint plus a replay of the eight later records restores
+  // all 16.
   auto fresh = Reopen();
   EXPECT_EQ(fresh->map().mapped_bytes(), 16u * 4096);
-  EXPECT_EQ(fresh->backend_synced_hint(), 0u);
   for (int i = 0; i < 16; i++) {
     auto t = fresh->map().LookupOne(static_cast<uint64_t>(i) * 4096);
     ASSERT_TRUE(t.has_value()) << i;
@@ -525,7 +688,7 @@ TEST_F(WriteCacheSlotTest, RecoverReadsSlotHeadsAndOneBlob) {
 
 TEST_F(WriteCacheSlotTest, OnlyTheCurrentBlobVersionIsAccepted) {
   WriteTwoCheckpoints();
-  const uint32_t current = ReadSsd(wc_->checkpoint_slot_offset(1),
+  const uint32_t current = ReadSsd(wc_->checkpoint_slot_offset(NewestSlot()),
                                    kBlockSize)[kBlobVersionPos];
   for (uint32_t v = 0; v <= 4; v++) {
     if (v == current) {
@@ -538,18 +701,19 @@ TEST_F(WriteCacheSlotTest, OnlyTheCurrentBlobVersionIsAccepted) {
 }
 
 TEST_F(WriteCacheSlotTest, InflatedCountsWithValidCrcAreRejected) {
-  // Checkpoints of an empty cache: everything after the fixed fields is
-  // zero padding, so an unchecked count would loop over ~2^32 zero entries.
+  // Both slots list one one-extent record; everything after it is zero
+  // padding, so an unchecked count would loop over ~2^32 zero entries.
+  ASSERT_TRUE(Append(0, TestPattern(4096, 1)).ok());
   std::optional<Status> cs;
-  wc_->WriteCheckpoint(0, [&](Status s) { cs = s; });
+  wc_->WriteCheckpoint([&](Status s) { cs = s; });
   sim_.Run();
   ASSERT_TRUE(cs.has_value() && cs->ok());
   const uint64_t begin = wc_->checkpoint_slot_offset(0);
   const std::vector<uint8_t> slots =
       ReadSsd(begin, wc_->checkpoint_slot_offset(1) + kBlockSize - begin);
-  for (const size_t pos : {kBlobRecordCountPos, kBlobMapCountPos}) {
+  for (const size_t pos : {kBlobRecordCountPos, kBlobFirstExtentCountPos}) {
     for (int slot = 0; slot < 2; slot++) {
-      PatchSlot(slot, pos, 0xFFFFFFF0u);
+      PatchSlot(slot, pos, 0x7FFFFFF0u);
     }
     EXPECT_EQ(RecoverStatus().code(), StatusCode::kCorruption) << pos;
     WriteSsd(begin, slots);
@@ -558,11 +722,10 @@ TEST_F(WriteCacheSlotTest, InflatedCountsWithValidCrcAreRejected) {
 
 // --- checkpoint blob bytes against a reference encoding ---
 
-// The v3 blob, field by field, from the cache state its public API shows.
+// The v4 blob, field by field, from the cache state its public API shows.
 std::vector<uint8_t> ReferenceBlob(
-    uint64_t gen, uint64_t next_seq, uint64_t head, uint64_t used,
-    uint64_t synced, const std::vector<WriteCache::RecordMeta>& records,
-    const std::vector<MapExtent<SsdTarget>>& map) {
+    uint64_t gen, uint64_t next_seq, uint64_t head,
+    const std::vector<WriteCache::RecordMeta>& records) {
   std::vector<uint8_t> out;
   const auto put = [&out](uint64_t v, int bytes) {
     for (int i = 0; i < bytes; i++) {
@@ -570,20 +733,16 @@ std::vector<uint8_t> ReferenceBlob(
     }
   };
   put(0x4C535643, 4);  // "LSVC"
-  put(3, 4);           // blob version
+  put(4, 4);           // blob version
   put(0, 8);           // blob length, filled in below
   put(gen, 8);
   put(next_seq, 8);
   put(head, 8);
-  put(used, 8);
-  put(synced, 8);
   put(records.size(), 4);
-  put(map.size(), 4);
   put(0, 4);  // CRC, filled in below
   for (const auto& rec : records) {
     put(rec.seq, 8);
     put(rec.offset, 8);
-    put(rec.total_len, 8);
     put(rec.footprint, 8);
     put(rec.max_batch_seq, 8);
     put(rec.extents.size() | (rec.is_trim ? 1u << 31 : 0u), 4);
@@ -591,11 +750,6 @@ std::vector<uint8_t> ReferenceBlob(
       put(e.vlba, 8);
       put(e.len, 8);
     }
-  }
-  for (const auto& e : map) {
-    put(e.start, 8);
-    put(e.len, 8);
-    put(e.target.plba, 8);
   }
   out.resize((out.size() + kBlockSize - 1) / kBlockSize * kBlockSize);
   for (size_t i = 0; i < 8; i++) {
@@ -620,7 +774,7 @@ std::vector<MapExtent<SsdTarget>> MapExtents(const WriteCache& wc) {
 bool SameRecords(const std::vector<WriteCache::RecordMeta>& a,
                  const std::vector<WriteCache::RecordMeta>& b) {
   const auto key = [](const WriteCache::RecordMeta& r) {
-    std::vector<uint64_t> k = {r.seq, r.offset, r.total_len, r.footprint,
+    std::vector<uint64_t> k = {r.seq, r.offset, r.size(), r.footprint,
                                r.max_batch_seq, r.is_trim ? 1u : 0u};
     for (const auto& e : r.extents) {
       k.push_back(e.vlba);
@@ -731,13 +885,12 @@ TEST_P(CheckpointEncodingTest, BlobMatchesReferenceAndRecovers) {
   const uint64_t next_seq = records.empty() ? 1 : records.back().seq + 1;
   const uint64_t head =
       records.empty() ? log_base
-                      : records.back().offset + records.back().total_len;
-  const uint64_t synced = rng.Uniform(100);
-  const std::vector<uint8_t> want = ReferenceBlob(
-      gen, next_seq, head, wc_->used_bytes(), synced, records, map);
+                      : records.back().offset + records.back().size();
+  const std::vector<uint8_t> want =
+      ReferenceBlob(gen, next_seq, head, records);
 
   std::optional<Status> cs;
-  wc_->WriteCheckpoint(synced, [&](Status s) { cs = s; });
+  wc_->WriteCheckpoint([&](Status s) { cs = s; });
   sim_.Run();
   ASSERT_TRUE(cs.has_value() && cs->ok());
   const std::vector<uint8_t> got = ReadSsd(
@@ -756,7 +909,6 @@ TEST_P(CheckpointEncodingTest, BlobMatchesReferenceAndRecovers) {
     EXPECT_EQ(recovered[i].target.plba, map[i].target.plba) << i;
   }
   EXPECT_EQ(fresh->used_bytes(), wc_->used_bytes());
-  EXPECT_EQ(fresh->backend_synced_hint(), synced);
 }
 
 std::string StateName(
