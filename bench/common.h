@@ -14,17 +14,14 @@
 
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "src/baseline/bcache_device.h"
 #include "src/baseline/rbd_disk.h"
 #include "src/lsvd/lsvd_disk.h"
 #include "src/objstore/sim_object_store.h"
-#include "src/sim/sim_domain.h"
 #include "src/util/crc32c.h"
 #include "src/util/metrics.h"
 #include "src/util/table.h"
@@ -43,13 +40,6 @@ struct PerfTotals {
   uint64_t events = 0;       // simulator events processed, all worlds
   uint64_t sim_ios = 0;      // driver ops completed (reads+writes+flushes)
   double sim_seconds = 0.0;  // virtual seconds simulated, summed over worlds
-  // Parallel-engine fields (DESIGN.md §14). threads/domains stay 1 for the
-  // sequential engine; sync_stalls counts domain-windows a domain sat idle
-  // at a window barrier (deterministic — it is a property of the event
-  // timeline, not of wall-clock scheduling).
-  int threads = 1;           // max worker threads used by any world
-  int domains = 1;           // max simulation domains in any world
-  uint64_t sync_stalls = 0;
 };
 
 inline PerfTotals& GlobalPerfTotals() {
@@ -98,13 +88,6 @@ struct World {
   std::unique_ptr<ClientHost> host;
   std::unique_ptr<BackendCluster> cluster;
   std::unique_ptr<NetLink> backend_link;
-  // Parallel per-domain engine (DESIGN.md §14). Null until EnableParallel;
-  // when null every helper below degrades to exactly the sequential paths,
-  // which is what keeps default bench output byte-identical.
-  std::unique_ptr<SimDomainGroup> group;
-  SimDomain* client_domain = nullptr;
-  std::vector<SimDomain*> extra_domains;
-  int threads = 1;
 
   explicit World(ClusterConfig cluster_config,
                  uint64_t ssd_capacity = 800 * kGiB) {
@@ -119,68 +102,10 @@ struct World {
     Init(cluster_config);
   }
 
-  // Switches the world to the parallel engine: `sim` (the client host's
-  // engine) becomes domain 0 of a SimDomainGroup and Run()/At() route
-  // through the conservative scheduler. Callers then create one
-  // AddSimDomain per backend shard (and per extra client host, in
-  // fleet-style benches) and bind stores via
-  // SimObjectStore::BindBackendDomain. Results are deterministic for any
-  // `n`, including n=1.
-  //
-  // `n` is clamped to the host's core count: worker count never changes
-  // results (only wall-clock), and oversubscribed workers only add barrier
-  // latency. Tests that want real threads regardless of host size call
-  // SimDomainGroup::Run directly.
-  void EnableParallel(int n) {
-    group = std::make_unique<SimDomainGroup>();
-    client_domain = group->AdoptDomain("client", &sim);
-    const int hw = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
-    threads = std::max(1, std::min(n, hw));
-    // New mode, no golden to preserve: surface the client-link byte
-    // counters in --json dumps.
-    backend_link->RegisterMetrics(&metrics);
-  }
-
-  SimDomain* AddSimDomain(const std::string& name) {
-    SimDomain* d = group->AddDomain(name);
-    extra_domains.push_back(d);
-    return d;
-  }
-
-  // Runs the world to quiescence on whichever engine is active.
-  void Run() {
-    if (group != nullptr) {
-      group->Run(threads);
-    } else {
-      sim.Run();
-    }
-  }
-
-  // Schedules `fn` at virtual time `t`. Under the parallel engine it runs
-  // as a coordinator barrier task — every domain quiesced and advanced to
-  // `t` — so mid-run samplers may read any domain's state race-free.
-  void At(Nanos t, std::function<void()> fn) {
-    if (group != nullptr) {
-      group->At(t, std::move(fn));
-    } else {
-      sim.At(t, std::move(fn));
-    }
-  }
-
   ~World() {
     PerfTotals& totals = GlobalPerfTotals();
     totals.events += sim.events_processed();
     totals.sim_seconds += ToSeconds(sim.now());
-    if (group != nullptr) {
-      for (SimDomain* d : extra_domains) {
-        totals.events += d->sim()->events_processed();
-      }
-      totals.sync_stalls += group->sync_stalls();
-      totals.threads = std::max(totals.threads, threads);
-      totals.domains =
-          std::max(totals.domains, static_cast<int>(group->domain_count()));
-    }
   }
 
  private:
@@ -205,7 +130,7 @@ struct LsvdSystem {
                                           std::move(config), &world->metrics);
     std::optional<Status> s;
     sys.disk->Create([&](Status st) { s = st; });
-    world->Run();
+    world->sim.Run();
     if (!s.has_value() || !s->ok()) {
       std::fprintf(stderr, "LSVD create failed\n");
       std::abort();
@@ -246,7 +171,7 @@ inline void Precondition(World* world, VirtualDisk* disk) {
                 /*queue_depth=*/16);
   bool done = false;
   driver.Run([&] { done = true; });
-  world->Run();
+  world->sim.Run();
   if (!done) {
     std::fprintf(stderr, "precondition stalled\n");
     std::abort();
@@ -262,7 +187,7 @@ inline DriverStats RunFio(World* world, VirtualDisk* disk, FioConfig fio,
                 world->sim.now() + FromSeconds(seconds), &world->metrics);
   bool done = false;
   driver.Run([&] { done = true; });
-  world->Run();
+  world->sim.Run();
   GlobalPerfTotals().sim_ios += driver.stats().ops;
   return driver.stats();
 }
@@ -280,18 +205,10 @@ inline double ArgDouble(int argc, char** argv, const std::string& flag,
   return fallback;
 }
 
-// Integer-valued "--flag=value" arguments (e.g. --threads=8).
+// Integer-valued "--flag=value" arguments (e.g. --clients=8).
 inline int ArgInt(int argc, char** argv, const std::string& flag,
                   int fallback) {
   return static_cast<int>(ArgDouble(argc, argv, flag, fallback));
-}
-
-// Worker-thread count for the parallel engine: "--threads=N". Returns 0 when
-// the flag is absent, which benches must treat as "sequential engine, legacy
-// code path" so default output stays byte-identical (--threads=1 runs the
-// parallel scheduler with inline windows instead).
-inline int ArgThreads(int argc, char** argv) {
-  return ArgInt(argc, argv, "threads", 0);
 }
 
 // True when a bare "--flag" (no value) is present.
@@ -359,7 +276,6 @@ class PerfScope {
                  "\"sim_ios\":%llu,\"sim_ios_per_sec\":%.1f,"
                  "\"sim_seconds\":%.6f,"
                  "\"peak_rss_bytes\":%llu,\"map_resident_bytes\":%llu,"
-                 "\"threads\":%d,\"domains\":%d,\"sync_stalls\":%llu,"
                  "\"crc32c_impl\":\"%s\",\"build_type\":\"%s\"}\n",
                  name_.c_str(), wall,
                  static_cast<unsigned long long>(totals.events),
@@ -368,8 +284,6 @@ class PerfScope {
                  totals.sim_seconds,
                  static_cast<unsigned long long>(peak_rss_bytes),
                  static_cast<unsigned long long>(GlobalMapResidentBytes()),
-                 totals.threads, totals.domains,
-                 static_cast<unsigned long long>(totals.sync_stalls),
                  Crc32cImplName(), build_type);
     std::fclose(f);
     std::printf("[perf] %s: %.3fs wall, %.3gM events (%.3gM/s), "

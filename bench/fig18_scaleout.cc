@@ -9,19 +9,10 @@
 // Acceptance target: >= 3x aggregate write throughput at 4 shards vs 1
 // shard with the same per-shard disk count.
 //
-// --threads=N runs the sweep on the parallel per-domain engine (DESIGN.md
-// §14): each client host is one SimDomain, each shard's cluster another, and
-// N worker threads execute the conservative windows. Results are
-// deterministic for any N; the flag absent means the sequential engine and
-// byte-identical legacy output. --shards=K narrows the sweep to a single
-// point (wall-clock speedup measurements).
-//
-// --clients=C scales the *fleet*: C client hosts, each with its own NIC and
-// its own volume striped over the same shards. One client host saturates its
-// 10 GbE NIC at ~16 events per 100us sync window — too sparse for the
-// parallel engine to win — so speedup measurements use a fleet plus
-// --ssd-shards (SSD-backed shards) to keep the backend from becoming the
-// bottleneck at fleet-aggregate bandwidth.
+// --shards=K narrows the sweep to a single point. --clients=C scales the
+// *fleet*: C client hosts, each with its own NIC and its own volume striped
+// over the same shards; --ssd-shards (SSD-backed shards) keeps the backend
+// from becoming the bottleneck at fleet-aggregate bandwidth.
 #include "bench/common.h"
 
 using namespace lsvd;
@@ -35,8 +26,6 @@ namespace {
 // bench; extra clients own private components with private registries
 // (the null-registry convention) to keep gauge names collision-free.
 struct ClientRig {
-  SimDomain* domain = nullptr;  // null => runs on the world sim
-  Simulator* sim = nullptr;
   ClientHost* host = nullptr;
   NetLink* link = nullptr;
   std::unique_ptr<ClientHost> owned_host;
@@ -48,17 +37,12 @@ struct ClientRig {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int threads = ArgThreads(argc, argv);
   const int clients = ArgInt(argc, argv, "clients", 1);
   const bool ssd_shards = ArgFlag(argc, argv, "ssd-shards");
-  // Per-config perf snapshots (BENCH_fig18_scaleout[_cC][_tN].json) so the
-  // speedup curve can live in bench/results/ next to the sequential one.
+  // Per-config perf snapshots (BENCH_fig18_scaleout[_cC].json).
   std::string perf_name = "fig18_scaleout";
   if (clients > 1) {
     perf_name += "_c" + std::to_string(clients);
-  }
-  if (threads > 0) {
-    perf_name += "_t" + std::to_string(threads);
   }
   PerfScope perf(argc, argv, perf_name);
   const bool smoke = ArgFlag(argc, argv, "smoke");
@@ -103,8 +87,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<World> last_world;
   std::vector<std::unique_ptr<BackendCluster>> last_clusters;
   std::vector<ClientRig> last_rigs;
-  // (shards, wall seconds) per sweep point, reported when --threads is set.
-  std::vector<std::pair<int, double>> wall_times;
 
   const int first_shards = only_shards > 0 ? only_shards : 1;
   const int last_shards = only_shards > 0 ? only_shards : max_shards;
@@ -115,29 +97,17 @@ int main(int argc, char** argv) {
     unused_pool.kind = DiskKind::kHdd;
     unused_pool.num_disks = 1;
     auto world = std::make_unique<World>(unused_pool);
-    if (threads > 0) {
-      world->EnableParallel(threads);
-    }
+    Simulator* sim = &world->sim;
 
     std::vector<ClientRig> rigs(static_cast<size_t>(clients));
-    rigs[0].domain = world->client_domain;
-    rigs[0].sim = &world->sim;
     rigs[0].host = world->host.get();
     rigs[0].link = world->backend_link.get();
-    // Extra client hosts get their own domains before the shard domains so
-    // domain ids key to the (clients, shards) config, never to thread count.
     for (int c = 1; c < clients; c++) {
       ClientRig& rig = rigs[static_cast<size_t>(c)];
-      if (threads > 0) {
-        rig.domain = world->AddSimDomain("client" + std::to_string(c));
-        rig.sim = rig.domain->sim();
-      } else {
-        rig.sim = &world->sim;
-      }
       rig.owned_host =
-          std::make_unique<ClientHost>(rig.sim, world->host_config, nullptr);
+          std::make_unique<ClientHost>(sim, world->host_config, nullptr);
       rig.host = rig.owned_host.get();
-      rig.owned_link = std::make_unique<NetLink>(rig.sim, NetParams{});
+      rig.owned_link = std::make_unique<NetLink>(sim, NetParams{});
       rig.link = rig.owned_link.get();
     }
 
@@ -146,33 +116,13 @@ int main(int argc, char** argv) {
     shard_pool.num_disks = disks_per_shard;
 
     std::vector<std::unique_ptr<BackendCluster>> clusters;
-    std::vector<SimDomain*> shard_doms(static_cast<size_t>(shards), nullptr);
     for (int i = 0; i < shards; i++) {
       const std::string prefix = "shard" + std::to_string(i);
-      // Under the parallel engine each shard's cluster lives in its own
-      // domain; channels are created in (client, shard) order so channel
-      // ids — the determinism tie-break — key to the topology, not to how
-      // domains are packed onto threads.
-      SimDomain* dom = nullptr;
-      Simulator* shard_sim = &world->sim;
-      if (threads > 0) {
-        dom = world->AddSimDomain(prefix);
-        shard_sim = dom->sim();
-      }
-      shard_doms[static_cast<size_t>(i)] = dom;
       clusters.push_back(std::make_unique<BackendCluster>(
-          shard_sim, shard_pool, &world->metrics, prefix + ".cluster"));
+          sim, shard_pool, &world->metrics, prefix + ".cluster"));
       rigs[0].stores.push_back(std::make_unique<SimObjectStore>(
-          &world->sim, clusters.back().get(), world->backend_link.get(),
+          sim, clusters.back().get(), world->backend_link.get(),
           SimObjectStoreConfig{}, &world->metrics, prefix + ".objstore"));
-      if (threads > 0) {
-        const Nanos hop = world->backend_link->half_rtt();
-        CrossDomainChannel* c2b =
-            world->group->Connect(world->client_domain, dom, hop);
-        CrossDomainChannel* b2c =
-            world->group->Connect(dom, world->client_domain, hop);
-        rigs[0].stores.back()->BindBackendDomain(dom, c2b, b2c);
-      }
     }
     // Extra clients' stores share each shard's cluster (their own allocator
     // heads; the cluster just queues disk ops from both).
@@ -180,15 +130,8 @@ int main(int argc, char** argv) {
       ClientRig& rig = rigs[static_cast<size_t>(c)];
       for (int i = 0; i < shards; i++) {
         rig.stores.push_back(std::make_unique<SimObjectStore>(
-            rig.sim, clusters[static_cast<size_t>(i)].get(), rig.link,
+            sim, clusters[static_cast<size_t>(i)].get(), rig.link,
             SimObjectStoreConfig{}, nullptr));
-        if (threads > 0) {
-          SimDomain* dom = shard_doms[static_cast<size_t>(i)];
-          const Nanos hop = rig.link->half_rtt();
-          CrossDomainChannel* c2b = world->group->Connect(rig.domain, dom, hop);
-          CrossDomainChannel* b2c = world->group->Connect(dom, rig.domain, hop);
-          rig.stores.back()->BindBackendDomain(dom, c2b, b2c);
-        }
       }
     }
 
@@ -205,7 +148,7 @@ int main(int argc, char** argv) {
       rig.disk->Create(
           [&created, c](Status s) { created[static_cast<size_t>(c)] = s; });
     }
-    world->Run();
+    sim->Run();
     for (const auto& st : created) {
       if (!st.has_value() || !st->ok()) {
         std::fprintf(stderr, "create failed\n");
@@ -230,12 +173,12 @@ int main(int argc, char** argv) {
         // must differ; client 0 keeps the legacy seed.
         f.seed = c == 0 ? seed : seed * 1000 + static_cast<uint64_t>(c);
         drivers.push_back(std::make_unique<Driver>(
-            rig.sim, rig.disk.get(), MakeFioGen(f), 32,
-            rig.sim->now() + FromSeconds(secs),
+            sim, rig.disk.get(), MakeFioGen(f), 32,
+            sim->now() + FromSeconds(secs),
             c == 0 ? &world->metrics : nullptr));
         drivers.back()->Run([] {});
       }
-      world->Run();
+      sim->Run();
       double write_bps = 0;
       for (auto& d : drivers) {
         GlobalPerfTotals().sim_ios += d->stats().ops;
@@ -249,7 +192,7 @@ int main(int argc, char** argv) {
     // (its one-time fill slightly favours the 1-shard baseline).
     run_fleet(1, warmup);
 
-    const Nanos t0 = world->sim.now();
+    const Nanos t0 = sim->now();
     std::vector<Nanos> busy0(static_cast<size_t>(shards));
     uint64_t put_bytes0 = 0;
     for (int i = 0; i < shards; i++) {
@@ -268,11 +211,8 @@ int main(int argc, char** argv) {
     // like the client-side stats do.
     double util_sum = 0;
     uint64_t put_bytes1 = 0;
-    // Under the parallel engine this runs as a coordinator barrier task with
-    // every domain quiesced and advanced to the deadline, so reading shard
-    // cluster state from here is race-free.
-    world->At(world->sim.now() + FromSeconds(seconds), [&] {
-      const Nanos tm = world->sim.now();
+    sim->At(sim->now() + FromSeconds(seconds), [&] {
+      const Nanos tm = sim->now();
       for (int i = 0; i < shards; i++) {
         util_sum += clusters[static_cast<size_t>(i)]->MeanUtilization(
             busy0[static_cast<size_t>(i)], t0, tm);
@@ -284,12 +224,7 @@ int main(int argc, char** argv) {
       }
     });
 
-    const auto wall_start = std::chrono::steady_clock::now();
     const double write_bps = run_fleet(2, seconds);
-    wall_times.emplace_back(
-        shards, std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - wall_start)
-                    .count());
 
     const double mbps = write_bps / 1e6;
     const double backend_mbps =
@@ -310,28 +245,6 @@ int main(int argc, char** argv) {
     last_world = std::move(world);
   }
   table.Print();
-  if (threads > 0) {
-    // Wall-clock report for the parallel engine: virtual-time results above
-    // are thread-count-invariant; this is the part that is allowed to vary.
-    // threads may exceed the host's cores; World clamps (worker count never
-    // changes results), so report what actually ran.
-    std::printf("\nparallel engine: threads=%d (effective workers: %d)\n",
-                threads,
-                last_world != nullptr ? last_world->threads : threads);
-    for (const auto& [n, wall] : wall_times) {
-      std::printf("  shards=%d measured-run wall-clock: %.3fs\n", n, wall);
-    }
-    if (last_world != nullptr && last_world->group != nullptr) {
-      const SimDomainGroup& g = *last_world->group;
-      std::printf("  last point: domains=%zu windows=%llu sync_stalls=%llu "
-                  "messages=%llu events=%llu\n",
-                  g.domain_count(),
-                  static_cast<unsigned long long>(g.windows()),
-                  static_cast<unsigned long long>(g.sync_stalls()),
-                  static_cast<unsigned long long>(g.messages_delivered()),
-                  static_cast<unsigned long long>(g.events_processed()));
-    }
-  }
   if (only_shards == 0 && max_shards >= 4) {
     std::printf("\nspeedup at 4 shards: %.2fx (target >= 3x; client NIC is "
                 "the eventual ceiling)\n",

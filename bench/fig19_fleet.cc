@@ -13,10 +13,7 @@
 //   - failover: kill a host, lease-expiry detection time, recover-attach
 //     time for its volumes, and the p99 write impact on a tenant
 //     co-located with the recovery storm.
-// --threads=N runs placement/clone/serving/detection on the parallel
-// engine (one domain per host and per shard); migration and failover are
-// sequential-engine-only and are skipped there (docs/FLEET.md explains
-// why), keeping default output byte-identical to the no-flag run.
+// Every host, shard and the controller run on one Simulator.
 #include "bench/common.h"
 #include "src/fleet/fleet.h"
 
@@ -29,84 +26,33 @@ namespace {
 // outlive every component whose gauges it holds.
 struct FleetRig {
   MetricsRegistry metrics;
-  Simulator sim;  // sequential engine / controller domain of the parallel one
-  std::unique_ptr<SimDomainGroup> group;
-  std::unique_ptr<FleetController> fleet;
-  int threads = 1;
+  Simulator sim;
+  FleetController fleet;
 
-  FleetRig(const FleetConfig& fc, int worker_threads) {
-    if (worker_threads > 0) {
-      group = std::make_unique<SimDomainGroup>();
-      SimDomain* control = group->AdoptDomain("control", &sim);
-      const int hw = static_cast<int>(
-          std::max(1u, std::thread::hardware_concurrency()));
-      threads = std::max(1, std::min(worker_threads, hw));
-      fleet = std::make_unique<FleetController>(group.get(), control, fc,
-                                                &metrics);
-    } else {
-      fleet = std::make_unique<FleetController>(&sim, fc, &metrics);
-    }
-  }
-
-  void Run() {
-    if (group != nullptr) {
-      group->Run(threads);
-    } else {
-      sim.Run();
-    }
-  }
-
-  void At(Nanos t, std::function<void()> fn) {
-    if (group != nullptr) {
-      group->At(t, std::move(fn));
-    } else {
-      sim.At(t, std::move(fn));
-    }
-  }
-
-  // Latest clock across the fleet (domains quiesce at different times).
-  Nanos Now() {
-    Nanos t = sim.now();
-    for (int i = 0; i < fleet->num_hosts(); i++) {
-      t = std::max(t, fleet->host_sim(i)->now());
-    }
-    return t;
-  }
+  explicit FleetRig(const FleetConfig& fc) : fleet(&sim, fc, &metrics) {}
 
   ~FleetRig() {
     PerfTotals& totals = GlobalPerfTotals();
     totals.events += sim.events_processed();
-    totals.sim_seconds += ToSeconds(Now());
-    if (group != nullptr) {
-      for (int i = 0; i < fleet->num_hosts(); i++) {
-        totals.events += fleet->host_sim(i)->events_processed();
-      }
-      for (int s = 0; s < fleet->num_shards(); s++) {
-        totals.events += fleet->shard_sim(s)->events_processed();
-      }
-      totals.sync_stalls += group->sync_stalls();
-      totals.threads = std::max(totals.threads, threads);
-      totals.domains = std::max(totals.domains,
-                                static_cast<int>(group->domain_count()));
-    }
+    totals.sim_seconds += ToSeconds(sim.now());
   }
 };
 
-// Runs a driver on `disk` (which lives on host sim `sim`) to its deadline
-// and returns the p99 of "<victim.write_us>" from a private registry.
-double DriveVictim(FleetRig* rig, Simulator* sim, VirtualDisk* disk,
-                   double seconds, uint64_t volume_size, uint64_t seed) {
+// Runs a driver on `disk` to its deadline and returns the p99 of
+// "<victim.write_us>" from a private registry.
+double DriveVictim(FleetRig* rig, VirtualDisk* disk, double seconds,
+                   uint64_t volume_size, uint64_t seed) {
   MetricsRegistry reg;
   FioConfig fio;
   fio.pattern = FioConfig::Pattern::kRandWrite;
   fio.block_size = 4 * kKiB;
   fio.volume_size = volume_size;
   fio.seed = seed;
-  Driver driver(sim, disk, MakeFioGen(fio), /*queue_depth=*/16,
-                sim->now() + FromSeconds(seconds), &reg, "victim");
+  Driver driver(&rig->sim, disk, MakeFioGen(fio), /*queue_depth=*/16,
+                rig->sim.now() + FromSeconds(seconds), &reg, "victim");
   bool done = false;
   driver.Run([&] { done = true; });
-  rig->Run();
+  rig->sim.Run();
   if (!done) {
     std::fprintf(stderr, "victim workload stalled\n");
     std::abort();
@@ -120,7 +66,6 @@ double DriveVictim(FleetRig* rig, Simulator* sim, VirtualDisk* disk,
 int main(int argc, char** argv) {
   PerfScope perf(argc, argv, "fig19_fleet");
   const bool smoke = ArgFlag(argc, argv, "smoke");
-  const int threads = ArgThreads(argc, argv);
   const int hosts = ArgInt(argc, argv, "hosts", smoke ? 4 : 8);
   const int volumes = ArgInt(argc, argv, "volumes", smoke ? 48 : 1024);
   const int shards = ArgInt(argc, argv, "shards", 1);
@@ -141,8 +86,8 @@ int main(int argc, char** argv) {
   if (smoke) {
     fc.cluster.num_disks = 8;
   }
-  FleetRig rig(fc, threads);
-  FleetController& fleet = *rig.fleet;
+  FleetRig rig(fc);
+  FleetController& fleet = rig.fleet;
 
   // --- golden image: create, fill, snapshot ---
   LsvdConfig gcfg = DefaultLsvdConfig(volume_size, cache);
@@ -151,24 +96,23 @@ int main(int argc, char** argv) {
   const int golden =
       fleet.CreateVolume(gcfg, [&](Status s) { created = s; },
                          /*track_metrics=*/true);
-  rig.Run();
+  rig.sim.Run();
   if (golden < 0 || !created.has_value() || !created->ok()) {
     std::fprintf(stderr, "golden create failed\n");
     return 1;
   }
   const int golden_host = fleet.host_of(golden);
-  Simulator* gsim = fleet.host_sim(golden_host);
   {
     FioConfig fill;
     fill.pattern = FioConfig::Pattern::kSeqWrite;
     fill.block_size = 256 * kKiB;
     fill.volume_size = volume_size;
     fill.max_bytes = image_bytes;
-    Driver filler(gsim, fleet.disk(golden), MakeFioGen(fill),
+    Driver filler(&rig.sim, fleet.disk(golden), MakeFioGen(fill),
                   /*queue_depth=*/8);
     bool done = false;
     filler.Run([&] { done = true; });
-    rig.Run();
+    rig.sim.Run();
     if (!done) {
       std::fprintf(stderr, "image fill stalled\n");
       return 1;
@@ -181,50 +125,35 @@ int main(int argc, char** argv) {
       snap_seq = *r;
     }
   });
-  rig.Run();
+  rig.sim.Run();
   if (!snap_seq.has_value()) {
     std::fprintf(stderr, "golden snapshot failed\n");
     return 1;
   }
 
   // --- clone fan-out ---
-  fleet.DistributeImage(golden);  // parallel engine: pre-seed host buckets
-  const Nanos clone_start = rig.Now();
-  // Per-clone completion slots: each callback runs on its own host's
-  // domain, so distinct elements keep the parallel engine race-free (the
-  // fig18 `created` pattern); quiescence time is useless as a wave clock
-  // because dangling PUT-timeout timers pad it by 30 virtual seconds.
-  std::vector<Nanos> clone_done(static_cast<size_t>(volumes), 0);
-  std::vector<uint8_t> clone_okv(static_cast<size_t>(volumes), 0);
-  std::vector<Simulator*> clone_sim(static_cast<size_t>(volumes), nullptr);
-  for (int i = 1; i < volumes; i++) {
-    const size_t k = static_cast<size_t>(i);
-    const int id = fleet.CloneVolume(
-        golden, "clone" + std::to_string(i), *snap_seq, [&, k](Status s) {
-          clone_okv[k] = s.ok() ? 1 : 0;
-          clone_done[k] = clone_sim[k] != nullptr ? clone_sim[k]->now() : 0;
-        });
-    // The callback cannot fire before the next Run, so publishing the
-    // placed host's clock here is race-free.
-    if (id >= 0) {
-      clone_sim[k] = fleet.host_sim(fleet.host_of(id));
-    }
-  }
-  rig.Run();
-  int clone_ok = 0;
-  int clone_fail = 0;
+  // The wave ends at the last clone's callback; quiescence time is useless
+  // as a wave clock because dangling PUT-timeout timers pad it by 30
+  // virtual seconds.
+  const Nanos clone_start = rig.sim.now();
   Nanos clone_end = clone_start;
+  int clone_ok = 0;
   for (int i = 1; i < volumes; i++) {
-    clone_okv[static_cast<size_t>(i)] ? clone_ok++ : clone_fail++;
-    clone_end = std::max(clone_end, clone_done[static_cast<size_t>(i)]);
+    fleet.CloneVolume(golden, "clone" + std::to_string(i), *snap_seq,
+                      [&](Status s) {
+                        clone_ok += s.ok() ? 1 : 0;
+                        clone_end = std::max(clone_end, rig.sim.now());
+                      });
   }
+  rig.sim.Run();
+  const int clone_fail = volumes - 1 - clone_ok;
   const double clone_wave_s = ToSeconds(clone_end - clone_start);
   int max_per_host = 0;
   for (int i = 0; i < hosts; i++) {
     max_per_host = std::max(max_per_host, fleet.volumes_on(i));
   }
-  std::printf("fleet: %d hosts x %d shard(s), engine=%s\n", hosts, shards,
-              threads > 0 ? "parallel" : "sequential");
+  std::printf("fleet: %d hosts x %d shard(s), engine=sequential\n", hosts,
+              shards);
   std::printf("volumes hosted:     %zu (golden + %d clones, %d failed)\n",
               fleet.volume_count(), clone_ok, clone_fail);
   std::printf("clone fan-out:      %d clones in %.3f s (%.0f/s), "
@@ -234,10 +163,10 @@ int main(int argc, char** argv) {
 
   // --- baseline victim latency (tenant on the golden image's host) ---
   const double p99_before =
-      DriveVictim(&rig, gsim, fleet.disk(golden), serve_s, volume_size, 3);
+      DriveVictim(&rig, fleet.disk(golden), serve_s, volume_size, 3);
 
-  // --- live migration wave (sequential engine only) ---
-  if (threads == 0) {
+  // --- live migration wave ---
+  {
     std::vector<int> wave;
     for (int v = 1; v < static_cast<int>(fleet.volume_count()) &&
                     static_cast<int>(wave.size()) < migrations;
@@ -262,7 +191,7 @@ int main(int argc, char** argv) {
         mig_fail++;
       }
     }
-    rig.Run();
+    rig.sim.Run();
     const double wave_s = ToSeconds(wave_end - wave_start);
     const MetricsSnapshot snap = rig.metrics.Snapshot();
     std::printf("migration wave:     %d/%zu ok in %.3f s (%.1f/s)\n", mig_ok,
@@ -275,20 +204,17 @@ int main(int argc, char** argv) {
                 static_cast<double>(
                     rig.metrics.GetCounter("fleet.handoff_bytes")->value()) /
                     1024.0 / std::max(1, mig_ok));
-  } else {
-    std::printf("migration wave:     skipped (sequential engine only; "
-                "see docs/FLEET.md)\n");
   }
 
   // --- host failure: kill, lease-expiry detection, failover, victim p99 ---
   const int kill_host = (golden_host + 1) % hosts;
   const int victims_before = fleet.volumes_on(kill_host);
-  const Nanos t0 = rig.Now();
+  const Nanos t0 = rig.sim.now();
   fleet.RunControlPlane(t0 + FromSeconds(failover_s));
-  rig.At(t0 + 200 * kMillisecond, [&] { fleet.KillHost(kill_host); });
+  rig.sim.At(t0 + 200 * kMillisecond, [&] { fleet.KillHost(kill_host); });
   const double p99_during =
-      DriveVictim(&rig, gsim, fleet.disk(golden), failover_s, volume_size, 4);
-  rig.Run();  // let recovery finish past the victim's deadline
+      DriveVictim(&rig, fleet.disk(golden), failover_s, volume_size, 4);
+  rig.sim.Run();  // let recovery finish past the victim's deadline
   {
     const MetricsSnapshot snap = rig.metrics.Snapshot();
     const uint64_t recovered =
@@ -297,15 +223,11 @@ int main(int argc, char** argv) {
                 "%.0f ms\n",
                 kill_host, victims_before,
                 snap.Percentile("fleet.failover.detect_us", 0.5) / 1e3);
-    if (threads == 0) {
-      std::printf("  recover-attach:   %llu volumes, recovery p50=%.0f ms "
-                  "p99=%.0f ms\n",
-                  static_cast<unsigned long long>(recovered),
-                  snap.Percentile("fleet.failover.recovery_us", 0.5) / 1e3,
-                  snap.Percentile("fleet.failover.recovery_us", 0.99) / 1e3);
-    } else {
-      std::printf("  recover-attach:   skipped (sequential engine only)\n");
-    }
+    std::printf("  recover-attach:   %llu volumes, recovery p50=%.0f ms "
+                "p99=%.0f ms\n",
+                static_cast<unsigned long long>(recovered),
+                snap.Percentile("fleet.failover.recovery_us", 0.5) / 1e3,
+                snap.Percentile("fleet.failover.recovery_us", 0.99) / 1e3);
     std::printf("victim p99 write:   %.1f us before, %.1f us during "
                 "failover (%+.0f%%)\n",
                 p99_before, p99_during,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc lint: the docs must keep up with the code.
 
-Four checks, all wired into ctest as `check_docs`:
+Five checks, all wired into ctest as `check_docs`:
 
 1. Every metric name registered in src/ (GetCounter / GetGauge /
    GetHistogram / RegisterCallback / CallbackGuard::Register) must have a
@@ -28,10 +28,15 @@ Four checks, all wired into ctest as `check_docs`:
    table (the table under a `### \`Struct\`` heading of a CONFIG_STRUCTS
    doc) must be a field of that struct.
 
+5. The `BENCH_<name>.json` schema table in docs/PERF.md lists exactly the
+   fields of `SCHEMA` in bench/check_perf_smoke.py (the schema the
+   perf_smoke test enforces), in both directions.
+
 Run from anywhere: `python3 scripts/check_docs.py [repo_root]`.
 Exit 0 = docs in sync; exit 1 = findings (listed on stderr).
 """
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -230,6 +235,42 @@ def check_config_tables(repo: Path, errors: list):
                 )
 
 
+def perf_schema_fields(repo: Path):
+    """Keys of the SCHEMA dict literal in bench/check_perf_smoke.py."""
+    tree = ast.parse((repo / "bench" / "check_perf_smoke.py").read_text(
+        encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1 and
+                getattr(node.targets[0], "id", None) == "SCHEMA"):
+            return {k.value for k in node.value.keys}
+    return set()
+
+
+def check_perf_schema(repo: Path, errors: list):
+    schema = perf_schema_fields(repo)
+    if not schema:
+        errors.append("bench/check_perf_smoke.py: no SCHEMA dict found — "
+                      "check_docs.py is broken, fix its parser")
+        return
+    lines = (repo / "docs" / "PERF.md").read_text(
+        encoding="utf-8").splitlines()
+    documented = set()
+    in_section = False
+    for line in lines:
+        if line.startswith("## "):
+            in_section = line.strip() == "## BENCH_<name>.json schema"
+        elif in_section and line.startswith("|"):
+            m = re.fullmatch(r"\s*`([a-z_0-9]+)`\s*", line.split("|")[1])
+            if m:
+                documented.add(m.group(1))
+    for field in sorted(schema - documented):
+        errors.append(f"docs/PERF.md: BENCH json field `{field}` (in "
+                      "bench/check_perf_smoke.py SCHEMA) has no schema row")
+    for field in sorted(documented - schema):
+        errors.append(f"docs/PERF.md: schema row `{field}` is not in "
+                      "SCHEMA of bench/check_perf_smoke.py")
+
+
 def main() -> int:
     repo = Path(sys.argv[1]) if len(sys.argv) > 1 else \
         Path(__file__).resolve().parent.parent
@@ -239,6 +280,7 @@ def main() -> int:
     check_config_reference(repo, errors)
     check_config_citations(repo, errors)
     check_config_tables(repo, errors)
+    check_perf_schema(repo, errors)
     if errors:
         print("check_docs: %d finding(s)" % len(errors), file=sys.stderr)
         for e in errors:

@@ -52,7 +52,7 @@ fi
 shift || true
 
 if [ "$TSAN" = 1 ]; then
-  TSAN_TARGETS="sim_domain_test parallel_determinism_test fleet_test"
+  TSAN_TARGETS="sim_domain_test parallel_determinism_test"
   cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DLSVD_SANITIZE=thread

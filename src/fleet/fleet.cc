@@ -8,7 +8,7 @@ namespace lsvd {
 
 FleetController::FleetController(Simulator* sim, FleetConfig config,
                                  MetricsRegistry* metrics)
-    : config_(config), control_sim_(sim) {
+    : config_(config), sim_(sim) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics = owned_metrics_.get();
@@ -17,60 +17,16 @@ FleetController::FleetController(Simulator* sim, FleetConfig config,
   shards_.resize(static_cast<size_t>(config_.shards));
   for (int s = 0; s < config_.shards; s++) {
     Shard& sh = shards_[static_cast<size_t>(s)];
-    sh.sim = sim;
     sh.cluster = std::make_unique<BackendCluster>(
         sim, config_.cluster, metrics_, "cluster.shard" + std::to_string(s));
     sh.bucket = std::make_unique<ObjectBucket>();
   }
   hosts_.resize(static_cast<size_t>(config_.hosts));
   for (int i = 0; i < config_.hosts; i++) {
-    FleetHost& h = hosts_[static_cast<size_t>(i)];
-    h.sim = sim;
     ClientHostConfig hc = config_.host;
     hc.metric_prefix = "host." + std::to_string(i);
-    h.client = std::make_unique<ClientHost>(sim, hc, metrics_);
-  }
-  RegisterMetrics();
-}
-
-FleetController::FleetController(SimDomainGroup* group, SimDomain* control,
-                                 FleetConfig config, MetricsRegistry* metrics)
-    : config_(config), group_(group), control_sim_(control->sim()) {
-  if (metrics == nullptr) {
-    owned_metrics_ = std::make_unique<MetricsRegistry>();
-    metrics = owned_metrics_.get();
-  }
-  metrics_ = metrics;
-  // Domains, then channels, in fixed (host, shard) order: channel ids are
-  // the parallel engine's determinism tie-break, so they must key to the
-  // fleet topology, never to thread count (same rule as fig18).
-  shards_.resize(static_cast<size_t>(config_.shards));
-  for (int s = 0; s < config_.shards; s++) {
-    Shard& sh = shards_[static_cast<size_t>(s)];
-    sh.domain = group->AddDomain("fleetshard" + std::to_string(s));
-    sh.sim = sh.domain->sim();
-    sh.cluster = std::make_unique<BackendCluster>(
-        sh.sim, config_.cluster, metrics_,
-        "cluster.shard" + std::to_string(s));
-  }
-  hosts_.resize(static_cast<size_t>(config_.hosts));
-  for (int i = 0; i < config_.hosts; i++) {
-    FleetHost& h = hosts_[static_cast<size_t>(i)];
-    h.domain = group->AddDomain("fleethost" + std::to_string(i));
-    h.sim = h.domain->sim();
-    ClientHostConfig hc = config_.host;
-    hc.metric_prefix = "host." + std::to_string(i);
-    h.client = std::make_unique<ClientHost>(h.sim, hc, metrics_);
-    const Nanos hop = h.client->link()->half_rtt();
-    for (int s = 0; s < config_.shards; s++) {
-      SimDomain* sd = shards_[static_cast<size_t>(s)].domain;
-      h.to_shard.push_back(group->Connect(h.domain, sd, hop));
-      h.from_shard.push_back(group->Connect(sd, h.domain, hop));
-      // One namespace per (host, shard): objects become visible on the
-      // host's side at PUT-ack time, so the map can only be this host's.
-      h.buckets.push_back(std::make_unique<ObjectBucket>());
-    }
-    h.hb_channel = group->Connect(h.domain, control, hop);
+    hosts_[static_cast<size_t>(i)].client =
+        std::make_unique<ClientHost>(sim, hc, metrics_);
   }
   RegisterMetrics();
 }
@@ -114,20 +70,10 @@ void FleetController::RegisterMetrics() {
   c_failovers_ = metrics_->GetCounter("fleet.failovers");
   c_failover_volumes_ = metrics_->GetCounter("fleet.failover_volumes");
   c_handoff_bytes_ = metrics_->GetCounter("fleet.handoff_bytes");
-  c_image_bytes_ = metrics_->GetCounter("fleet.image_bytes_distributed");
   h_blackout_us_ = metrics_->GetHistogram("fleet.migration.blackout_us");
   h_migration_total_us_ = metrics_->GetHistogram("fleet.migration.total_us");
   h_recovery_us_ = metrics_->GetHistogram("fleet.failover.recovery_us");
   h_detect_us_ = metrics_->GetHistogram("fleet.failover.detect_us");
-}
-
-ObjectBucket* FleetController::BucketFor(int host, int shard) {
-  if (group_ != nullptr) {
-    return hosts_[static_cast<size_t>(host)]
-        .buckets[static_cast<size_t>(shard)]
-        .get();
-  }
-  return shards_[static_cast<size_t>(shard)].bucket.get();
 }
 
 int FleetController::Pick(const PlacementRequest& req) const {
@@ -177,17 +123,12 @@ void FleetController::Attach(VolumeState& v, int host_id, OpenMode mode,
   FleetHost& h = hosts_[static_cast<size_t>(host_id)];
   std::vector<ObjectStore*> ptrs;
   for (int s = 0; s < config_.shards; s++) {
+    Shard& sh = shards_[static_cast<size_t>(s)];
     auto raw = std::make_unique<SimObjectStore>(
-        h.sim, shards_[static_cast<size_t>(s)].cluster.get(),
-        h.client->link(), config_.objstore, nullptr, "objstore",
-        BucketFor(host_id, s));
-    if (group_ != nullptr) {
-      raw->BindBackendDomain(shards_[static_cast<size_t>(s)].domain,
-                             h.to_shard[static_cast<size_t>(s)],
-                             h.from_shard[static_cast<size_t>(s)]);
-    }
+        sim_, sh.cluster.get(), h.client->link(), config_.objstore, nullptr,
+        "objstore", sh.bucket.get());
     auto fenced = std::make_unique<FencedObjectStore>(
-        h.sim, raw.get(), &directory_, v.name, v.epoch);
+        sim_, raw.get(), &directory_, v.name, v.epoch);
     ptrs.push_back(fenced.get());
     v.raw_views.push_back(std::move(raw));
     v.views.push_back(std::move(fenced));
@@ -235,7 +176,7 @@ int FleetController::CreateVolume(LsvdConfig config, DoneCallback done,
     c_create_failures_->Inc();
     c_placement_rejected_->Inc();
     if (done) {
-      control_sim_->After(0, [done = std::move(done)] {
+      sim_->After(0, [done = std::move(done)] {
         done(Status::ResourceExhausted("no host fits volume"));
       });
     }
@@ -281,36 +222,8 @@ int FleetController::CloneVolume(int base_volume, const std::string& clone_name,
                       std::move(done), track_metrics);
 }
 
-void FleetController::DistributeImage(int base_volume) {
-  if (group_ == nullptr) {
-    return;  // one shared namespace per shard already
-  }
-  VolumeState& v = *volumes_[static_cast<size_t>(base_volume)];
-  const std::string prefix = v.name + ".";
-  uint64_t bytes = 0;
-  for (int s = 0; s < config_.shards; s++) {
-    ObjectBucket* src = BucketFor(v.host, s);
-    for (int h = 0; h < config_.hosts; h++) {
-      if (h == v.host) {
-        continue;
-      }
-      ObjectBucket* dst = BucketFor(h, s);
-      for (auto it = src->objects.lower_bound(prefix);
-           it != src->objects.end() && it->first.starts_with(prefix); ++it) {
-        dst->objects[it->first] = it->second;
-        bytes += it->second.size();
-      }
-    }
-  }
-  c_image_bytes_->Inc(bytes);
-}
-
 Status FleetController::MigrateVolume(int volume, int dst_host,
                                       MigrationCallback done) {
-  if (group_ != nullptr) {
-    return Status::InvalidArgument(
-        "live migration needs the shared-namespace sequential fleet");
-  }
   if (volume < 0 || volume >= static_cast<int>(volumes_.size())) {
     return Status::InvalidArgument("unknown volume");
   }
@@ -337,7 +250,7 @@ Status FleetController::MigrateVolume(int volume, int dst_host,
   }
   v.state = VolumeHealth::kMigrating;
   v.migration_inflight = true;
-  v.freeze_time = control_sim_->now();
+  v.freeze_time = sim_->now();
   const uint64_t epoch = v.epoch;
   const Nanos freeze = v.freeze_time;
   const int dst = dst_host;
@@ -366,7 +279,7 @@ Status FleetController::MigrateVolume(int volume, int dst_host,
       }
       return;
     }
-    const Nanos detached = control_sim_->now();
+    const Nanos detached = sim_->now();
     const uint64_t handoff_bytes =
         config_.handoff_header_bytes +
         config_.handoff_bytes_per_object * r->applied_seq;
@@ -385,7 +298,7 @@ Status FleetController::MigrateVolume(int volume, int dst_host,
         }
         return;
       }
-      control_sim_->After(src_link->half_rtt(), [this, volume, dst, freeze,
+      sim_->After(src_link->half_rtt(), [this, volume, dst, freeze,
                                                  detached, handoff_bytes,
                                                  applied_seq, stale, done] {
         if (stale()) {
@@ -463,8 +376,8 @@ void FleetController::FinishMigration(int volume, int dst, Nanos freeze,
            stats.src_host = src;
            stats.dst_host = dst;
            stats.drain = detached - freeze;
-           stats.blackout = control_sim_->now() - detached;
-           stats.total = control_sim_->now() - freeze;
+           stats.blackout = sim_->now() - detached;
+           stats.total = sim_->now() - freeze;
            stats.handoff_bytes = handoff_bytes;
            stats.applied_seq = applied_seq;
            c_migrations_->Inc();
@@ -482,14 +395,14 @@ void FleetController::KillHost(int host) {
     return;
   }
   h.process_alive = false;
-  h.down_since = h.sim->now();
+  h.down_since = sim_->now();
   for (auto& vp : volumes_) {
     VolumeState& v = *vp;
     if (v.host != host || v.disk == nullptr) {
       continue;
     }
     v.disk->Kill();
-    v.freeze_time = h.sim->now();
+    v.freeze_time = sim_->now();
     v.state = VolumeHealth::kDown;
   }
 }
@@ -498,18 +411,15 @@ void FleetController::PartitionHost(int host) {
   FleetHost& h = hosts_[static_cast<size_t>(host)];
   h.partitioned = true;
   if (h.down_since == 0) {
-    h.down_since = h.sim->now();
+    h.down_since = sim_->now();
   }
 }
 
 void FleetController::FailoverHost(int host) {
-  if (group_ != nullptr) {
-    return;  // recover-attach is sequential-engine-only (see header)
-  }
   FleetHost& fh = hosts_[static_cast<size_t>(host)];
   fh.declared_dead = true;
   c_failovers_->Inc();
-  const Nanos now = control_sim_->now();
+  const Nanos now = sim_->now();
   for (size_t i = 0; i < volumes_.size(); i++) {
     VolumeState& v = *volumes_[i];
     if (v.host != host || v.state == VolumeHealth::kFailed) {
@@ -553,26 +463,16 @@ void FleetController::FailoverHost(int host) {
       v.state = VolumeHealth::kActive;
       v.freeze_time = 0;
       c_failover_volumes_->Inc();
-      RecordLatencyUs(h_recovery_us_, control_sim_->now() - freeze);
+      RecordLatencyUs(h_recovery_us_, sim_->now() - freeze);
     });
   }
 }
 
 void FleetController::RunControlPlane(Nanos until) {
-  // Domains only advance while they have events, so by the time the
-  // coordinator calls this the control domain (and any idle host) may trail
-  // the busiest host by whole virtual seconds. Anchor the lease bookkeeping
-  // and every chain at the fleet-wide latest clock — otherwise the first
-  // lease checks would read that skew as heartbeat silence and declare
-  // healthy hosts dead.
-  Nanos start = control_sim_->now();
-  for (const FleetHost& h : hosts_) {
-    start = std::max(start, h.sim->now());
-  }
   if (!control_inited_) {
     control_inited_ = true;
     for (FleetHost& h : hosts_) {
-      h.last_heartbeat = start;
+      h.last_heartbeat = sim_->now();
     }
   }
   control_until_ = std::max(control_until_, until);
@@ -580,49 +480,39 @@ void FleetController::RunControlPlane(Nanos until) {
     FleetHost& h = hosts_[static_cast<size_t>(i)];
     if (!h.hb_running && h.process_alive && !h.partitioned) {
       h.hb_running = true;
-      h.sim->At(std::max(start, h.sim->now()),
-                [this, i] { ScheduleHeartbeat(i); });
+      sim_->After(0, [this, i] { ScheduleHeartbeat(i); });
     }
   }
   if (!lease_running_) {
     lease_running_ = true;
-    control_sim_->At(std::max(start, control_sim_->now()),
-                     [this] { ScheduleLeaseCheck(); });
+    sim_->After(0, [this] { ScheduleLeaseCheck(); });
   }
 }
 
 void FleetController::ScheduleHeartbeat(int i) {
-  FleetHost& h = hosts_[static_cast<size_t>(i)];
-  h.sim->After(config_.heartbeat_interval, [this, i] {
+  sim_->After(config_.heartbeat_interval, [this, i] {
     FleetHost& h = hosts_[static_cast<size_t>(i)];
-    if (!h.process_alive || h.partitioned || h.sim->now() > control_until_) {
+    if (!h.process_alive || h.partitioned || sim_->now() > control_until_) {
       h.hb_running = false;
       return;
     }
-    const Nanos hop = h.client->link()->half_rtt();
-    if (h.hb_channel != nullptr) {
-      h.hb_channel->SendAfter(hop, [this, i] { OnHeartbeat(i); });
-    } else {
-      control_sim_->After(hop, [this, i] { OnHeartbeat(i); });
-    }
+    sim_->After(h.client->link()->half_rtt(), [this, i] { OnHeartbeat(i); });
     ScheduleHeartbeat(i);
   });
 }
 
 void FleetController::OnHeartbeat(int i) {
-  // Runs on the controller's domain: every mutation of controller state is
-  // single-domain even under the parallel engine.
   c_heartbeats_->Inc();
-  hosts_[static_cast<size_t>(i)].last_heartbeat = control_sim_->now();
+  hosts_[static_cast<size_t>(i)].last_heartbeat = sim_->now();
 }
 
 void FleetController::ScheduleLeaseCheck() {
-  control_sim_->After(config_.lease_check_interval, [this] {
-    if (control_sim_->now() > control_until_) {
+  sim_->After(config_.lease_check_interval, [this] {
+    if (sim_->now() > control_until_) {
       lease_running_ = false;
       return;
     }
-    const Nanos now = control_sim_->now();
+    const Nanos now = sim_->now();
     for (int i = 0; i < static_cast<int>(hosts_.size()); i++) {
       FleetHost& h = hosts_[static_cast<size_t>(i)];
       // Strict '>' so a heartbeat landing exactly at expiry keeps the
@@ -640,9 +530,9 @@ void FleetController::DeclareDead(int i) {
   h.declared_dead = true;
   c_leases_expired_->Inc();
   if (h.down_since != 0) {
-    RecordLatencyUs(h_detect_us_, control_sim_->now() - h.down_since);
+    RecordLatencyUs(h_detect_us_, sim_->now() - h.down_since);
   }
-  if (config_.auto_failover && group_ == nullptr) {
+  if (config_.auto_failover) {
     FailoverHost(i);
   }
 }

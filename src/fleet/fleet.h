@@ -11,13 +11,7 @@
 // (src/objstore/volume_directory.h) is what makes the flip safe against
 // stale hosts that were wrongly declared dead.
 //
-// Engines: on the sequential engine everything works. Under the parallel
-// engine (DESIGN.md §14) each host and each backend shard is its own
-// SimDomain; placement, clone fan-out, steady-state serving and the
-// heartbeat/lease detector all run multi-domain, but live migration and
-// failover recover-attach are sequential-engine-only — they need one shared
-// object namespace per shard, and the namespace map is client-side state
-// that must not be mutated from two domains (see ObjectBucket).
+// Every host, every shard and the controller run on one Simulator.
 #ifndef SRC_FLEET_FLEET_H_
 #define SRC_FLEET_FLEET_H_
 
@@ -33,7 +27,6 @@
 #include "src/objstore/sim_object_store.h"
 #include "src/objstore/volume_directory.h"
 #include "src/sim/cluster.h"
-#include "src/sim/sim_domain.h"
 #include "src/sim/simulator.h"
 #include "src/util/metrics.h"
 #include "src/util/status.h"
@@ -91,18 +84,10 @@ class FleetController {
     kFailed,      // no host fits, or an open failed — needs operator action
   };
 
-  // Sequential engine: every host, shard and the controller share `sim`.
-  // Null `metrics` gives the controller a private registry (metrics()).
+  // Every host, shard and the controller share `sim`. Null `metrics` gives
+  // the controller a private registry (metrics()).
   FleetController(Simulator* sim, FleetConfig config,
                   MetricsRegistry* metrics = nullptr);
-  // Parallel engine: each host and each shard gets its own new domain in
-  // `group`; the controller's lease detector runs on `control` (typically
-  // the caller's main/client domain). Call before the group's first Run so
-  // channel ids key to the topology. KillHost/PartitionHost/CreateVolume/
-  // CloneVolume/DistributeImage must run at a barrier (SimDomainGroup::At)
-  // or between Run calls; MigrateVolume and FailoverHost are unavailable.
-  FleetController(SimDomainGroup* group, SimDomain* control,
-                  FleetConfig config, MetricsRegistry* metrics = nullptr);
   ~FleetController();
 
   FleetController(const FleetController&) = delete;
@@ -124,21 +109,13 @@ class FleetController {
   int CloneVolume(int base_volume, const std::string& clone_name,
                   uint64_t base_seq, DoneCallback done = nullptr,
                   bool track_metrics = false);
-  // Parallel engine only (a no-op on the sequential engine, where shard
-  // namespaces are already shared): copies `base_volume`'s backend objects
-  // into every other host's bucket so clones placed anywhere can
-  // materialize. Models out-of-band golden-image distribution; charged to
-  // fleet.image_bytes_distributed, not to simulated links. Call between
-  // Run calls, after the base image has drained.
-  void DistributeImage(int base_volume);
 
-  // --- live migration (sequential engine only) ---
+  // --- live migration ---
   // Drain-and-seal on the source, ship the handoff descriptor over both
   // hosts' links, flip the directory epoch (fencing the source), recover-
   // attach on the target. The caller must stop issuing I/O to the volume
   // first and may resume when `done` fires. `dst_host` -1 lets the
-  // placement policy choose. Errors: InvalidArgument (parallel engine, bad
-  // volume/host), ResourceExhausted (no host fits). If a failover steals
+  // placement policy choose. Errors: InvalidArgument (bad volume/host), ResourceExhausted (no host fits). If a failover steals
   // the volume mid-migration, done fires with Unavailable.
   Status MigrateVolume(int volume, int dst_host = -1,
                        MigrationCallback done = nullptr);
@@ -146,8 +123,7 @@ class FleetController {
   // --- failure injection & failover ---
   // Host process death: every disk on it is Kill()ed (callbacks dropped,
   // SSD content survives per crash semantics) and its heartbeats stop. The
-  // lease detector declares it dead after lease_duration. Parallel engine:
-  // call at a barrier.
+  // lease detector declares it dead after lease_duration.
   void KillHost(int host);
   // Network partition: heartbeats stop but the host keeps running — its
   // volumes serve on, and after failover their stale attachments write
@@ -155,7 +131,7 @@ class FleetController {
   void PartitionHost(int host);
   // Re-places every volume of `host` onto survivors and recover-attaches
   // them via OpenCacheLost. Runs automatically from the lease detector when
-  // auto_failover is set (sequential engine); exposed for deterministic
+  // auto_failover is set; exposed for deterministic
   // tests. Volumes that fit nowhere become kFailed.
   void FailoverHost(int host);
 
@@ -168,14 +144,9 @@ class FleetController {
   // --- introspection ---
   int num_hosts() const { return static_cast<int>(hosts_.size()); }
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  Simulator* shard_sim(int s) { return shards_[static_cast<size_t>(s)].sim; }
   size_t volume_count() const { return volumes_.size(); }
   int volumes_on(int host) const;
   ClientHost* host(int i) { return hosts_[static_cast<size_t>(i)].client.get(); }
-  Simulator* host_sim(int i) { return hosts_[static_cast<size_t>(i)].sim; }
-  SimDomain* host_domain(int i) {
-    return hosts_[static_cast<size_t>(i)].domain;
-  }
   bool host_process_alive(int i) const {
     return hosts_[static_cast<size_t>(i)].process_alive;
   }
@@ -198,33 +169,21 @@ class FleetController {
   }
   VolumeDirectory& directory() { return directory_; }
   MetricsRegistry& metrics() { return *metrics_; }
-  Simulator* control_sim() { return control_sim_; }
-  bool parallel() const { return group_ != nullptr; }
 
  private:
   struct Shard {
-    SimDomain* domain = nullptr;  // parallel engine only
-    Simulator* sim = nullptr;
     std::unique_ptr<BackendCluster> cluster;
-    // Sequential engine: the one namespace every host view shares.
+    // The one namespace every host's view of the shard shares.
     std::unique_ptr<ObjectBucket> bucket;
   };
 
   struct FleetHost {
-    SimDomain* domain = nullptr;  // parallel engine only
-    Simulator* sim = nullptr;
     std::unique_ptr<ClientHost> client;
-    // Parallel engine: per-host namespaces (indexed by shard) and the
-    // channels carrying store requests/responses and heartbeats.
-    std::vector<std::unique_ptr<ObjectBucket>> buckets;
-    std::vector<CrossDomainChannel*> to_shard;
-    std::vector<CrossDomainChannel*> from_shard;
-    CrossDomainChannel* hb_channel = nullptr;
     bool process_alive = true;
     bool partitioned = false;
     bool declared_dead = false;
     bool hb_running = false;
-    Nanos last_heartbeat = 0;  // controller clock
+    Nanos last_heartbeat = 0;  // arrival time of the newest heartbeat
     Nanos down_since = 0;      // kill/partition time, for detect latency
   };
 
@@ -253,7 +212,6 @@ class FleetController {
   enum class OpenMode { kCreate, kCacheLost };
 
   void RegisterMetrics();
-  ObjectBucket* BucketFor(int host, int shard);
   int Pick(const PlacementRequest& req) const;
   // Builds store views + disk for v on `host_id` and starts the open.
   void Attach(VolumeState& v, int host_id, OpenMode mode, DoneCallback done);
@@ -269,8 +227,7 @@ class FleetController {
   void DeclareDead(int i);
 
   FleetConfig config_;
-  SimDomainGroup* group_ = nullptr;
-  Simulator* control_sim_ = nullptr;
+  Simulator* sim_;
 
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_ = nullptr;
@@ -281,7 +238,7 @@ class FleetController {
   std::vector<std::unique_ptr<VolumeState>> volumes_;
 
   // Control-plane horizon: heartbeat/lease chains stop past this time so
-  // the simulation quiesces. Written only while the engine is quiesced.
+  // the simulation quiesces.
   Nanos control_until_ = 0;
   bool control_inited_ = false;
   bool lease_running_ = false;
@@ -298,7 +255,6 @@ class FleetController {
   Counter* c_failovers_;
   Counter* c_failover_volumes_;
   Counter* c_handoff_bytes_;
-  Counter* c_image_bytes_;
   Histogram* h_blackout_us_;
   Histogram* h_migration_total_us_;
   Histogram* h_recovery_us_;

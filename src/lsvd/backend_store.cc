@@ -1042,10 +1042,13 @@ void BackendStore::MaybeCheckpoint() {
 }
 
 void BackendStore::WriteCheckpoint(std::function<void(Status)> done) {
-  if (checkpoint_in_flight_) {
-    done(Status::Ok());
-    return;
+  checkpoint_waiters_.push_back(std::move(done));
+  if (!checkpoint_in_flight_) {
+    StartCheckpoint();
   }
+}
+
+void BackendStore::StartCheckpoint() {
   checkpoint_in_flight_ = true;
   CheckpointState state;
   state.through_seq = applied_seq_;
@@ -1074,36 +1077,46 @@ void BackendStore::WriteCheckpoint(std::function<void(Status)> done) {
   const uint64_t through = state.through_seq;
   // Checkpoints always go to shard 0, the volume's metadata home.
   PutWithRetry(0, name, EncodeCheckpoint(state),
-               [this, through, done = std::move(done)](Status s) {
+               [this, alive = alive_, through,
+                waiters = std::exchange(checkpoint_waiters_, {})](Status s) {
     checkpoint_in_flight_ = false;
-    if (!s.ok()) {
-      done(s);
-      return;
-    }
-    last_checkpoint_seq_ = std::max(last_checkpoint_seq_, through);
-    objects_since_checkpoint_ = 0;
-    c_checkpoints_->Inc();
-    // Trim-only objects (zero payload, zero live bytes) at or below the
-    // checkpoint are no longer needed for replay: recovery starts past them,
-    // so they can be deleted like cleaned GC victims. Only trims produce
-    // such objects, so default volumes never take this path.
-    std::vector<uint64_t> spent;
-    for (const auto& [seq, info] : object_info_) {
-      if (seq > config_.base_last_seq && seq <= through &&
-          info.total_bytes == 0 && info.live_bytes == 0) {
-        spent.push_back(seq);
+    if (s.ok()) {
+      last_checkpoint_seq_ = std::max(last_checkpoint_seq_, through);
+      objects_since_checkpoint_ = 0;
+      c_checkpoints_->Inc();
+      // Trim-only objects (zero payload, zero live bytes) at or below the
+      // checkpoint are no longer needed for replay: recovery starts past
+      // them, so they can be deleted like cleaned GC victims. Only trims
+      // produce such objects, so default volumes never take this path.
+      std::vector<uint64_t> spent;
+      for (const auto& [seq, info] : object_info_) {
+        if (seq > config_.base_last_seq && seq <= through &&
+            info.total_bytes == 0 && info.live_bytes == 0) {
+          spent.push_back(seq);
+        }
+      }
+      for (const uint64_t seq : spent) {
+        ProcessDelete(seq);
+      }
+      // Keep only the two newest checkpoints.
+      auto names = meta_store()->List(CheckpointPrefix(config_.volume_name));
+      while (names.size() > 2) {
+        RetryDelete(shards_[0].io, names.front());
+        names.erase(names.begin());
       }
     }
-    for (const uint64_t seq : spent) {
-      ProcessDelete(seq);
+    for (const auto& done : waiters) {
+      done(s);
     }
-    // Keep only the two newest checkpoints.
-    auto names = meta_store()->List(CheckpointPrefix(config_.volume_name));
-    while (names.size() > 2) {
-      RetryDelete(shards_[0].io, names.front());
-      names.erase(names.begin());
+    if (!*alive) {
+      return;  // a waiter destroyed or killed the store
     }
-    done(Status::Ok());
+    // Callers that arrived while this checkpoint was in flight may hold
+    // state it does not list (a snapshot pin, a drained tail): they get a
+    // fresh checkpoint.
+    if (!checkpoint_waiters_.empty() && !checkpoint_in_flight_) {
+      StartCheckpoint();
+    }
   });
 }
 
@@ -1121,9 +1134,17 @@ bool BackendStore::idle() const {
 // shared_ptr retain cycle (the pre-PR-5 implementation leaked exactly that
 // way); once the final callback returns the state's refcount hits zero.
 void BackendStore::Recover(std::function<void(Status)> done) {
-  // Start from nothing; a loaded checkpoint overrides these. In particular a
+  // Start from nothing; a loaded checkpoint overrides this. In particular a
   // fresh clone has no checkpoint yet and must replay the base image's
   // object stream from sequence 1.
+  ResetRecoveredState();
+  auto st = std::make_shared<RecoverState>();
+  st->ckpts = meta_store()->List(CheckpointPrefix(config_.volume_name));
+  st->done = std::move(done);
+  RecoverTryCheckpoint(std::move(st), 0);
+}
+
+void BackendStore::ResetRecoveredState() {
   object_map_.Clear();
   object_info_.clear();
   object_generation_.clear();
@@ -1132,11 +1153,6 @@ void BackendStore::Recover(std::function<void(Status)> done) {
   applied_seq_ = 0;
   next_seq_ = 1;
   last_checkpoint_seq_ = 0;
-
-  auto st = std::make_shared<RecoverState>();
-  st->ckpts = meta_store()->List(CheckpointPrefix(config_.volume_name));
-  st->done = std::move(done);
-  RecoverTryCheckpoint(std::move(st), 0);
 }
 
 // 1. Find the newest usable checkpoint (always on shard 0), walking
@@ -1296,14 +1312,7 @@ void BackendStore::RecoverFinish(std::shared_ptr<RecoverState> st) {
     for (const uint64_t seq : referenced) {
       if (!StoreFor(seq)->Head(NameForSeq(seq)).ok()) {
         const size_t next_back = st->ckpt_back_index + 1;
-        object_map_.Clear();
-        object_info_.clear();
-        object_generation_.clear();
-        deferred_deletes_.clear();
-        snapshots_.clear();
-        applied_seq_ = 0;
-        next_seq_ = 1;
-        last_checkpoint_seq_ = 0;
+        ResetRecoveredState();
         st->seqs.clear();
         st->from_checkpoint = false;
         RecoverTryCheckpoint(std::move(st), next_back);

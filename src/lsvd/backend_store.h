@@ -138,6 +138,9 @@ class BackendStore {
   }
 
   // --- checkpoint / recovery ---
+  // `done` fires once a checkpoint that lists the state at this call is
+  // durable: a call made while a checkpoint is in flight waits for it and
+  // then for a fresh one.
   void WriteCheckpoint(std::function<void(Status)> done);
   // Rebuilds all state from the object store; safe on a brand-new volume
   // (results in an empty image).
@@ -278,6 +281,7 @@ class BackendStore {
                           uint64_t payload_bytes);
   void AccountDisplaced(const ExtentMap<ObjTarget>::ExtentVec& displaced);
   void MaybeCheckpoint();
+  void StartCheckpoint();
   void MaybeGc();
   void CleanOneObject(uint64_t victim);
   void FinishGcRound();
@@ -288,6 +292,9 @@ class BackendStore {
   // `watermark`; shards are tried in ascending-utilization order.
   std::optional<uint64_t> PickShardedVictim(double watermark) const;
   // Recovery pipeline (§3.3, sharded per DESIGN.md §9).
+  // Empties everything a checkpoint load or replay rebuilds: the state of a
+  // volume with no objects.
+  void ResetRecoveredState();
   void RecoverTryCheckpoint(std::shared_ptr<RecoverState> st,
                             size_t back_index);
   void RecoverScanAndReplay(std::shared_ptr<RecoverState> st);
@@ -329,6 +336,8 @@ class BackendStore {
   uint64_t objects_since_checkpoint_ = 0;
   uint64_t checkpoint_counter_ = 0;  // monotonic checkpoint-object id
   bool checkpoint_in_flight_ = false;
+  // WriteCheckpoint callers for the next checkpoint.
+  std::vector<std::function<void(Status)>> checkpoint_waiters_;
 
   // Victim-selection policy (docs/GC.md) from config.gc_policy; every shard
   // is cleaned under it.

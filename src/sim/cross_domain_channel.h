@@ -15,7 +15,7 @@
 // all outboxes at each window barrier sorted by (deliver_time, channel_id,
 // seq). Because both keys are independent of thread count and domain
 // packing, the merged delivery order — and therefore every simulation
-// result — is identical for any --threads / domain-count choice.
+// result — is identical for any thread count or domain packing.
 #ifndef SRC_SIM_CROSS_DOMAIN_CHANNEL_H_
 #define SRC_SIM_CROSS_DOMAIN_CHANNEL_H_
 

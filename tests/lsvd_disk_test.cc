@@ -5,8 +5,10 @@
 
 #include <map>
 #include <optional>
+#include <set>
 
 #include "src/lsvd/lsvd_disk.h"
+#include "src/objstore/faulty_object_store.h"
 #include "src/objstore/sim_object_store.h"
 #include "tests/lsvd_test_util.h"
 
@@ -395,6 +397,77 @@ TEST_F(LsvdDiskTest, SnapshotAndMountReadOnlyView) {
   auto live = ReadSync(&world_.sim, disk_.get(), 0, 64 * kKiB);
   ASSERT_TRUE(live.ok());
   EXPECT_EQ(*live, v2);
+}
+
+// Every applied object starts a backend checkpoint (interval 1) and each
+// store call takes 20 ms while Drain polls every millisecond, so a drain
+// here always ends with a periodic checkpoint in flight. A snapshot change
+// made then must still be listed by a durable checkpoint before its
+// callback fires.
+class CheckpointInFlightTest : public ::testing::Test {
+ protected:
+  CheckpointInFlightTest()
+      : slow_store_(&world_.store, &world_.sim, SlowStoreConfig()) {
+    config_ = TestWorld::SmallVolumeConfig();
+    config_.checkpoint_interval_objects = 1;
+    disk_ = std::make_unique<LsvdDisk>(&world_.host, &slow_store_, config_);
+    EXPECT_TRUE(OpenSync(&world_.sim, disk_.get(), &LsvdDisk::Create).ok());
+  }
+
+  static FaultInjectionConfig SlowStoreConfig() {
+    FaultInjectionConfig fc;
+    fc.added_latency_min = 20 * kMillisecond;
+    fc.added_latency_max = 20 * kMillisecond;
+    return fc;
+  }
+
+  Result<uint64_t> SnapshotSync() {
+    std::optional<Result<uint64_t>> snap;
+    disk_->Snapshot([&](Result<uint64_t> r) { snap = std::move(r); });
+    while (!snap.has_value() && world_.sim.Step()) {
+    }
+    return snap.value_or(Status::Unavailable("snapshot never completed"));
+  }
+
+  // Kills the client right away, loses its cache, and returns the snapshots
+  // a fresh attachment recovers from the backend.
+  std::set<uint64_t> SnapshotsAfterCacheLoss() {
+    disk_->Kill();
+    world_.sim.Run();
+    ClientHost host2(&world_.sim, TestWorld::InstantHostConfig());
+    LsvdDisk disk2(&host2, &slow_store_, config_);
+    EXPECT_TRUE(OpenSync(&world_.sim, &disk2, &LsvdDisk::OpenCacheLost).ok());
+    return disk2.backend().snapshots();
+  }
+
+  TestWorld world_;
+  FaultyObjectStore slow_store_;
+  LsvdConfig config_;
+  std::unique_ptr<LsvdDisk> disk_;
+};
+
+TEST_F(CheckpointInFlightTest, SnapshotPinSurvivesCacheLoss) {
+  ASSERT_TRUE(
+      WriteSync(&world_.sim, disk_.get(), 0, TestPattern(16 * kKiB, 1)).ok());
+  const Result<uint64_t> snap = SnapshotSync();
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(SnapshotsAfterCacheLoss(), std::set<uint64_t>{snap.value()});
+}
+
+TEST_F(CheckpointInFlightTest, DeletedSnapshotStaysDeletedAfterCacheLoss) {
+  ASSERT_TRUE(
+      WriteSync(&world_.sim, disk_.get(), 0, TestPattern(16 * kKiB, 1)).ok());
+  const Result<uint64_t> snap = SnapshotSync();
+  ASSERT_TRUE(snap.ok());
+  ASSERT_TRUE(
+      WriteSync(&world_.sim, disk_.get(), 0, TestPattern(16 * kKiB, 2)).ok());
+  ASSERT_TRUE(DrainSync(&world_.sim, disk_.get()).ok());
+  std::optional<Status> deleted;
+  disk_->DeleteSnapshot(snap.value(), [&](Status s) { deleted = s; });
+  while (!deleted.has_value() && world_.sim.Step()) {
+  }
+  ASSERT_TRUE(deleted.has_value() && deleted->ok());
+  EXPECT_TRUE(SnapshotsAfterCacheLoss().empty());
 }
 
 TEST_F(LsvdDiskTest, CloneSharesBaseAndDiverges) {
