@@ -282,6 +282,27 @@ void BM_SimulatorMixedHorizon(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorMixedHorizon)->Arg(64)->Arg(1024);
 
+// Deep backlog: `count` events pending at once, spread over ~3 s of virtual
+// time, then popped to empty — the shape of bcache's writeback during
+// recovery, which parks ~0.5M events seconds ahead. Most of them sit beyond
+// the near window, in the coarse ring.
+void BM_SimulatorDeepBacklog(benchmark::State& state) {
+  const int count = static_cast<int>(state.range(0));
+  Simulator sim;
+  Rng rng(5);
+  uint64_t sink = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < count; i++) {
+      const Nanos delay = 1 + static_cast<Nanos>(rng.Uniform(3'000'000'000));
+      sim.At(sim.now() + delay, [&sink, i] { sink += static_cast<uint64_t>(i); });
+    }
+    sim.Run();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * count);
+}
+BENCHMARK(BM_SimulatorDeepBacklog)->Arg(500000)->Unit(benchmark::kMillisecond);
+
 void BM_Crc32c(benchmark::State& state) {
   std::vector<uint8_t> data(static_cast<size_t>(state.range(0)), 0xA5);
   for (auto _ : state) {

@@ -335,7 +335,7 @@ void BackendStore::SealBatch(OpenBatch batch, bool from_gc,
         }
       }
     }
-    for (const auto& ext : scratch.Extents()) {
+    scratch.ForEachFrom(0, [&](const MapExtent<ObjTarget>& ext) {
       const BatchEntry& src = batch.entries[ext.target.seq];
       ObjectExtent oe;
       oe.vlba = ext.start;
@@ -353,7 +353,8 @@ void BackendStore::SealBatch(OpenBatch batch, bool from_gc,
       if (!src.is_trim) {
         payload.Append(src.data.Slice(ext.target.offset, ext.len));
       }
-    }
+      return true;
+    });
   } else {
     for (const auto& e : batch.entries) {
       ObjectExtent oe;
@@ -898,22 +899,18 @@ void BackendStore::CleanOneObject(uint64_t victim) {
       }
     };
 
+    ExtentMap<SsdTarget>::SegmentVec segs;
     for (const auto& piece : pieces) {
-      bool cache_covers = cache_ != nullptr;
-      if (cache_covers) {
-        ExtentMap<SsdTarget>::SegmentVec csegs;
-        cache_->map().Lookup(piece.vlba, piece.len, &csegs);
-        for (const auto& seg : csegs) {
-          if (!seg.target.has_value()) {
-            cache_covers = false;
-            break;
-          }
-        }
+      bool cache_covers = false;
+      if (cache_ != nullptr) {
+        cache_->map().Lookup(piece.vlba, piece.len, &segs);
+        cache_covers = std::all_of(segs.begin(), segs.end(), [](const auto& s) {
+          return s.target.has_value();
+        });
       }
       if (cache_covers) {
         // Assemble from (possibly several) cache extents.
         c_gc_cache_hits_->Inc();
-        auto segs = cache_->map().Lookup(piece.vlba, piece.len);
         auto parts = std::make_shared<std::vector<Buffer>>(segs.size());
         auto left = std::make_shared<size_t>(segs.size());
         for (size_t i = 0; i < segs.size(); i++) {

@@ -8,13 +8,10 @@
 #define SRC_SIM_NET_LINK_H_
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <utility>
 
 #include "src/sim/server_queue.h"
 #include "src/sim/simulator.h"
-#include "src/util/metrics.h"
 #include "src/util/units.h"
 
 namespace lsvd {
@@ -34,31 +31,19 @@ class NetLink {
 
   // Client -> backend transfer of `bytes`; `done` fires when the last byte
   // leaves the link (propagation added by callers via half_rtt()).
-  void SendToBackend(uint64_t bytes, std::function<void()> done) {
+  void SendToBackend(uint64_t bytes, Simulator::Fn done) {
     sent_ += bytes;
     tx_.Submit(TransferTime(bytes), std::move(done));
   }
 
   // Backend -> client transfer.
-  void ReceiveFromBackend(uint64_t bytes, std::function<void()> done) {
+  void ReceiveFromBackend(uint64_t bytes, Simulator::Fn done) {
     received_ += bytes;
     rx_.Submit(TransferTime(bytes), std::move(done));
   }
 
   uint64_t bytes_sent() const { return sent_; }
   uint64_t bytes_received() const { return received_; }
-
-  // Opt-in byte-counter gauges (callers that want them in --json dumps call
-  // this once after construction; the counters exist either way).
-  void RegisterMetrics(MetricsRegistry* metrics,
-                       const std::string& prefix = "net") {
-    metrics->RegisterCallback(prefix + ".bytes_sent", [this] {
-      return static_cast<double>(sent_);
-    });
-    metrics->RegisterCallback(prefix + ".bytes_received", [this] {
-      return static_cast<double>(received_);
-    });
-  }
 
   Nanos TransferTime(uint64_t bytes) const {
     return static_cast<Nanos>(static_cast<double>(bytes) /

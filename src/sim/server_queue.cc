@@ -11,7 +11,7 @@ ServerQueue::ServerQueue(Simulator* sim, int servers) : sim_(sim) {
   free_at_.assign(static_cast<size_t>(servers), 0);
 }
 
-void ServerQueue::Submit(Nanos service, std::function<void()> done) {
+void ServerQueue::Submit(Nanos service, Simulator::Fn done) {
   assert(service >= 0);
   // Pick the server that frees up earliest (equivalent to a shared FIFO fed
   // to k identical servers).
@@ -20,10 +20,7 @@ void ServerQueue::Submit(Nanos service, std::function<void()> done) {
   const Nanos end = start + service;
   *it = end;
   busy_ += service;
-  sim_->At(end, [this, done = std::move(done)]() {
-    completed_++;
-    done();
-  });
+  sim_->At(end, std::move(done));
 }
 
 }  // namespace lsvd

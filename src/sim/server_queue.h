@@ -6,7 +6,6 @@
 #define SRC_SIM_SERVER_QUEUE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -20,12 +19,11 @@ class ServerQueue {
   ServerQueue(Simulator* sim, int servers);
 
   // Enqueues a request needing `service` ns of exclusive server time;
-  // `done` fires when it completes.
-  void Submit(Nanos service, std::function<void()> done);
+  // `done` fires when it completes (scheduled directly on the simulator).
+  void Submit(Nanos service, Simulator::Fn done);
 
   // Total server-nanoseconds spent busy so far (across all servers).
   Nanos busy_time() const { return busy_; }
-  uint64_t completed_ops() const { return completed_; }
 
   // Fraction of one server's capacity used over [t0, t1), given cumulative
   // busy-time samples taken by the caller at t0 and t1.
@@ -42,7 +40,6 @@ class ServerQueue {
   // Earliest time each server becomes free; size = number of servers.
   std::vector<Nanos> free_at_;
   Nanos busy_ = 0;
-  uint64_t completed_ = 0;
 };
 
 }  // namespace lsvd

@@ -1,6 +1,7 @@
 #include "src/sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -9,127 +10,170 @@ namespace lsvd {
 void Simulator::At(Nanos t, Fn fn) {
   assert(t >= now_ && "cannot schedule events in the past");
   if (t < now_) {
-    t = now_;  // release-mode safety: keep the bucket invariant intact
+    t = now_;  // release-mode safety: keep the ring invariants intact
   }
-  const uint64_t day = DayOf(t);
-  Event ev{t, next_seq_++, std::move(fn)};
-  if (day < cur_day_ + kNumBuckets) {
-    auto& bucket = buckets_[day & kBucketMask];
-    bucket.push_back(std::move(ev));
-    std::push_heap(bucket.begin(), bucket.end(), Later{});
-    MarkOccupied(day & kBucketMask);
-    near_size_++;
+  uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<uint32_t>(slab_.size());
+    slab_.push_back(std::move(fn));
   } else {
-    far_.push_back(std::move(ev));
-    std::push_heap(far_.begin(), far_.end(), Later{});
+    slot = free_.back();
+    free_.pop_back();
+    slab_[slot] = std::move(fn);
   }
+  Insert(Key{t, next_seq_++, slot});
   size_++;
 }
 
-uint64_t Simulator::ScanToOccupied(uint64_t from_day) const {
-  assert(near_size_ > 0);
-  const uint64_t start = from_day & kBucketMask;
-  constexpr uint64_t kWordMask = kNumBuckets / 64 - 1;
-  const uint64_t word_idx = start >> 6;
-  uint64_t word = occupied_[word_idx] & (~uint64_t{0} << (start & 63));
-  if (word != 0) {
-    return static_cast<uint64_t>(std::countr_zero(word)) - (start & 63);
-  }
-  uint64_t advance = 64 - (start & 63);
-  // <= kWordMask + 1: the last iteration re-reads the first word, whose
-  // low bits map to the far end of the ring (days just under +1024).
-  for (uint64_t i = 1; i <= kWordMask + 1; i++) {
-    word = occupied_[(word_idx + i) & kWordMask];
-    if (word != 0) {
-      advance += static_cast<uint64_t>(std::countr_zero(word));
-      break;
-    }
-    advance += 64;
-    assert(i <= kWordMask && "no occupied bucket despite near events");
-  }
-  return advance;
-}
-
-Nanos Simulator::PeekNextTime() const {
-  assert(size_ > 0);
-  if (near_size_ == 0) {
-    return far_.front().t;
-  }
-  // Every bucketed event precedes every far timer: bucketed events have
-  // day < cur_day_ + kNumBuckets (checked at insert, cursor only advances),
-  // while far_.front() has day >= cur_day_ + kNumBuckets (checked at insert
-  // and re-established by SettleEarliest's migration loop). So the first
-  // occupied bucket at/after the cursor holds the global minimum.
-  const uint64_t day = cur_day_ + ScanToOccupied(cur_day_);
-  return buckets_[day & kBucketMask].front().t;
-}
-
-std::vector<Simulator::Event>* Simulator::SettleEarliest() {
-  assert(size_ > 0);
-  if (near_size_ == 0) {
-    // Nothing near: jump the window to the earliest far timer.
-    cur_day_ = DayOf(far_.front().t);
-  }
-  // Pull in far events that the advancing window has caught up with. Any
-  // far event earlier than every near event necessarily falls inside the
-  // window (near events were inserted with day < cur_day_ + kNumBuckets),
-  // so after this loop the global minimum lives in a bucket.
-  while (!far_.empty() && DayOf(far_.front().t) < cur_day_ + kNumBuckets) {
-    std::pop_heap(far_.begin(), far_.end(), Later{});
-    Event ev = std::move(far_.back());
-    far_.pop_back();
-    const uint64_t slot = DayOf(ev.t) & kBucketMask;
-    auto& bucket = buckets_[slot];
-    bucket.push_back(std::move(ev));
+void Simulator::Insert(const Key& key) {
+  const uint64_t ahead = BlockOf(key.t) - cur_block_;  // >= 0: t >= now_
+  if (ahead == 0) {
+    const uint64_t slot = DaySlot(key.t);
+    auto& bucket = near_[slot];
+    bucket.push_back(key);
     std::push_heap(bucket.begin(), bucket.end(), Later{});
-    MarkOccupied(slot);
+    Mark(&near_bits_, slot);
     near_size_++;
+  } else if (ahead < kRing) {
+    const uint64_t slot = (cur_block_ + ahead) & kRingMask;
+    auto& bucket = coarse_[slot];
+    if (bucket.empty()) {
+      Mark(&coarse_bits_, slot);
+      coarse_min_[slot] = key.t;
+    } else {
+      coarse_min_[slot] = std::min(coarse_min_[slot], key.t);
+    }
+    bucket.push_back(key);
+    coarse_size_++;
+  } else {
+    overflow_.push_back(key);
+    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
   }
-  cur_day_ += ScanToOccupied(cur_day_);
-  return &buckets_[cur_day_ & kBucketMask];
 }
 
-Simulator::Event Simulator::PopFrom(std::vector<Event>* bucket) {
-  std::pop_heap(bucket->begin(), bucket->end(), Later{});
-  Event ev = std::move(bucket->back());
-  bucket->pop_back();
-  if (bucket->empty()) {
-    ClearOccupied(static_cast<uint64_t>(bucket - buckets_.data()));
+uint64_t Simulator::FirstNearSlot() const {
+  assert(near_size_ > 0);
+  // Days before now() in the current block are already drained.
+  size_t w = BlockOf(now_) == cur_block_ ? DaySlot(now_) >> 6 : 0;
+  for (; w < kWords; w++) {
+    if (near_bits_[w] != 0) {
+      return w * 64 + static_cast<uint64_t>(std::countr_zero(near_bits_[w]));
+    }
+  }
+  assert(false && "no occupied near bucket despite near events");
+  return 0;
+}
+
+uint64_t Simulator::CoarseDistance() const {
+  assert(coarse_size_ > 0);
+  const uint64_t start = (cur_block_ + 1) & kRingMask;
+  size_t w = start >> 6;
+  uint64_t word = coarse_bits_[w] & (~uint64_t{0} << (start & 63));
+  // Unsigned wrap: distance of bit 0 of word w, which may precede `start`.
+  uint64_t dist = uint64_t{0} - (start & 63);
+  // Up to kWords + 1 words: the last re-reads the first word, whose low
+  // bits map to the far end of the ring.
+  for (size_t i = 0; word == 0; i++) {
+    assert(i < kWords && "no occupied coarse bucket despite coarse events");
+    dist += 64;
+    w = (w + 1) & (kWords - 1);
+    word = coarse_bits_[w];
+  }
+  return dist + static_cast<uint64_t>(std::countr_zero(word));
+}
+
+void Simulator::NextBlock(uint64_t* block, Nanos* t) const {
+  assert(size_ > 0 && near_size_ == 0);
+  if (coarse_size_ > 0) {
+    *block = cur_block_ + 1 + CoarseDistance();
+    *t = coarse_min_[*block & kRingMask];
+  } else {
+    *t = overflow_.front().t;
+    *block = BlockOf(*t);
+  }
+}
+
+void Simulator::EnterBlock(uint64_t block) {
+  assert(near_size_ == 0 && block >= cur_block_);
+  cur_block_ = block;
+  // Coarse keys lie in (old cur_block_, old cur_block_ + kRing) and none
+  // precedes `block`, so this bucket holds exactly `block`'s keys.
+  const uint64_t slot = block & kRingMask;
+  auto& bucket = coarse_[slot];
+  if (!bucket.empty()) {
+    coarse_size_ -= bucket.size();
+    Unmark(&coarse_bits_, slot);
+    for (const Key& key : bucket) {
+      Insert(key);
+    }
+    bucket.clear();
+  }
+  while (!overflow_.empty() &&
+         BlockOf(overflow_.front().t) - cur_block_ < kRing) {
+    std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
+    const Key key = overflow_.back();
+    overflow_.pop_back();
+    Insert(key);
+  }
+}
+
+bool Simulator::RunNext(Nanos last) {
+  if (size_ == 0) {
+    return false;
+  }
+  if (near_size_ == 0) {
+    uint64_t block = 0;
+    Nanos t = 0;
+    NextBlock(&block, &t);
+    if (t > last) {
+      return false;
+    }
+    EnterBlock(block);
+  }
+  const uint64_t slot = FirstNearSlot();
+  auto& bucket = near_[slot];
+  const Key key = bucket.front();
+  if (key.t > last) {
+    return false;
+  }
+  std::pop_heap(bucket.begin(), bucket.end(), Later{});
+  bucket.pop_back();
+  if (bucket.empty()) {
+    Unmark(&near_bits_, slot);
   }
   near_size_--;
   size_--;
   processed_++;
-  return ev;
-}
-
-bool Simulator::Step() {
-  if (size_ == 0) {
-    return false;
-  }
-  // The event is moved out before running so the handler may schedule
-  // further events (mutating the queue) safely.
-  Event ev = PopFrom(SettleEarliest());
-  now_ = ev.t;
-  ev.fn();
+  // Moved out before running: the handler may schedule events, which can
+  // reuse this slot or grow the slab.
+  Fn fn = std::move(slab_[key.slot]);
+  free_.push_back(key.slot);
+  now_ = key.t;
+  fn();
   return true;
 }
 
+Nanos Simulator::next_event_time() const {
+  if (size_ == 0) {
+    return kNoEventTime;
+  }
+  if (near_size_ > 0) {
+    return near_[FirstNearSlot()].front().t;
+  }
+  uint64_t block = 0;
+  Nanos t = 0;
+  NextBlock(&block, &t);
+  return t;
+}
+
 void Simulator::Run() {
-  while (Step()) {
+  while (RunNext(kNoEventTime)) {
   }
 }
 
 uint64_t Simulator::RunUntil(Nanos t) {
   uint64_t processed = 0;
-  // Peek before settling: SettleEarliest commits cursor movement, which is
-  // only safe when the found event is actually popped. If it ran here and
-  // the front event exceeded t, the cursor would be left ahead of now_ and
-  // a later At() could place an earlier event behind it (see SettleEarliest
-  // contract in simulator.h).
-  while (size_ > 0 && PeekNextTime() <= t) {
-    Event ev = PopFrom(SettleEarliest());
-    now_ = ev.t;
-    ev.fn();
+  while (RunNext(t)) {
     processed++;
   }
   if (now_ < t) {
@@ -140,15 +184,20 @@ uint64_t Simulator::RunUntil(Nanos t) {
 
 uint64_t Simulator::RunBefore(Nanos limit) {
   uint64_t processed = 0;
-  // Same peek-before-settle discipline as RunUntil: only commit cursor
-  // movement when the event is actually popped.
-  while (size_ > 0 && PeekNextTime() < limit) {
-    Event ev = PopFrom(SettleEarliest());
-    now_ = ev.t;
-    ev.fn();
+  if (limit <= 0) {
+    return 0;  // event times are never negative
+  }
+  while (RunNext(limit - 1)) {
     processed++;
   }
   return processed;
+}
+
+void Simulator::AdvanceTo(Nanos t) {
+  assert(next_event_time() >= t);
+  if (now_ < t) {
+    now_ = t;
+  }
 }
 
 }  // namespace lsvd

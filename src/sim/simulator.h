@@ -7,13 +7,20 @@
 //
 // The engine is the innermost loop of every bench, so it is built for
 // wall-clock speed without changing any virtual-time result:
-//  - Events hold an InlineFn<64> — typical lambdas (a `this` pointer plus a
-//    few scalars) live inside the event, so scheduling does not allocate.
-//  - The pending set is a two-level calendar queue: a ring of 1024 buckets,
-//    each 4096 ns wide (~4.2 ms near horizon), holding per-bucket binary
-//    min-heaps, with a single overflow heap for far-future timers. Most
-//    operations touch a heap of a handful of events instead of one giant
-//    heap of everything in flight.
+//  - Callbacks are InlineFn<64>, so typical lambdas (a `this` pointer plus a
+//    few scalars) need no allocation. Each pending callback sits in a slot
+//    of one slab (a vector with a free list): it moves once into its slot
+//    and once out to run. The queues below hold only 24-byte
+//    (time, seq, slot) keys, so heap sifts copy plain structs.
+//  - The keys sit in a two-level calendar. The near ring has 1024 day
+//    buckets of 4.096 us, covering the current aligned 4.19 ms block; each
+//    bucket is a small binary min-heap. The coarse ring has 1024 unsorted
+//    key vectors, one per later block (a ~4.3 s horizon). Keys beyond that
+//    wait in a small overflow heap. Entering a block drains its coarse
+//    bucket into the near heaps and pulls the overflow keys that the
+//    advanced horizon now covers into the coarse ring. A deep backlog
+//    (hundreds of thousands of events seconds ahead) therefore costs one
+//    vector append per event instead of sifts through one giant heap.
 //
 // Ordering is exactly (timestamp, FIFO sequence) — identical to the
 // reference binary heap (see tests/calendar_queue_test.cc), which is what
@@ -22,9 +29,8 @@
 #define SRC_SIM_SIMULATOR_H_
 
 #include <array>
-#include <bit>
-#include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/util/inline_fn.h"
@@ -49,7 +55,7 @@ class Simulator {
   void After(Nanos dt, Fn fn) { At(now_ + dt, std::move(fn)); }
 
   // Runs one event; returns false if the queue is empty.
-  bool Step();
+  bool Step() { return RunNext(kNoEventTime); }
 
   // Runs events until the queue is empty.
   void Run();
@@ -62,11 +68,9 @@ class Simulator {
   static constexpr Nanos kNoEventTime = INT64_MAX;
 
   // Timestamp of the earliest pending event, or kNoEventTime when empty.
-  // Does not mutate queue state, so the parallel coordinator may call it
-  // between windows without committing cursor movement.
-  Nanos next_event_time() const {
-    return size_ == 0 ? kNoEventTime : PeekNextTime();
-  }
+  // Exact and const: the parallel coordinator sizes its windows with it, so
+  // a later answer would let a window skip an event that is due.
+  Nanos next_event_time() const;
 
   // Runs events with timestamps strictly below `limit` and leaves the clock
   // at the last executed event (it does NOT advance to `limit`). This is the
@@ -80,12 +84,7 @@ class Simulator {
   // pending event is earlier than `t`. The parallel coordinator uses this to
   // line up quiesced domains before a barrier task so every domain observes
   // the same now().
-  void AdvanceTo(Nanos t) {
-    assert(size_ == 0 || PeekNextTime() >= t);
-    if (now_ < t) {
-      now_ = t;
-    }
-  }
+  void AdvanceTo(Nanos t);
 
   bool empty() const { return size_ == 0; }
   size_t pending_events() const { return size_; }
@@ -94,13 +93,14 @@ class Simulator {
   uint64_t events_processed() const { return processed_; }
 
  private:
-  struct Event {
+  // What the calendar orders: the callback itself stays in slab_[slot].
+  struct Key {
     Nanos t;
     uint64_t seq;  // FIFO tie-break for equal timestamps
-    Fn fn;
+    uint32_t slot;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.t != b.t) {
         return a.t > b.t;
       }
@@ -108,60 +108,79 @@ class Simulator {
     }
   };
 
-  // Calendar geometry: bucket width 2^12 ns, 1024 buckets => ~4.2 ms near
-  // window; longer timers (writeback intervals, probes) overflow to `far_`.
-  static constexpr int kBucketShift = 12;
-  static constexpr uint64_t kNumBuckets = 1024;
-  static constexpr uint64_t kBucketMask = kNumBuckets - 1;
+  // Calendar geometry: a day is 2^12 ns, a block 1024 days (2^22 ns).
+  static constexpr int kDayShift = 12;
+  static constexpr int kBlockShift = 22;
+  static constexpr uint64_t kRing = 1024;  // buckets per ring (both levels)
+  static constexpr uint64_t kRingMask = kRing - 1;
+  static constexpr size_t kWords = kRing / 64;
 
-  static uint64_t DayOf(Nanos t) {
-    return static_cast<uint64_t>(t) >> kBucketShift;
+  using Bitmap = std::array<uint64_t, kWords>;
+
+  static uint64_t BlockOf(Nanos t) {
+    return static_cast<uint64_t>(t) >> kBlockShift;
+  }
+  static uint64_t DaySlot(Nanos t) {
+    return (static_cast<uint64_t>(t) >> kDayShift) & kRingMask;
+  }
+  static void Mark(Bitmap* bits, uint64_t i) {
+    (*bits)[i >> 6] |= uint64_t{1} << (i & 63);
+  }
+  static void Unmark(Bitmap* bits, uint64_t i) {
+    (*bits)[i >> 6] &= ~(uint64_t{1} << (i & 63));
   }
 
-  // Days from `from_day` to the first non-empty bucket, scanning the
-  // occupancy bitmap a word at a time (wrapping). Precondition:
-  // near_size_ > 0, so a set bit exists within the window.
-  uint64_t ScanToOccupied(uint64_t from_day) const;
+  // Files `key` into the near ring, the coarse ring or the overflow heap by
+  // its block relative to cur_block_.
+  void Insert(const Key& key);
 
-  // Timestamp of the earliest pending event, without mutating any queue
-  // state. Precondition: size_ > 0.
-  Nanos PeekNextTime() const;
+  // Index of the first occupied near bucket. Precondition: near_size_ > 0.
+  uint64_t FirstNearSlot() const;
 
-  // Moves far-heap events that now fall inside the near window into their
-  // buckets, advances `cur_day_` to the first non-empty bucket, and returns
-  // that bucket. Precondition: size_ > 0.
+  // Blocks from cur_block_ + 1 to the first occupied coarse bucket.
+  // Precondition: coarse_size_ > 0.
+  uint64_t CoarseDistance() const;
+
+  // Block holding the earliest pending event and that event's time, when
+  // the near ring is empty. Precondition: size_ > 0, near_size_ == 0.
+  void NextBlock(uint64_t* block, Nanos* t) const;
+
+  // Makes `block` the current block: drains its coarse bucket into the near
+  // heaps and pulls overflow keys inside the new horizon into the coarse
+  // ring. Precondition: near ring empty and no pending event before `block`.
+  void EnterBlock(uint64_t block);
+
+  // Pops and runs the earliest event if its time is <= `last`.
   //
-  // Committing: callers must pop from the returned bucket. Advancing
-  // cur_day_ without popping would let a later At() with an earlier
-  // timestamp land in a bucket behind the cursor, where the scan finds it
-  // only after a full wrap — events would run out of order and now() could
-  // go backwards. Use PeekNextTime() to decide whether to pop at all.
-  std::vector<Event>* SettleEarliest();
-
-  // Pops the earliest event out of `bucket` (min of its heap).
-  Event PopFrom(std::vector<Event>* bucket);
+  // The block only advances here, for an event that is about to run, so
+  // now() catches up with it at once. Advancing it for an event left
+  // pending would file a later At() with an earlier time behind the ring.
+  bool RunNext(Nanos last);
 
   Nanos now_ = 0;
   uint64_t next_seq_ = 0;
   size_t size_ = 0;
   uint64_t processed_ = 0;
 
-  // Occupancy bitmap over buckets_ (bit i = bucket i non-empty): lets the
-  // cursor skip runs of empty buckets a word at a time. Long idle stretches
-  // of virtual time otherwise cost one loop iteration per elapsed 4 µs day,
-  // which dominates benches that simulate minutes of mostly-idle time.
-  void MarkOccupied(uint64_t slot) {
-    occupied_[slot >> 6] |= uint64_t{1} << (slot & 63);
-  }
-  void ClearOccupied(uint64_t slot) {
-    occupied_[slot >> 6] &= ~(uint64_t{1} << (slot & 63));
-  }
+  // Callback slab: slab_[k.slot] holds the callback of pending key k; free_
+  // lists the empty slots, reused last-freed first.
+  std::vector<Fn> slab_;
+  std::vector<uint32_t> free_;
 
-  uint64_t cur_day_ = 0;    // earliest bucket the cursor has reached
-  size_t near_size_ = 0;    // events currently in buckets_
-  std::array<std::vector<Event>, kNumBuckets> buckets_;
-  std::array<uint64_t, kNumBuckets / 64> occupied_{};
-  std::vector<Event> far_;  // min-heap of events beyond the near window
+  // Invariants: cur_block_ <= BlockOf(now_); every near key lies in
+  // cur_block_, every coarse key in (cur_block_, cur_block_ + kRing), every
+  // overflow key at or beyond cur_block_ + kRing. So the near ring holds the
+  // minimum when occupied, then the first occupied coarse bucket, then the
+  // overflow heap.
+  uint64_t cur_block_ = 0;
+  size_t near_size_ = 0;
+  size_t coarse_size_ = 0;
+  std::array<std::vector<Key>, kRing> near_;    // per-day min-heaps
+  std::array<std::vector<Key>, kRing> coarse_;  // per-block, unsorted
+  std::array<Nanos, kRing> coarse_min_{};       // earliest t per coarse bucket
+  Bitmap near_bits_{};
+  Bitmap coarse_bits_{};
+  std::vector<Key> overflow_;  // min-heap beyond the coarse horizon
 };
 
 }  // namespace lsvd

@@ -8,6 +8,7 @@
 // traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -56,6 +57,21 @@ class ReferenceSim {
     return processed;
   }
 
+  uint64_t RunBefore(Nanos limit) {
+    uint64_t processed = 0;
+    while (!queue_.empty() && queue_.top().t < limit) {
+      Step();
+      processed++;
+    }
+    return processed;
+  }
+
+  void AdvanceTo(Nanos t) { now_ = std::max(now_, t); }
+
+  Nanos next_event_time() const {
+    return queue_.empty() ? Simulator::kNoEventTime : queue_.top().t;
+  }
+
   bool empty() const { return queue_.empty(); }
 
  private:
@@ -84,6 +100,20 @@ struct TraceEntry {
   bool operator==(const TraceEntry&) const = default;
 };
 
+// A delay drawn from one of the engine's tiers: the same tick, the same
+// 4 us day, the near ring (one 4.19 ms block), the coarse ring (~4.3 s) and
+// the overflow heap beyond it.
+Nanos RandomDelay(Rng* rng) {
+  switch (rng->Uniform(6)) {
+    case 0: return 0;
+    case 1: return static_cast<Nanos>(rng->Uniform(100));
+    case 2: return static_cast<Nanos>(rng->Uniform(100'000));
+    case 3: return static_cast<Nanos>(rng->Uniform(50'000'000));
+    case 4: return static_cast<Nanos>(rng->Uniform(4'000'000'000));
+    default: return static_cast<Nanos>(rng->Uniform(40'000'000'000));
+  }
+}
+
 // Replays a deterministic random schedule script on any engine with the
 // Simulator interface. Handlers reschedule follow-up events with seeded
 // random delays, so ordering bugs compound into divergent traces quickly.
@@ -98,17 +128,11 @@ std::vector<TraceEntry> RunScript(uint64_t seed, int initial_events,
 
   std::function<void(uint64_t)> fire = [&](uint64_t id) {
     trace.push_back({id, sim.now()});
-    // Each event spawns 0-2 children at a mix of near/far delays; delay 0
-    // exercises the same-timestamp FIFO tie-break.
+    // Each event spawns 0-2 children at a mix of delays that reach every
+    // calendar tier; delay 0 exercises the same-timestamp FIFO tie-break.
     const int children = static_cast<int>(rng.Uniform(3));
     for (int c = 0; c < children && scheduled < max_events; c++) {
-      Nanos dt = 0;
-      switch (rng.Uniform(4)) {
-        case 0: dt = 0; break;                                  // same tick
-        case 1: dt = rng.Uniform(100); break;                   // same bucket
-        case 2: dt = rng.Uniform(100'000); break;               // near window
-        default: dt = rng.Uniform(50'000'000); break;           // far heap
-      }
+      const Nanos dt = RandomDelay(&rng);
       const uint64_t child = next_id++;
       scheduled++;
       sim.After(dt, [&fire, child] { fire(child); });
@@ -146,6 +170,77 @@ TEST(CalendarQueue, MatchesReferenceHeapOnRandomSchedules) {
       ASSERT_EQ(got[i], want[i]) << "seed " << seed << " step " << i;
     }
   }
+}
+
+// Drives every run primitive and the peek in random interleavings: each
+// step records now() and next_event_time(), so a stale peek or an event run
+// out of order shows up as a diverging trace.
+template <typename Engine>
+std::vector<TraceEntry> RunMixedScript(uint64_t seed) {
+  constexpr uint64_t kPeek = ~uint64_t{0} - 1;
+  constexpr uint64_t kClock = ~uint64_t{0};
+  Engine sim;
+  Rng rng(seed);
+  std::vector<TraceEntry> trace;
+  uint64_t next_id = 0;
+  std::function<void(uint64_t)> fire = [&](uint64_t id) {
+    trace.push_back({id, sim.now()});
+    if (rng.Uniform(3) == 0 && next_id < 3000) {
+      const uint64_t child = next_id++;
+      sim.After(RandomDelay(&rng), [&fire, child] { fire(child); });
+    }
+  };
+  for (int round = 0; round < 400; round++) {
+    const int n = static_cast<int>(rng.Uniform(4));
+    for (int i = 0; i < n; i++) {
+      const uint64_t id = next_id++;
+      sim.After(RandomDelay(&rng), [&fire, id] { fire(id); });
+    }
+    trace.push_back({kPeek, sim.next_event_time()});
+    const Nanos horizon = sim.now() + RandomDelay(&rng);
+    switch (rng.Uniform(4)) {
+      case 0: sim.RunUntil(horizon); break;
+      case 1: sim.RunBefore(horizon); break;
+      case 2: sim.AdvanceTo(std::min(horizon, sim.next_event_time())); break;
+      default: sim.Step(); break;
+    }
+    trace.push_back({kClock, sim.now()});
+  }
+  sim.Run();
+  trace.push_back({kClock, sim.now()});
+  return trace;
+}
+
+TEST(CalendarQueue, MixedRunPrimitivesMatchReferenceHeapAcrossTiers) {
+  for (uint64_t seed = 1; seed <= 200; seed++) {
+    const auto got = RunMixedScript<Simulator>(seed);
+    const auto want = RunMixedScript<ReferenceSim>(seed);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (size_t i = 0; i < got.size(); i++) {
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << " step " << i;
+    }
+  }
+}
+
+// Regression: the earliest pending event sat in the far tier while a later
+// one, scheduled after the window had moved, sat in a near bucket. The peek
+// looked only at the near buckets, so next_event_time() reported the later
+// event, RunUntil stopped short of the earlier one and the next Step()
+// moved now() backwards.
+TEST(CalendarQueue, NextEventTimeSeesEarlierFarEventAfterWindowMoves) {
+  Simulator sim;
+  std::vector<Nanos> fired_at;
+  const auto record = [&] { fired_at.push_back(sim.now()); };
+  sim.At(1'000'000, record);
+  sim.At(5'000'000, record);
+  ASSERT_TRUE(sim.Step());
+  sim.At(5'120'000, record);
+  EXPECT_EQ(sim.next_event_time(), 5'000'000);
+  EXPECT_EQ(sim.RunUntil(5'050'000), 1u);
+  ASSERT_TRUE(sim.Step());
+  EXPECT_EQ(sim.now(), 5'120'000);
+  EXPECT_EQ(fired_at,
+            (std::vector<Nanos>{1'000'000, 5'000'000, 5'120'000}));
 }
 
 TEST(CalendarQueue, MassiveSameTimestampBurstIsFifo) {

@@ -1,14 +1,10 @@
 // Unit tests for the client NIC model: byte accounting on both queues
 // (bytes_sent() was silently stuck at zero before the counters moved into
-// SendToBackend/ReceiveFromBackend — see docs/METRICS.md `net.*`), transfer
-// timing, and the opt-in metric gauges.
+// SendToBackend/ReceiveFromBackend) and transfer timing.
 #include <gtest/gtest.h>
-
-#include <string>
 
 #include "src/sim/net_link.h"
 #include "src/sim/simulator.h"
-#include "src/util/metrics.h"
 
 namespace lsvd {
 namespace {
@@ -56,21 +52,6 @@ TEST(NetLinkTest, TxAndRxSerializeIndependently) {
   EXPECT_EQ(tx2, Nanos{2000000});
   EXPECT_EQ(rx1, Nanos{1000000});
   EXPECT_EQ(rx2, Nanos{2000000});
-}
-
-TEST(NetLinkTest, RegisterMetricsExportsByteGauges) {
-  Simulator sim;
-  NetLink link(&sim, NetParams{});
-  MetricsRegistry metrics;
-  link.RegisterMetrics(&metrics);
-  link.SendToBackend(512, [] {});
-  link.ReceiveFromBackend(256, [] {});
-  const std::string json = metrics.ToJson();
-  EXPECT_NE(json.find("\"net.bytes_sent\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"net.bytes_received\""), std::string::npos) << json;
-  // Gauges sample the live counters, pre-completion included.
-  EXPECT_EQ(link.bytes_sent(), 512u);
-  EXPECT_EQ(link.bytes_received(), 256u);
 }
 
 }  // namespace
