@@ -67,10 +67,20 @@ def check_committed_results():
     Committed snapshots (e.g. BENCH_fig19_fleet.json) are wall-clock runs
     from whatever machine produced them, so only the schema is enforced —
     but a snapshot that drifts from the schema (new field, renamed bench)
-    fails here instead of rotting silently.
+    fails here instead of rotting silently. bench/results/ holds the smoke
+    sweep's snapshots and bench/results/reference/ those taken at a bench's
+    default flags (the reference scale, docs/PERF.md).
     """
     results_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                "results")
+    checked = 0
+    for sub in ("", "reference"):
+        checked += check_snapshot_dir(os.path.join(results_dir, sub))
+    return checked
+
+
+def check_snapshot_dir(results_dir):
+    """Schema-checks the BENCH_*.json snapshots in one directory."""
     if not os.path.isdir(results_dir):
         return 0
     checked = 0

@@ -20,9 +20,11 @@
 #include "src/lsvd/client_host.h"
 #include "src/lsvd/extent_map.h"
 #include "src/lsvd/journal.h"
+#include "src/lsvd/lsvd_disk.h"
 #include "src/lsvd/object_format.h"
 #include "src/lsvd/paged_extent_map.h"
 #include "src/lsvd/write_cache.h"
+#include "src/objstore/mem_object_store.h"
 #include "src/sim/simulator.h"
 #include "src/util/crc32c.h"
 #include "src/util/rng.h"
@@ -321,6 +323,7 @@ void BM_JournalEncode(benchmark::State& state) {
     rec.extents.push_back({i * 16 * kKiB, 16 * kKiB});
   }
   rec.data = Buffer::Zeros(nexts * 16 * kKiB);
+  AllocCounter allocs(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(EncodeJournalRecord(rec));
   }
@@ -375,6 +378,67 @@ void BM_SimSsdJournalWriteFlushRead(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SimSsdJournalWriteFlushRead)->Arg(4)->Arg(256);
+
+// The LSVD 4 KiB write path in steady state: zero-filled random writes at
+// queue depth 32 through LsvdDisk (QoS, kernel-CPU charge, journal record,
+// SSD write, ack), with batching, PUTs, checkpoints and GC running behind
+// them. One iteration is one acknowledged write; allocs_per_op counts every
+// heap allocation the whole stack makes per write.
+void BM_LsvdDiskWrite4K(benchmark::State& state) {
+  constexpr uint64_t kVolume = 256 * kMiB;
+  constexpr int kQueueDepth = 32;
+  Simulator sim;
+  ClientHostConfig hc;
+  hc.ssd_capacity = kGiB;
+  ClientHost host(&sim, hc);
+  MemObjectStore store(&sim);
+  LsvdConfig config;
+  config.volume_name = "vol";
+  config.volume_size = kVolume;
+  config.write_cache_size = 64 * kMiB;
+  config.read_cache_size = 32 * kMiB;
+  config.batch_bytes = 8 * kMiB;
+  LsvdDisk disk(&host, &store, config);
+  disk.Create([](Status) {});
+  sim.Run();
+
+  Rng rng(1);
+  uint64_t acked = 0;
+  uint64_t failed = 0;
+  const auto issue = [&] {
+    disk.Write(rng.Uniform(kVolume / (4 * kKiB)) * 4 * kKiB,
+               Buffer::Zeros(4 * kKiB), [&acked, &failed](Status s) {
+                 acked++;
+                 failed += s.ok() ? 0 : 1;
+               });
+  };
+  // Runs the simulator until `target` writes are acknowledged, keeping
+  // kQueueDepth in flight.
+  const auto run_until = [&](uint64_t target) {
+    while (acked < target) {
+      const uint64_t before = acked;
+      while (acked == before && sim.Step()) {
+      }
+      for (uint64_t i = before; i < acked; i++) {
+        issue();
+      }
+    }
+  };
+  for (int i = 0; i < kQueueDepth; i++) {
+    issue();
+  }
+  run_until(50000);  // warm up past the first batches and checkpoints
+  uint64_t target = acked;
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    run_until(++target);
+  }
+  if (failed > 0) {
+    state.SkipWithError("write failed");
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LsvdDiskWrite4K);
 
 // A write-cache checkpoint: encoding the records that hold `range(0)`
 // non-adjacent 4 KiB extents into one blob, and handing it to the SSD with

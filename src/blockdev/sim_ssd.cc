@@ -37,8 +37,9 @@ bool SimSsd::MatchStream(std::deque<uint64_t>* streams, uint64_t offset,
 // Submits the request as one or more channel occupations (striping large
 // requests across channels) and fires `done` when the slowest completes plus
 // the fixed device latency.
+template <typename Done>
 void SimSsd::SubmitOp(bool is_write, uint64_t offset, uint64_t len,
-                      std::function<void()> done) {
+                      Done done) {
   const uint64_t end = offset + len;
   bool sequential;
   Nanos op_cost;
@@ -73,15 +74,22 @@ void SimSsd::SubmitOp(bool is_write, uint64_t offset, uint64_t len,
     const auto transfer =
         static_cast<Nanos>(static_cast<double>(len) / bw * 1e9);
     queue.Submit(std::max(op_cost, transfer),
-                 [this, latency, done = std::move(done)]() {
+                 [this, latency, done = std::move(done)]() mutable {
                    sim_->After(latency, std::move(done));
                  });
     return;
   }
-  auto remaining = std::make_shared<uint64_t>(subops);
-  auto finish = [this, remaining, latency, done = std::move(done)]() {
-    if (--*remaining == 0) {
-      sim_->After(latency, done);
+  // The stripes share one completion (copying `done` per stripe would
+  // clone its captures); the last stripe to finish schedules it.
+  struct Stripes {
+    uint64_t remaining;
+    Done done;
+  };
+  auto stripes =
+      std::make_shared<Stripes>(Stripes{subops, std::move(done)});
+  const auto finish = [this, stripes, latency]() {
+    if (--stripes->remaining == 0) {
+      sim_->After(latency, std::move(stripes->done));
     }
   };
   uint64_t left = len;
@@ -136,8 +144,8 @@ void SimSsd::Read(uint64_t offset, uint64_t len, ReadCallback done) {
   stats_.read_bytes += len;
   Buffer data = current_.Read(offset, len);
   SubmitOp(false, offset, len,
-           [done = std::move(done), data = std::move(data)]() {
-    done(data);
+           [done = std::move(done), data = std::move(data)]() mutable {
+    done(std::move(data));
   });
 }
 

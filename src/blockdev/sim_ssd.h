@@ -111,8 +111,10 @@ class SimSsd : public BlockDevice {
     Buffer data;
   };
 
-  void SubmitOp(bool is_write, uint64_t offset, uint64_t len,
-                std::function<void()> done);
+  // `done` is any move-only `void()` callable; it is held by value, so a
+  // small one costs no allocation on the way to the simulator.
+  template <typename Done>
+  void SubmitOp(bool is_write, uint64_t offset, uint64_t len, Done done);
   bool MatchStream(std::deque<uint64_t>* streams, uint64_t offset,
                    uint64_t end);
 

@@ -10,6 +10,12 @@ namespace {
 
 constexpr uint32_t kJournalMagic = 0x4C53564A;  // "LSVJ"
 constexpr uint32_t kTrimMagic = 0x4C535654;     // "LSVT": trim record, no data
+// Encoded header: magic, seq, batch seq, extent count, data length, data
+// CRC and header CRC, then 16 bytes per extent; zeros fill the block.
+constexpr size_t kHeaderFixedBytes = 4 + 8 + 8 + 4 + 8 + 4 + 4;
+constexpr size_t kHeaderExtentBytes = 16;
+static_assert(kHeaderFixedBytes + kMaxJournalExtents * kHeaderExtentBytes <=
+              kBlockSize);
 
 }  // namespace
 
@@ -41,8 +47,10 @@ Buffer EncodeJournalRecord(const JournalRecord& record) {
     assert(record.data.size() == data_len);
   }
 
+  const size_t encoded =
+      kHeaderFixedBytes + kHeaderExtentBytes * record.extents.size();
   Encoder enc;
-  enc.Reserve(kBlockSize);
+  enc.Reserve(encoded);
   enc.PutU32(record.is_trim ? kTrimMagic : kJournalMagic);
   enc.PutU64(record.seq);
   enc.PutU64(record.batch_seq);
@@ -55,9 +63,7 @@ Buffer EncodeJournalRecord(const JournalRecord& record) {
     enc.PutU64(e.vlba);
     enc.PutU64(e.len);
   }
-  const size_t encoded = enc.size();
-  enc.PadTo(kBlockSize);
-  assert(enc.size() == kBlockSize);
+  assert(enc.size() == encoded);
 
   // CRC covers the whole header block with the CRC field zeroed; the zero
   // padding after the encoded fields is folded in without reading it.
@@ -65,11 +71,13 @@ Buffer EncodeJournalRecord(const JournalRecord& record) {
                Crc32cExtendZeros(Crc32c(enc.bytes().data(), encoded),
                                  kBlockSize - encoded));
 
+  // Donate the encoded fields instead of copying them and leave the rest of
+  // the header block a symbolic zero run; downstream consumers (the SSD
+  // block store) then share the same storage copy-free.
   Buffer out;
-  // Donate the header block instead of copying it; downstream consumers
-  // (the SSD block store) can then share the same storage copy-free.
   out.AppendShared(std::make_shared<const std::vector<uint8_t>>(enc.Take()),
-                   0, kBlockSize);
+                   0, encoded);
+  out.AppendZeros(kBlockSize - encoded);
   out.Append(record.data);
   return out;
 }

@@ -40,7 +40,9 @@ struct JournalRecord {
 inline constexpr size_t kMaxJournalExtents = 250;
 
 // Serializes header (padded to kBlockSize) + data. data.size() must equal the
-// extent length sum and be block-aligned. Trim records carry a distinct magic
+// extent length sum and be block-aligned. The header block is one data chunk
+// of exactly the encoded fields (40 bytes plus 16 per extent) and a symbolic
+// zero run to the block end. Trim records carry a distinct magic
 // ("LSVT"), describe the discarded ranges in their extents, and have no
 // payload — the record is exactly one header block.
 Buffer EncodeJournalRecord(const JournalRecord& record);

@@ -340,32 +340,51 @@ void LsvdDisk::WriteAdmitted(uint64_t offset, Buffer data, Nanos submitted,
                              std::function<void(Status)> done) {
   // A copy of the write goes to the block store's open batch (§3.2 step c);
   // the batch seq is journaled for crash replay.
-  const uint64_t len = data.size();
   const uint64_t batch_seq = backend_->AddWrite(offset, data);
   ArmBatchTimer();
+  const uint64_t len = data.size();
+  Journal(Journaled{offset, len, std::move(data), batch_seq, submitted,
+                    /*is_trim=*/false, std::move(done)});
+}
 
-  // Ack latency: submission to journal-record-durable (when `done` fires).
+void LsvdDisk::Journal(Journaled op) {
+  uint32_t slot;
+  if (free_journaled_.empty()) {
+    slot = static_cast<uint32_t>(journaled_.size());
+    journaled_.push_back(std::move(op));
+  } else {
+    slot = free_journaled_.back();
+    free_journaled_.pop_back();
+    journaled_[slot] = std::move(op);
+  }
   auto alive = alive_;
-  auto acked = [this, alive, offset, len, submitted,
-                done = std::move(done)](Status s) mutable {
-    if (*alive) {
-      RecordLatencyUs(h_write_ack_us_, host_->sim()->now() - submitted);
-      // The ack installs the write-cache map entry; stale read-cache lines,
-      // including fills that landed while the write was in flight, go now.
-      read_cache_->Invalidate(offset, len);
-    }
-    done(s);
-  };
   host_->kernel_cpu()->Submit(
       config_.costs.write_submit + config_.costs.write_map_update,
-      [this, alive, offset, data = std::move(data), batch_seq,
-       acked = std::move(acked)]() mutable {
+      [this, alive, slot] {
     if (!*alive) {
       return;
     }
-    write_cache_->Append(offset, std::move(data), batch_seq,
-                         std::move(acked));
+    Journaled& held = journaled_[slot];
+    const auto ack = [this, slot](Status s) { Acked(slot, s); };
+    if (held.is_trim) {
+      write_cache_->AppendTrim(held.offset, held.len, held.batch_seq, ack);
+    } else {
+      write_cache_->Append(held.offset, std::move(held.data), held.batch_seq,
+                           ack);
+    }
   });
+}
+
+void LsvdDisk::Acked(uint32_t slot, Status s) {
+  Journaled op = std::move(journaled_[slot]);
+  free_journaled_.push_back(slot);
+  // Ack latency: submission to journal-record-durable.
+  RecordLatencyUs(h_write_ack_us_, host_->sim()->now() - op.submitted);
+  // The ack installs the write-cache map entry (or the trim tombstone);
+  // stale read-cache lines, including fills that landed while the write was
+  // in flight, go now.
+  read_cache_->Invalidate(op.offset, op.len);
+  op.done(s);
 }
 
 void LsvdDisk::Trim(uint64_t offset, uint64_t len,
@@ -405,26 +424,8 @@ void LsvdDisk::TrimAdmitted(uint64_t offset, uint64_t len, Nanos submitted,
   // every earlier write. The batch seq is journaled for crash replay.
   const uint64_t batch_seq = backend_->AddTrim(offset, len);
   ArmBatchTimer();
-
-  auto alive = alive_;
-  auto acked = [this, alive, offset, len, submitted,
-                done = std::move(done)](Status s) mutable {
-    if (*alive) {
-      RecordLatencyUs(h_write_ack_us_, host_->sim()->now() - submitted);
-      // As for writes: the ack installs the tombstone, so pre-trim lines go.
-      read_cache_->Invalidate(offset, len);
-    }
-    done(s);
-  };
-  host_->kernel_cpu()->Submit(
-      config_.costs.write_submit + config_.costs.write_map_update,
-      [this, alive, offset, len, batch_seq,
-       acked = std::move(acked)]() mutable {
-    if (!*alive) {
-      return;
-    }
-    write_cache_->AppendTrim(offset, len, batch_seq, std::move(acked));
-  });
+  Journal(Journaled{offset, len, Buffer(), batch_seq, submitted,
+                    /*is_trim=*/true, std::move(done)});
 }
 
 void LsvdDisk::Read(uint64_t offset, uint64_t len,

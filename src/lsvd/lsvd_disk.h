@@ -164,6 +164,25 @@ class LsvdDisk : public VirtualDisk {
                      std::function<void(Status)> done);
   void TrimAdmitted(uint64_t offset, uint64_t len, Nanos submitted,
                     std::function<void(Status)> done);
+  // A write or trim from admission to its journal ack: the caller's `done`
+  // and what the ack needs. It sits in a slab slot, so the kernel-CPU
+  // closure and the write cache's ack capture only the slot index and
+  // allocate nothing.
+  struct Journaled {
+    uint64_t offset = 0;
+    uint64_t len = 0;
+    Buffer data;  // empty for a trim
+    uint64_t batch_seq = 0;
+    Nanos submitted = 0;  // pre-admission: throttle wait counts in latency
+    bool is_trim = false;
+    std::function<void(Status)> done;
+  };
+  // Holds `op`, charges the kernel CPU for it, then appends it to the write
+  // cache.
+  void Journal(Journaled op);
+  // The journal record holding slot `slot` is on the SSD: record the ack
+  // latency, drop stale read-cache lines and run the caller's `done`.
+  void Acked(uint32_t slot, Status s);
   void ReadAdmitted(uint64_t offset, uint64_t len, Nanos started,
                     std::function<void(Result<Buffer>)> done);
   // Routes a read once its lookup is charged: plans fragments across the
@@ -192,6 +211,9 @@ class LsvdDisk : public VirtualDisk {
   std::unique_ptr<BackendStore> backend_;
 
   bool batch_timer_armed_ = false;
+  // Writes and trims between admission and ack, and the free slots.
+  std::vector<Journaled> journaled_;
+  std::vector<uint32_t> free_journaled_;
 
   // Host registrations: QoS admission (-1 = uncapped volume, admission
   // bypassed) and the host's attached-volume registry.

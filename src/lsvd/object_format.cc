@@ -1,7 +1,9 @@
 #include "src/lsvd/object_format.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <cstring>
 
 #include "src/util/codec.h"
 #include "src/util/crc32c.h"
@@ -28,6 +30,8 @@ constexpr uint64_t kCkptDeferEntry = 16;
 constexpr uint64_t kCkptU64Entry = 8;
 constexpr uint64_t kCkptGenEntry = 12;
 constexpr uint64_t kHeaderAlign = 4 * kKiB;
+// Largest data-object header the decoder accepts.
+constexpr uint64_t kMaxHeaderBytes = 256 * kKiB;
 
 std::string FormatSeq(uint64_t seq) {
   char buf[24];
@@ -81,10 +85,18 @@ std::optional<uint64_t> ParseCheckpointSeq(const std::string& volume,
   return ParseSeqSuffix(CheckpointPrefix(volume), name);
 }
 
+namespace {
+
+// Encoded header bytes before the padding. Fixed fields: magic, version,
+// seq, data_offset, extent count, generation, crc; then 32 bytes per extent.
+uint64_t EncodedHeaderBytes(size_t extent_count) {
+  return 4 + 4 + 8 + 8 + 4 + 4 + 4 + 32 * uint64_t{extent_count};
+}
+
+}  // namespace
+
 uint64_t DataObjectHeaderSize(size_t extent_count) {
-  // Fixed fields: magic, version, seq, data_offset, extent count,
-  // generation, crc; then 32 bytes per extent.
-  const uint64_t raw = 4 + 4 + 8 + 8 + 4 + 4 + 4 + 32 * uint64_t{extent_count};
+  const uint64_t raw = EncodedHeaderBytes(extent_count);
   return (raw + kHeaderAlign - 1) / kHeaderAlign * kHeaderAlign;
 }
 
@@ -99,7 +111,9 @@ uint64_t DataObjectPayloadBytes(const DataObjectHeader& header) {
 }
 
 Buffer EncodeDataObject(const DataObjectHeader& header, const Buffer& data) {
+  const size_t encoded = EncodedHeaderBytes(header.extents.size());
   Encoder enc;
+  enc.Reserve(encoded);
   enc.PutU32(kDataMagic);
   enc.PutU32(kDataVersion);
   enc.PutU64(header.seq);
@@ -121,12 +135,15 @@ Buffer EncodeDataObject(const DataObjectHeader& header, const Buffer& data) {
     }
   }
   assert(sum == data.size());
-  enc.PadTo(kHeaderAlign);
-  assert(enc.size() == data_offset);
-
-  enc.PatchU32(crc_pos, Crc32c(enc.bytes().data(), enc.size()));
+  // The CRC covers the header padded to kHeaderAlign; the padding stays a
+  // symbolic zero run, folded into the CRC without being written.
+  assert(enc.size() == encoded);
+  enc.PatchU32(crc_pos, Crc32cExtendZeros(Crc32c(enc.bytes().data(), encoded),
+                                          data_offset - encoded));
   Buffer out;
-  out.AppendBytes(enc.bytes());
+  out.AppendShared(std::make_shared<const std::vector<uint8_t>>(enc.Take()),
+                   0, encoded);
+  out.AppendZeros(data_offset - encoded);
   out.Append(data);
   return out;
 }
@@ -138,10 +155,8 @@ Status DecodeDataObjectHeader(const Buffer& object_prefix,
   }
   // Parse the fixed fields from the first block, then extend if the extent
   // list spills past it.
-  std::vector<uint8_t> bytes =
-      object_prefix.Slice(0, std::min(object_prefix.size(),
-                                      uint64_t{256} * kKiB))
-          .ToBytes();
+  std::vector<uint8_t> bytes(kHeaderAlign);
+  object_prefix.CopyTo(0, bytes);
   Decoder dec(bytes);
   if (dec.GetU32() != kDataMagic) {
     return Status::Corruption("bad data object magic");
@@ -160,8 +175,16 @@ Status DecodeDataObjectHeader(const Buffer& object_prefix,
   if (header->data_offset != DataObjectHeaderSize(extent_count)) {
     return Status::Corruption("data offset inconsistent with extent count");
   }
-  if (bytes.size() < header->data_offset) {
+  if (std::min(object_prefix.size(), kMaxHeaderBytes) < header->data_offset) {
     return Status::Corruption("header truncated");
+  }
+  const size_t fixed = dec.position();
+  if (header->data_offset > kHeaderAlign) {
+    bytes.resize(header->data_offset);
+    object_prefix.CopyTo(kHeaderAlign, {bytes.data() + kHeaderAlign,
+                                        bytes.size() - kHeaderAlign});
+    dec = Decoder(bytes);
+    dec.Skip(fixed);
   }
 
   header->extents.clear();
@@ -183,13 +206,8 @@ Status DecodeDataObjectHeader(const Buffer& object_prefix,
   }
 
   // CRC over the padded header with the CRC field zeroed.
-  std::vector<uint8_t> check(bytes.begin(),
-                             bytes.begin() +
-                                 static_cast<ptrdiff_t>(header->data_offset));
-  for (int i = 0; i < 4; i++) {
-    check[crc_pos + static_cast<size_t>(i)] = 0;
-  }
-  if (Crc32c(check.data(), check.size()) != header_crc) {
+  std::memset(bytes.data() + crc_pos, 0, 4);
+  if (Crc32c(bytes.data(), bytes.size()) != header_crc) {
     return Status::Corruption("object header CRC mismatch");
   }
   return Status::Ok();

@@ -40,12 +40,11 @@ constexpr uint64_t kCheckpointRecords = 4096;
 // bounded and recovery reads reasonable.
 constexpr uint64_t kMaxRecordData = 4 * kMiB;
 
-// Record pipelining and plugging (MaybeStartRecord): up to kRecordWindow
-// concurrent record writes; a lone small write (< kPlugBytes) waits for
-// company while others are in flight. With adaptive batching on, a
-// pipeline no deeper than kFastPathDepth skips the wait — there is no queue
-// to amortize against, so plugging would only add idle latency.
-constexpr size_t kRecordWindow = 12;
+// Record plugging (MaybeStartRecord): a lone small write (< kPlugBytes)
+// waits for company while other records are in flight. With adaptive
+// batching on, a pipeline no deeper than kFastPathDepth skips the wait —
+// there is no queue to amortize against, so plugging would only add idle
+// latency.
 constexpr uint64_t kPlugBytes = 16 * kKiB;
 constexpr size_t kFastPathDepth = 1;
 
@@ -149,8 +148,8 @@ void WriteCache::Append(uint64_t vlba, Buffer data, uint64_t batch_seq,
   }
   c_appends_->Inc();
   c_appended_bytes_->Inc(data.size());
-  pending_.push_back(Pending{vlba, std::move(data), batch_seq,
-                             std::move(done)});
+  writes_.push_back(Pending{vlba, std::move(data), batch_seq,
+                            std::move(done)});
   MaybeStartRecord();
 }
 
@@ -163,7 +162,7 @@ void WriteCache::AppendTrim(uint64_t vlba, uint64_t len, uint64_t batch_seq,
   p.done = std::move(done);
   p.is_trim = true;
   p.trim_len = len;
-  pending_.push_back(std::move(p));
+  writes_.push_back(std::move(p));
   MaybeStartRecord();
 }
 
@@ -172,11 +171,10 @@ void WriteCache::MaybeStartRecord() {
   // records are already in flight, a lone small write waits briefly for
   // company ("plugging"): the per-record wakeup cost then amortizes over
   // more writes without adding idle latency.
-  while (in_flight_.size() < kRecordWindow && !pending_.empty()) {
-    if (!in_flight_.empty() && pending_.size() < 2 &&
-        !pending_.front().is_trim &&
-        pending_.front().data.size() < kPlugBytes &&
-        !(plug_deadline_ > 0 && in_flight_.size() <= kFastPathDepth)) {
+  while (in_flight() < kRecordWindow && waiting() > 0) {
+    if (in_flight() > 0 && waiting() < 2 && !writes_[started_].is_trim &&
+        writes_[started_].data.size() < kPlugBytes &&
+        !(plug_deadline_ > 0 && in_flight() <= kFastPathDepth)) {
       if (plug_deadline_ > 0 && !plug_timer_armed_) {
         ArmPlugTimer();
       }
@@ -201,16 +199,15 @@ void WriteCache::ArmPlugTimer() {
 
 void WriteCache::PlugTimerFire() {
   plug_timer_armed_ = false;
-  if (pending_.empty() || in_flight_.size() >= kRecordWindow) {
+  if (waiting() == 0 || in_flight() >= kRecordWindow) {
     return;  // already started, or the full window will pump it on drain
   }
   // Force-start only if the plug heuristic is still what holds the write
   // back; a space stall resumes through ReleaseThrough instead. A write that
   // replaced the one the timer was armed for just seals a little early —
   // the deadline is an upper bound on plug wait, not an exact hold time.
-  if (!in_flight_.empty() && pending_.size() < 2 &&
-      !pending_.front().is_trim &&
-      pending_.front().data.size() < kPlugBytes) {
+  if (in_flight() > 0 && waiting() < 2 && !writes_[started_].is_trim &&
+      writes_[started_].data.size() < kPlugBytes) {
     if (StartOneRecord()) {
       c_deadline_seals_->Inc();
       MaybeStartRecord();
@@ -219,22 +216,20 @@ void WriteCache::PlugTimerFire() {
 }
 
 bool WriteCache::StartOneRecord() {
-  // Pack pending writes into one record, bounded by the extent table, the
-  // record data cap, and available log space.
-  JournalRecord record;
-  record.seq = next_seq_;
-  // Records are type-homogeneous: trims pack only with trims (the record
-  // carries no payload), writes only with writes.
-  record.is_trim = pending_.front().is_trim;
+  // Pack waiting writes into one record, bounded by the extent table, the
+  // record data cap, and available log space. Records are type-homogeneous:
+  // trims pack only with trims (the record carries no payload), writes only
+  // with writes.
+  const bool is_trim = writes_[started_].is_trim;
   const size_t max_extents =
-      record.is_trim ? kMaxTrimRecordExtents : kMaxJournalExtents;
-  std::vector<Pending> writes;
+      is_trim ? kMaxTrimRecordExtents : kMaxJournalExtents;
+  size_t count = 0;
   uint64_t data_len = 0;
   uint64_t max_batch = 0;
-  while (!pending_.empty() && record.extents.size() < max_extents &&
+  while (started_ + count < writes_.size() && count < max_extents &&
          data_len < kMaxRecordData) {
-    Pending& p = pending_.front();
-    if (p.is_trim != record.is_trim) {
+    const Pending& p = writes_[started_ + count];
+    if (p.is_trim != is_trim) {
       break;
     }
     // Space feasibility including a potential wrap gap; evict releasable
@@ -246,66 +241,75 @@ bool WriteCache::StartOneRecord() {
       EvictForSpace(need);
     }
     if (used_ + need > log_size_) {
-      if (writes.empty()) {
+      if (count == 0) {
         c_stalled_appends_->Inc();
         return false;  // no room for even one write; resume on ReleaseThrough
       }
       break;
     }
-    record.extents.push_back(JournalExtent{
-        p.vlba, record.is_trim ? p.trim_len : p.data.size()});
-    record.data.Append(p.data);
     data_len += p.data.size();
     max_batch = std::max(max_batch, p.batch_seq);
-    writes.push_back(std::move(p));
-    pending_.pop_front();
+    count++;
   }
-  if (writes.empty()) {
+  if (count == 0) {
     return false;
   }
+
+  // The writes stay in writes_ until their record is applied; the record
+  // takes their extents and payload.
+  JournalRecord record;
+  record.seq = next_seq_;
   record.batch_seq = max_batch;
+  record.is_trim = is_trim;
+  record.extents.reserve(count);
+  for (size_t i = started_; i < started_ + count; i++) {
+    const Pending& p = writes_[i];
+    record.extents.push_back(
+        JournalExtent{p.vlba, is_trim ? p.trim_len : p.data.size()});
+    record.data.Append(p.data);
+  }
+  started_ += count;
 
   const uint64_t record_size = kBlockSize + data_len;
   const Placement at = Place(head_, record_size);
-
-  RecordMeta meta;
-  meta.seq = record.seq;
-  meta.offset = at.offset;
-  meta.footprint = at.footprint;
-  meta.max_batch_seq = max_batch;
-  meta.is_trim = record.is_trim;
-  meta.extents = record.extents;
-  meta.appended_at = host_->sim()->now();
-
   const uint64_t seq = record.seq;
   next_seq_++;
   head_ = at.offset + record_size;
   c_records_->Inc();
   c_record_bytes_->Inc(record_size);
-  if (record.is_trim) {
+  if (is_trim) {
     c_trim_records_->Inc();
   }
+  InFlightRecord& slot = in_flight_[seq % kRecordWindow];
+  slot = InFlightRecord{count, false, Status::Ok(),
+                        EncodeJournalRecord(record)};
+
+  RecordMeta meta;
+  meta.seq = seq;
+  meta.offset = at.offset;
+  meta.footprint = at.footprint;
+  meta.max_batch_seq = max_batch;
+  meta.is_trim = is_trim;
+  meta.extents = std::move(record.extents);
+  meta.appended_at = host_->sim()->now();
   used_ += meta.footprint;
   records_.push_back(std::move(meta));  // in sequence order; applied later
-  in_flight_[seq] = InFlightRecord{std::move(writes), false, Status::Ok()};
 
-  Buffer encoded = EncodeJournalRecord(record);
   auto alive = alive_;
   // The record write is preceded by the journal worker wakeup (Table 6).
   record_cpu_.Submit(costs_.record_context_switch,
-                     [this, alive, seq, target = at.offset,
-                      encoded = std::move(encoded)]() mutable {
+                     [this, alive, seq, target = at.offset] {
     if (!*alive) {
       return;
     }
-    ssd_->Write(target, std::move(encoded), [this, alive, seq](Status s) {
+    ssd_->Write(target, std::move(in_flight_[seq % kRecordWindow].encoded),
+                [this, alive, seq](Status s) {
       if (!*alive) {
         return;
       }
-      auto it = in_flight_.find(seq);
-      assert(it != in_flight_.end());
-      it->second.write_done = true;
-      it->second.status = s;
+      InFlightRecord& done = in_flight_[seq % kRecordWindow];
+      done.write_done = true;
+      done.status = s;
       ApplyCompletedRecords();
     });
   });
@@ -316,22 +320,27 @@ void WriteCache::ApplyCompletedRecords() {
   // Map updates and acknowledgements in sequence order (§3.2), so that when
   // two pipelined records touch the same vLBA, the later record's mapping
   // survives.
-  while (!in_flight_.empty()) {
-    auto it = in_flight_.find(next_apply_seq_);
-    if (it == in_flight_.end() || !it->second.write_done) {
+  while (in_flight() > 0) {
+    InFlightRecord& rec = in_flight_[next_apply_seq_ % kRecordWindow];
+    if (!rec.write_done) {
       break;
     }
     // In-flight records are never evicted, and records_ holds consecutive
     // seqs, so this record's metadata is at a known index.
     const RecordMeta& meta = records_[next_apply_seq_ - records_.front().seq];
-    if (it->second.status.ok()) {
+    const Status status = rec.status;
+    if (status.ok()) {
       ApplyRecord(meta);
     }
     apply_head_ = meta.offset + meta.size();
-    for (auto& w : it->second.writes) {
-      w.done(it->second.status);
+    // The record's writes are the oldest in writes_. Each leaves the queue
+    // before its callback runs, which may append (and start) new writes.
+    for (size_t i = rec.writes; i > 0; i--) {
+      std::function<void(Status)> done = std::move(writes_.front().done);
+      writes_.pop_front();
+      started_--;
+      done(status);
     }
-    in_flight_.erase(it);
     next_apply_seq_++;
   }
   MaybeCheckpoint();
@@ -522,28 +531,27 @@ void WriteCache::ChargeReadback(uint64_t bytes, std::function<void()> done) {
     host_->sim()->After(0, std::move(done));
     return;
   }
-  auto remaining = std::make_shared<int>(0);
-  auto issued = std::make_shared<bool>(false);
-  auto alive = alive_;
-  auto one = [alive, remaining, issued, done]() {
-    (*remaining)--;
-    if (*issued && *remaining == 0 && *alive) {
-      done();
-    }
-  };
+  // The reads share one completion: the last one to finish runs `done`.
   constexpr uint64_t kChunk = 256 * kKiB;
-  uint64_t left = bytes;
-  while (left > 0) {
+  struct Readback {
+    uint64_t remaining;
+    std::function<void()> done;
+  };
+  auto readback = std::make_shared<Readback>(
+      Readback{(bytes + kChunk - 1) / kChunk, std::move(done)});
+  auto alive = alive_;
+  for (uint64_t left = bytes; left > 0; left -= std::min(left, kChunk)) {
     const uint64_t n = RoundUpBlock(std::min(left, kChunk));
     if (readback_head_ + n > base_ + size_) {
       readback_head_ = log_base_;
     }
-    (*remaining)++;
-    ssd_->Read(readback_head_, n, [one](Result<Buffer>) { one(); });
+    ssd_->Read(readback_head_, n, [alive, readback](Result<Buffer>) {
+      if (--readback->remaining == 0 && *alive) {
+        readback->done();
+      }
+    });
     readback_head_ += n;
-    left -= std::min(left, kChunk);
   }
-  *issued = true;
 }
 
 Buffer WriteCache::EncodeCheckpointBlob() const {

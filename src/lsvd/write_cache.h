@@ -20,6 +20,7 @@
 #ifndef SRC_LSVD_WRITE_CACHE_H_
 #define SRC_LSVD_WRITE_CACHE_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -247,16 +248,26 @@ class WriteCache {
   // never trim. Rebuilt from the live records during recovery.
   ExtentMap<ObjTarget> trim_map_;
   std::deque<RecordMeta> records_;
-  std::deque<Pending> pending_;
-  // Multiple journal records may be in flight on the SSD concurrently
-  // (pipelining); map updates and acknowledgements are applied strictly in
-  // sequence order so later records always win.
+  // Writes and trims not yet acknowledged, in arrival order: the first
+  // `started_` belong to records in flight, the rest wait for a record.
+  std::deque<Pending> writes_;
+  size_t started_ = 0;
+  size_t waiting() const { return writes_.size() - started_; }
+  // Up to kRecordWindow journal records may be in flight on the SSD
+  // concurrently (pipelining); map updates and acknowledgements are applied
+  // strictly in sequence order so later records always win. Records in
+  // flight are the consecutive seqs [next_apply_seq_, next_seq_), so each
+  // has a slot of its own in a ring indexed by seq.
+  static constexpr size_t kRecordWindow = 12;
   struct InFlightRecord {
-    std::vector<Pending> writes;
+    size_t writes = 0;  // its writes: the front of writes_ when it applies
     bool write_done = false;
     Status status;
+    Buffer encoded;  // header + payload, until the journal worker takes it
   };
-  std::map<uint64_t, InFlightRecord> in_flight_;
+  std::array<InFlightRecord, kRecordWindow> in_flight_;
+  size_t in_flight() const { return next_seq_ - next_apply_seq_; }
+  uint64_t next_seq_ = 1;
   uint64_t next_apply_seq_ = 1;
   uint64_t release_watermark_ = 0;  // highest backend-synced batch seen
   uint64_t head_;           // absolute append offset
@@ -269,7 +280,6 @@ class WriteCache {
   bool flush_in_flight_ = false;    // coalescing path only
   std::vector<std::function<void(Status)>> pending_barriers_;
 
-  uint64_t next_seq_ = 1;
   uint64_t ckpt_gen_ = 0;   // checkpoint generation (picks newest slot)
   // Next seq of the newest durable checkpoint: it lists the records below.
   uint64_t ckpt_next_seq_ = 1;

@@ -9,151 +9,144 @@
 namespace lsvd {
 namespace {
 
-bool AllZero(std::span<const uint8_t> bytes) {
-  return std::all_of(bytes.begin(), bytes.end(),
-                     [](uint8_t b) { return b == 0; });
+bool AllZero(const uint8_t* bytes, uint64_t n) {
+  return std::all_of(bytes, bytes + n, [](uint8_t b) { return b == 0; });
 }
 
 }  // namespace
 
 void Buffer::AppendBytes(std::span<const uint8_t> bytes) {
-  if (bytes.empty()) {
-    return;
-  }
-  if (AllZero(bytes)) {
+  if (AllZero(bytes.data(), bytes.size())) {
     AppendZeros(bytes.size());
     return;
   }
-  auto data = std::make_shared<std::vector<uint8_t>>(bytes.begin(),
-                                                     bytes.end());
-  chunks_.push_back(Chunk{std::move(data), 0, bytes.size()});
-  size_ += bytes.size();
+  AppendData(std::make_shared<std::vector<uint8_t>>(bytes.begin(),
+                                                    bytes.end()),
+             0, bytes.size());
 }
 
 void Buffer::AppendShared(std::shared_ptr<const std::vector<uint8_t>> bytes,
                           uint64_t offset, uint64_t len) {
   assert(bytes != nullptr && offset + len <= bytes->size());
-  AppendChunk(Chunk{std::move(bytes), offset, len});
+  AppendData(std::move(bytes), offset, len);
 }
 
-void Buffer::AppendZeros(uint64_t n) {
-  if (n == 0) {
+void Buffer::AppendData(std::shared_ptr<const std::vector<uint8_t>> data,
+                        uint64_t offset, uint64_t len) {
+  if (len == 0) {
     return;
   }
-  if (!chunks_.empty() && chunks_.back().data == nullptr) {
-    chunks_.back().len += n;  // coalesce adjacent zero runs
-  } else {
-    chunks_.push_back(Chunk{nullptr, 0, n});
-  }
-  size_ += n;
-}
-
-void Buffer::AppendChunk(Chunk c) {
-  if (c.len == 0) {
-    return;
-  }
-  if (!chunks_.empty()) {
+  const uint64_t data_end = chunks_.empty() ? 0 : chunks_.back().end;
+  if (data_end < size_) {
+    chunks_.push_back(Chunk{nullptr, 0, size_});
+  } else if (!chunks_.empty()) {
     Chunk& back = chunks_.back();
-    const bool both_zero = back.data == nullptr && c.data == nullptr;
-    const bool contiguous_data = back.data != nullptr &&
-                                 back.data == c.data &&
-                                 back.offset + back.len == c.offset;
-    if (both_zero || contiguous_data) {
-      back.len += c.len;
-      size_ += c.len;
+    const uint64_t back_len = back.end - ChunkStart(chunks_.size() - 1);
+    if (back.data == data && back.offset + back_len == offset) {
+      back.end += len;
+      size_ += len;
       return;
     }
   }
-  size_ += c.len;
-  chunks_.push_back(std::move(c));
+  size_ += len;
+  chunks_.push_back(Chunk{std::move(data), offset, size_});
 }
 
 void Buffer::Append(const Buffer& other) {
-  chunks_.reserve(chunks_.size() + other.chunks_.size());
-  for (const auto& c : other.chunks_) {
-    AppendChunk(c);
+  assert(&other != this);
+  // At most one explicit zero run joins other's chunks. Growth stays
+  // geometric: a batch appended write by write must not reallocate per call.
+  const size_t need = chunks_.size() + other.chunks_.size() + 1;
+  if (!other.chunks_.empty() && need > chunks_.capacity()) {
+    chunks_.reserve(std::max(need, 2 * chunks_.capacity()));
   }
+  uint64_t pos = 0;
+  for (const Chunk& c : other.chunks_) {
+    if (c.data == nullptr) {
+      AppendZeros(c.end - pos);
+    } else {
+      AppendData(c.data, c.offset, c.end - pos);
+    }
+    pos = c.end;
+  }
+  AppendZeros(other.size_ - pos);
 }
 
-bool Buffer::IsAllZeros() const {
-  for (const auto& c : chunks_) {
-    if (c.data != nullptr) {
-      return false;
+size_t Buffer::ChunkAt(uint64_t pos) const {
+  return static_cast<size_t>(
+      std::upper_bound(chunks_.begin(), chunks_.end(), pos,
+                       [](uint64_t p, const Chunk& c) { return p < c.end; }) -
+      chunks_.begin());
+}
+
+template <typename Fn>
+void Buffer::VisitRange(uint64_t offset, uint64_t len, Fn&& fn) const {
+  assert(offset + len <= size_);
+  const uint64_t stop = offset + len;
+  uint64_t pos = offset;
+  for (size_t i = ChunkAt(offset); i < chunks_.size() && pos < stop; i++) {
+    const Chunk& c = chunks_[i];
+    const uint64_t n = std::min(c.end, stop) - pos;
+    if (c.data == nullptr) {
+      fn(nullptr, uint64_t{0}, n);
+    } else {
+      fn(&c, c.offset + (pos - ChunkStart(i)), n);
     }
+    pos += n;
   }
-  return true;
+  if (pos < stop) {
+    fn(nullptr, uint64_t{0}, stop - pos);  // the implicit zero tail
+  }
 }
 
 void Buffer::CopyTo(uint64_t offset, std::span<uint8_t> out) const {
-  assert(offset + out.size() <= size_);
-  uint64_t pos = 0;       // start of current chunk within the buffer
-  uint64_t written = 0;   // bytes already produced
-  for (const auto& c : chunks_) {
-    if (written == out.size()) {
-      break;
-    }
-    const uint64_t chunk_end = pos + c.len;
-    const uint64_t want_from = offset + written;
-    if (chunk_end <= want_from) {
-      pos = chunk_end;
-      continue;
-    }
-    const uint64_t within = want_from - pos;
-    const uint64_t n = std::min(c.len - within, out.size() - written);
-    if (c.data == nullptr) {
-      std::memset(out.data() + written, 0, n);
+  uint8_t* dst = out.data();
+  VisitRange(offset, out.size(), [&dst](const Chunk* c, uint64_t from,
+                                        uint64_t n) {
+    if (c == nullptr) {
+      std::memset(dst, 0, n);
     } else {
-      std::memcpy(out.data() + written, c.data->data() + c.offset + within, n);
+      std::memcpy(dst, c->data->data() + from, n);
     }
-    written += n;
-    pos = chunk_end;
-  }
-  assert(written == out.size());
+    dst += n;
+  });
 }
 
 Buffer Buffer::Slice(uint64_t offset, uint64_t len) const {
-  assert(offset + len <= size_);
   Buffer out;
-  out.chunks_.reserve(std::min<size_t>(chunks_.size(), 8));
-  uint64_t pos = 0;
-  for (const auto& c : chunks_) {
-    if (out.size_ == len) {
-      break;
+  if (len > 0) {
+    // Chunks the range touches: a bound on the slice's own chunk count.
+    const size_t first = ChunkAt(offset);
+    const size_t touched =
+        std::min(ChunkAt(offset + len - 1) + 1, chunks_.size()) - first;
+    if (touched > 1) {
+      out.chunks_.reserve(touched);
     }
-    const uint64_t chunk_end = pos + c.len;
-    const uint64_t want_from = offset + out.size_;
-    if (chunk_end <= want_from) {
-      pos = chunk_end;
-      continue;
-    }
-    const uint64_t within = want_from - pos;
-    const uint64_t n = std::min(c.len - within, len - out.size_);
-    out.AppendChunk(Chunk{c.data, c.data == nullptr ? 0 : c.offset + within, n});
-    pos = chunk_end;
   }
-  assert(out.size_ == len);
+  VisitRange(offset, len, [&out](const Chunk* c, uint64_t from, uint64_t n) {
+    if (c == nullptr) {
+      out.AppendZeros(n);
+    } else {
+      out.AppendData(c->data, from, n);
+    }
+  });
   return out;
 }
 
 std::vector<uint8_t> Buffer::ToBytes() const {
   std::vector<uint8_t> out(size_);
-  if (size_ > 0) {
-    CopyTo(0, out);
-  }
+  CopyTo(0, out);
   return out;
 }
 
 uint32_t Buffer::Crc() const {
   uint32_t crc = 0;
-  for (const auto& c : chunks_) {
-    if (c.data == nullptr) {
-      // Zero runs stay symbolic: extend the CRC algebraically instead of
-      // streaming materialized zero bytes through the byte engine.
-      crc = Crc32cExtendZeros(crc, c.len);
-    } else {
-      crc = Crc32cExtend(crc, c.data->data() + c.offset, c.len);
-    }
-  }
+  VisitRange(0, size_, [&crc](const Chunk* c, uint64_t from, uint64_t n) {
+    // Zero runs stay symbolic: extend the CRC algebraically instead of
+    // streaming materialized zero bytes through the byte engine.
+    crc = c == nullptr ? Crc32cExtendZeros(crc, n)
+                       : Crc32cExtend(crc, c->data->data() + from, n);
+  });
   return crc;
 }
 
@@ -161,19 +154,30 @@ bool operator==(const Buffer& a, const Buffer& b) {
   if (a.size_ != b.size_) {
     return false;
   }
-  // Compare by materialized windows to keep memory bounded.
-  constexpr uint64_t kWindow = 64 * 1024;
-  std::vector<uint8_t> wa(kWindow);
-  std::vector<uint8_t> wb(kWindow);
-  for (uint64_t off = 0; off < a.size_; off += kWindow) {
-    const uint64_t n = std::min(kWindow, a.size_ - off);
-    a.CopyTo(off, {wa.data(), n});
-    b.CopyTo(off, {wb.data(), n});
-    if (std::memcmp(wa.data(), wb.data(), n) != 0) {
-      return false;
+  // Walk a's pieces and compare each against the same range of b, piece by
+  // piece; zero runs compare without materializing.
+  bool equal = true;
+  uint64_t pos = 0;
+  a.VisitRange(0, a.size_, [&](const Buffer::Chunk* ca, uint64_t from_a,
+                               uint64_t n) {
+    if (equal) {
+      const uint8_t* pa = ca == nullptr ? nullptr : ca->data->data() + from_a;
+      b.VisitRange(pos, n, [&](const Buffer::Chunk* cb, uint64_t from_b,
+                               uint64_t m) {
+        const uint8_t* pb = cb == nullptr ? nullptr : cb->data->data() + from_b;
+        if (pa != nullptr && pb != nullptr) {
+          equal = equal && std::memcmp(pa, pb, m) == 0;
+        } else if (pa != nullptr || pb != nullptr) {
+          equal = equal && AllZero(pa != nullptr ? pa : pb, m);
+        }
+        if (pa != nullptr) {
+          pa += m;
+        }
+      });
     }
-  }
-  return true;
+    pos += n;
+  });
+  return equal;
 }
 
 }  // namespace lsvd

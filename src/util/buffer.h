@@ -6,6 +6,19 @@
 // workload payloads are zero-filled. Representing zero runs symbolically
 // keeps an 80 GiB preconditioned volume at a few kilobytes of memory while
 // preserving exact length/offset semantics end to end.
+//
+// Representation: the chunk vector covers bytes [0, data_end) and its last
+// chunk always holds data; every byte from data_end to size() is an implicit
+// zero. An all-zero buffer is therefore its size alone, with no chunk
+// vector, and a short data chunk followed by zeros (a journal header block,
+// a stamped block) is one chunk. Zeros, copies, Slice, Append of zeros,
+// CopyTo, Crc and ForEachChunk of an all-zero buffer touch no heap. Each
+// chunk records where it ends in the buffer, so Slice and CopyTo find their
+// first chunk by binary search.
+//
+// sizeof(Buffer) stays 32 bytes (the chunk vector and the size): buffers
+// are copied and moved through every callback and queue on the write path,
+// and an inline first chunk that doubled it cost more than it saved.
 #ifndef SRC_UTIL_BUFFER_H_
 #define SRC_UTIL_BUFFER_H_
 
@@ -24,7 +37,7 @@ class Buffer {
 
   static Buffer Zeros(uint64_t n) {
     Buffer b;
-    b.AppendZeros(n);
+    b.size_ = n;
     return b;
   }
   static Buffer FromBytes(std::span<const uint8_t> bytes) {
@@ -48,14 +61,14 @@ class Buffer {
   // zero.
   void AppendShared(std::shared_ptr<const std::vector<uint8_t>> bytes,
                     uint64_t offset, uint64_t len);
-  void AppendZeros(uint64_t n);
+  void AppendZeros(uint64_t n) { size_ += n; }
   // Appends another buffer (chunks are shared, O(chunks)).
   void Append(const Buffer& other);
 
-  // True if every chunk is a zero run. A data chunk counts as non-zero even
-  // when its bytes happen to be zero (a slice or a shared range of a larger
-  // vector), so false means "may hold non-zero bytes".
-  bool IsAllZeros() const;
+  // True if the buffer holds no data chunk. A data chunk counts as non-zero
+  // even when its bytes happen to be zero (a slice or a shared range of a
+  // larger vector), so false means "may hold non-zero bytes".
+  bool IsAllZeros() const { return chunks_.empty(); }
 
   // Copies [offset, offset+out.size()) into `out`. Asserts in range.
   void CopyTo(uint64_t offset, std::span<uint8_t> out) const;
@@ -69,8 +82,14 @@ class Buffer {
   // reference to. Visit a sub-range through Slice.
   template <typename Fn>
   void ForEachChunk(Fn&& fn) const {
+    uint64_t pos = 0;
     for (const Chunk& c : chunks_) {
-      fn(c.data, c.offset, c.len);
+      fn(c.data, c.offset, c.end - pos);
+      pos = c.end;
+    }
+    if (pos < size_) {
+      const std::shared_ptr<const std::vector<uint8_t>> zeros;
+      fn(zeros, uint64_t{0}, size_ - pos);
     }
   }
 
@@ -86,18 +105,31 @@ class Buffer {
   struct Chunk {
     std::shared_ptr<const std::vector<uint8_t>> data;  // null => zero run
     uint64_t offset = 0;  // into *data (unused for zero runs)
-    uint64_t len = 0;
+    uint64_t end = 0;     // buffer offset just past the chunk
   };
 
-  // Appends one chunk, merging it into the tail when possible: adjacent zero
-  // runs always merge, and data chunks merge when they reference contiguous
-  // ranges of the same backing vector (common when a sliced buffer is
-  // re-assembled piecewise, e.g. batch encode and journal replay).
-  void AppendChunk(Chunk c);
+  uint64_t ChunkStart(size_t i) const {
+    return i == 0 ? 0 : chunks_[i - 1].end;
+  }
+  // Index of the first chunk ending past `pos` (chunks_.size() if none).
+  size_t ChunkAt(uint64_t pos) const;
+  // Appends a data chunk at size(), after an explicit zero run for any
+  // implicit zeros before it. It merges into the last chunk when both
+  // reference contiguous ranges of the same vector (common when a sliced
+  // buffer is re-assembled piecewise, e.g. batch encode and journal replay).
+  void AppendData(std::shared_ptr<const std::vector<uint8_t>> data,
+                  uint64_t offset, uint64_t len);
+  // Calls fn(chunk, data_offset, n) for the pieces of [offset, offset+len)
+  // in order; `chunk` is null for zeros, else the piece is bytes
+  // [data_offset, data_offset+n) of *chunk->data.
+  template <typename Fn>
+  void VisitRange(uint64_t offset, uint64_t len, Fn&& fn) const;
 
   std::vector<Chunk> chunks_;
   uint64_t size_ = 0;
 };
+
+static_assert(sizeof(Buffer) == 32, "Buffer is a chunk vector and a size");
 
 }  // namespace lsvd
 

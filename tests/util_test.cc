@@ -1,6 +1,7 @@
 // Unit tests for src/util: CRC32C, Buffer, Histogram, Rng, Table, Status.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -202,6 +203,161 @@ TEST(Buffer, Equality) {
   EXPECT_EQ(Buffer::Zeros(100), Buffer::Zeros(100));
   EXPECT_FALSE(Buffer::Zeros(100) == Buffer::Zeros(101));
 }
+
+// --- Buffer zero representation ---
+//
+// Buffers built from segments of real bytes, zero runs and shared all-zero
+// vectors, optionally appended and sliced, each checked against a byte model
+// through every read path. Zeros after the last data chunk are implicit, so
+// the table covers each side of that boundary.
+
+struct Segment {
+  enum Kind { kData, kZeros, kSharedZeroBytes } kind;
+  uint64_t len;
+};
+
+struct ZeroCase {
+  const char* name;
+  std::vector<Segment> left;
+  std::vector<Segment> right;  // appended onto `left` as a second buffer
+  uint64_t slice_offset = 0;
+  uint64_t slice_len = UINT64_MAX;  // whole buffer
+};
+
+// The buffer a segment list builds, its bytes, and which bytes came from a
+// data chunk (IsAllZeros must be false exactly when any did).
+struct Built {
+  Buffer buffer;
+  std::vector<uint8_t> bytes;
+  std::vector<bool> from_data;
+};
+
+Built Build(const std::vector<Segment>& segments, uint8_t seed) {
+  Built b;
+  for (const Segment& seg : segments) {
+    std::vector<uint8_t> bytes(seg.len, 0);
+    if (seg.kind == Segment::kData) {
+      for (uint64_t i = 0; i < seg.len; i++) {
+        bytes[i] = static_cast<uint8_t>(1 + (seed + i * 7) % 251);
+      }
+      b.buffer.AppendBytes(bytes);
+    } else if (seg.kind == Segment::kZeros) {
+      b.buffer.AppendZeros(seg.len);
+    } else {
+      b.buffer.AppendShared(
+          std::make_shared<const std::vector<uint8_t>>(bytes), 0, seg.len);
+    }
+    b.bytes.insert(b.bytes.end(), bytes.begin(), bytes.end());
+    b.from_data.insert(b.from_data.end(), seg.len,
+                       seg.kind != Segment::kZeros);
+  }
+  return b;
+}
+
+class BufferZeroTest : public ::testing::TestWithParam<ZeroCase> {};
+
+TEST_P(BufferZeroTest, EveryReadPathMatchesTheBytes) {
+  const ZeroCase& c = GetParam();
+  Built left = Build(c.left, 3);
+  const Built right = Build(c.right, 101);
+  left.buffer.Append(right.buffer);
+  left.bytes.insert(left.bytes.end(), right.bytes.begin(), right.bytes.end());
+  left.from_data.insert(left.from_data.end(), right.from_data.begin(),
+                        right.from_data.end());
+  const uint64_t len = std::min<uint64_t>(c.slice_len, left.bytes.size());
+  const Buffer b = left.buffer.Slice(c.slice_offset, len);
+  const auto first = static_cast<std::ptrdiff_t>(c.slice_offset);
+  const auto last = first + static_cast<std::ptrdiff_t>(len);
+  const std::vector<uint8_t> want(left.bytes.begin() + first,
+                                  left.bytes.begin() + last);
+  const bool all_zeros =
+      std::none_of(left.from_data.begin() + first,
+                   left.from_data.begin() + last, [](bool d) { return d; });
+
+  ASSERT_EQ(b.size(), want.size());
+  EXPECT_EQ(b.ToBytes(), want);
+  EXPECT_EQ(b.IsAllZeros(), all_zeros);
+  EXPECT_EQ(b.Crc(), Crc32c(want.data(), want.size()));
+
+  // CopyTo from every offset to the end, and of every single byte.
+  for (uint64_t off = 0; off < want.size(); off++) {
+    std::vector<uint8_t> out(want.size() - off, 0xEE);
+    b.CopyTo(off, out);
+    ASSERT_TRUE(std::equal(out.begin(), out.end(), want.begin() + off)) << off;
+  }
+
+  // ForEachChunk: pieces tile the buffer, zero runs are null with offset 0,
+  // and no two zero runs are adjacent.
+  std::vector<uint8_t> visited;
+  bool last_was_zero = false;
+  b.ForEachChunk([&](const auto& data, uint64_t from, uint64_t n) {
+    EXPECT_GT(n, 0u);
+    if (data == nullptr) {
+      EXPECT_EQ(from, 0u);
+      EXPECT_FALSE(last_was_zero);
+      visited.insert(visited.end(), n, 0);
+    } else {
+      visited.insert(visited.end(), data->begin() + from,
+                     data->begin() + from + n);
+    }
+    last_was_zero = data == nullptr;
+  });
+  EXPECT_EQ(visited, want);
+
+  // Equality against a flat copy, a copy, and one byte off.
+  EXPECT_EQ(b, Buffer::FromBytes(want));
+  EXPECT_EQ(Buffer::FromBytes(want), b);
+  const Buffer copy = b;
+  EXPECT_EQ(copy, b);
+  for (const uint64_t at : {uint64_t{0}, want.size() / 2, want.size() - 1}) {
+    if (want.empty()) {
+      break;
+    }
+    std::vector<uint8_t> other = want;
+    other[at] ^= 0x40;
+    EXPECT_FALSE(b == Buffer::FromBytes(other)) << at;
+  }
+
+  // Every sub-slice reads the model's bytes.
+  for (uint64_t off = 0; off <= want.size(); off += 7) {
+    for (uint64_t n = 0; off + n <= want.size(); n += 13) {
+      ASSERT_EQ(b.Slice(off, n).ToBytes(),
+                std::vector<uint8_t>(want.begin() + static_cast<long>(off),
+                                     want.begin() + static_cast<long>(off + n)))
+          << off << "+" << n;
+    }
+  }
+}
+
+using S = Segment;
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, BufferZeroTest,
+    ::testing::Values(
+        ZeroCase{"ZerosOnly", {{S::kZeros, 300}}, {}},
+        ZeroCase{"ZerosThenData", {{S::kZeros, 100}, {S::kData, 50}}, {}},
+        ZeroCase{"DataThenZeros", {{S::kData, 50}, {S::kZeros, 200}}, {}},
+        ZeroCase{"DataZerosData",
+                 {{S::kData, 10}, {S::kZeros, 60}, {S::kData, 10}},
+                 {}},
+        ZeroCase{"SliceAcrossDataEnd",
+                 {{S::kData, 50}, {S::kZeros, 200}}, {}, 20, 100},
+        ZeroCase{"SliceInsideZeroTail",
+                 {{S::kData, 50}, {S::kZeros, 200}}, {}, 60, 100},
+        ZeroCase{"SliceInsideLeadingZeros",
+                 {{S::kZeros, 100}, {S::kData, 50}}, {}, 10, 50},
+        ZeroCase{"AppendZerosOntoData", {{S::kData, 40}}, {{S::kZeros, 90}}},
+        ZeroCase{"AppendDataOntoZeros", {{S::kZeros, 90}}, {{S::kData, 40}}},
+        ZeroCase{"AppendZerosOntoZeros", {{S::kZeros, 90}},
+                 {{S::kZeros, 40}}},
+        ZeroCase{"AppendDataThenZerosOntoDataThenZeros",
+                 {{S::kData, 30}, {S::kZeros, 30}},
+                 {{S::kData, 30}, {S::kZeros, 30}}},
+        ZeroCase{"SharedZeroBytesAreData",
+                 {{S::kSharedZeroBytes, 64}, {S::kZeros, 64}}, {}},
+        ZeroCase{"Empty", {}, {}}),
+    [](const ::testing::TestParamInfo<ZeroCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // --- Histogram ---
 
