@@ -16,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/baseline/bcache_device.h"
+#include "src/baseline/rbd_disk.h"
 #include "src/blockdev/sim_ssd.h"
 #include "src/lsvd/client_host.h"
 #include "src/lsvd/extent_map.h"
@@ -25,6 +27,8 @@
 #include "src/lsvd/paged_extent_map.h"
 #include "src/lsvd/write_cache.h"
 #include "src/objstore/mem_object_store.h"
+#include "src/sim/cluster.h"
+#include "src/sim/net_link.h"
 #include "src/sim/simulator.h"
 #include "src/util/crc32c.h"
 #include "src/util/rng.h"
@@ -73,15 +77,34 @@ class AllocCounter {
       : state_(state), start_(g_alloc_count.load(std::memory_order_relaxed)) {}
   ~AllocCounter() {
     const uint64_t n =
-        g_alloc_count.load(std::memory_order_relaxed) - start_;
+        g_alloc_count.load(std::memory_order_relaxed) - start_ - excluded_;
     state_.counters["allocs_per_op"] = benchmark::Counter(
         static_cast<double>(n) /
         static_cast<double>(state_.iterations() ? state_.iterations() : 1));
+    if (items_ > 0) {
+      state_.counters["allocs_per_item"] = benchmark::Counter(
+          static_cast<double>(n) / static_cast<double>(items_));
+    }
   }
+
+  // Runs `fn` untimed, leaving its allocations out of the count.
+  template <typename Fn>
+  void Exclude(Fn&& fn) {
+    state_.PauseTiming();
+    const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    fn();
+    excluded_ += g_alloc_count.load(std::memory_order_relaxed) - before;
+    state_.ResumeTiming();
+  }
+
+  // Also reports allocations per item, for an iteration that handles many.
+  void AddItems(uint64_t n) { items_ += n; }
 
  private:
   benchmark::State& state_;
   uint64_t start_;
+  uint64_t excluded_ = 0;
+  uint64_t items_ = 0;
 };
 
 void BM_ExtentMapUpdate(benchmark::State& state) {
@@ -439,6 +462,106 @@ void BM_LsvdDiskWrite4K(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_LsvdDiskWrite4K);
+
+// The RBD baseline's 4 KiB write in steady state: zero-filled random writes
+// at queue depth 32 (client link, three WAL appends and
+// three in-place writes on the SSD pool, ack). One iteration is one
+// acknowledged write.
+void BM_RbdDiskWrite4K(benchmark::State& state) {
+  constexpr uint64_t kVolume = 256 * kMiB;
+  constexpr int kQueueDepth = 32;
+  Simulator sim;
+  BackendCluster cluster(&sim, ClusterConfig::SsdPool());
+  NetLink link(&sim, NetParams{});
+  RbdDisk rbd(&sim, &cluster, &link, kVolume, RbdConfig{});
+  Rng rng(1);
+  uint64_t acked = 0;
+  uint64_t failed = 0;
+  const auto issue = [&] {
+    rbd.Write(rng.Uniform(kVolume / (4 * kKiB)) * 4 * kKiB,
+              Buffer::Zeros(4 * kKiB), [&acked, &failed](Status s) {
+                acked++;
+                failed += s.ok() ? 0 : 1;
+              });
+  };
+  const auto run_until = [&](uint64_t target) {
+    while (acked < target) {
+      const uint64_t before = acked;
+      while (acked == before && sim.Step()) {
+      }
+      for (uint64_t i = before; i < acked; i++) {
+        issue();
+      }
+    }
+  };
+  for (int i = 0; i < kQueueDepth; i++) {
+    issue();
+  }
+  run_until(20000);
+  uint64_t target = acked;
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    run_until(++target);
+  }
+  if (failed > 0) {
+    state.SkipWithError("write failed");
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RbdDiskWrite4K);
+
+// bcache's full writeback (WritebackAll, the §4.4 sync) over RBD: each
+// iteration dirties 2048 random 4 KiB blocks of stamped data (untimed,
+// allocations not counted), then writes every dirty piece back: an SSD read
+// and an RBD write per piece. allocs_per_item is per written-back piece.
+void BM_BcacheWritebackAll(benchmark::State& state) {
+  constexpr uint64_t kVolume = 256 * kMiB;
+  constexpr uint64_t kCache = 64 * kMiB;
+  constexpr int kDirtyBlocks = 2048;
+  Simulator sim;
+  ClientHostConfig hc;
+  hc.ssd_capacity = kGiB;
+  ClientHost host(&sim, hc);
+  BackendCluster cluster(&sim, ClusterConfig::SsdPool());
+  NetLink link(&sim, NetParams{});
+  RbdDisk rbd(&sim, &cluster, &link, kVolume, RbdConfig{});
+  BcacheDevice bcache(&host, &rbd, *host.AllocRegion(kCache), kCache,
+                      BcacheConfig{});
+  Rng rng(2);
+  const auto stamp = std::make_shared<const std::vector<uint8_t>>(
+      4 * kKiB, 0xA5);
+  // Runs only until the writes are acknowledged: a full Run() would let
+  // bcache's idle writeback drain them first.
+  const auto dirty = [&] {
+    int acked = 0;
+    for (int i = 0; i < kDirtyBlocks; i++) {
+      Buffer data;
+      data.AppendShared(stamp, 0, stamp->size());
+      bcache.Write(rng.Uniform(kVolume / (4 * kKiB)) * 4 * kKiB,
+                   std::move(data), [&acked](Status) { acked++; });
+    }
+    while (acked < kDirtyBlocks && sim.Step()) {
+    }
+  };
+  dirty();
+  bcache.WritebackAll([] {});
+  sim.Run();
+  uint64_t written_back = 0;
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    allocs.Exclude(dirty);
+    const uint64_t ops = bcache.stats().writeback_ops;
+    bcache.WritebackAll([] {});
+    sim.Run();
+    written_back += bcache.stats().writeback_ops - ops;
+  }
+  allocs.AddItems(written_back);
+  if (bcache.dirty_bytes() != 0) {
+    state.SkipWithError("dirty data left after WritebackAll");
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(written_back));
+}
+BENCHMARK(BM_BcacheWritebackAll)->Unit(benchmark::kMillisecond);
 
 // A write-cache checkpoint: encoding the records that hold `range(0)`
 // non-adjacent 4 KiB extents into one blob, and handing it to the SSD with

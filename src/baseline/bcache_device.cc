@@ -495,55 +495,58 @@ void BcacheDevice::WritebackRound(uint64_t max_bytes, bool forced,
     return;
   }
 
-  auto remaining = std::make_shared<size_t>(pieces.size());
-  auto alive = alive_;
-  auto piece_done = [this, alive, remaining, done = std::move(done)]() {
-    if (--*remaining > 0 || !*alive) {
-      return;
-    }
-    writeback_running_ = false;
-    RetryStalled();
-    done();
-  };
-
-  for (const auto& p : pieces) {
-    ssd_->Read(p.plba, p.len,
-               [this, alive, p, piece_done](Result<Buffer> r) {
-      if (!*alive) {
+  // One state for the whole round, shared by every piece's callbacks.
+  auto round = std::make_shared<Round>(
+      Round{alive_, pieces.size(), std::move(done)});
+  for (const WritebackPiece& p : pieces) {
+    ssd_->Read(p.plba, p.len, [this, round, p](Result<Buffer> r) {
+      if (!*round->alive) {
         return;
       }
       if (!r.ok()) {
-        piece_done();
+        PieceDone(round.get());
         return;
       }
       c_writeback_ops_->Inc();
       c_writeback_bytes_->Inc(p.len);
       backing_->Write(p.vlba, std::move(r).value(),
-                      [this, alive, p, piece_done](Status s) {
-        if (!*alive) {
+                      [this, round, p](Status s) {
+        if (!*round->alive) {
           return;
         }
         if (s.ok()) {
-          // Move still-current ranges from dirty to clean.
-          ExtentMap<SsdTarget>::SegmentVec segs;
-          dirty_.Lookup(p.vlba, p.len, &segs);
-          for (const auto& seg : segs) {
-            if (!seg.target.has_value()) {
-              continue;
-            }
-            const uint64_t expected = p.plba + (seg.start - p.vlba);
-            if (seg.target->plba == expected) {
-              dirty_.Remove(seg.start, seg.len, nullptr);
-              clean_.Update(seg.start, seg.len, SsdTarget{expected}, nullptr);
-              clean_fifo_.push_back(
-                  CleanEntry{seg.start, seg.len, expected});
-            }
-          }
+          MarkClean(p);
         }
-        piece_done();
+        PieceDone(round.get());
       });
     });
   }
+}
+
+void BcacheDevice::MarkClean(const WritebackPiece& p) {
+  // Move still-current ranges from dirty to clean.
+  ExtentMap<SsdTarget>::SegmentVec segs;
+  dirty_.Lookup(p.vlba, p.len, &segs);
+  for (const auto& seg : segs) {
+    if (!seg.target.has_value()) {
+      continue;
+    }
+    const uint64_t expected = p.plba + (seg.start - p.vlba);
+    if (seg.target->plba == expected) {
+      dirty_.Remove(seg.start, seg.len, nullptr);
+      clean_.Update(seg.start, seg.len, SsdTarget{expected}, nullptr);
+      clean_fifo_.push_back(CleanEntry{seg.start, seg.len, expected});
+    }
+  }
+}
+
+void BcacheDevice::PieceDone(Round* round) {
+  if (--round->remaining > 0) {
+    return;
+  }
+  writeback_running_ = false;
+  RetryStalled();
+  round->done();
 }
 
 void BcacheDevice::RetryStalled() {

@@ -115,8 +115,19 @@ class BcacheDevice : public VirtualDisk {
   void PumpJournal();
   void ArmWriteback();
   void ForceWriteback();
+  // One writeback round, shared by the callbacks of all its pieces.
+  struct Round {
+    std::shared_ptr<bool> alive;
+    size_t remaining;  // pieces not yet written back (or failed)
+    std::function<void()> done;
+  };
+
   void WritebackRound(uint64_t max_bytes, bool forced,
                       std::function<void()> done);
+  // Moves the still-current ranges of a written-back piece to clean.
+  void MarkClean(const WritebackPiece& p);
+  // Counts one piece of `round` finished; the last ends the round.
+  void PieceDone(Round* round);
   void RetryStalled();
 
   ClientHost* host_;

@@ -67,31 +67,6 @@ uint64_t RbdDisk::ChunkBase(uint64_t chunk, int replica) const {
   return kDataRegionBase + (h % span) / kBlockSize * kBlockSize;
 }
 
-// One chunk-contained piece of a client write: journal + data at each of the
-// three replicas, acknowledged when the three WAL appends are durable.
-void RbdDisk::WriteOnePiece(uint64_t offset, uint64_t len,
-                            std::function<void()> acked) {
-  const uint64_t chunk = ChunkIndex(offset);
-  const uint64_t within = offset % config_.chunk_size;
-  auto wal_remaining = std::make_shared<int>(config_.replicas);
-  auto alive = alive_;
-  for (int r = 0; r < config_.replicas; r++) {
-    const int disk = cluster_->PickDisk(ChunkHash(chunk), r);
-    // WAL append: data + commit metadata, sequential on the OSD journal.
-    cluster_->WalAppend(
-        disk, static_cast<uint32_t>(len + config_.wal_overhead),
-        [alive, wal_remaining, acked]() {
-          if (--*wal_remaining == 0 && *alive) {
-            acked();
-          }
-        });
-    // In-place data write into the chunk's home region (applied after the
-    // journal; not part of the acknowledgement path).
-    cluster_->Write(disk, ChunkBase(chunk, r) + within,
-                    static_cast<uint32_t>(len), []() {});
-  }
-}
-
 void RbdDisk::Write(uint64_t offset, Buffer data,
                     std::function<void(Status)> done) {
   if (!Aligned(offset) || !Aligned(data.size()) || data.empty()) {
@@ -104,56 +79,58 @@ void RbdDisk::Write(uint64_t offset, Buffer data,
   }
   c_writes_->Inc();
   c_write_bytes_->Inc(data.size());
-  const Nanos submitted = sim_->now();
 
   // Store contents immediately (the acknowledgement below gates the caller,
   // and RBD has no client-side volatile state to lose).
   image_.Write(offset, data);
 
-  // Split on chunk boundaries; each piece is replicated independently.
-  std::vector<std::pair<uint64_t, uint64_t>> pieces;
-  uint64_t pos = offset;
-  uint64_t left = data.size();
-  while (left > 0) {
-    const uint64_t chunk_end =
-        (ChunkIndex(pos) + 1) * config_.chunk_size;
-    const uint64_t n = std::min(left, chunk_end - pos);
-    pieces.push_back({pos, n});
-    pos += n;
-    left -= n;
-  }
-
-  auto alive = alive_;
-  const uint64_t bytes = data.size();
-  std::function<void(Status)> acked =
-      [this, alive, submitted, done = std::move(done)](Status s) {
-        if (*alive) {
-          RecordLatencyUs(h_write_ack_us_, sim_->now() - submitted);
-        }
-        done(s);
-      };
+  // Each chunk-contained piece is replicated independently; the write is
+  // acknowledged once every piece's WAL appends are durable.
+  const uint64_t pieces = ChunkIndex(offset + data.size() - 1) -
+                          ChunkIndex(offset) + 1;
+  auto st = std::make_shared<WriteState>(WriteState{
+      alive_, offset, data.size(), sim_->now(),
+      static_cast<int>(pieces) * config_.replicas, std::move(done)});
   // Client -> primary transfer, then fan out to replicas.
-  link_->SendToBackend(bytes, [this, alive, pieces,
-                               done = std::move(acked)]() mutable {
-    if (!*alive) {
-      return;
+  link_->SendToBackend(st->bytes, [this, st] {
+    if (*st->alive) {
+      sim_->After(link_->half_rtt(), [this, st] { FanOut(st); });
     }
-    sim_->After(link_->half_rtt(), [this, alive, pieces,
-                                    done = std::move(done)]() mutable {
-      auto remaining = std::make_shared<size_t>(pieces.size());
-      auto finish = [this, alive, remaining, done = std::move(done)]() {
-        if (--*remaining == 0 && *alive) {
-          sim_->After(link_->half_rtt(), [alive, done]() {
-            if (*alive) {
-              done(Status::Ok());
-            }
-          });
-        }
-      };
-      for (const auto& [off, len] : pieces) {
-        WriteOnePiece(off, len, finish);
-      }
-    });
+  });
+}
+
+void RbdDisk::FanOut(const std::shared_ptr<WriteState>& st) {
+  uint64_t pos = st->offset;
+  uint64_t left = st->bytes;
+  while (left > 0) {
+    const uint64_t chunk = ChunkIndex(pos);
+    const uint64_t within = pos % config_.chunk_size;
+    const uint64_t len = std::min(left, config_.chunk_size - within);
+    for (int r = 0; r < config_.replicas; r++) {
+      const int disk = cluster_->PickDisk(ChunkHash(chunk), r);
+      // WAL append: data + commit metadata, sequential on the OSD journal.
+      cluster_->WalAppend(disk,
+                          static_cast<uint32_t>(len + config_.wal_overhead),
+                          [this, st] { WalDurable(st); });
+      // In-place data write into the chunk's home region (applied after the
+      // journal; not part of the acknowledgement path).
+      cluster_->Write(disk, ChunkBase(chunk, r) + within,
+                      static_cast<uint32_t>(len), [] {});
+    }
+    pos += len;
+    left -= len;
+  }
+}
+
+void RbdDisk::WalDurable(const std::shared_ptr<WriteState>& st) {
+  if (--st->wal_left > 0 || !*st->alive) {
+    return;
+  }
+  sim_->After(link_->half_rtt(), [this, st] {
+    if (*st->alive) {
+      RecordLatencyUs(h_write_ack_us_, sim_->now() - st->submitted);
+      st->done(Status::Ok());
+    }
   });
 }
 
@@ -169,34 +146,23 @@ void RbdDisk::Read(uint64_t offset, uint64_t len,
   }
   c_reads_->Inc();
   c_read_bytes_->Inc(len);
-  const Nanos started = sim_->now();
-
-  Buffer out = image_.Read(offset, len);
 
   // Timing: request to primary, disk read, transfer back.
   const uint64_t chunk = ChunkIndex(offset);
-  const uint64_t within = offset % config_.chunk_size;
   const int disk = cluster_->PickDisk(ChunkHash(chunk), 0);
-  auto alive = alive_;
-  sim_->After(link_->half_rtt(), [this, alive, disk, chunk, within, len,
-                                  started, out = std::move(out),
-                                  done = std::move(done)]() mutable {
-    cluster_->Read(disk, ChunkBase(chunk, 0) + within,
-                   static_cast<uint32_t>(len),
-                   [this, alive, len, started, out = std::move(out),
-                    done = std::move(done)]() mutable {
-      link_->ReceiveFromBackend(len, [this, alive, started,
-                                      out = std::move(out),
-                                      done = std::move(done)]() mutable {
-        if (!*alive) {
+  const uint64_t at = ChunkBase(chunk, 0) + offset % config_.chunk_size;
+  auto st = std::make_shared<ReadState>(ReadState{
+      alive_, len, sim_->now(), image_.Read(offset, len), std::move(done)});
+  sim_->After(link_->half_rtt(), [this, st, disk, at] {
+    cluster_->Read(disk, at, static_cast<uint32_t>(st->len), [this, st] {
+      link_->ReceiveFromBackend(st->len, [this, st] {
+        if (!*st->alive) {
           return;
         }
-        sim_->After(link_->half_rtt(),
-                    [this, alive, started, out = std::move(out),
-                     done = std::move(done)]() {
-          if (*alive) {
-            RecordLatencyUs(h_read_e2e_us_, sim_->now() - started);
-            done(out);
+        sim_->After(link_->half_rtt(), [this, st] {
+          if (*st->alive) {
+            RecordLatencyUs(h_read_e2e_us_, sim_->now() - st->started);
+            st->done(std::move(st->out));
           }
         });
       });

@@ -63,8 +63,30 @@ class RbdDisk : public VirtualDisk {
   uint64_t ChunkHash(uint64_t chunk) const;
   // Deterministic on-disk home of a chunk replica.
   uint64_t ChunkBase(uint64_t chunk, int replica) const;
-  void WriteOnePiece(uint64_t offset, uint64_t len,
-                     std::function<void()> acked);
+
+  // One client write, shared by the events of all its pieces and replicas:
+  // the last durable WAL append schedules the ack.
+  struct WriteState {
+    std::shared_ptr<bool> alive;
+    uint64_t offset;
+    uint64_t bytes;
+    Nanos submitted;
+    int wal_left;  // WAL appends not yet durable, over all pieces
+    std::function<void(Status)> done;
+  };
+  // One client read, carried through the request, disk read and transfer.
+  struct ReadState {
+    std::shared_ptr<bool> alive;
+    uint64_t len;
+    Nanos started;
+    Buffer out;
+    std::function<void(Result<Buffer>)> done;
+  };
+
+  // Sends every chunk-contained piece of the write to its replicas: a WAL
+  // append and an in-place data write at each.
+  void FanOut(const std::shared_ptr<WriteState>& st);
+  void WalDurable(const std::shared_ptr<WriteState>& st);
 
   Simulator* sim_;
   BackendCluster* cluster_;

@@ -11,9 +11,9 @@
 #define SRC_BLOCKDEV_BLOCK_DEVICE_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "src/util/buffer.h"
+#include "src/util/inline_fn.h"
 #include "src/util/status.h"
 #include "src/util/units.h"
 
@@ -23,8 +23,10 @@ inline constexpr uint64_t kBlockSize = 4 * kKiB;
 
 class BlockDevice {
  public:
-  using WriteCallback = std::function<void(Status)>;
-  using ReadCallback = std::function<void(Result<Buffer>)>;
+  // Move-only callbacks that hold a capture of up to 64 bytes without
+  // allocating (src/util/inline_fn.h).
+  using WriteCallback = InlineFn<void(Status), 64>;
+  using ReadCallback = InlineFn<void(Result<Buffer>), 64>;
 
   virtual ~BlockDevice() = default;
 

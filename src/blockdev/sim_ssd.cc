@@ -35,11 +35,10 @@ bool SimSsd::MatchStream(std::deque<uint64_t>* streams, uint64_t offset,
 }
 
 // Submits the request as one or more channel occupations (striping large
-// requests across channels) and fires `done` when the slowest completes plus
+// requests across channels) and completes it when the slowest finishes plus
 // the fixed device latency.
-template <typename Done>
 void SimSsd::SubmitOp(bool is_write, uint64_t offset, uint64_t len,
-                      Done done) {
+                      uint32_t slot) {
   const uint64_t end = offset + len;
   bool sequential;
   Nanos op_cost;
@@ -68,28 +67,12 @@ void SimSsd::SubmitOp(bool is_write, uint64_t offset, uint64_t len,
   }
   const uint64_t subops = std::max<uint64_t>(1, (len + unit - 1) / unit);
   ServerQueue& queue = is_write ? write_queue_ : read_queue_;
-  if (subops == 1) {
-    // Single-stripe requests (the common case for small IO) skip the shared
-    // completion counter and its allocation.
-    const auto transfer =
-        static_cast<Nanos>(static_cast<double>(len) / bw * 1e9);
-    queue.Submit(std::max(op_cost, transfer),
-                 [this, latency, done = std::move(done)]() mutable {
-                   sim_->After(latency, std::move(done));
-                 });
-    return;
-  }
-  // The stripes share one completion (copying `done` per stripe would
-  // clone its captures); the last stripe to finish schedules it.
-  struct Stripes {
-    uint64_t remaining;
-    Done done;
-  };
-  auto stripes =
-      std::make_shared<Stripes>(Stripes{subops, std::move(done)});
-  const auto finish = [this, stripes, latency]() {
-    if (--stripes->remaining == 0) {
-      sim_->After(latency, std::move(stripes->done));
+  // The stripes share the request's slot; the last to finish schedules the
+  // completion.
+  pending_[slot].stripes = subops;
+  const auto finish = [this, slot, latency] {
+    if (--pending_[slot].stripes == 0) {
+      sim_->After(latency, [this, slot] { Complete(slot); });
     }
   };
   uint64_t left = len;
@@ -104,6 +87,20 @@ void SimSsd::SubmitOp(bool is_write, uint64_t offset, uint64_t len,
   }
 }
 
+void SimSsd::Complete(uint32_t slot) {
+  // Runs in place (the slab never moves a slot) and frees the slot after:
+  // the callback may submit new requests.
+  Pending& op = pending_[slot];
+  if (op.read_done) {
+    op.read_done(std::move(op.data));
+  } else if (op.failed) {
+    op.write_done(Status::Unavailable("injected SSD write failure"));
+  } else {
+    op.write_done(Status::Ok());
+  }
+  pending_.Free(slot);
+}
+
 void SimSsd::Write(uint64_t offset, Buffer data, WriteCallback done) {
   if (!Aligned(offset) || !Aligned(data.size()) || data.empty()) {
     done(Status::InvalidArgument("unaligned or empty SSD write"));
@@ -115,20 +112,21 @@ void SimSsd::Write(uint64_t offset, Buffer data, WriteCallback done) {
   }
   stats_.write_ops++;
   stats_.write_bytes += data.size();
+  const uint64_t len = data.size();
+  const uint32_t slot = pending_.Alloc();
+  Pending& op = pending_[slot];
+  op.write_done = std::move(done);
   if (fail_next_writes_ > 0) {
     fail_next_writes_--;
-    SubmitOp(true, offset, data.size(), [done = std::move(done)]() {
-      done(Status::Unavailable("injected SSD write failure"));
-    });
-    return;
+    op.failed = true;
+  } else {
+    // Contents are visible to reads as soon as the op is accepted;
+    // completion is acknowledged after the service time.
+    current_.Write(offset, data);
+    unflushed_.push_back(
+        Unflushed{next_write_seq_++, offset, std::move(data)});
   }
-  // Contents are visible to reads as soon as the op is accepted;
-  // completion is acknowledged after the service time.
-  const uint64_t len = data.size();
-  current_.Write(offset, data);
-  unflushed_.push_back(Unflushed{next_write_seq_++, offset, std::move(data)});
-  SubmitOp(true, offset, len,
-           [done = std::move(done)]() { done(Status::Ok()); });
+  SubmitOp(true, offset, len, slot);
 }
 
 void SimSsd::Read(uint64_t offset, uint64_t len, ReadCallback done) {
@@ -142,23 +140,25 @@ void SimSsd::Read(uint64_t offset, uint64_t len, ReadCallback done) {
   }
   stats_.read_ops++;
   stats_.read_bytes += len;
-  Buffer data = current_.Read(offset, len);
-  SubmitOp(false, offset, len,
-           [done = std::move(done), data = std::move(data)]() mutable {
-    done(std::move(data));
-  });
+  const uint32_t slot = pending_.Alloc();
+  Pending& op = pending_[slot];
+  op.read_done = std::move(done);
+  op.data = current_.Read(offset, len);
+  SubmitOp(false, offset, len, slot);
 }
 
 void SimSsd::Flush(WriteCallback done) {
   stats_.flushes++;
   // Writes accepted from here on are not covered by this flush.
   const uint64_t covers = next_write_seq_;
-  write_queue_.Submit(params_.flush, [this, covers, done = std::move(done)]() {
+  const uint32_t slot = pending_.Alloc();
+  pending_[slot].write_done = std::move(done);
+  write_queue_.Submit(params_.flush, [this, covers, slot]() {
     while (!unflushed_.empty() && unflushed_.front().seq < covers) {
       durable_.Write(unflushed_.front().offset, unflushed_.front().data);
       unflushed_.pop_front();
     }
-    done(Status::Ok());
+    Complete(slot);
   });
 }
 

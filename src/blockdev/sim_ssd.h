@@ -24,6 +24,7 @@
 #include "src/blockdev/block_store.h"
 #include "src/sim/server_queue.h"
 #include "src/sim/simulator.h"
+#include "src/util/slab.h"
 
 namespace lsvd {
 
@@ -111,10 +112,23 @@ class SimSsd : public BlockDevice {
     Buffer data;
   };
 
-  // `done` is any move-only `void()` callable; it is held by value, so a
-  // small one costs no allocation on the way to the simulator.
-  template <typename Done>
-  void SubmitOp(bool is_write, uint64_t offset, uint64_t len, Done done);
+  // A request from acceptance until its callback runs. Its events capture
+  // only the slot, so the caller's callback (up to 64 bytes of capture
+  // itself) is never copied or wrapped.
+  struct Pending {
+    WriteCallback write_done;  // writes and flushes
+    ReadCallback read_done;    // reads
+    Buffer data;               // a read's bytes
+    uint64_t stripes = 0;      // channel occupations still in service
+    bool failed = false;       // an injected write failure
+  };
+
+  // Occupies channels for the request in pending_[slot] (striping large
+  // requests across channels) and completes it when the slowest stripe
+  // finishes plus the fixed device latency.
+  void SubmitOp(bool is_write, uint64_t offset, uint64_t len, uint32_t slot);
+  // Runs pending_[slot]'s callback and frees the slot.
+  void Complete(uint32_t slot);
   bool MatchStream(std::deque<uint64_t>* streams, uint64_t offset,
                    uint64_t end);
 
@@ -136,6 +150,7 @@ class SimSsd : public BlockDevice {
   std::deque<uint64_t> write_streams_;  // recent write end offsets
   std::deque<uint64_t> read_streams_;
   int fail_next_writes_ = 0;
+  Slab<Pending, 256> pending_;
   SsdStats stats_;
 };
 

@@ -31,6 +31,7 @@ BackendStore::BackendStore(ClientHost* host, std::vector<ObjectStore*> stores,
   assert(!stores.empty());
   config_.backend_shards = static_cast<int>(stores.size());
   shards_.resize(stores.size());
+  shard_bytes_.resize(stores.size());
   for (size_t i = 0; i < stores.size(); i++) {
     shards_[i].io = RetryContext{
         host_->sim(), stores[i], &config_.retry, &retry_rng_, alive_,
@@ -619,7 +620,7 @@ void BackendStore::ApplyObjectExtents(uint64_t seq,
     }
     offset += ext.len;
   }
-  object_info_[seq] = ObjectInfo{payload_bytes, live};
+  SetObjectInfo(seq, ObjectInfo{payload_bytes, live});
   if (header.generation != 0) {
     object_generation_[seq] = header.generation;
   }
@@ -630,23 +631,54 @@ void BackendStore::AccountDisplaced(
   for (const auto& d : displaced) {
     auto it = object_info_.find(d.target.seq);
     if (it != object_info_.end()) {
-      it->second.live_bytes -= std::min(it->second.live_bytes, d.len);
+      const uint64_t dead = std::min(it->second.live_bytes, d.len);
+      it->second.live_bytes -= dead;
+      shard_bytes_[ShardOf(it->first)].live -= dead;
     }
+  }
+}
+
+void BackendStore::SetObjectInfo(uint64_t seq, ObjectInfo info) {
+  ByteSums& sums = shard_bytes_[ShardOf(seq)];
+  auto [it, inserted] = object_info_.try_emplace(seq, info);
+  if (!inserted) {
+    sums.live -= it->second.live_bytes;
+    sums.total -= it->second.total_bytes;
+    it->second = info;
+  }
+  sums.live += info.live_bytes;
+  sums.total += info.total_bytes;
+}
+
+void BackendStore::EraseObjectInfo(
+    std::map<uint64_t, ObjectInfo>::iterator it) {
+  ByteSums& sums = shard_bytes_[ShardOf(it->first)];
+  sums.live -= it->second.live_bytes;
+  sums.total -= it->second.total_bytes;
+  object_info_.erase(it);
+}
+
+void BackendStore::RecountObjectInfo() {
+  shard_bytes_.assign(shards_.size(), ByteSums{});
+  for (const auto& [seq, info] : object_info_) {
+    ByteSums& sums = shard_bytes_[ShardOf(seq)];
+    sums.live += info.live_bytes;
+    sums.total += info.total_bytes;
   }
 }
 
 uint64_t BackendStore::live_bytes() const {
   uint64_t sum = 0;
-  for (const auto& [seq, info] : object_info_) {
-    sum += info.live_bytes;
+  for (const ByteSums& sums : shard_bytes_) {
+    sum += sums.live;
   }
   return sum;
 }
 
 uint64_t BackendStore::total_bytes() const {
   uint64_t sum = 0;
-  for (const auto& [seq, info] : object_info_) {
-    sum += info.total_bytes;
+  for (const ByteSums& sums : shard_bytes_) {
+    sum += sums.total;
   }
   return sum;
 }
@@ -663,19 +695,11 @@ double BackendStore::ShardUtilization(size_t shard) const {
   if (shards_.size() <= 1) {
     return Utilization();
   }
-  uint64_t live = 0;
-  uint64_t total = 0;
-  for (const auto& [seq, info] : object_info_) {
-    if (ShardOf(seq) != shard) {
-      continue;
-    }
-    live += info.live_bytes;
-    total += info.total_bytes;
-  }
-  if (total == 0) {
+  const ByteSums& sums = shard_bytes_[shard];
+  if (sums.total == 0) {
     return 1.0;
   }
-  return static_cast<double>(live) / static_cast<double>(total);
+  return static_cast<double>(sums.live) / static_cast<double>(sums.total);
 }
 
 std::optional<GcCandidate> BackendStore::gc_candidate_for(
@@ -774,7 +798,9 @@ void BackendStore::CleanOneObject(uint64_t victim) {
   auto size = StoreFor(victim)->Head(name);
   if (!size.ok()) {
     // Already gone (shouldn't happen); drop bookkeeping and move on.
-    object_info_.erase(victim);
+    if (auto it = object_info_.find(victim); it != object_info_.end()) {
+      EraseObjectInfo(it);
+    }
     object_generation_.erase(victim);
     FinishGcRound();
     return;
@@ -976,7 +1002,7 @@ void BackendStore::ProcessDelete(uint64_t seq) {
   }
   auto it = object_info_.find(seq);
   if (it != object_info_.end()) {
-    object_info_.erase(it);
+    EraseObjectInfo(it);
   }
   object_generation_.erase(seq);
   if (deferred) {
@@ -1144,6 +1170,7 @@ void BackendStore::Recover(std::function<void(Status)> done) {
 void BackendStore::ResetRecoveredState() {
   object_map_.Clear();
   object_info_.clear();
+  RecountObjectInfo();
   object_generation_.clear();
   deferred_deletes_.clear();
   snapshots_.clear();
@@ -1198,6 +1225,7 @@ void BackendStore::RecoverTryCheckpoint(std::shared_ptr<RecoverState> st,
       object_map_.Update(e.start, e.len, e.target, nullptr);
     }
     object_info_ = state.object_info;
+    RecountObjectInfo();
     object_generation_ = state.generations;
     deferred_deletes_ = state.deferred_deletes;
     snapshots_.clear();

@@ -280,6 +280,10 @@ class BackendStore {
   void ApplyObjectExtents(uint64_t seq, const DataObjectHeader& header,
                           uint64_t payload_bytes);
   void AccountDisplaced(const ExtentMap<ObjTarget>::ExtentVec& displaced);
+  void SetObjectInfo(uint64_t seq, ObjectInfo info);
+  void EraseObjectInfo(std::map<uint64_t, ObjectInfo>::iterator it);
+  // Recomputes shard_bytes_ after object_info_ is replaced wholesale.
+  void RecountObjectInfo();
   void MaybeCheckpoint();
   void StartCheckpoint();
   void MaybeGc();
@@ -310,7 +314,17 @@ class BackendStore {
   // packed down when their live bytes exceed config.map_resident_bytes
   // (0 = never pack; DESIGN.md §13).
   PagedExtentMap<ObjTarget> object_map_;
-  std::map<uint64_t, ObjectInfo> object_info_;  // applied data objects
+  // Applied data objects. Change entries only through SetObjectInfo,
+  // EraseObjectInfo, AccountDisplaced or RecountObjectInfo, which keep
+  // shard_bytes_ in step.
+  std::map<uint64_t, ObjectInfo> object_info_;
+  // Sums of object_info_'s live and total bytes per shard, so utilization
+  // (read on every GC pick) costs O(shards) rather than a walk.
+  struct ByteSums {
+    uint64_t live = 0;
+    uint64_t total = 0;
+  };
+  std::vector<ByteSums> shard_bytes_;
   // Per-object GC generation, feeding the policy's pedigree floor.
   // Persisted (data-object headers, checkpoint generation table), so victim
   // scoring — which also ages candidates on the recoverable object-sequence

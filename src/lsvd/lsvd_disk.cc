@@ -348,15 +348,7 @@ void LsvdDisk::WriteAdmitted(uint64_t offset, Buffer data, Nanos submitted,
 }
 
 void LsvdDisk::Journal(Journaled op) {
-  uint32_t slot;
-  if (free_journaled_.empty()) {
-    slot = static_cast<uint32_t>(journaled_.size());
-    journaled_.push_back(std::move(op));
-  } else {
-    slot = free_journaled_.back();
-    free_journaled_.pop_back();
-    journaled_[slot] = std::move(op);
-  }
+  const uint32_t slot = journaled_.Put(std::move(op));
   auto alive = alive_;
   host_->kernel_cpu()->Submit(
       config_.costs.write_submit + config_.costs.write_map_update,
@@ -376,8 +368,7 @@ void LsvdDisk::Journal(Journaled op) {
 }
 
 void LsvdDisk::Acked(uint32_t slot, Status s) {
-  Journaled op = std::move(journaled_[slot]);
-  free_journaled_.push_back(slot);
+  Journaled op = journaled_.Take(slot);
   // Ack latency: submission to journal-record-durable.
   RecordLatencyUs(h_write_ack_us_, host_->sim()->now() - op.submitted);
   // The ack installs the write-cache map entry (or the trim tombstone);

@@ -33,6 +33,7 @@
 #include "src/lsvd/write_cache.h"
 #include "src/objstore/object_store.h"
 #include "src/util/metrics.h"
+#include "src/util/slab.h"
 
 namespace lsvd {
 
@@ -211,9 +212,8 @@ class LsvdDisk : public VirtualDisk {
   std::unique_ptr<BackendStore> backend_;
 
   bool batch_timer_armed_ = false;
-  // Writes and trims between admission and ack, and the free slots.
-  std::vector<Journaled> journaled_;
-  std::vector<uint32_t> free_journaled_;
+  // Writes and trims between admission and ack.
+  Slab<Journaled, 256> journaled_;
 
   // Host registrations: QoS admission (-1 = uncapped volume, admission
   // bypassed) and the host's attached-volume registry.

@@ -22,8 +22,14 @@ Replicator::Replicator(Simulator* sim, std::vector<ObjectStore*> primaries,
   assert(!primaries.empty() && primaries.size() == replicas.size());
   shards_.resize(primaries.size());
   for (size_t i = 0; i < primaries.size(); i++) {
-    shards_[i].primary = primaries[i];
-    shards_[i].replica = replicas[i];
+    ShardStream& shard = shards_[i];
+    shard.primary = primaries[i];
+    shard.replica = replicas[i];
+    shard.get = RetryContext{sim_, shard.primary, &config_.retry, &retry_rng_,
+                             alive_, 0, [this] { c_retries_->Inc(); },
+                             nullptr};
+    shard.put = shard.get;
+    shard.put.store = shard.replica;
   }
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
@@ -81,6 +87,10 @@ uint64_t Replicator::ConsistencyPoint() const {
 void Replicator::Start() {
   *alive_ = false;  // cancel a previous schedule, if any
   alive_ = std::make_shared<bool>(true);
+  for (ShardStream& shard : shards_) {
+    shard.get.alive = alive_;
+    shard.put.alive = alive_;
+  }
   ScheduleNext();
 }
 
@@ -151,10 +161,6 @@ void Replicator::PollOnce(std::function<void()> done) {
 void Replicator::CopyObject(size_t shard_index, const std::string& name,
                             std::function<void()> done) {
   ShardStream& shard = shards_[shard_index];
-  const RetryContext get{sim_, shard.primary, &config_.retry, &retry_rng_,
-                         alive_, 0, [this] { c_retries_->Inc(); }, nullptr};
-  RetryContext put = get;
-  put.store = shard.replica;
   // Out of budget: forget the object so a later poll starts over (leaving it
   // in copied would silently drop it from the replica forever).
   auto fail = [this, shard_index, name, done] {
@@ -162,7 +168,8 @@ void Replicator::CopyObject(size_t shard_index, const std::string& name,
     shards_[shard_index].copied.erase(name);
     done();
   };
-  RetryGet(get, name, [this, &shard, put, name, fail, done](Result<Buffer> r) {
+  RetryGet(shard.get, name,
+           [this, &shard, name, fail, done](Result<Buffer> r) {
     if (r.status().code() == StatusCode::kNotFound) {
       // Garbage collection deleted the object before we aged it in.
       c_objects_skipped_deleted_->Inc();
@@ -178,7 +185,7 @@ void Replicator::CopyObject(size_t shard_index, const std::string& name,
     const uint64_t size = r->size();
     const auto seen = shard.first_seen.find(name);
     const Nanos seen_at = seen != shard.first_seen.end() ? seen->second : 0;
-    RetryPut(put, name, std::move(r).value(),
+    RetryPut(shard.put, name, std::move(r).value(),
              [this, size, seen_at, fail, done](Status s) {
       if (!s.ok()) {
         fail();

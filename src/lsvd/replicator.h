@@ -82,6 +82,10 @@ class Replicator {
   struct ShardStream {
     ObjectStore* primary = nullptr;
     ObjectStore* replica = nullptr;
+    // Retried GETs from the primary and PUTs to the replica; requests refer
+    // to these, and Start() rebinds their `alive`.
+    RetryContext get;
+    RetryContext put;
     std::map<std::string, Nanos> first_seen;
     std::set<std::string> copied;
   };

@@ -36,8 +36,8 @@ void MemObjectStore::GetRange(const std::string& name, uint64_t offset,
     return;
   }
   Buffer data = it->second.Slice(offset, len);
-  sim_->After(0, [done = std::move(done), data = std::move(data)]() {
-    done(data);
+  sim_->After(0, [done = std::move(done), data = std::move(data)]() mutable {
+    done(std::move(data));
   });
 }
 

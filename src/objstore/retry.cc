@@ -1,6 +1,7 @@
 #include "src/objstore/retry.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 namespace lsvd {
@@ -30,48 +31,66 @@ StatusCode CodeOf(const Result<Buffer>& r) {
   return r.ok() ? StatusCode::kOk : r.status().code();
 }
 
+// What a request without a reconcile step (everything but PUT) holds.
+struct NoReconcile {};
+
 // One logical request: its attempts, backoff sleeps and timeout races. It
 // lives on the heap, owned by whichever answer, timer or sleep is pending.
-template <typename R>
-struct Request : std::enable_shared_from_this<Request<R>> {
+// It holds the owner's context by pointer and its own copy of `alive`, and
+// touches the context only while `*alive` is true.
+//
+// `send` sends one attempt. `reconcile` (PUT only) runs before each retry
+// and calls back with true when an earlier attempt turns out to have landed.
+template <typename R, typename SendFn, typename ReconcileFn>
+struct Request
+    : std::enable_shared_from_this<Request<R, SendFn, ReconcileFn>> {
   using Done = std::function<void(R)>;
-  // `send` sends one attempt. `reconcile` (PUT only) runs before each retry
-  // and calls back with true when an earlier attempt turns out to have
-  // landed.
-  Request(RetryContext c, std::function<void(Done)> s,
-          std::function<void(std::function<void(bool)>)> r, Done d)
-      : ctx(std::move(c)), send(std::move(s)), reconcile(std::move(r)),
-        done(std::move(d)) {}
+  Request(const RetryContext& c, Nanos t, SendFn s, ReconcileFn r, Done d)
+      : ctx(&c), alive(c.alive), timeout(t), send(std::move(s)),
+        reconcile(std::move(r)), done(std::move(d)) {}
 
   void Attempt() {
-    if (failed == 0 || !reconcile) {
+    if constexpr (std::is_same_v<ReconcileFn, NoReconcile>) {
       Send();
-      return;
-    }
-    reconcile([self = this->shared_from_this()](bool landed) {
-      if (*self->ctx.alive) {
-        landed ? self->done(Status::Ok()) : self->Send();
+    } else {
+      if (failed == 0) {
+        Send();
+        return;
       }
-    });
+      reconcile([self = this->shared_from_this()](bool landed) {
+        if (*self->alive) {
+          landed ? self->done(Status::Ok()) : self->Send();
+        }
+      });
+    }
+  }
+
+  // Whichever of the current attempt's answer and its timeout comes first
+  // settles it; the other, and any answer of an earlier attempt, is
+  // ignored.
+  bool Settle(uint32_t attempt) {
+    if (attempt != attempts || settled) {
+      return false;
+    }
+    settled = true;
+    return true;
   }
 
   void Send() {
-    auto self = this->shared_from_this();
-    // Whichever of the answer and the timeout comes first settles the
-    // attempt; the other is ignored.
-    auto settled = std::make_shared<bool>(false);
-    if (ctx.timeout > 0) {
-      ctx.sim->After(ctx.timeout, [self, settled] {
-        if (*self->ctx.alive && !std::exchange(*settled, true)) {
-          if (self->ctx.on_timeout) {
-            self->ctx.on_timeout();
+    const uint32_t attempt = ++attempts;
+    settled = false;
+    if (timeout > 0) {
+      ctx->sim->After(timeout, [self = this->shared_from_this(), attempt] {
+        if (*self->alive && self->Settle(attempt)) {
+          if (self->ctx->on_timeout) {
+            self->ctx->on_timeout();
           }
           self->Failed(Status::Unavailable("object-store request timed out"));
         }
       });
     }
-    send([self, settled](R r) {
-      if (!*self->ctx.alive || std::exchange(*settled, true)) {
+    send([self = this->shared_from_this(), attempt](R r) {
+      if (!*self->alive || !self->Settle(attempt)) {
         return;
       }
       const StatusCode code = CodeOf(r);
@@ -84,33 +103,37 @@ struct Request : std::enable_shared_from_this<Request<R>> {
   }
 
   void Failed(R r) {
-    if (++failed >= ctx.policy->max_attempts) {
+    if (++failed >= ctx->policy->max_attempts) {
       done(std::move(r));
       return;
     }
-    if (ctx.on_retry) {
-      ctx.on_retry();
+    if (ctx->on_retry) {
+      ctx->on_retry();
     }
-    ctx.sim->After(RetryBackoff(*ctx.policy, failed, *ctx.rng),
-                   [self = this->shared_from_this()] {
-                     if (*self->ctx.alive) {
-                       self->Attempt();
-                     }
-                   });
+    ctx->sim->After(RetryBackoff(*ctx->policy, failed, *ctx->rng),
+                    [self = this->shared_from_this()] {
+                      if (*self->alive) {
+                        self->Attempt();
+                      }
+                    });
   }
 
-  RetryContext ctx;
-  std::function<void(Done)> send;
-  std::function<void(std::function<void(bool)>)> reconcile;
+  const RetryContext* ctx;
+  std::shared_ptr<bool> alive;
+  Nanos timeout;  // per attempt; 0 = none
+  SendFn send;
+  ReconcileFn reconcile;
   Done done;
-  int failed = 0;  // failed attempts so far
+  int failed = 0;         // failed attempts so far
+  uint32_t attempts = 0;  // attempts sent so far; the last is current
+  bool settled = false;   // whether the current attempt has settled
 };
 
-template <typename R, typename Send>
-void Run(const RetryContext& ctx, Send send, std::function<void(R)> done,
-         std::function<void(std::function<void(bool)>)> reconcile = nullptr) {
-  std::make_shared<Request<R>>(ctx, std::move(send), std::move(reconcile),
-                               std::move(done))
+template <typename R, typename SendFn, typename ReconcileFn = NoReconcile>
+void Run(const RetryContext& ctx, Nanos timeout, SendFn send,
+         std::function<void(R)> done, ReconcileFn reconcile = {}) {
+  std::make_shared<Request<R, SendFn, ReconcileFn>>(
+      ctx, timeout, std::move(send), std::move(reconcile), std::move(done))
       ->Attempt();
 }
 
@@ -132,12 +155,14 @@ void RetryPut(const RetryContext& ctx, std::string name, Buffer data,
   auto send = [store, name, data = std::move(data)](auto cb) {
     store->Put(name, data, std::move(cb));
   };
-  Run<Status>(ctx, std::move(send), std::move(done), std::move(reconcile));
+  Run<Status>(ctx, ctx.timeout, std::move(send), std::move(done),
+              std::move(reconcile));
 }
 
 void RetryGet(const RetryContext& ctx, std::string name,
               std::function<void(Result<Buffer>)> done) {
-  Run<Result<Buffer>>(ctx, [store = ctx.store, name = std::move(name)](auto cb) {
+  Run<Result<Buffer>>(ctx, ctx.timeout,
+                      [store = ctx.store, name = std::move(name)](auto cb) {
     store->Get(name, std::move(cb));
   }, std::move(done));
 }
@@ -145,16 +170,17 @@ void RetryGet(const RetryContext& ctx, std::string name,
 void RetryGetRange(const RetryContext& ctx, std::string name, uint64_t offset,
                    uint64_t len, std::function<void(Result<Buffer>)> done) {
   Run<Result<Buffer>>(
-      ctx, [store = ctx.store, name = std::move(name), offset, len](auto cb) {
+      ctx, ctx.timeout,
+      [store = ctx.store, name = std::move(name), offset, len](auto cb) {
     store->GetRange(name, offset, len, std::move(cb));
   }, std::move(done));
 }
 
 void RetryDelete(const RetryContext& ctx, std::string name,
                  std::function<void(Status)> done) {
-  RetryContext untimed = ctx;
-  untimed.timeout = 0;
-  Run<Status>(untimed, [store = ctx.store, name = std::move(name)](auto cb) {
+  // Deletes are never timed out.
+  Run<Status>(ctx, /*timeout=*/0,
+              [store = ctx.store, name = std::move(name)](auto cb) {
     store->Delete(name, std::move(cb));
   }, done ? std::move(done) : [](Status) {});
 }

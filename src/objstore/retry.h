@@ -36,8 +36,9 @@ struct RetryPolicy {
 };
 
 // What a retried request runs on: the store it goes to and how its owner
-// retries. The owner keeps `policy` and `rng` alive while `*alive` is true;
-// once it is false nothing more runs and `done` is never called.
+// retries. A request refers to the context rather than copying it: the
+// owner keeps the context itself, `policy` and `rng` alive while `*alive`
+// is true; once it is false nothing more runs and `done` is never called.
 struct RetryContext {
   Simulator* sim = nullptr;
   ObjectStore* store = nullptr;

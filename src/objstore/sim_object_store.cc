@@ -87,13 +87,19 @@ void SimObjectStore::BindBackendDomain(SimDomain* backend,
 
 void SimObjectStore::BackendWrites(const std::string& name, uint64_t size,
                                    std::function<void()> all_done) {
-  // Counts outstanding disk writes; fires all_done when the last completes.
-  auto remaining = std::make_shared<int>(0);
-  auto issued_all = std::make_shared<bool>(false);
-  auto one_done = [remaining, issued_all, all_done]() {
-    (*remaining)--;
-    if (*issued_all && *remaining == 0) {
-      all_done();
+  // One state for the whole fan-out: counts outstanding disk writes and
+  // fires all_done when the last completes. Each disk write's callback
+  // shares it, so none copies all_done.
+  struct FanOut {
+    int remaining = 0;
+    bool issued_all = false;
+    std::function<void()> all_done;
+  };
+  auto fan = std::make_shared<FanOut>();
+  fan->all_done = std::move(all_done);
+  const auto one_done = [fan] {
+    if (--fan->remaining == 0 && fan->issued_all) {
+      fan->all_done();
     }
   };
 
@@ -111,7 +117,7 @@ void SimObjectStore::BackendWrites(const std::string& name, uint64_t size,
       for (int c = 0; c < 6; c++) {
         const int disk = cluster_->PickDisk(hash, c);
         const uint64_t off = Allocate(disk, chunk_len);
-        (*remaining)++;
+        fan->remaining++;
         cluster_->Write(disk, off, chunk_len, one_done);
       }
     } else {
@@ -120,7 +126,7 @@ void SimObjectStore::BackendWrites(const std::string& name, uint64_t size,
       for (int c = 0; c < 3; c++) {
         const int disk = cluster_->PickDisk(hash, c);
         const uint64_t off = Allocate(disk, copy_len);
-        (*remaining)++;
+        fan->remaining++;
         cluster_->Write(disk, off, copy_len, one_done);
       }
     }
@@ -128,14 +134,14 @@ void SimObjectStore::BackendWrites(const std::string& name, uint64_t size,
     // Small metadata / OSD-journal writes accompanying the stripe.
     for (uint32_t m = 0; m < config_.metadata_writes_per_stripe; m++) {
       const int disk = cluster_->PickDisk(hash, static_cast<int>(m % 3));
-      (*remaining)++;
+      fan->remaining++;
       cluster_->WalAppend(disk, config_.metadata_write_size, one_done);
     }
   }
-  *issued_all = true;
-  if (*remaining == 0) {
+  fan->issued_all = true;
+  if (fan->remaining == 0) {
     // Zero-byte object: commit immediately.
-    backend_sim_->After(0, all_done);
+    backend_sim_->After(0, std::move(fan->all_done));
   }
 }
 

@@ -77,7 +77,7 @@ BackendCluster::BackendCluster(Simulator* sim, ClusterConfig config,
 }
 
 void BackendCluster::Write(int disk, uint64_t offset, uint32_t len,
-                           std::function<void()> done) {
+                           Simulator::Fn done) {
   assert(disk >= 0 && disk < num_disks());
   AccountWrite(disk, offset, len);
   disks_[static_cast<size_t>(disk)]->Submit(true, offset, len,
@@ -85,7 +85,7 @@ void BackendCluster::Write(int disk, uint64_t offset, uint32_t len,
 }
 
 void BackendCluster::Read(int disk, uint64_t offset, uint32_t len,
-                          std::function<void()> done) {
+                          Simulator::Fn done) {
   assert(disk >= 0 && disk < num_disks());
   disks_[static_cast<size_t>(disk)]->Submit(false, offset, len,
                                             std::move(done));
@@ -103,7 +103,7 @@ int BackendCluster::PickDisk(uint64_t hash, int replica) const {
 }
 
 uint64_t BackendCluster::WalAppend(int disk, uint32_t len,
-                                   std::function<void()> done) {
+                                   Simulator::Fn done) {
   assert(disk >= 0 && disk < num_disks());
   auto& head = wal_head_[static_cast<size_t>(disk)];
   const uint64_t offset = head;

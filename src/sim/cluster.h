@@ -12,7 +12,6 @@
 #define SRC_SIM_CLUSTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -60,11 +59,10 @@ class BackendCluster {
   int num_disks() const { return static_cast<int>(disks_.size()); }
   uint64_t disk_capacity() const { return config_.disk_capacity; }
 
-  // Raw device ops. `disk` in [0, num_disks).
-  void Write(int disk, uint64_t offset, uint32_t len,
-             std::function<void()> done);
-  void Read(int disk, uint64_t offset, uint32_t len,
-            std::function<void()> done);
+  // Raw device ops. `disk` in [0, num_disks). `done` is scheduled on the
+  // simulator as it is: a capture of up to 64 bytes costs no allocation.
+  void Write(int disk, uint64_t offset, uint32_t len, Simulator::Fn done);
+  void Read(int disk, uint64_t offset, uint32_t len, Simulator::Fn done);
 
   // Deterministic placement: the `replica`-th copy of an item with the given
   // hash, on distinct disks.
@@ -73,7 +71,7 @@ class BackendCluster {
   // Appends `len` bytes to the per-disk write-ahead-log region, which is
   // written sequentially (so HDD near-access costs apply), and returns the
   // offset written. Models Ceph OSD journaling behaviour.
-  uint64_t WalAppend(int disk, uint32_t len, std::function<void()> done);
+  uint64_t WalAppend(int disk, uint32_t len, Simulator::Fn done);
 
   // --- statistics ---
   const DiskStats& disk_stats(int disk) const { return disks_[disk]->stats(); }

@@ -12,7 +12,7 @@ HddModel::HddModel(Simulator* sim, HddParams params)
     : sim_(sim), params_(params) {}
 
 void HddModel::Submit(bool is_write, uint64_t offset, uint32_t len,
-                      std::function<void()> done) {
+                      Simulator::Fn done) {
   pending_.push_back(Op{is_write, offset, len, std::move(done)});
   if (!in_service_) {
     StartNext();
@@ -63,17 +63,21 @@ void HddModel::StartNext() {
   const Nanos service = ServiceTime(op);
   Account(op.is_write, op.len, service);
   head_pos_ = op.offset + op.len;
-  sim_->After(service, [this, done = std::move(op.done)]() {
-    done();
-    StartNext();
-  });
+  current_done_ = std::move(op.done);
+  sim_->After(service, [this] { FinishCurrent(); });
+}
+
+void HddModel::FinishCurrent() {
+  Simulator::Fn done = std::move(current_done_);
+  done();
+  StartNext();
 }
 
 BackendSsdModel::BackendSsdModel(Simulator* sim, BackendSsdParams params)
     : params_(params), queue_(sim, params.channels) {}
 
 void BackendSsdModel::Submit(bool is_write, uint64_t offset, uint32_t len,
-                             std::function<void()> done) {
+                             Simulator::Fn done) {
   (void)offset;  // SSDs have no positional cost in this model.
   const Nanos op_cost = is_write ? params_.write_op : params_.read_op;
   const auto transfer = static_cast<Nanos>(

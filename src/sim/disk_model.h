@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 
 #include "src/sim/server_queue.h"
@@ -35,8 +34,9 @@ class DiskModel {
  public:
   virtual ~DiskModel() = default;
 
+  // `done` runs on the simulator when the device completes the op.
   virtual void Submit(bool is_write, uint64_t offset, uint32_t len,
-                      std::function<void()> done) = 0;
+                      Simulator::Fn done) = 0;
 
   const DiskStats& stats() const { return stats_; }
 
@@ -80,23 +80,28 @@ class HddModel : public DiskModel {
   HddModel(Simulator* sim, HddParams params);
 
   void Submit(bool is_write, uint64_t offset, uint32_t len,
-              std::function<void()> done) override;
+              Simulator::Fn done) override;
 
  private:
   struct Op {
     bool is_write;
     uint64_t offset;
     uint32_t len;
-    std::function<void()> done;
+    Simulator::Fn done;
   };
 
   void StartNext();
+  // Completes the op in service and starts the next one.
+  void FinishCurrent();
   Nanos ServiceTime(const Op& op) const;
 
   Simulator* sim_;
   HddParams params_;
   std::deque<Op> pending_;
   bool in_service_ = false;
+  // The op in service's callback: the single actuator serves one op at a
+  // time, so its completion event captures only `this`.
+  Simulator::Fn current_done_;
   uint64_t head_pos_ = 0;
 };
 
@@ -113,7 +118,7 @@ class BackendSsdModel : public DiskModel {
   BackendSsdModel(Simulator* sim, BackendSsdParams params);
 
   void Submit(bool is_write, uint64_t offset, uint32_t len,
-              std::function<void()> done) override;
+              Simulator::Fn done) override;
 
  private:
   BackendSsdParams params_;

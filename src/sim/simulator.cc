@@ -12,16 +12,7 @@ void Simulator::At(Nanos t, Fn fn) {
   if (t < now_) {
     t = now_;  // release-mode safety: keep the ring invariants intact
   }
-  uint32_t slot;
-  if (free_.empty()) {
-    slot = static_cast<uint32_t>(slab_.size());
-    slab_.push_back(std::move(fn));
-  } else {
-    slot = free_.back();
-    free_.pop_back();
-    slab_[slot] = std::move(fn);
-  }
-  Insert(Key{t, next_seq_++, slot});
+  Insert(Key{t, next_seq_++, slab_.Put(std::move(fn))});
   size_++;
 }
 
@@ -145,9 +136,8 @@ bool Simulator::RunNext(Nanos last) {
   size_--;
   processed_++;
   // Moved out before running: the handler may schedule events, which can
-  // reuse this slot or grow the slab.
-  Fn fn = std::move(slab_[key.slot]);
-  free_.push_back(key.slot);
+  // reuse this slot.
+  Fn fn = slab_.Take(key.slot);
   now_ = key.t;
   fn();
   return true;

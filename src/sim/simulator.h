@@ -7,11 +7,13 @@
 //
 // The engine is the innermost loop of every bench, so it is built for
 // wall-clock speed without changing any virtual-time result:
-//  - Callbacks are InlineFn<64>, so typical lambdas (a `this` pointer plus a
-//    few scalars) need no allocation. Each pending callback sits in a slot
-//    of one slab (a vector with a free list): it moves once into its slot
-//    and once out to run. The queues below hold only 24-byte
-//    (time, seq, slot) keys, so heap sifts copy plain structs.
+//  - Callbacks are InlineFn<void(), 64>, so typical lambdas (a `this`
+//    pointer plus a few scalars, or a shared_ptr and a slot index) need no
+//    allocation. Each pending callback sits in a slot of one Slab, whose
+//    fixed 1024-slot chunks never move: a callback moves once into its slot
+//    and once out to run, however many events are pending. The queues below
+//    hold only 24-byte (time, seq, slot) keys, so heap sifts copy plain
+//    structs.
 //  - The keys sit in a two-level calendar. The near ring has 1024 day
 //    buckets of 4.096 us, covering the current aligned 4.19 ms block; each
 //    bucket is a small binary min-heap. The coarse ring has 1024 unsorted
@@ -34,13 +36,14 @@
 #include <vector>
 
 #include "src/util/inline_fn.h"
+#include "src/util/slab.h"
 #include "src/util/units.h"
 
 namespace lsvd {
 
 class Simulator {
  public:
-  using Fn = InlineFn<64>;
+  using Fn = InlineFn<void(), 64>;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -162,10 +165,8 @@ class Simulator {
   size_t size_ = 0;
   uint64_t processed_ = 0;
 
-  // Callback slab: slab_[k.slot] holds the callback of pending key k; free_
-  // lists the empty slots, reused last-freed first.
-  std::vector<Fn> slab_;
-  std::vector<uint32_t> free_;
+  // Callback slab: slab_[k.slot] holds the callback of pending key k.
+  Slab<Fn> slab_;
 
   // Invariants: cur_block_ <= BlockOf(now_); every near key lies in
   // cur_block_, every coarse key in (cur_block_, cur_block_ + kRing), every

@@ -225,14 +225,35 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n) {
 }
 
 uint32_t Crc32cExtendZeros(uint32_t crc, uint64_t n) {
-  const auto& zm = GetZeroMatrices();
-  uint32_t s = ~crc;
-  for (int k = 0; n != 0; n >>= 1, k++) {
-    if (n & 1) {
-      s = ZeroMatrices::Apply(zm.mat[k], s);
-    }
+  if (n == 0) {
+    return crc;
   }
-  return ~s;
+  // The composed operator M^n of the last few n, so a repeated length (a
+  // journal header's zero tail, a record payload) costs one 32-column
+  // application instead of one per set bit of n. Direct-mapped by a hash of
+  // n; thread-local, so threads share nothing. n == 0 marks an empty slot.
+  struct Composed {
+    uint64_t n;
+    uint32_t mat[32];
+  };
+  static constexpr int kSlotBits = 7;
+  thread_local Composed cache[1 << kSlotBits];
+  Composed& slot = cache[(n * 0x9E3779B97F4A7C15ULL) >> (64 - kSlotBits)];
+  if (slot.n != n) {
+    const auto& zm = GetZeroMatrices();
+    for (uint32_t j = 0; j < 32; j++) {
+      uint32_t s = uint32_t{1} << j;
+      uint64_t left = n;
+      for (int k = 0; left != 0; left >>= 1, k++) {
+        if (left & 1) {
+          s = ZeroMatrices::Apply(zm.mat[k], s);
+        }
+      }
+      slot.mat[j] = s;
+    }
+    slot.n = n;
+  }
+  return ~ZeroMatrices::Apply(slot.mat, ~crc);
 }
 
 const char* Crc32cImplName() { return GetDispatch().name; }

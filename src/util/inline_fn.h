@@ -1,13 +1,24 @@
-// InlineFn: a move-only type-erased `void()` callable with small-buffer
-// storage, built for the simulator's event hot path.
+// InlineFn<R(Args...), N>: a move-only type-erased callable with
+// small-buffer storage, for completion callbacks on the simulator's hot
+// paths.
 //
-// `std::function` heap-allocates any capture list larger than two pointers,
-// which puts one malloc/free pair on every scheduled event. InlineFn stores
-// callables up to `kInlineBytes` directly inside the object (no allocation)
-// and falls back to the heap only for oversized or over-aligned captures.
-// Trivially-copyable captures — the overwhelming majority of event lambdas,
-// which capture `this` plus a few integers — relocate with a memcpy instead
-// of a virtual move call.
+// `std::function` heap-allocates any capture list larger than two pointers
+// (or any capture that is not trivially copyable), which puts one
+// malloc/free pair on every callback that carries a `shared_ptr`, a `Buffer`
+// or another callback. InlineFn stores callables up to `N` bytes directly
+// inside the object (no allocation) and falls back to the heap only for
+// oversized or over-aligned captures. Trivially-copyable captures — most
+// event lambdas, which capture `this` plus a few integers — relocate with a
+// memcpy instead of a virtual move call.
+//
+// Two instantiations carry the simulator's callbacks:
+//  - `Simulator::Fn` = InlineFn<void(), 64>, every scheduled event and every
+//    backend-cluster, disk-model and server-queue completion;
+//  - `BlockDevice::WriteCallback` = InlineFn<void(Status), 64> and
+//    `ReadCallback` = InlineFn<void(Result<Buffer>), 64>, the SSD's.
+// A callback that has to hold another InlineFn does not fit in one of the
+// same size; such layers park the inner callback in a slot of their own
+// (see SimSsd's pending slab) and capture the slot index instead.
 #ifndef SRC_UTIL_INLINE_FN_H_
 #define SRC_UTIL_INLINE_FN_H_
 
@@ -19,17 +30,21 @@
 
 namespace lsvd {
 
-template <size_t kInlineBytes>
-class InlineFn {
+template <typename Signature, size_t kInlineBytes>
+class InlineFn;
+
+template <typename R, typename... Args, size_t kInlineBytes>
+class InlineFn<R(Args...), kInlineBytes> {
  public:
   InlineFn() noexcept = default;
 
   template <typename F,
             typename D = std::decay_t<F>,
             typename = std::enable_if_t<
-                !std::is_same_v<D, InlineFn> && std::is_invocable_v<D&>>>
+                !std::is_same_v<D, InlineFn> &&
+                std::is_invocable_r_v<R, D&, Args...>>>
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for
-                     // std::function at every At()/After() call site.
+                     // std::function at every callback parameter.
     if constexpr (FitsInline<D>()) {
       ::new (static_cast<void*>(&storage_)) D(std::forward<F>(f));
       ops_ = InlineOps<D>();
@@ -65,7 +80,9 @@ class InlineFn {
 
   ~InlineFn() { Reset(); }
 
-  void operator()() { ops_->invoke(&storage_); }
+  R operator()(Args... args) {
+    return ops_->invoke(&storage_, std::forward<Args>(args)...);
+  }
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
@@ -78,7 +95,7 @@ class InlineFn {
 
  private:
   struct Ops {
-    void (*invoke)(void* storage);
+    R (*invoke)(void* storage, Args&&... args);
     // Move-constructs `dst` from `src` and destroys `src` (one call instead
     // of a move + destroy pair; memcpy for trivially-copyable captures).
     void (*relocate)(void* dst, void* src) noexcept;
@@ -99,11 +116,22 @@ class InlineFn {
   }
 
   template <typename D>
+  static R Invoke(D& f, Args&&... args) {
+    if constexpr (std::is_void_v<R>) {
+      f(std::forward<Args>(args)...);
+    } else {
+      return f(std::forward<Args>(args)...);
+    }
+  }
+
+  template <typename D>
   static const Ops* InlineOps() {
     if constexpr (std::is_trivially_copyable_v<D> &&
                   std::is_trivially_destructible_v<D>) {
       static constexpr Ops ops = {
-          [](void* s) { (*As<D>(s))(); },
+          [](void* s, Args&&... args) -> R {
+            return Invoke(*As<D>(s), std::forward<Args>(args)...);
+          },
           [](void* dst, void* src) noexcept { std::memcpy(dst, src,
                                                           sizeof(D)); },
           [](void*) noexcept {},
@@ -112,7 +140,9 @@ class InlineFn {
       return &ops;
     } else {
       static constexpr Ops ops = {
-          [](void* s) { (*As<D>(s))(); },
+          [](void* s, Args&&... args) -> R {
+            return Invoke(*As<D>(s), std::forward<Args>(args)...);
+          },
           [](void* dst, void* src) noexcept {
             D* from = As<D>(src);
             ::new (dst) D(std::move(*from));
@@ -128,10 +158,10 @@ class InlineFn {
   template <typename D>
   static const Ops* HeapOps() {
     static constexpr Ops ops = {
-        [](void* s) {
+        [](void* s, Args&&... args) -> R {
           D* heap;
           std::memcpy(&heap, s, sizeof(heap));
-          (*heap)();
+          return Invoke(*heap, std::forward<Args>(args)...);
         },
         [](void* dst, void* src) noexcept {
           std::memcpy(dst, src, sizeof(D*));

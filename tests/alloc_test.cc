@@ -1,19 +1,38 @@
-// Allocation guard for the zero-payload write path: an all-zero Buffer is
-// its size alone, so making, copying, slicing and appending one allocates
-// nothing, and encoding a journal record of a zero payload allocates only
-// the encoded header, its shared_ptr control block and one chunk vector.
+// Allocation guards, counted with a replaced global operator new:
+//  - the zero-payload write path: an all-zero Buffer is its size alone, so
+//    making, copying, slicing and appending one allocates nothing, and
+//    encoding a journal record of a zero payload allocates only the encoded
+//    header, its shared_ptr control block and one chunk vector;
+//  - completions below the virtual disk: a backend-cluster or SSD callback
+//    of up to 64 bytes of capture is held inline all the way to the
+//    simulator, an RBD write keeps one shared state, a bcache writeback
+//    round one state for all its pieces, and a retried GET one request.
 //
 // This binary replaces the global operator new with a counting one, so the
 // counts are exact and deterministic.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
+#include "src/baseline/bcache_device.h"
+#include "src/baseline/rbd_disk.h"
+#include "src/blockdev/sim_ssd.h"
+#include "src/lsvd/client_host.h"
 #include "src/lsvd/journal.h"
 #include "src/lsvd/object_format.h"
+#include "src/lsvd/write_cache.h"
+#include "src/objstore/mem_object_store.h"
+#include "src/objstore/retry.h"
+#include "src/sim/cluster.h"
+#include "src/sim/net_link.h"
+#include "src/sim/simulator.h"
 #include "src/util/buffer.h"
+#include "src/util/rng.h"
 #include "src/util/units.h"
 
 namespace {
@@ -90,6 +109,226 @@ TEST(AllocGuard, DataObjectOfZeroPayloadAllocatesOnlyItsHeader) {
   EXPECT_LE(AllocsIn([&] { size = EncodeDataObject(header, data).size(); }),
             3u);
   EXPECT_EQ(size, DataObjectHeaderSize(2048) + data.size());
+}
+
+// Gives every calendar bucket of `sim` room for 16 keys: 16 events in each
+// day of a block and in each block of the coarse ring, and 16 beyond it.
+// After this, scheduling an event allocates only to grow a bucket past that
+// high-water mark, or the slab past its high-water mark of pending events.
+void WarmCalendar(Simulator* sim) {
+  constexpr Nanos kDay = Nanos{1} << 12;
+  constexpr Nanos kBlock = Nanos{1} << 22;
+  for (Nanos i = 0; i < 1024 * 16; i++) {
+    sim->After(i / 16 * kDay, [] {});
+    sim->After(i / 16 * kBlock, [] {});
+    sim->After(2048 * kBlock, [] {});
+  }
+  sim->Run();
+}
+
+TEST(AllocGuard, ClusterWriteHoldsA64ByteCaptureInline) {
+  Simulator sim;
+  WarmCalendar(&sim);
+  BackendCluster cluster(&sim, ClusterConfig::SsdPool());
+  int hits = 0;
+  std::array<uint64_t, 7> pad{1, 2, 3, 4, 5, 6, 7};
+  const auto done = [&hits, pad] { hits += static_cast<int>(pad[6]); };
+  static_assert(sizeof(done) == 64);
+  const auto write = [&] {
+    cluster.Write(3, kGiB, 4096, done);
+    cluster.WalAppend(5, 4096, done);
+    cluster.Read(7, 2 * kGiB, 4096, done);
+    sim.Run();
+  };
+  // The simulator slab's first chunk and the first write-size histogram
+  // buckets.
+  write();
+  write();
+  EXPECT_EQ(AllocsIn(write), 0u);
+  EXPECT_EQ(hits, 9 * 7);
+}
+
+TEST(AllocGuard, SimSsdCallbacksHoldA48ByteCaptureInline) {
+  Simulator sim;
+  WarmCalendar(&sim);
+  SimSsd ssd(&sim, kGiB, SsdParams::P3700());
+  uint64_t sink = 0;
+  std::array<uint64_t, 5> pad{1, 2, 3, 4, 5};
+  // Zero payloads: the written and read Buffers hold no chunk, so every
+  // count below is the callbacks' and the device's own.
+  const auto cycle = [&](uint64_t offset, uint64_t len) {
+    const auto wrote = [&sink, pad](Status s) { sink += s.ok() ? pad[4] : 0; };
+    const auto flushed = [&sink, pad](Status s) {
+      sink += s.ok() ? pad[3] : 0;
+    };
+    const auto read = [&sink, pad](Result<Buffer> r) {
+      sink += r.ok() ? r->size() + pad[0] : 0;
+    };
+    static_assert(sizeof(wrote) == 48 && sizeof(read) == 48);
+    ssd.Write(offset, Buffer::Zeros(len), wrote);
+    ssd.Flush(flushed);
+    ssd.Read(offset, len, read);
+    sim.Run();
+  };
+  // The device's list of unflushed writes is a deque, which takes a node
+  // every ten writes or so; any callback that allocated would add at least
+  // one per cycle.
+  constexpr uint64_t kCycles = 100;
+  const auto cycles = [&](uint64_t len) {
+    for (uint64_t i = 0; i < kCycles; i++) {
+      cycle(i * len, len);
+    }
+  };
+  cycles(4 * kKiB);  // the pending slab's first chunk
+  EXPECT_LE(AllocsIn([&] { cycles(4 * kKiB); }), kCycles / 8);
+  // A striped request shares its slot across the stripes.
+  EXPECT_LE(AllocsIn([&] { cycles(256 * kKiB); }), kCycles / 8);
+  EXPECT_EQ(sink, 3 * kCycles * (5 + 4 + 1) +
+                      kCycles * (2 * 4 * kKiB + 256 * kKiB));
+}
+
+// The RBD world of the baseline: the SSD pool, a client link and one image.
+struct RbdWorld {
+  static constexpr uint64_t kVolume = 256 * kMiB;
+  Simulator sim;
+  BackendCluster cluster{&sim, ClusterConfig::SsdPool()};
+  NetLink link{&sim, NetParams{}};
+  RbdDisk rbd{&sim, &cluster, &link, kVolume, RbdConfig{}};
+};
+
+TEST(AllocGuard, RbdWriteKeepsOneStatePerWrite) {
+  RbdWorld w;
+  WarmCalendar(&w.sim);
+  Rng rng(1);
+  int acked = 0;
+  const auto write = [&] {
+    w.rbd.Write(rng.Uniform(RbdWorld::kVolume / (4 * kKiB)) * 4 * kKiB,
+                Buffer::Zeros(4 * kKiB), [&acked](Status s) {
+                  acked += s.ok() ? 1 : 0;
+                });
+    w.sim.Run();
+  };
+  for (int i = 0; i < 1000; i++) {
+    write();
+  }
+  // One allocation each: the write's shared state.
+  constexpr int kWrites = 100;
+  EXPECT_LE(AllocsIn([&] {
+              for (int i = 0; i < kWrites; i++) {
+                write();
+              }
+            }),
+            uint64_t{kWrites});
+  EXPECT_EQ(acked, 1000 + kWrites);
+}
+
+TEST(AllocGuard, BcacheWritebackAllocatesAtMostTenPerPiece) {
+  RbdWorld w;
+  WarmCalendar(&w.sim);
+  ClientHostConfig hc;
+  hc.ssd_capacity = kGiB;
+  ClientHost host(&w.sim, hc);
+  constexpr uint64_t kCache = 64 * kMiB;
+  BcacheDevice bcache(&host, &w.rbd, *host.AllocRegion(kCache), kCache,
+                      BcacheConfig{});
+  Rng rng(2);
+  const auto stamp =
+      std::make_shared<const std::vector<uint8_t>>(4 * kKiB, 0xA5);
+  const auto dirty = [&](int blocks) {
+    int acked = 0;
+    for (int i = 0; i < blocks; i++) {
+      Buffer data;
+      data.AppendShared(stamp, 0, stamp->size());
+      bcache.Write(rng.Uniform(RbdWorld::kVolume / (4 * kKiB)) * 4 * kKiB,
+                   std::move(data), [&acked](Status) { acked++; });
+    }
+    // Only until acknowledged: idle writeback would drain them first.
+    while (acked < blocks && w.sim.Step()) {
+    }
+  };
+  dirty(1024);
+  bcache.WritebackAll([] {});
+  w.sim.Run();
+  dirty(1024);
+  const uint64_t ops = bcache.stats().writeback_ops;
+  const uint64_t allocs = AllocsIn([&] {
+    bcache.WritebackAll([] {});
+    w.sim.Run();
+  });
+  const uint64_t pieces = bcache.stats().writeback_ops - ops;
+  ASSERT_GT(pieces, 1000u);
+  EXPECT_EQ(bcache.dirty_bytes(), 0u);
+  EXPECT_LE(allocs, 10 * pieces) << allocs << " allocations for " << pieces
+                                 << " pieces";
+}
+
+TEST(AllocGuard, RetryGetRangeMakesAtMostThreeAllocations) {
+  Simulator sim;
+  WarmCalendar(&sim);
+  MemObjectStore store(&sim);
+  const auto stamp =
+      std::make_shared<const std::vector<uint8_t>>(64 * kKiB, 0x3C);
+  Buffer object;
+  object.AppendShared(stamp, 0, stamp->size());
+  // A short name, held in the string itself (no allocation of its own).
+  store.Put("vol.00000001", object, [](Status) {});
+  sim.Run();
+  RetryPolicy policy;
+  Rng rng(policy.seed);
+  const RetryContext ctx{&sim,    &store, &policy,
+                         &rng,    std::make_shared<bool>(true),
+                         kSecond, [] {},  [] {}};
+  uint64_t got = 0;
+  const auto get = [&] {
+    // The callback fits std::function's own buffer.
+    RetryGetRange(ctx, "vol.00000001", 4 * kKiB, 8 * kKiB,
+                  [&got](Result<Buffer> r) { got += r.ok() ? r->size() : 0; });
+    sim.Run();
+  };
+  get();
+  // The request, the store's std::function callback and the range's chunk
+  // vector.
+  EXPECT_LE(AllocsIn(get), 3u);
+  EXPECT_EQ(got, 2 * 8 * kKiB);
+}
+
+TEST(AllocGuard, JournalRecordWriteCallbackIsInline) {
+  Simulator sim;
+  WarmCalendar(&sim);
+  ClientHostConfig hc;
+  hc.ssd_capacity = kGiB;
+  hc.ssd = SsdParams::Instant();
+  ClientHost host(&sim, hc);
+  constexpr uint64_t kRegion = 64 * kMiB;
+  WriteCache wc(&host, *host.AllocRegion(kRegion), kRegion,
+                StageCosts{0, 0, 0, 0, 0, 0, 0, 0, 0});
+  wc.Format([](Status) {});
+  sim.Run();
+  uint64_t acked = 0;
+  uint64_t batch = 0;
+  // One 4 KiB zero write per journal record, released at once so the log
+  // keeps wrapping.
+  const auto record = [&] {
+    batch++;
+    wc.Append(0, Buffer::Zeros(4 * kKiB), batch,
+              [&acked](Status s) { acked += s.ok() ? 1 : 0; });
+    sim.Run();
+    wc.ReleaseThrough(batch);
+  };
+  for (int i = 0; i < 5000; i++) {  // past a checkpoint and a log wrap
+    record();
+  }
+  constexpr uint64_t kRecords = 1000;  // no checkpoint in this window
+  const uint64_t allocs = AllocsIn([&] {
+    for (uint64_t i = 0; i < kRecords; i++) {
+      record();
+    }
+  });
+  EXPECT_EQ(acked, 5000 + kRecords);
+  // Per record: the encoded header, its control block and its chunk
+  // vector, and the record's extent list, plus the odd deque node (≈ 4.35).
+  // The SSD-write callback, [this, alive, seq] of 32 bytes, adds none.
+  EXPECT_LE(allocs, 9 * kRecords / 2) << allocs << " for " << kRecords;
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "src/objstore/faulty_object_store.h"
 #include "src/objstore/volume_directory.h"
 #include "src/util/crc32c.h"
+#include "src/util/rng.h"
 #include "tests/lsvd_test_util.h"
 
 namespace lsvd {
@@ -1177,6 +1178,93 @@ class ShardedBackendTest : public ::testing::Test {
   std::vector<ObjectStore*> ptrs_;
   std::unique_ptr<BackendStore> store_;
 };
+
+// The utilization sums BackendStore keeps as objects are applied, shrunk by
+// overwrites, cleaned, deleted and recovered must equal a full walk of the
+// per-object accounting after every simulator event: every commit, GC
+// round and delete lands in one.
+class UtilizationSumsTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(UtilizationSumsTest, MatchAFullWalkAfterEveryEvent) {
+  const size_t shards = GetParam();
+  TestWorld world;
+  std::vector<std::unique_ptr<MemObjectStore>> stores;
+  std::vector<ObjectStore*> ptrs;
+  for (size_t i = 0; i < shards; i++) {
+    stores.push_back(std::make_unique<MemObjectStore>(&world.sim));
+    ptrs.push_back(stores.back().get());
+  }
+  LsvdConfig config = TestWorld::SmallVolumeConfig();
+  config.batch_bytes = 64 * kKiB;
+  config.checkpoint_interval_objects = 2;
+  config.gc_enabled = true;
+  auto store = std::make_unique<BackendStore>(&world.host, ptrs, nullptr,
+                                              config);
+  int checks = 0;
+  const auto check = [&](const BackendStore& b) {
+    std::vector<uint64_t> live(shards, 0);
+    std::vector<uint64_t> total(shards, 0);
+    for (uint64_t seq = 1; seq < b.next_seq(); seq++) {
+      if (const auto info = b.object_info_for(seq)) {
+        live[b.ShardOf(seq)] += info->live_bytes;
+        total[b.ShardOf(seq)] += info->total_bytes;
+      }
+    }
+    uint64_t all_live = 0;
+    uint64_t all_total = 0;
+    for (size_t s = 0; s < shards; s++) {
+      all_live += live[s];
+      all_total += total[s];
+      const double want =
+          total[s] == 0 ? 1.0
+                        : static_cast<double>(live[s]) /
+                              static_cast<double>(total[s]);
+      if (shards > 1) {
+        ASSERT_EQ(b.ShardUtilization(s), want) << "shard " << s;
+      }
+    }
+    ASSERT_EQ(b.live_bytes(), all_live);
+    ASSERT_EQ(b.total_bytes(), all_total);
+    checks++;
+  };
+  const auto run = [&](const BackendStore& b) {
+    while (world.sim.Step()) {
+      check(b);
+    }
+  };
+
+  Rng rng(11);
+  for (int round = 0; round < 60; round++) {
+    // Overwrites of a 512 KiB working set, some 4 KiB, some 64 KiB.
+    for (int i = 0; i < 8; i++) {
+      const uint64_t len = rng.Uniform(2) == 0 ? 4 * kKiB : 64 * kKiB;
+      const uint64_t vlba = rng.Uniform(512 * kKiB / len) * len;
+      store->AddWrite(vlba, TestPattern(len, 1000 + round * 8 + i));
+    }
+    if (round % 7 == 0) {
+      store->Seal();
+    }
+    run(*store);
+  }
+  store->Seal();
+  run(*store);
+  EXPECT_GT(store->stats().gc_objects_cleaned, 0u);
+  EXPECT_GT(store->stats().objects_deleted, 0u);
+
+  // Recovery replaces the accounting wholesale (checkpoint, then replay).
+  std::optional<Status> s;
+  auto recovered = std::make_unique<BackendStore>(&world.host, ptrs, nullptr,
+                                                  config);
+  recovered->Recover([&](Status st) { s = st; });
+  run(*recovered);
+  ASSERT_TRUE(s.has_value() && s->ok());
+  check(*recovered);
+  EXPECT_EQ(recovered->live_bytes(), store->live_bytes());
+  EXPECT_GT(checks, 1000);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, UtilizationSumsTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
 
 TEST_F(ShardedBackendTest, RoundRobinStripePlacement) {
   for (int i = 0; i < 8; i++) {

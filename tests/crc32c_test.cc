@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/util/crc32c.h"
@@ -137,6 +138,50 @@ TEST(Crc32c, ExtendZerosMatchesByteLoop) {
   EXPECT_EQ(big, Crc32cExtendZeros(
                      Crc32cExtendZeros(0xDEADBEEF, uint64_t{1} << 39),
                      uint64_t{1} << 39));
+}
+
+// Crc32cExtendZeros caches the composed operator per length in a small
+// thread-local table: interleaved, repeated and evicting lengths must all
+// still match the byte loop, on every thread.
+TEST(Crc32c, ExtendZerosCacheMatchesByteLoopForInterleavedLengths) {
+  std::vector<uint8_t> zeros(1 << 17, 0);
+  // 400 distinct lengths (more than the cache holds, so slots are evicted
+  // and refilled): journal-shaped ones (4 KiB multiples, a header's zero
+  // tail) and random ones.
+  std::vector<uint64_t> lengths;
+  for (uint64_t k = 1; k <= 32; k++) {
+    lengths.push_back(k * 4096);
+    lengths.push_back(4096 - 40 - 16 * k);
+  }
+  Rng rng(5);
+  while (lengths.size() < 400) {
+    lengths.push_back(1 + rng.Uniform(zeros.size()));
+  }
+  const auto check = [&](uint64_t seed, int* mismatches) {
+    Rng r(seed);
+    for (int i = 0; i < 3000; i++) {
+      // Mostly the journal-shaped head of the list, so lengths repeat.
+      const size_t pick = r.Uniform(4) == 0 ? r.Uniform(lengths.size())
+                                            : r.Uniform(64);
+      const uint64_t n = lengths[pick];
+      const auto start = static_cast<uint32_t>(r.Next());
+      if (Crc32cExtendZeros(start, n) !=
+          internal::Crc32cExtendSoftware(start, zeros.data(), n)) {
+        ++*mismatches;
+      }
+    }
+  };
+  int here = 0;
+  check(1, &here);
+  EXPECT_EQ(here, 0);
+  int a = 0;
+  int b = 0;
+  std::thread t1([&] { check(2, &a); });
+  std::thread t2([&] { check(3, &b); });
+  t1.join();
+  t2.join();
+  EXPECT_EQ(a, 0);
+  EXPECT_EQ(b, 0);
 }
 
 TEST(Crc32c, DispatchedImplMatchesSoftware) {

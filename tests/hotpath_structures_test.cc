@@ -14,7 +14,7 @@
 namespace lsvd {
 namespace {
 
-using Fn64 = InlineFn<64>;
+using Fn64 = InlineFn<void(), 64>;
 
 TEST(InlineFn, SmallCaptureStaysInline) {
   int hits = 0;

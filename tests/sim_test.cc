@@ -2,6 +2,9 @@
 // the backend cluster.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/sim/cluster.h"
@@ -9,6 +12,7 @@
 #include "src/sim/net_link.h"
 #include "src/sim/server_queue.h"
 #include "src/sim/simulator.h"
+#include "src/util/rng.h"
 
 namespace lsvd {
 namespace {
@@ -60,6 +64,75 @@ TEST(Simulator, RunUntilAdvancesClockAndStops) {
   EXPECT_EQ(sim.now(), 50);
   sim.Run();
   EXPECT_EQ(fired, 2);
+}
+
+// A callback that counts how often it was move-constructed before it ran.
+struct MoveCountingEvent {
+  MoveCountingEvent(std::vector<std::pair<Nanos, int>>* log, Simulator* sim,
+                    int id, int* max_moves, std::function<void()>* spawn)
+      : log(log), sim(sim), id(id), max_moves(max_moves), spawn(spawn) {}
+  MoveCountingEvent(MoveCountingEvent&& o) noexcept
+      : log(o.log), sim(o.sim), id(o.id), max_moves(o.max_moves),
+        spawn(o.spawn), moves(o.moves + 1) {}
+  MoveCountingEvent(const MoveCountingEvent&) = delete;
+
+  void operator()() {
+    *max_moves = std::max(*max_moves, moves);
+    log->push_back({sim->now(), id});
+    if (spawn != nullptr && *spawn) {
+      (*spawn)();
+    }
+  }
+
+  std::vector<std::pair<Nanos, int>>* log;
+  Simulator* sim;
+  int id;
+  int* max_moves;
+  std::function<void()>* spawn;
+  int moves = 0;
+};
+
+TEST(Simulator, PendingCallbacksNeverMoveAndRunInOrderAcrossSlabChunks) {
+  Simulator sim;
+  Rng rng(7);
+  std::vector<std::pair<Nanos, int>> log;
+  std::vector<Nanos> due;  // by id: the time each event was scheduled for
+  int max_moves = 0;
+  std::function<void()> spawn;
+  const auto schedule = [&](Nanos t) {
+    const int id = static_cast<int>(due.size());
+    due.push_back(t);
+    // Coarse times, so many events share a timestamp.
+    sim.At(t, MoveCountingEvent(&log, &sim, id, &max_moves, &spawn));
+  };
+  // Handlers keep adding events while thousands are pending, so the slab
+  // grows under pending and running callbacks alike.
+  spawn = [&] {
+    if (due.size() < 6000) {
+      schedule(sim.now() + static_cast<Nanos>(rng.Uniform(50)) * 100);
+      schedule(sim.now() + static_cast<Nanos>(rng.Uniform(50)) * 100);
+    }
+  };
+  for (int i = 0; i < 3000; i++) {
+    schedule(static_cast<Nanos>(rng.Uniform(200)) * 100);
+  }
+  EXPECT_GE(sim.pending_events(), 3000u);
+  sim.Run();
+
+  ASSERT_EQ(log.size(), due.size());
+  // One move into the Fn argument, one into its slab slot and one out of
+  // it to run; none while pending.
+  EXPECT_EQ(max_moves, 3);
+  for (size_t i = 0; i < log.size(); i++) {
+    EXPECT_EQ(log[i].first, due[static_cast<size_t>(log[i].second)]);
+    if (i > 0) {
+      // (t, seq) order: ids are handed out in scheduling order.
+      EXPECT_TRUE(log[i - 1].first < log[i].first ||
+                  (log[i - 1].first == log[i].first &&
+                   log[i - 1].second < log[i].second))
+          << "event " << i;
+    }
+  }
 }
 
 TEST(ServerQueue, SingleServerSerializes) {
