@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/util/buffer.h"
@@ -216,12 +217,24 @@ struct Segment {
   uint64_t len;
 };
 
+// gtest lists each case with a byte dump of this struct, so the fields that
+// hold no pointers come first: the start of every listed name is then the
+// same from run to run, where pointer bytes move with address randomisation.
 struct ZeroCase {
+  ZeroCase(const char* name, std::vector<Segment> left,
+           std::vector<Segment> right, uint64_t slice_offset = 0,
+           uint64_t slice_len = UINT64_MAX)
+      : slice_offset(slice_offset),
+        slice_len(slice_len),
+        name(name),
+        left(std::move(left)),
+        right(std::move(right)) {}
+
+  uint64_t slice_offset;
+  uint64_t slice_len;  // UINT64_MAX: the whole buffer
   const char* name;
   std::vector<Segment> left;
   std::vector<Segment> right;  // appended onto `left` as a second buffer
-  uint64_t slice_offset = 0;
-  uint64_t slice_len = UINT64_MAX;  // whole buffer
 };
 
 // The buffer a segment list builds, its bytes, and which bytes came from a
