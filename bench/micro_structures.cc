@@ -27,6 +27,7 @@
 #include "src/lsvd/paged_extent_map.h"
 #include "src/lsvd/write_cache.h"
 #include "src/objstore/mem_object_store.h"
+#include "src/objstore/sim_object_store.h"
 #include "src/sim/cluster.h"
 #include "src/sim/net_link.h"
 #include "src/sim/simulator.h"
@@ -462,6 +463,83 @@ void BM_LsvdDiskWrite4K(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_LsvdDiskWrite4K);
+
+// Where a BM_LsvdDiskRead4K read is served.
+enum class ReadRoute { kWriteCache, kReadCache, kBackend };
+
+// A 4 KiB LsvdDisk read, one at a time, from Read() to its callback, served
+// by the write cache, the read cache, or (missing both) the backend over
+// SimObjectStore with its 256 KiB prefetch into the read cache. The volume
+// holds zeros, so the data costs no allocation: allocs_per_op is the read
+// path's own. Backend reads stride 1 MiB over a 256 MiB volume, more
+// windows than the 32 MiB read cache holds, so every one misses.
+void BM_LsvdDiskRead4K(benchmark::State& state, ReadRoute route) {
+  constexpr uint64_t kVolume = 256 * kMiB;
+  Simulator sim;
+  ClientHostConfig hc;
+  hc.ssd_capacity = kGiB;
+  ClientHost host(&sim, hc);
+  BackendCluster cluster(&sim, ClusterConfig::SsdPool());
+  NetLink link(&sim, NetParams{});
+  SimObjectStore store(&sim, &cluster, &link, SimObjectStoreConfig{});
+  LsvdConfig config;
+  config.volume_name = "vol";
+  config.volume_size = kVolume;
+  config.write_cache_size = 64 * kMiB;
+  config.read_cache_size = 32 * kMiB;
+  config.batch_bytes = 8 * kMiB;
+  LsvdDisk disk(&host, &store, config);
+  disk.Create([](Status) {});
+  sim.Run();
+  for (uint64_t off = 0; off < kVolume; off += kMiB) {
+    disk.Write(off, Buffer::Zeros(kMiB), [](Status) {});
+  }
+  disk.Drain([](Status) {});
+  sim.Run();
+  disk.write_cache().EvictReleasable([](Status) {});
+  sim.Run();
+  if (route == ReadRoute::kWriteCache) {
+    disk.Write(0, Buffer::Zeros(4 * kKiB), [](Status) {});
+    sim.Run();
+  }
+
+  uint64_t next = 0;
+  uint64_t failed = 0;
+  const auto read = [&] {
+    uint64_t offset = 0;
+    if (route == ReadRoute::kBackend) {
+      offset = next;
+      next = (next + kMiB) % kVolume;
+    }
+    disk.Read(offset, 4 * kKiB, [&failed](Result<Buffer> r) {
+      failed += r.ok() ? 0 : 1;
+    });
+    sim.Run();
+  };
+  for (int i = 0; i < 512; i++) {
+    read();
+  }
+  const LsvdDiskStats before = disk.stats();
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    read();
+  }
+  const LsvdDiskStats after = disk.stats();
+  const uint64_t served =
+      route == ReadRoute::kWriteCache  ? after.write_cache_hits -
+                                             before.write_cache_hits
+      : route == ReadRoute::kReadCache ? after.read_cache_hits -
+                                             before.read_cache_hits
+                                       : after.backend_reads -
+                                             before.backend_reads;
+  if (failed > 0 || served != static_cast<uint64_t>(state.iterations())) {
+    state.SkipWithError("read failed or took another route");
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_LsvdDiskRead4K, write_cache, ReadRoute::kWriteCache);
+BENCHMARK_CAPTURE(BM_LsvdDiskRead4K, read_cache, ReadRoute::kReadCache);
+BENCHMARK_CAPTURE(BM_LsvdDiskRead4K, backend, ReadRoute::kBackend);
 
 // The RBD baseline's 4 KiB write in steady state: zero-filled random writes
 // at queue depth 32 (client link, three WAL appends and

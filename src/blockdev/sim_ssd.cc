@@ -18,9 +18,12 @@ SimSsd::SimSsd(Simulator* sim, uint64_t capacity, SsdParams params)
       read_queue_(sim, params.channels),
       write_queue_(sim, params.channels) {
   assert(Aligned(capacity));
+  // Full size up front: MatchStream never grows them.
+  write_streams_.reserve(params_.stream_slots + 1);
+  read_streams_.reserve(params_.stream_slots + 1);
 }
 
-bool SimSsd::MatchStream(std::deque<uint64_t>* streams, uint64_t offset,
+bool SimSsd::MatchStream(std::vector<uint64_t>* streams, uint64_t offset,
                          uint64_t end) {
   auto it = std::find(streams->begin(), streams->end(), offset);
   const bool sequential = it != streams->end();
@@ -28,8 +31,9 @@ bool SimSsd::MatchStream(std::deque<uint64_t>* streams, uint64_t offset,
     streams->erase(it);
   }
   streams->push_back(end);
-  while (streams->size() > params_.stream_slots) {
-    streams->pop_front();
+  if (streams->size() > params_.stream_slots) {
+    const auto keep = static_cast<ptrdiff_t>(params_.stream_slots);
+    streams->erase(streams->begin(), streams->end() - keep);
   }
   return sequential;
 }
@@ -92,7 +96,11 @@ void SimSsd::Complete(uint32_t slot) {
   // the callback may submit new requests.
   Pending& op = pending_[slot];
   if (op.read_done) {
-    op.read_done(std::move(op.data));
+    if (op.failed) {
+      op.read_done(Status::Unavailable("injected SSD read failure"));
+    } else {
+      op.read_done(std::move(op.data));
+    }
   } else if (op.failed) {
     op.write_done(Status::Unavailable("injected SSD write failure"));
   } else {
@@ -143,7 +151,12 @@ void SimSsd::Read(uint64_t offset, uint64_t len, ReadCallback done) {
   const uint32_t slot = pending_.Alloc();
   Pending& op = pending_[slot];
   op.read_done = std::move(done);
-  op.data = current_.Read(offset, len);
+  if (fail_next_reads_ > 0) {
+    fail_next_reads_--;
+    op.failed = true;
+  } else {
+    op.data = current_.Read(offset, len);
+  }
   SubmitOp(false, offset, len, slot);
 }
 
@@ -154,25 +167,37 @@ void SimSsd::Flush(WriteCallback done) {
   const uint32_t slot = pending_.Alloc();
   pending_[slot].write_done = std::move(done);
   write_queue_.Submit(params_.flush, [this, covers, slot]() {
-    while (!unflushed_.empty() && unflushed_.front().seq < covers) {
-      durable_.Write(unflushed_.front().offset, unflushed_.front().data);
-      unflushed_.pop_front();
+    while (unflushed_head_ < unflushed_.size() &&
+           unflushed_[unflushed_head_].seq < covers) {
+      Unflushed& w = unflushed_[unflushed_head_++];
+      durable_.Write(w.offset, w.data);
+      w.data = Buffer();
+    }
+    // The promoted writes leave the front once they are half the list.
+    if (2 * unflushed_head_ >= unflushed_.size()) {
+      unflushed_.erase(unflushed_.begin(),
+                       unflushed_.begin() +
+                           static_cast<ptrdiff_t>(unflushed_head_));
+      unflushed_head_ = 0;
     }
     Complete(slot);
   });
 }
 
 void SimSsd::PowerFail() {
-  for (const Unflushed& w : unflushed_) {
-    current_.CopyFrom(durable_, w.offset, w.data.size());
+  for (size_t i = unflushed_head_; i < unflushed_.size(); i++) {
+    current_.CopyFrom(durable_, unflushed_[i].offset,
+                      unflushed_[i].data.size());
   }
   unflushed_.clear();
+  unflushed_head_ = 0;
 }
 
 void SimSsd::DiscardAll() {
   current_.Clear();
   durable_.Clear();
   unflushed_.clear();
+  unflushed_head_ = 0;
 }
 
 }  // namespace lsvd

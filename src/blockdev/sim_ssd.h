@@ -17,8 +17,8 @@
 #define SRC_BLOCKDEV_SIM_SSD_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "src/blockdev/block_device.h"
 #include "src/blockdev/block_store.h"
@@ -101,6 +101,8 @@ class SimSsd : public BlockDevice {
   // The next `n` writes complete with Unavailable after their service time
   // and store nothing (media error / aborted command).
   void FailNextWrites(int n) { fail_next_writes_ += n; }
+  // The next `n` reads complete with Unavailable after their service time.
+  void FailNextReads(int n) { fail_next_reads_ += n; }
 
   const SsdStats& stats() const { return stats_; }
 
@@ -120,7 +122,7 @@ class SimSsd : public BlockDevice {
     ReadCallback read_done;    // reads
     Buffer data;               // a read's bytes
     uint64_t stripes = 0;      // channel occupations still in service
-    bool failed = false;       // an injected write failure
+    bool failed = false;       // an injected write or read failure
   };
 
   // Occupies channels for the request in pending_[slot] (striping large
@@ -129,7 +131,7 @@ class SimSsd : public BlockDevice {
   void SubmitOp(bool is_write, uint64_t offset, uint64_t len, uint32_t slot);
   // Runs pending_[slot]'s callback and frees the slot.
   void Complete(uint32_t slot);
-  bool MatchStream(std::deque<uint64_t>* streams, uint64_t offset,
+  bool MatchStream(std::vector<uint64_t>* streams, uint64_t offset,
                    uint64_t end);
 
   Simulator* sim_;
@@ -142,14 +144,19 @@ class SimSsd : public BlockDevice {
   ServerQueue write_queue_;
   BlockStore current_;  // what reads see: every accepted write
   BlockStore durable_;  // what survives PowerFail
-  // Accepted writes not yet in durable_, oldest first; a completed flush
-  // promotes those accepted before it was issued. PowerFail drops them, so
-  // a flush still in flight across a failure finds nothing to promote.
-  std::deque<Unflushed> unflushed_;
+  // Accepted writes not yet in durable_, oldest first from unflushed_head_;
+  // a completed flush promotes those accepted before it was issued.
+  // PowerFail drops them, so a flush still in flight across a failure finds
+  // nothing to promote. A vector, not a deque: emptied by a flush it keeps
+  // its capacity, so steady write/flush cycles allocate nothing.
+  std::vector<Unflushed> unflushed_;
+  size_t unflushed_head_ = 0;
   uint64_t next_write_seq_ = 0;
-  std::deque<uint64_t> write_streams_;  // recent write end offsets
-  std::deque<uint64_t> read_streams_;
+  // Recent request end offsets, oldest first, at most stream_slots each.
+  std::vector<uint64_t> write_streams_;
+  std::vector<uint64_t> read_streams_;
   int fail_next_writes_ = 0;
+  int fail_next_reads_ = 0;
   Slab<Pending, 256> pending_;
   SsdStats stats_;
 };

@@ -431,24 +431,25 @@ void LsvdDisk::Read(uint64_t offset, uint64_t len,
   }
   c_reads_->Inc();
   c_read_bytes_->Inc(len);
-  const Nanos started = host_->sim()->now();
+  const uint32_t slot = reading_.Alloc();
+  Reading& rd = reading_[slot];
+  rd.offset = offset;
+  rd.len = len;
+  rd.started = host_->sim()->now();
+  rd.done = std::move(done);
   if (qos_id_ < 0) {
-    ReadAdmitted(offset, len, started, std::move(done));
+    ReadAdmitted(slot);
     return;
   }
   auto alive = alive_;
-  host_->qos()->Admit(qos_id_, len,
-                      [this, alive, offset, len, started,
-                       done = std::move(done)]() mutable {
-    if (!*alive) {
-      return;
+  host_->qos()->Admit(qos_id_, len, [this, alive, slot] {
+    if (*alive) {
+      ReadAdmitted(slot);
     }
-    ReadAdmitted(offset, len, started, std::move(done));
   });
 }
 
-void LsvdDisk::ReadAdmitted(uint64_t offset, uint64_t len, Nanos started,
-                            std::function<void(Result<Buffer>)> done) {
+void LsvdDisk::ReadAdmitted(uint32_t slot) {
   // Charge the kernel-side lookup once per client read, then route. The plan
   // is built in the same event that issues its cache reads: built before the
   // charge, it could name write-cache space that was evicted and rewritten,
@@ -456,24 +457,31 @@ void LsvdDisk::ReadAdmitted(uint64_t offset, uint64_t len, Nanos started,
   auto alive = alive_;
   host_->kernel_cpu()->Submit(
       config_.costs.read_map_lookup + config_.costs.read_hit,
-      [this, alive, offset, len, started, done = std::move(done)]() mutable {
+      [this, alive, slot] {
     if (*alive) {
-      RouteRead(offset, len, started, std::move(done));
+      RouteRead(slot);
     }
   });
 }
 
-void LsvdDisk::RouteRead(uint64_t offset, uint64_t len, Nanos started,
-                         std::function<void(Result<Buffer>)> done) {
+Histogram* LsvdDisk::RouteHistogram(FragmentKind kind) const {
+  switch (kind) {
+    case FragmentKind::kWriteCache:
+      return h_read_write_cache_us_;
+    case FragmentKind::kReadCache:
+      return h_read_read_cache_us_;
+    case FragmentKind::kBackend:
+      return h_read_backend_us_;
+    case FragmentKind::kZero:
+      return h_read_zero_us_;
+  }
+  return nullptr;
+}
+
+void LsvdDisk::RouteRead(uint32_t slot) {
+  Reading& rd = reading_[slot];
   // Build the routing plan: write cache > read cache > backend > zeros.
-  struct Fragment {
-    FragmentKind kind;
-    uint64_t vlba;
-    uint64_t len;
-    uint64_t plba = 0;   // caches
-    ObjTarget target{};  // backend
-  };
-  auto plan = std::make_shared<std::vector<Fragment>>();
+  SmallVector<Fragment, 4>& plan = rd.plan;
   ExtentMap<SsdTarget>::SegmentVec wsegs;
   ExtentMap<SsdTarget>::SegmentVec rsegs;
   ExtentMap<ObjTarget>::SegmentVec osegs;
@@ -481,18 +489,17 @@ void LsvdDisk::RouteRead(uint64_t offset, uint64_t len, Nanos started,
     read_cache_->map().Lookup(start, sublen, &rsegs);
     for (const auto& rseg : rsegs) {
       if (rseg.target.has_value()) {
-        plan->push_back(Fragment{FragmentKind::kReadCache, rseg.start,
-                                 rseg.len, rseg.target->plba, {}});
+        plan.push_back(Fragment{FragmentKind::kReadCache, rseg.start,
+                                rseg.len, rseg.target->plba});
         continue;
       }
       backend_->object_map().Lookup(rseg.start, rseg.len, &osegs);
       for (const auto& oseg : osegs) {
         if (oseg.target.has_value()) {
-          plan->push_back(Fragment{FragmentKind::kBackend, oseg.start,
-                                   oseg.len, 0, *oseg.target});
+          plan.push_back(Fragment{FragmentKind::kBackend, oseg.start,
+                                  oseg.len, 0, *oseg.target});
         } else {
-          plan->push_back(Fragment{FragmentKind::kZero, oseg.start, oseg.len,
-                                   0, {}});
+          plan.push_back(Fragment{FragmentKind::kZero, oseg.start, oseg.len});
         }
       }
     }
@@ -501,11 +508,11 @@ void LsvdDisk::RouteRead(uint64_t offset, uint64_t len, Nanos started,
   // layers below the write cache: a trimmed range reads as zeros even while
   // older backend objects still hold its pre-trim data.
   const ExtentMap<ObjTarget>& trim_map = write_cache_->trim_map();
-  write_cache_->map().Lookup(offset, len, &wsegs);
+  write_cache_->map().Lookup(rd.offset, rd.len, &wsegs);
   for (const auto& wseg : wsegs) {
     if (wseg.target.has_value()) {
-      plan->push_back(Fragment{FragmentKind::kWriteCache, wseg.start,
-                               wseg.len, wseg.target->plba, {}});
+      plan.push_back(Fragment{FragmentKind::kWriteCache, wseg.start,
+                              wseg.len, wseg.target->plba});
       continue;
     }
     if (trim_map.empty()) {
@@ -516,121 +523,89 @@ void LsvdDisk::RouteRead(uint64_t offset, uint64_t len, Nanos started,
     trim_map.Lookup(wseg.start, wseg.len, &tsegs);
     for (const auto& tseg : tsegs) {
       if (tseg.target.has_value()) {
-        plan->push_back(Fragment{FragmentKind::kZero, tseg.start, tseg.len,
-                                 0, {}});
+        plan.push_back(Fragment{FragmentKind::kZero, tseg.start, tseg.len});
       } else {
         plan_below_write_cache(tseg.start, tseg.len);
       }
     }
   }
+  const auto n = static_cast<uint32_t>(plan.size());
+  for (uint32_t i = 0; i < n; i++) {
+    rd.parts.emplace_back();
+  }
+  rd.remaining = n;
 
-  auto parts = std::make_shared<std::vector<Buffer>>(plan->size());
-  auto remaining = std::make_shared<size_t>(plan->size());
-  auto failed = std::make_shared<bool>(false);
+  // Issue the fragments in plan order. Only a zero fragment lands inside
+  // this loop, and only the last fragment to land frees the slot, so the
+  // loop never touches the slot after issuing its last fragment.
   auto alive = alive_;
-  // Per-fragment routing latency (submit -> fragment data available), into
-  // the per-route histogram; end-to-end latency recorded when the last
-  // fragment lands. Callers reach here only through component callbacks that
-  // are gated on their own alive flags, but guard anyway for the synchronous
-  // kZero path during teardown.
-  auto route_hist = [this](FragmentKind kind) -> Histogram* {
-    switch (kind) {
-      case FragmentKind::kWriteCache:
-        return h_read_write_cache_us_;
-      case FragmentKind::kReadCache:
-        return h_read_read_cache_us_;
-      case FragmentKind::kBackend:
-        return h_read_backend_us_;
-      case FragmentKind::kZero:
-        return h_read_zero_us_;
-    }
-    return nullptr;
-  };
-  auto finish_part = [this, alive, started, plan, parts, remaining, failed,
-                      route_hist, done](size_t i, Result<Buffer> r) {
-    if (*alive) {
-      const Nanos elapsed = host_->sim()->now() - started;
-      RecordLatencyUs(route_hist((*plan)[i].kind), elapsed);
-    }
-    if (r.ok()) {
-      (*parts)[i] = std::move(r).value();
-    } else if (!*failed) {
-      *failed = true;
-      done(r.status());
-    }
-    if (--*remaining == 0 && !*failed) {
-      if (*alive) {
-        RecordLatencyUs(h_read_e2e_us_, host_->sim()->now() - started);
-      }
-      Buffer out;
-      for (auto& p : *parts) {
-        out.Append(p);
-      }
-      done(out);
-    }
-  };
-
-  for (size_t i = 0; i < plan->size(); i++) {
-    const Fragment& frag = (*plan)[i];
+  for (uint32_t i = 0; i < n; i++) {
+    Fragment& frag = rd.plan[i];
     switch (frag.kind) {
       case FragmentKind::kWriteCache:
         c_write_cache_hits_->Inc();
         write_cache_->ReadData(frag.plba, frag.len,
-                               [i, finish_part](Result<Buffer> r) {
-          finish_part(i, std::move(r));
+                               [this, alive, slot, i](Result<Buffer> r) {
+          if (*alive) {
+            FinishFragment(slot, i, std::move(r));
+          }
         });
         break;
       case FragmentKind::kReadCache:
         c_read_cache_hits_->Inc();
         read_cache_->ReadData(frag.plba, frag.len,
-                              [i, finish_part](Result<Buffer> r) {
-          finish_part(i, std::move(r));
+                              [this, alive, slot, i](Result<Buffer> r) {
+          if (*alive) {
+            FinishFragment(slot, i, std::move(r));
+          }
         });
         break;
       case FragmentKind::kZero:
         c_zero_reads_->Inc();
-        finish_part(i, Buffer::Zeros(frag.len));
+        FinishFragment(slot, i, Buffer::Zeros(frag.len));
         break;
       case FragmentKind::kBackend: {
         c_backend_reads_->Inc();
         // Temporal-locality prefetch (§3.2): extend the fetch to the
         // remainder of the extent, up to the prefetch window — data written
         // together is fetched together.
-        uint64_t fetch_len = frag.len;
-        if (fetch_len < kPrefetchBytes) {
+        frag.fetch_len = frag.len;
+        if (frag.len < kPrefetchBytes) {
           backend_->object_map().Lookup(frag.vlba, kPrefetchBytes, &osegs);
           if (!osegs.empty() && osegs[0].target.has_value() &&
               *osegs[0].target == frag.target) {
-            fetch_len = std::min(osegs[0].len, kPrefetchBytes);
+            frag.fetch_len = std::max(std::min(osegs[0].len, kPrefetchBytes),
+                                      frag.len);
           }
         }
-        fetch_len = std::max(fetch_len, frag.len);
         // Miss path overheads (Table 6): kernel/user transitions + daemon.
         host_->kernel_cpu()->Submit(config_.costs.read_miss_kernel,
-                                    [this, alive, i, frag, fetch_len,
-                                     finish_part]() {
+                                    [this, alive, slot, i] {
           if (!*alive) {
             return;
           }
           host_->user_cpu()->Submit(config_.costs.read_miss_golang,
-                                    [this, alive, i, frag, fetch_len,
-                                     finish_part]() {
+                                    [this, alive, slot, i] {
             if (!*alive) {
               return;
             }
-            backend_->Fetch(frag.target, fetch_len,
-                            [this, alive, i, frag,
-                             finish_part](Result<Buffer> r) {
-              if (!*alive) {
-                return;
-              }
+            const Fragment& f = reading_[slot].plan[i];
+            // No alive check of its own: the backend's retry driver drops
+            // the answer once the backend is killed, and Kill kills the
+            // backend with the disk. The capture fits std::function's
+            // buffer.
+            backend_->Fetch(f.target, f.fetch_len,
+                            [this, slot, i](Result<Buffer> r) {
+              const Fragment& fetched = reading_[slot].plan[i];
               if (r.ok()) {
                 // Cache the fetched window (the requested fragment plus
                 // prefetch), then return the requested part.
-                CacheFetched(frag.vlba, frag.target, *r);
-                r = r->Slice(0, frag.len);
+                CacheFetched(fetched.vlba, fetched.target, *r);
+                if (r->size() != fetched.len) {
+                  r = r->Slice(0, fetched.len);
+                }
               }
-              finish_part(i, std::move(r));
+              FinishFragment(slot, i, std::move(r));
             });
           });
         });
@@ -638,6 +613,43 @@ void LsvdDisk::RouteRead(uint64_t offset, uint64_t len, Nanos started,
       }
     }
   }
+}
+
+void LsvdDisk::FinishFragment(uint32_t slot, uint32_t i, Result<Buffer> r) {
+  Reading& rd = reading_[slot];
+  // Per-fragment routing latency (submit -> fragment data available), into
+  // the per-route histogram; end-to-end latency when the last one lands.
+  const Nanos now = host_->sim()->now();
+  RecordLatencyUs(RouteHistogram(rd.plan[i].kind), now - rd.started);
+  if (r.ok()) {
+    rd.parts[i] = std::move(r).value();
+  } else if (!rd.failed) {
+    rd.failed = true;
+    // The slot stays taken until the other fragments land; slab slots never
+    // move, so `rd` outlives a `done` that issues more reads.
+    const auto done = std::move(rd.done);
+    done(r.status());
+  }
+  if (--rd.remaining > 0) {
+    return;
+  }
+  if (rd.failed) {
+    reading_.Free(slot);
+    return;
+  }
+  RecordLatencyUs(h_read_e2e_us_, now - rd.started);
+  Buffer out;
+  if (rd.parts.size() == 1) {
+    out = std::move(rd.parts[0]);
+  } else {
+    for (const Buffer& p : rd.parts) {
+      out.Append(p);
+    }
+  }
+  // Free the slot first: `done` may issue the next read into it.
+  const auto done = std::move(rd.done);
+  reading_.Free(slot);
+  done(std::move(out));
 }
 
 void LsvdDisk::CacheFetched(uint64_t vlba, ObjTarget target,

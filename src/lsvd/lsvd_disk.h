@@ -34,6 +34,7 @@
 #include "src/objstore/object_store.h"
 #include "src/util/metrics.h"
 #include "src/util/slab.h"
+#include "src/util/small_vector.h"
 
 namespace lsvd {
 
@@ -148,6 +149,9 @@ class LsvdDisk : public VirtualDisk {
   uint64_t volume_size() const { return config_.volume_size; }
   const LsvdConfig& config() const { return config_; }
   LsvdDiskStats stats() const;
+  // Reads between their call and their last fragment; a read whose `done`
+  // ran with an error stays here until its other fragments land.
+  size_t reads_in_flight() const { return reading_.live(); }
   // The registry holding every metric of this disk and its components.
   MetricsRegistry& metrics() { return *metrics_; }
   const MetricsRegistry& metrics() const { return *metrics_; }
@@ -184,12 +188,39 @@ class LsvdDisk : public VirtualDisk {
   // The journal record holding slot `slot` is on the SSD: record the ack
   // latency, drop stale read-cache lines and run the caller's `done`.
   void Acked(uint32_t slot, Status s);
-  void ReadAdmitted(uint64_t offset, uint64_t len, Nanos started,
-                    std::function<void(Result<Buffer>)> done);
+  // A client read from its call to its last fragment: the routing plan,
+  // each fragment's data and the caller's `done`. It sits in a slab slot,
+  // so the QoS, kernel-CPU, user-CPU, cache-read and fetch callbacks capture
+  // only the slot and a fragment index, and a 4 KiB read allocates nothing
+  // of its own.
+  struct Fragment {
+    FragmentKind kind = FragmentKind::kZero;
+    uint64_t vlba = 0;
+    uint64_t len = 0;
+    uint64_t plba = 0;       // caches
+    ObjTarget target{};      // backend
+    uint64_t fetch_len = 0;  // backend: len plus the prefetch window
+  };
+  struct Reading {
+    uint64_t offset = 0;
+    uint64_t len = 0;
+    Nanos started = 0;  // pre-admission: throttle wait counts in latency
+    SmallVector<Fragment, 4> plan;
+    SmallVector<Buffer, 4> parts;  // one per fragment, filled as they land
+    size_t remaining = 0;          // fragments not yet landed
+    bool failed = false;           // `done` already ran with an error
+    std::function<void(Result<Buffer>)> done;
+  };
+  // Charges the kernel-side lookup for the read in `slot`, then routes it.
+  void ReadAdmitted(uint32_t slot);
   // Routes a read once its lookup is charged: plans fragments across the
   // write cache, read cache, backend and zeros, and issues them.
-  void RouteRead(uint64_t offset, uint64_t len, Nanos started,
-                 std::function<void(Result<Buffer>)> done);
+  void RouteRead(uint32_t slot);
+  // Fragment `i` of the read in `slot` has landed with `r`. The first
+  // error runs `done` at once; the last fragment to land frees the slot
+  // and, if nothing failed, runs `done` with the assembled data.
+  void FinishFragment(uint32_t slot, uint32_t i, Result<Buffer> r);
+  Histogram* RouteHistogram(FragmentKind kind) const;
   // Installs a completed backend fetch of `target` at `vlba` in the read
   // cache, minus the pieces a newer write or trim has superseded.
   void CacheFetched(uint64_t vlba, ObjTarget target, const Buffer& data);
@@ -214,6 +245,8 @@ class LsvdDisk : public VirtualDisk {
   bool batch_timer_armed_ = false;
   // Writes and trims between admission and ack.
   Slab<Journaled, 256> journaled_;
+  // Reads between their call and their last fragment.
+  Slab<Reading, 256> reading_;
 
   // Host registrations: QoS admission (-1 = uncapped volume, admission
   // bypassed) and the host's attached-volume registry.

@@ -81,7 +81,7 @@ Nanos QosScheduler::AdmitEta(Volume* v, uint64_t bytes) {
   return eta;
 }
 
-void QosScheduler::Admit(int id, uint64_t bytes, std::function<void()> fn) {
+void QosScheduler::Admit(int id, uint64_t bytes, Simulator::Fn fn) {
   auto it = volumes_.find(id);
   if (it == volumes_.end()) {
     return;  // detached volume: drop, like a killed component's callbacks

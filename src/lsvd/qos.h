@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -112,8 +111,9 @@ class QosScheduler {
   // disk components: a detached volume's pending work just disappears).
   void UnregisterVolume(int id);
 
-  // Runs `fn` when the volume's buckets allow one op of `bytes` bytes.
-  void Admit(int id, uint64_t bytes, std::function<void()> fn);
+  // Runs `fn` when the volume's buckets allow one op of `bytes` bytes. A
+  // capture of up to 64 bytes is held without allocating.
+  void Admit(int id, uint64_t bytes, Simulator::Fn fn);
 
   size_t queued() const;
   uint64_t throttled() const { return total_throttled_; }
@@ -122,7 +122,7 @@ class QosScheduler {
   struct PendingOp {
     uint64_t bytes = 0;
     Nanos enqueued_at = 0;
-    std::function<void()> fn;
+    Simulator::Fn fn;
   };
   struct Volume {
     std::string name;

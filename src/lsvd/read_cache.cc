@@ -58,14 +58,8 @@ ReadCacheStats ReadCache::stats() const {
 }
 
 void ReadCache::ReadData(uint64_t plba, uint64_t len,
-                         std::function<void(Result<Buffer>)> done) {
-  auto alive = alive_;
-  ssd_->Read(plba, len, [alive, done = std::move(done)](Result<Buffer> r) {
-    if (!*alive) {
-      return;
-    }
-    done(std::move(r));
-  });
+                         BlockDevice::ReadCallback done) {
+  ssd_->Read(plba, len, std::move(done));
 }
 
 void ReadCache::EvictSlot(uint64_t slot) {
@@ -110,16 +104,18 @@ void ReadCache::Insert(uint64_t vlba, const Buffer& data) {
     // until then reads for this range keep missing to the backend. A failed
     // fill just frees the slot — only a future re-fetch, never a map entry
     // routing reads to data that never landed.
-    auto pending = std::make_shared<PendingFill>(PendingFill{piece_vlba, n});
-    pending_fills_.push_back(pending);
+    pending_fills_.push_back(PendingFill{piece_vlba, n, gen});
     auto alive = alive_;
     ssd_->Write(SlotOffset(slot), std::move(piece),
-                [this, alive, slot, gen, pending](Status s) {
+                [this, alive, slot, gen](Status s) {
       if (!*alive) {
         return;
       }
-      pending_fills_.erase(
-          std::find(pending_fills_.begin(), pending_fills_.end(), pending));
+      const auto it = std::find_if(
+          pending_fills_.begin(), pending_fills_.end(),
+          [gen](const PendingFill& f) { return f.gen == gen; });
+      const PendingFill fill = *it;
+      pending_fills_.erase(it);
       if (slots_[slot].gen != gen) {
         return;  // slot was recycled while the fill was in flight
       }
@@ -128,14 +124,13 @@ void ReadCache::Insert(uint64_t vlba, const Buffer& data) {
         slots_[slot] = Slot{};
         return;
       }
-      if (pending->invalidated) {
+      if (fill.invalidated) {
         // A client write overlapped the fill range before it landed; the
         // line would shadow newer data, so drop it.
         slots_[slot] = Slot{};
         return;
       }
-      map_.Update(pending->vlba, pending->len, SsdTarget{SlotOffset(slot)},
-                  nullptr);
+      map_.Update(fill.vlba, fill.len, SsdTarget{SlotOffset(slot)}, nullptr);
     });
     off += n;
   }
@@ -147,10 +142,10 @@ void ReadCache::Invalidate(uint64_t vlba, uint64_t len) {
   c_invalidations_->Inc(removed.size());
   // In-flight fills have no map entry yet; mark overlaps so their completion
   // discards instead of installing stale data.
-  for (auto& pending : pending_fills_) {
-    if (!pending->invalidated && pending->vlba < vlba + len &&
-        vlba < pending->vlba + pending->len) {
-      pending->invalidated = true;
+  for (PendingFill& fill : pending_fills_) {
+    if (!fill.invalidated && fill.vlba < vlba + len &&
+        vlba < fill.vlba + fill.len) {
+      fill.invalidated = true;
       c_invalidations_->Inc();
     }
   }

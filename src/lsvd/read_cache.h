@@ -41,9 +41,10 @@ class ReadCache {
 
   const ExtentMap<SsdTarget>& map() const { return map_; }
 
-  // Reads cached data by device offset (target of a map lookup).
-  void ReadData(uint64_t plba, uint64_t len,
-                std::function<void(Result<Buffer>)> done);
+  // Reads cached data by device offset (target of a map lookup). `done`
+  // goes to the SSD as it is and runs even after Kill: its caller, LsvdDisk,
+  // gates it on its own liveness and kills all its components together.
+  void ReadData(uint64_t plba, uint64_t len, BlockDevice::ReadCallback done);
 
   // Caches backend data covering [vlba, vlba + data.size()). Fire-and-forget:
   // the SSD writes complete in the background, and a line becomes visible in
@@ -60,6 +61,7 @@ class ReadCache {
   void PersistMap(std::function<void(Status)> done);
   void LoadMap(std::function<void(Status)> done);
 
+  // Drops every pending callback but ReadData's (crash simulation).
   void Kill() { *alive_ = false; }
 
   uint64_t line_size() const { return line_size_; }
@@ -75,13 +77,15 @@ class ReadCache {
     // flight. Monotonic, never reused.
     uint64_t gen = 0;
   };
-  // An in-flight slot fill; Invalidate marks overlapping fills so their
-  // completion does not install a mapping that a newer client write
-  // superseded. Kept in a side list (not per-slot scans): the slot array can
-  // be millions of lines, in-flight fills are at most a handful.
+  // An in-flight slot fill, identified by its generation; Invalidate marks
+  // overlapping fills so their completion does not install a mapping that a
+  // newer client write superseded. Kept in a side list (not per-slot scans):
+  // the slot array can be millions of lines, in-flight fills are at most a
+  // handful.
   struct PendingFill {
     uint64_t vlba = 0;
     uint64_t len = 0;
+    uint64_t gen = 0;
     bool invalidated = false;
   };
 
@@ -103,7 +107,7 @@ class ReadCache {
   ExtentMap<SsdTarget> map_;
   std::vector<Slot> slots_;
   uint64_t fill_gen_ = 0;
-  std::vector<std::shared_ptr<PendingFill>> pending_fills_;
+  std::vector<PendingFill> pending_fills_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   std::unique_ptr<MetricsRegistry> owned_metrics_;

@@ -388,6 +388,17 @@ void WriteCache::EvictFront() {
       extent_plba += e.len;
     }
   }
+  if (ckpt_encoded_ > 0) {
+    // Its checkpoint entry leaves the front; the bytes move down once the
+    // dropped front outweighs the entries kept.
+    ckpt_encoded_--;
+    ckpt_entries_front_ +=
+        kCkptRecordBytes + rec.extents.size() * kCkptRecordExtentBytes;
+    if (2 * ckpt_entries_front_ >= ckpt_entries_.size()) {
+      ckpt_entries_.DropFront(ckpt_entries_front_);
+      ckpt_entries_front_ = 0;
+    }
+  }
   used_ -= rec.footprint;
   c_evicted_records_->Inc();
   records_.pop_front();
@@ -450,14 +461,8 @@ void WriteCache::StartBarrierFlush() {
 }
 
 void WriteCache::ReadData(uint64_t plba, uint64_t len,
-                          std::function<void(Result<Buffer>)> done) {
-  auto alive = alive_;
-  ssd_->Read(plba, len, [alive, done = std::move(done)](Result<Buffer> r) {
-    if (!*alive) {
-      return;
-    }
-    done(std::move(r));
-  });
+                          BlockDevice::ReadCallback done) {
+  ssd_->Read(plba, len, std::move(done));
 }
 
 void WriteCache::ReleaseThrough(uint64_t synced_batch_seq) {
@@ -554,20 +559,29 @@ void WriteCache::ChargeReadback(uint64_t bytes, std::function<void()> done) {
   }
 }
 
-Buffer WriteCache::EncodeCheckpointBlob() const {
+Buffer WriteCache::EncodeCheckpointBlob() {
   // Only applied records are listed (a record in flight may never reach the
-  // SSD), with the head and next seq just past them. Sized exactly up
-  // front, so every field is written in place in one pass.
-  size_t count = 0;
-  uint64_t len = kCkptFixedBytes;
-  for (const auto& rec : records_) {
-    if (rec.seq >= next_apply_seq_) {
-      break;
+  // SSD), with the head and next seq just past them. Records applied since
+  // the last checkpoint add their entries; the rest are copied as they were
+  // encoded.
+  while (ckpt_encoded_ < records_.size() &&
+         records_[ckpt_encoded_].seq < next_apply_seq_) {
+    const RecordMeta& rec = records_[ckpt_encoded_++];
+    ckpt_entries_.PutU64(rec.seq);
+    ckpt_entries_.PutU64(rec.offset);
+    ckpt_entries_.PutU64(rec.footprint);
+    ckpt_entries_.PutU64(rec.max_batch_seq);
+    const auto n = static_cast<uint32_t>(rec.extents.size());
+    assert(n < kRecordTrimBit);
+    ckpt_entries_.PutU32(rec.is_trim ? n | kRecordTrimBit : n);
+    for (const auto& e : rec.extents) {
+      ckpt_entries_.PutU64(e.vlba);
+      ckpt_entries_.PutU64(e.len);
     }
-    count++;
-    len += kCkptRecordBytes + rec.extents.size() * kCkptRecordExtentBytes;
   }
-  len = RoundUpBlock(len);
+  const std::span<const uint8_t> entries =
+      ckpt_entries_.bytes().subspan(ckpt_entries_front_);
+  const uint64_t len = RoundUpBlock(kCkptFixedBytes + entries.size());
   Encoder enc;
   enc.Reserve(len);
   enc.PutU32(kWcCkptMagic);
@@ -576,23 +590,10 @@ Buffer WriteCache::EncodeCheckpointBlob() const {
   enc.PutU64(ckpt_gen_ + 1);
   enc.PutU64(next_apply_seq_);
   enc.PutU64(apply_head_);
-  enc.PutU32(static_cast<uint32_t>(count));
+  enc.PutU32(static_cast<uint32_t>(ckpt_encoded_));
   const size_t crc_pos = enc.size();
   enc.PutU32(0);
-  for (size_t i = 0; i < count; i++) {
-    const RecordMeta& rec = records_[i];
-    enc.PutU64(rec.seq);
-    enc.PutU64(rec.offset);
-    enc.PutU64(rec.footprint);
-    enc.PutU64(rec.max_batch_seq);
-    const auto n = static_cast<uint32_t>(rec.extents.size());
-    assert(n < kRecordTrimBit);
-    enc.PutU32(rec.is_trim ? n | kRecordTrimBit : n);
-    for (const auto& e : rec.extents) {
-      enc.PutU64(e.vlba);
-      enc.PutU64(e.len);
-    }
-  }
+  enc.PutBytes(entries);
   enc.PadTo(kBlockSize);
   assert(enc.size() == len);
   enc.PatchU32(crc_pos, Crc32c(enc.bytes().data(), len));
@@ -682,6 +683,9 @@ Status WriteCache::LoadCheckpointBlob(const Buffer& blob,
   apply_head_ = head;
   used_ = used;
   records_ = std::move(records);
+  ckpt_entries_ = Encoder();
+  ckpt_entries_front_ = 0;
+  ckpt_encoded_ = 0;
   release_timed_count_ = 0;
   map_.Clear();
   trim_map_.Clear();
@@ -947,7 +951,7 @@ std::vector<WriteCache::RecordMeta> WriteCache::RecordsAfterBatch(
 }
 
 void WriteCache::ReadRecordPayload(const RecordMeta& rec,
-                                   std::function<void(Result<Buffer>)> done) {
+                                   BlockDevice::ReadCallback done) {
   ReadData(rec.offset + kBlockSize, rec.size() - kBlockSize, std::move(done));
 }
 

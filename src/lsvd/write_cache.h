@@ -33,6 +33,7 @@
 #include "src/lsvd/config.h"
 #include "src/lsvd/extent_map.h"
 #include "src/lsvd/journal.h"
+#include "src/util/codec.h"
 #include "src/util/metrics.h"
 
 namespace lsvd {
@@ -115,9 +116,11 @@ class WriteCache {
   // backend (target.seq is the punching batch). The read path must return
   // zeros for these instead of consulting the read cache or backend.
   const ExtentMap<ObjTarget>& trim_map() const { return trim_map_; }
-  // Reads cached data by device offset (target of a map lookup).
-  void ReadData(uint64_t plba, uint64_t len,
-                std::function<void(Result<Buffer>)> done);
+  // Reads cached data by device offset (target of a map lookup). `done`
+  // goes to the SSD as it is and runs even after Kill: each caller gates it
+  // on its own liveness (LsvdDisk's reads and replay, the backend's GC cache
+  // read), and LsvdDisk::Kill kills all its components together.
+  void ReadData(uint64_t plba, uint64_t len, BlockDevice::ReadCallback done);
 
   // Marks records whose writes are all contained in backend objects with
   // seq <= `synced_batch_seq` as *releasable*. Eviction itself is lazy and
@@ -162,11 +165,13 @@ class WriteCache {
   std::vector<RecordMeta> RecordsAfterBatch(uint64_t synced_seq) const;
   // Reads a record's payload directly from its log position (valid even if
   // the map has since been overwritten) and returns per-extent buffers.
+  // Like ReadData, `done` runs even after Kill.
   void ReadRecordPayload(const RecordMeta& rec,
-                         std::function<void(Result<Buffer>)> done);
+                         BlockDevice::ReadCallback done);
 
-  // Invalidates all pending callbacks (crash simulation); the object must
-  // still be kept alive until the simulator drains.
+  // Invalidates all pending callbacks but those of ReadData and
+  // ReadRecordPayload (crash simulation); the object must still be kept
+  // alive until the simulator drains.
   void Kill() { *alive_ = false; }
 
   uint64_t free_bytes() const { return log_size_ - used_; }
@@ -213,7 +218,9 @@ class WriteCache {
   // the front record is the first one the durable checkpoint does not list.
   void MaybeCheckpoint();
   void StartCheckpoint();
-  Buffer EncodeCheckpointBlob() const;
+  // Encodes the checkpoint blob. Each applied record's entry is encoded
+  // once, into ckpt_entries_, and every later checkpoint copies it.
+  Buffer EncodeCheckpointBlob();
   // Decodes a whole blob and, only if it is valid, replaces the cache state
   // with its records, folded through ApplyRecord.
   Status LoadCheckpointBlob(const Buffer& blob, uint64_t* ckpt_gen);
@@ -280,6 +287,12 @@ class WriteCache {
   bool flush_in_flight_ = false;    // coalescing path only
   std::vector<std::function<void(Status)>> pending_barriers_;
 
+  // Checkpoint entries of records_[0, ckpt_encoded_) from byte
+  // ckpt_entries_front_ on, in record order; EvictFront drops the front
+  // record's entry and a blob load drops them all.
+  Encoder ckpt_entries_;
+  size_t ckpt_entries_front_ = 0;
+  size_t ckpt_encoded_ = 0;
   uint64_t ckpt_gen_ = 0;   // checkpoint generation (picks newest slot)
   // Next seq of the newest durable checkpoint: it lists the records below.
   uint64_t ckpt_next_seq_ = 1;

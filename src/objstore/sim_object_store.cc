@@ -230,16 +230,14 @@ void SimObjectStore::PutViaDomain(const std::string& name, Buffer data,
   });
 }
 
-void SimObjectStore::ReadTiming(uint64_t bytes, std::function<void()> done) {
+void SimObjectStore::ReadTiming(uint32_t slot, uint64_t bytes) {
   if (to_backend_ != nullptr) {
-    ReadViaDomain(bytes, std::move(done));
+    ReadViaDomain(slot, bytes);
     return;
   }
   // Request out (negligible size) + gateway overhead + backend disk read(s)
   // + body back.
-  const uint64_t epoch = epoch_;
-  sim_->After(link_->half_rtt() + config_.get_overhead,
-              [this, epoch, bytes, done = std::move(done)]() mutable {
+  sim_->After(link_->half_rtt() + config_.get_overhead, [this, slot, bytes] {
     // Charge the read against the data chunks it covers.
     const auto chunk = static_cast<uint32_t>(
         std::min<uint64_t>(RoundUp(std::max<uint64_t>(bytes, 4 * kKiB),
@@ -247,14 +245,13 @@ void SimObjectStore::ReadTiming(uint64_t bytes, std::function<void()> done) {
                            UINT32_MAX));
     const int disk = cluster_->PickDisk(NameHash("read", alloc_head_[0]),
                                         0);
-    cluster_->Read(disk, Allocate(disk, 0), chunk,
-                   [this, epoch, bytes, done = std::move(done)]() {
-      link_->ReceiveFromBackend(bytes, [this, epoch,
-                                        done = std::move(done)]() {
-        if (epoch != epoch_) {
+    cluster_->Read(disk, Allocate(disk, 0), chunk, [this, slot, bytes] {
+      link_->ReceiveFromBackend(bytes, [this, slot] {
+        if (pending_reads_[slot].epoch != epoch_) {
+          pending_reads_.Free(slot);  // client crashed: answer dropped
           return;
         }
-        sim_->After(link_->half_rtt(), done);
+        sim_->After(link_->half_rtt(), [this, slot] { Answer(slot); });
       });
     });
   });
@@ -266,31 +263,35 @@ void SimObjectStore::ReadTiming(uint64_t bytes, std::function<void()> done) {
 // propagation; here the response crosses the channel (propagation) first and
 // serializes on the client NIC on arrival — same total service time, only
 // the queueing order differs under rx contention (DESIGN.md §14).
-void SimObjectStore::ReadViaDomain(uint64_t bytes,
-                                   std::function<void()> done) {
-  const uint64_t cookie = next_cookie_++;
-  pending_reads_.emplace(cookie, PendingRead{std::move(done), epoch_});
+void SimObjectStore::ReadViaDomain(uint32_t slot, uint64_t bytes) {
   to_backend_->SendAfter(
-      link_->half_rtt() + config_.get_overhead, [this, cookie, bytes]() {
+      link_->half_rtt() + config_.get_overhead, [this, slot, bytes] {
         const auto chunk = static_cast<uint32_t>(
             std::min<uint64_t>(RoundUp(std::max<uint64_t>(bytes, 4 * kKiB),
                                        4 * kKiB),
                                UINT32_MAX));
         const int disk =
             cluster_->PickDisk(NameHash("read", alloc_head_[0]), 0);
-        cluster_->Read(disk, Allocate(disk, 0), chunk,
-                       [this, cookie, bytes]() {
-          to_client_->SendAfter(link_->half_rtt(), [this, cookie, bytes]() {
-            link_->ReceiveFromBackend(bytes, [this, cookie]() {
-              auto node = pending_reads_.extract(cookie);
-              PendingRead& read = node.mapped();
-              if (read.epoch == epoch_) {
-                read.done();
+        cluster_->Read(disk, Allocate(disk, 0), chunk, [this, slot, bytes] {
+          to_client_->SendAfter(link_->half_rtt(), [this, slot, bytes] {
+            link_->ReceiveFromBackend(bytes, [this, slot] {
+              if (pending_reads_[slot].epoch == epoch_) {
+                Answer(slot);
+              } else {
+                pending_reads_.Free(slot);  // client crashed: answer dropped
               }
             });
           });
         });
       });
+}
+
+void SimObjectStore::Answer(uint32_t slot) {
+  PendingRead& read = pending_reads_[slot];
+  const GetCallback done = std::move(read.done);
+  Buffer data = std::move(read.data);
+  pending_reads_.Free(slot);
+  done(std::move(data));
 }
 
 void SimObjectStore::GetRange(const std::string& name, uint64_t offset,
@@ -310,10 +311,12 @@ void SimObjectStore::GetRange(const std::string& name, uint64_t offset,
   }
   c_gets_->Inc();
   c_get_bytes_->Inc(len);
-  Buffer data = it->second.Slice(offset, len);
-  ReadTiming(len, [done = std::move(done), data = std::move(data)]() {
-    done(data);
-  });
+  const uint32_t slot = pending_reads_.Alloc();
+  PendingRead& read = pending_reads_[slot];
+  read.done = std::move(done);
+  read.data = it->second.Slice(offset, len);
+  read.epoch = epoch_;
+  ReadTiming(slot, len);
 }
 
 void SimObjectStore::Delete(const std::string& name, PutCallback done) {

@@ -28,6 +28,7 @@
 #include "src/sim/net_link.h"
 #include "src/sim/simulator.h"
 #include "src/util/metrics.h"
+#include "src/util/slab.h"
 
 namespace lsvd {
 
@@ -106,6 +107,8 @@ class SimObjectStore : public ObjectStore {
 
   ObjectStoreStats stats() const;
   ObjectBucket* bucket() { return bucket_; }
+  // GETs whose answer has been neither delivered nor dropped by a crash.
+  size_t gets_in_flight() const { return pending_reads_.live(); }
 
  private:
   // Issues the stripe/metadata disk writes for an object of `size` bytes.
@@ -113,10 +116,14 @@ class SimObjectStore : public ObjectStore {
   // the object name and size cross the domain boundary, never the Buffer.
   void BackendWrites(const std::string& name, uint64_t size,
                      std::function<void()> all_done);
-  void ReadTiming(uint64_t bytes, std::function<void()> done);
+  // Charges the network and disk time of the GET in pending_reads_[slot],
+  // `bytes` long, then answers it.
+  void ReadTiming(uint32_t slot, uint64_t bytes);
   // Domain-split twins of the Put / ReadTiming bodies (see .cc).
   void PutViaDomain(const std::string& name, Buffer data, PutCallback done);
-  void ReadViaDomain(uint64_t bytes, std::function<void()> done);
+  void ReadViaDomain(uint32_t slot, uint64_t bytes);
+  // Runs the GET's callback with its bytes and frees its slot.
+  void Answer(uint32_t slot);
   uint64_t Allocate(int disk, uint32_t len);
   static uint64_t NameHash(const std::string& name, uint64_t salt);
 
@@ -129,9 +136,22 @@ class SimObjectStore : public ObjectStore {
   std::vector<uint64_t> alloc_head_;  // per-disk data-region bump allocator
   uint64_t epoch_ = 0;
 
+  // A GET between its call and its answer: the caller's callback, the bytes
+  // it will get and the client epoch it was sent in. Its events, on the
+  // sequential and the domain path alike, capture only the slot, so only
+  // the slot number crosses a domain boundary; the slab is touched on the
+  // client side alone.
+  struct PendingRead {
+    GetCallback done;
+    Buffer data;
+    uint64_t epoch = 0;
+  };
+  Slab<PendingRead, 256> pending_reads_;
+
   // Parallel-engine state. backend_sim_ aliases sim_ until BindBackendDomain
-  // splits the store; the pending maps keep Buffers and completion closures
-  // on the client side, keyed by a cookie that crosses the boundary instead.
+  // splits the store; the pending-PUT map keeps Buffers and completion
+  // closures on the client side, keyed by a cookie that crosses the boundary
+  // instead.
   Simulator* backend_sim_;
   CrossDomainChannel* to_backend_ = nullptr;
   CrossDomainChannel* to_client_ = nullptr;
@@ -142,12 +162,7 @@ class SimObjectStore : public ObjectStore {
     PutCallback done;
     uint64_t epoch;
   };
-  struct PendingRead {
-    std::function<void()> done;
-    uint64_t epoch;
-  };
   std::map<uint64_t, PendingPut> pending_puts_;
-  std::map<uint64_t, PendingRead> pending_reads_;
 
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_;

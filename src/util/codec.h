@@ -40,6 +40,13 @@ class Encoder {
       out_.resize(n);
     }
   }
+  // Drops the first `n` bytes and moves the rest to the front. The output
+  // keeps its size, so puts after this do not grow it.
+  void DropFront(size_t n) {
+    std::memmove(out_.data(), out_.data() + n, pos_ - n);
+    std::memset(out_.data() + pos_ - n, 0, n);
+    pos_ -= n;
+  }
   // Overwrites 4 bytes at `pos` (for CRC backpatching).
   void PatchU32(size_t pos, uint32_t v) { StoreLe(out_.data() + pos, v); }
 

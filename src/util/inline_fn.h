@@ -12,13 +12,16 @@
 // memcpy instead of a virtual move call.
 //
 // Two instantiations carry the simulator's callbacks:
-//  - `Simulator::Fn` = InlineFn<void(), 64>, every scheduled event and every
-//    backend-cluster, disk-model and server-queue completion;
+//  - `Simulator::Fn` = InlineFn<void(), 64>, every scheduled event, every
+//    backend-cluster, disk-model, server-queue and network-link completion,
+//    and every QoS admission;
 //  - `BlockDevice::WriteCallback` = InlineFn<void(Status), 64> and
-//    `ReadCallback` = InlineFn<void(Result<Buffer>), 64>, the SSD's.
-// A callback that has to hold another InlineFn does not fit in one of the
+//    `ReadCallback` = InlineFn<void(Result<Buffer>), 64>, the SSD's, which
+//    the write and read caches' ReadData pass through unwrapped.
+// A callback that has to hold another callback does not fit in one of the
 // same size; such layers park the inner callback in a slot of their own
-// (see SimSsd's pending slab) and capture the slot index instead.
+// and capture the slot index instead: SimSsd's pending requests, LsvdDisk's
+// writes (`journaled_`) and reads (`reading_`), and SimObjectStore's GETs.
 #ifndef SRC_UTIL_INLINE_FN_H_
 #define SRC_UTIL_INLINE_FN_H_
 

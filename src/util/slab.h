@@ -56,6 +56,9 @@ class Slab {
     free_.push_back(slot);
   }
 
+  // Slots taken and not yet freed.
+  size_t live() const { return used_ - free_.size(); }
+
   // Moves the object out and frees its slot.
   T Take(uint32_t slot) {
     T value = std::move((*this)[slot]);

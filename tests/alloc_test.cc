@@ -6,7 +6,11 @@
 //  - completions below the virtual disk: a backend-cluster or SSD callback
 //    of up to 64 bytes of capture is held inline all the way to the
 //    simulator, an RBD write keeps one shared state, a bcache writeback
-//    round one state for all its pieces, and a retried GET one request.
+//    round one state for all its pieces, and a retried GET one request;
+//  - the read path: a 4 KiB LsvdDisk read keeps one slab-held state from
+//    its call to its last fragment, so a cache hit allocates nothing and a
+//    backend miss over SimObjectStore only what the retry driver and the
+//    object store's std::function callbacks cost.
 //
 // This binary replaces the global operator new with a counting one, so the
 // counts are exact and deterministic.
@@ -24,10 +28,13 @@
 #include "src/blockdev/sim_ssd.h"
 #include "src/lsvd/client_host.h"
 #include "src/lsvd/journal.h"
+#include "src/lsvd/lsvd_disk.h"
+#include "src/lsvd/read_cache.h"
 #include "src/lsvd/object_format.h"
 #include "src/lsvd/write_cache.h"
 #include "src/objstore/mem_object_store.h"
 #include "src/objstore/retry.h"
+#include "src/objstore/sim_object_store.h"
 #include "src/sim/cluster.h"
 #include "src/sim/net_link.h"
 #include "src/sim/simulator.h"
@@ -329,6 +336,146 @@ TEST(AllocGuard, JournalRecordWriteCallbackIsInline) {
   // vector, and the record's extent list, plus the odd deque node (≈ 4.35).
   // The SSD-write callback, [this, alive, seq] of 32 bytes, adds none.
   EXPECT_LE(allocs, 9 * kRecords / 2) << allocs << " for " << kRecords;
+}
+
+// A disk over the simulated object store, its volume written with zeros
+// and drained to the backend, the write cache's releasable records
+// evicted: every read misses both caches until its window is fetched.
+struct ReadWorld {
+  static constexpr uint64_t kVolume = 64 * kMiB;
+  Simulator sim;
+  ClientHost host{&sim, HostConfig()};
+  BackendCluster cluster{&sim, ClusterConfig::SsdPool()};
+  NetLink link{&sim, NetParams{}};
+  SimObjectStore store{&sim, &cluster, &link, SimObjectStoreConfig{}};
+  std::unique_ptr<LsvdDisk> disk;
+  uint64_t got = 0;  // bytes read
+
+  static ClientHostConfig HostConfig() {
+    ClientHostConfig hc;
+    hc.ssd_capacity = kGiB;
+    return hc;
+  }
+
+  ReadWorld() {
+    WarmCalendar(&sim);
+    LsvdConfig config;
+    config.volume_name = "v";
+    config.volume_size = kVolume;
+    config.write_cache_size = 64 * kMiB;
+    config.read_cache_size = 128 * kMiB;
+    config.batch_bytes = 4 * kMiB;
+    disk = std::make_unique<LsvdDisk>(&host, &store, config);
+    disk->Create([](Status) {});
+    sim.Run();
+    for (uint64_t off = 0; off < kVolume; off += 256 * kKiB) {
+      disk->Write(off, Buffer::Zeros(256 * kKiB), [](Status) {});
+    }
+    disk->Drain([](Status) {});
+    sim.Run();
+    disk->write_cache().EvictReleasable([](Status) {});
+    sim.Run();
+  }
+
+  // One 4 KiB read at `offset`, run to completion. The callback's capture
+  // is one pointer, within std::function's own buffer.
+  void Read(uint64_t offset) {
+    disk->Read(offset, 4 * kKiB, [this](Result<Buffer> r) {
+      got += r.ok() ? r->size() : 0;
+    });
+    sim.Run();
+  }
+};
+
+TEST(AllocGuard, LsvdDiskReadFromWriteCacheAllocatesNothing) {
+  ReadWorld w;
+  w.disk->Write(0, Buffer::Zeros(4 * kKiB), [](Status) {});
+  w.sim.Run();
+  for (int i = 0; i < 32; i++) {  // the read slab and stream lists
+    w.Read(0);
+  }
+  EXPECT_EQ(AllocsIn([&] {
+              for (int i = 0; i < 100; i++) {
+                w.Read(0);
+              }
+            }),
+            0u);
+  EXPECT_EQ(w.got, 132 * 4 * kKiB);
+  EXPECT_EQ(w.disk->stats().write_cache_hits, 132u);
+}
+
+TEST(AllocGuard, LsvdDiskReadFromReadCacheAllocatesNothing) {
+  ReadWorld w;
+  w.Read(0);  // fetches the window into the read cache
+  for (int i = 0; i < 32; i++) {  // the read slab and stream lists
+    w.Read(0);
+  }
+  EXPECT_EQ(AllocsIn([&] {
+              for (int i = 0; i < 100; i++) {
+                w.Read(0);
+              }
+            }),
+            0u);
+  EXPECT_EQ(w.got, 133 * 4 * kKiB);
+  EXPECT_EQ(w.disk->stats().read_cache_hits, 132u);
+}
+
+TEST(AllocGuard, LsvdDiskBackendMissAllocatesAtMostThree) {
+  ReadWorld w;
+  // One read per 1 MiB: each misses to the backend and fills a 256 KiB
+  // window of the read cache. The first 16 fill the slabs.
+  constexpr uint64_t kStride = kMiB;
+  for (uint64_t i = 0; i < 16; i++) {
+    w.Read(i * kStride);
+  }
+  constexpr uint64_t kMisses = 48;
+  const uint64_t allocs = AllocsIn([&] {
+    for (uint64_t i = 16; i < 16 + kMisses; i++) {
+      w.Read(i * kStride);
+    }
+  });
+  EXPECT_EQ(w.disk->stats().backend_reads, 16 + kMisses);
+  EXPECT_EQ(w.got, (16 + kMisses) * 4 * kKiB);
+  // Per miss: the retry driver's request, the std::function that holds its
+  // answer in the object store, and the object's name ("v.d." and twelve
+  // digits, one byte past std::string's inline buffer); the slack is the
+  // SSD's list of unflushed writes growing now and then.
+  EXPECT_LE(allocs, 3 * kMisses + kMisses / 8) << allocs << " for "
+                                               << kMisses;
+}
+
+TEST(AllocGuard, ReadCacheInsertOfAZeroWindowAllocatesNothingOnceWarm) {
+  Simulator sim;
+  WarmCalendar(&sim);
+  ClientHostConfig hc;
+  hc.ssd_capacity = kGiB;
+  ClientHost host(&sim, hc);
+  constexpr uint64_t kRegion = 64 * kMiB;
+  ReadCache rc(&host, *host.AllocRegion(kRegion), kRegion, 64 * kKiB);
+  // Windows laid end to end past the cache's size, so slots recycle. The
+  // flush stands in for the write cache's, which in a disk empties the
+  // SSD's list of unflushed writes now and then. Only Insert is counted:
+  // the simulator's calendar may still grow a bucket as time moves on.
+  uint64_t vlba = 0;
+  const auto insert = [&] {
+    const uint64_t allocs =
+        AllocsIn([&] { rc.Insert(vlba, Buffer::Zeros(256 * kKiB)); });
+    vlba += 256 * kKiB;
+    host.ssd()->Flush([](Status) {});
+    sim.Run();
+    return allocs;
+  };
+  for (int i = 0; i < 1000; i++) {
+    insert();
+  }
+  constexpr int kInserts = 100;
+  uint64_t allocs = 0;
+  for (int i = 0; i < kInserts; i++) {
+    allocs += insert();
+  }
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(rc.stats().insertions, 4u * (1000 + kInserts));
+  EXPECT_GT(rc.stats().evictions, 0u);
 }
 
 }  // namespace

@@ -262,6 +262,161 @@ TEST(LsvdDiskReadRaceTest, FetchRacingAnOverwriteNeverCachesOldData) {
   }
 }
 
+// --- the slab-held read state ---
+
+// Lays out [0, 256 KiB) so that one read of it takes a fragment of each
+// kind, in address order: [0, 64K) from the read cache, [64K, 128K) from
+// the backend, [128K, 192K) from the write cache, [192K, 256K) as zeros.
+struct FourRoutes {
+  Buffer read_cache = TestPattern(64 * kKiB, 51);
+  Buffer backend = TestPattern(64 * kKiB, 52);
+  Buffer write_cache = TestPattern(64 * kKiB, 53);
+
+  Buffer Expected() const {
+    Buffer out;
+    out.Append(read_cache);
+    out.Append(backend);
+    out.Append(write_cache);
+    out.AppendZeros(64 * kKiB);
+    return out;
+  }
+
+  void LayOut(Simulator* sim, LsvdDisk* disk) const {
+    // Two drains, two objects: fetching [0, 64K) prefetches nothing else.
+    ASSERT_TRUE(WriteSync(sim, disk, 64 * kKiB, backend).ok());
+    ASSERT_TRUE(DrainSync(sim, disk).ok());
+    ASSERT_TRUE(WriteSync(sim, disk, 0, read_cache).ok());
+    ASSERT_TRUE(DrainSync(sim, disk).ok());
+    ASSERT_TRUE(EvictReleasableSync(sim, &disk->write_cache()).ok());
+    ASSERT_TRUE(ReadSync(sim, disk, 0, 64 * kKiB).ok());
+    sim->Run();  // the read-cache fill lands
+    ASSERT_TRUE(WriteSync(sim, disk, 128 * kKiB, write_cache).ok());
+  }
+};
+
+TEST_F(LsvdDiskTest, ReadAcrossEveryRouteReturnsTheRightBytes) {
+  const FourRoutes routes;
+  routes.LayOut(&world_.sim, disk_.get());
+  const LsvdDiskStats before = disk_->stats();
+  auto r = ReadSync(&world_.sim, disk_.get(), 0, 256 * kKiB);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, routes.Expected());
+  const LsvdDiskStats after = disk_->stats();
+  EXPECT_EQ(after.read_cache_hits - before.read_cache_hits, 1u);
+  EXPECT_EQ(after.backend_reads - before.backend_reads, 1u);
+  EXPECT_EQ(after.write_cache_hits - before.write_cache_hits, 1u);
+  EXPECT_EQ(after.zero_reads - before.zero_reads, 1u);
+  EXPECT_EQ(disk_->reads_in_flight(), 0u);
+}
+
+// A fragment that fails ends the read at once, but its slot stays taken
+// until the other fragments land: a read issued from the failed read's
+// callback gets a slot of its own, and the late fragment leaves it alone.
+TEST(LsvdDiskReadSlotTest, FailedFragmentKeepsTheSlotUntilTheLastLands) {
+  TestWorld world;
+  LsvdConfig config = TestWorld::SmallVolumeConfig();
+  config.costs.read_miss_golang = 10 * kMillisecond;  // a slow backend
+  LsvdDisk disk(&world.host, &world.store, config);
+  ASSERT_TRUE(OpenSync(&world.sim, &disk, &LsvdDisk::Create).ok());
+  const FourRoutes routes;
+  routes.LayOut(&world.sim, &disk);
+
+  // [64K, 192K): a backend fragment, then a write-cache fragment whose SSD
+  // read fails long before the fetch lands.
+  world.host.ssd()->FailNextReads(1);
+  int first_calls = 0;
+  std::optional<Status> first;
+  size_t in_flight_at_failure = 0;
+  std::optional<Result<Buffer>> second;
+  disk.Read(64 * kKiB, 128 * kKiB, [&](Result<Buffer> r) {
+    first_calls++;
+    first = r.status();
+    in_flight_at_failure = disk.reads_in_flight();
+    // A second read while the first's fetch is still in flight: it
+    // fetches the same range, and lands after the first's fetch.
+    disk.Read(64 * kKiB, 64 * kKiB,
+              [&](Result<Buffer> r2) { second = std::move(r2); });
+  });
+  world.sim.Run();
+  EXPECT_EQ(first_calls, 1);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->code(), StatusCode::kUnavailable);
+  EXPECT_EQ(in_flight_at_failure, 1u);
+  ASSERT_TRUE(second.has_value() && second->ok());
+  EXPECT_EQ(**second, routes.backend);
+  EXPECT_EQ(disk.reads_in_flight(), 0u);
+  EXPECT_EQ(disk.stats().backend_reads, 3u);  // the layout's, then one each
+}
+
+// A plan of zeros lands inside the call that issues it. The last zero
+// fragment frees the slot before `done`, which issues the next read into
+// that same slot while the first read's issuing loop is still on the
+// stack.
+TEST(LsvdDiskReadSlotTest, ZeroPlanWhoseCallbackReadsAgainReusesTheSlot) {
+  TestWorld world;
+  LsvdConfig config = TestWorld::SmallVolumeConfig();
+  config.batch_max_age = 3600 * kSecond;  // the trim's batch stays open
+  LsvdDisk disk(&world.host, &world.store, config);
+  ASSERT_TRUE(OpenSync(&world.sim, &disk, &LsvdDisk::Create).ok());
+  // A pending trim tombstone over the first half: two zero fragments.
+  ASSERT_TRUE(TrimSync(&world.sim, &disk, kMiB, 16 * kKiB).ok());
+  ASSERT_FALSE(disk.write_cache().trim_map().empty());
+
+  constexpr int kReads = 5;
+  int done = 0;
+  std::vector<size_t> in_flight;
+  std::function<void(Result<Buffer>)> next = [&](Result<Buffer> r) {
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->size(), 32 * kKiB);
+    EXPECT_TRUE(r->IsAllZeros());
+    in_flight.push_back(disk.reads_in_flight());
+    if (++done < kReads) {
+      disk.Read(kMiB, 32 * kKiB, next);
+    }
+  };
+  const uint64_t zero_reads = disk.stats().zero_reads;
+  disk.Read(kMiB, 32 * kKiB, next);
+  world.sim.Run();
+  EXPECT_EQ(done, kReads);
+  EXPECT_EQ(in_flight, std::vector<size_t>(kReads, 0));
+  EXPECT_EQ(disk.stats().zero_reads - zero_reads, 2u * kReads);
+  EXPECT_EQ(disk.reads_in_flight(), 0u);
+}
+
+// Kill, then destroy the disk, with reads in flight at every stage of the
+// read path: no callback runs, and nothing touches the dead disk (the
+// backend fetch's answer carries no liveness flag of its own; the
+// backend's retry driver drops it).
+TEST(LsvdDiskReadSlotTest, KillWithReadsInFlightRunsNoCallback) {
+  const FourRoutes routes;
+  constexpr int kReads = 8;
+  for (int steps = 0; steps < 1000; steps++) {
+    SCOPED_TRACE("killed after " + std::to_string(steps) + " events");
+    TestWorld world;
+    auto disk = std::make_unique<LsvdDisk>(
+        &world.host, &world.store, TestWorld::SmallVolumeConfig());
+    ASSERT_TRUE(OpenSync(&world.sim, disk.get(), &LsvdDisk::Create).ok());
+    routes.LayOut(&world.sim, disk.get());
+    world.sim.Run();
+    int calls = 0;
+    for (int i = 0; i < kReads; i++) {
+      disk->Read(static_cast<uint64_t>(i) * 32 * kKiB, 64 * kKiB,
+                 [&calls](Result<Buffer>) { calls++; });
+    }
+    for (int i = 0; i < steps && world.sim.Step(); i++) {
+    }
+    const int before_kill = calls;
+    disk->Kill();
+    disk.reset();
+    world.sim.Run();
+    EXPECT_EQ(calls, before_kill);
+    if (before_kill == kReads) {
+      return;  // every read had landed: every stage was covered
+    }
+  }
+  ADD_FAILURE() << "the reads never landed";
+}
+
 TEST_F(LsvdDiskTest, FlushCompletes) {
   ASSERT_TRUE(WriteSync(&world_.sim, disk_.get(), 0, TestPattern(4096, 7)).ok());
   EXPECT_TRUE(FlushSync(&world_.sim, disk_.get()).ok());

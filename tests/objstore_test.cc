@@ -7,6 +7,8 @@
 
 #include "src/objstore/mem_object_store.h"
 #include "src/objstore/sim_object_store.h"
+#include "src/sim/cross_domain_channel.h"
+#include "src/sim/sim_domain.h"
 #include "src/sim/simulator.h"
 
 namespace lsvd {
@@ -221,6 +223,95 @@ TEST(SimObjectStore, ClientCrashAfterBackendCommitKeepsObject) {
   EXPECT_FALSE(acked);  // ack was dropped
   EXPECT_EQ(store.List("").size(), 1u);  // but the object survives
 }
+
+// A SimObjectStore whose backend half runs on the client's simulator, or,
+// with `split`, on a domain of its own (the parallel engine's split,
+// DESIGN.md §14), where a GET's answer crosses back over a channel.
+struct GetWorld {
+  explicit GetWorld(bool split) : split(split) {
+    SimDomain* client = nullptr;
+    SimDomain* backend = nullptr;
+    if (split) {
+      client = group.AdoptDomain("client", &sim);
+      backend = group.AddDomain("backend");
+    }
+    cluster = std::make_unique<BackendCluster>(
+        split ? backend->sim() : &sim, ClusterConfig::SsdPool());
+    store = std::make_unique<SimObjectStore>(&sim, cluster.get(), &link,
+                                             SimObjectStoreConfig{});
+    if (split) {
+      store->BindBackendDomain(
+          backend, group.Connect(client, backend, link.half_rtt()),
+          group.Connect(backend, client, link.half_rtt()));
+    }
+  }
+
+  void Run() {
+    if (split) {
+      group.Run(1);
+    } else {
+      sim.Run();
+    }
+  }
+
+  bool split;
+  Simulator sim;
+  SimDomainGroup group;
+  NetLink link{&sim, NetParams{}};
+  std::unique_ptr<BackendCluster> cluster;
+  std::unique_ptr<SimObjectStore> store;
+};
+
+class SimObjectStoreGetTest : public ::testing::TestWithParam<bool> {};
+
+// A client crash drops the answers of the GETs in flight and frees their
+// slots; GETs sent after it are answered as usual.
+TEST_P(SimObjectStoreGetTest, ClientCrashDropsInFlightGetsAndFreesSlots) {
+  GetWorld w(GetParam());
+  std::vector<uint8_t> bytes(64 * kKiB);
+  for (size_t i = 0; i < bytes.size(); i++) {
+    bytes[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  const Buffer data = Buffer::FromBytes(bytes);
+  std::optional<Status> put;
+  w.store->Put("obj", data, [&](Status s) { put = s; });
+  w.Run();
+  ASSERT_TRUE(put.has_value() && put->ok());
+
+  // GETs are sent from a client event, as the disk sends them: a message a
+  // channel carries leaves at the end of its sender's window.
+  int answered = 0;
+  size_t sent = 0;
+  w.sim.After(0, [&] {
+    for (uint64_t i = 0; i < 3; i++) {
+      w.store->GetRange("obj", i * 4 * kKiB, 4 * kKiB,
+                        [&answered](Result<Buffer>) { answered++; });
+    }
+    sent = w.store->gets_in_flight();
+    w.store->ClientCrash();
+  });
+  w.Run();
+  EXPECT_EQ(sent, 3u);
+  EXPECT_EQ(answered, 0);
+  EXPECT_EQ(w.store->gets_in_flight(), 0u);
+
+  std::optional<Result<Buffer>> r;
+  w.sim.After(0, [&] {
+    w.store->GetRange("obj", 8 * kKiB, 4 * kKiB,
+                      [&r](Result<Buffer> rr) { r = std::move(rr); });
+  });
+  w.Run();
+  ASSERT_TRUE(r.has_value() && r->ok());
+  EXPECT_EQ(**r, data.Slice(8 * kKiB, 4 * kKiB));
+  EXPECT_EQ(w.store->gets_in_flight(), 0u);
+  EXPECT_EQ(w.store->stats().gets, 4u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, SimObjectStoreGetTest, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& info) {
+      return info.param ? std::string("Domain") : std::string("Sequential");
+    });
 
 TEST(SimObjectStore, StatsTrackTraffic) {
   Simulator sim;

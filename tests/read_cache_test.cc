@@ -185,6 +185,42 @@ TEST_F(ReadCacheTest, InvalidateBeatsInflightFill) {
   EXPECT_FALSE(rc_->map().LookupOne(kLine).has_value());
 }
 
+// Fills in flight race a client write and a FIFO wrap at once. Each fill
+// is identified by its generation alone: a recycled slot's fill installs
+// nothing, an invalidated fill installs nothing, a failed fill counts a
+// failure, and every other fill maps its line.
+TEST_F(ReadCacheTest, InflightFillsRaceAnInvalidationAndAFifoWrap) {
+  ASSERT_EQ(rc_->num_lines(), 112u);
+  // Window A takes slots 0-3; a write lands over its second line.
+  rc_->Insert(0, TestPattern(4 * kLine, 13));
+  rc_->Invalidate(kLine, 4096);
+  // Window B, slot 4: its fill write fails.
+  host_.ssd()->FailNextWrites(1);
+  rc_->Insert(kMiB, TestPattern(kLine, 14));
+  // Window C takes slots 5-111 and wraps into slot 0 while A's first fill
+  // is still in flight.
+  const Buffer c = TestPattern(108 * kLine, 15);
+  rc_->Insert(2 * kMiB, c);
+  sim_.Run();
+
+  const ReadCacheStats stats = rc_->stats();
+  EXPECT_EQ(stats.insertions, 4u + 1u + 108u);
+  EXPECT_EQ(stats.invalidations, 1u);
+  EXPECT_EQ(stats.fill_failures, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_FALSE(rc_->map().LookupOne(0).has_value());      // recycled
+  EXPECT_FALSE(rc_->map().LookupOne(kLine).has_value());  // invalidated
+  EXPECT_FALSE(rc_->map().LookupOne(kMiB).has_value());   // failed
+  EXPECT_EQ(rc_->map().mapped_bytes(), 2 * kLine + 108 * kLine);
+  auto a = ReadVlba(2 * kLine, 2 * kLine);
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(*a, TestPattern(4 * kLine, 13).Slice(2 * kLine, 2 * kLine));
+  // C's last line sits in slot 0, where A's first line was headed.
+  auto last = ReadVlba(2 * kMiB + 107 * kLine, kLine);
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(*last, c.Slice(107 * kLine, kLine));
+}
+
 // The mapped_bytes gauge must report the map's bytes, not the sum of slot
 // lengths — invalidations and overwrites remove map extents without
 // clearing slots, so the old slot-sum over-reported.

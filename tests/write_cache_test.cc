@@ -928,5 +928,77 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2)),
     StateName);
 
+// The cache encodes each applied record's checkpoint entry once and copies
+// it into every later blob. Each blob must still be a fresh encode of the
+// live records, whatever happened between checkpoints: records applied,
+// evicted as the log laps, trimmed, or reloaded by a recovery.
+TEST_F(WriteCacheSlotTest, BlobStaysAFreshEncodeAcrossAppliesEvictionsTrims) {
+  // The newest generation either slot holds: Recover picks up from there.
+  const auto newest_gen = [this] {
+    uint64_t gen = 0;
+    for (int slot = 0; slot < 2; slot++) {
+      const std::vector<uint8_t> head =
+          ReadSsd(wc_->checkpoint_slot_offset(slot), kBlockSize);
+      uint64_t g = 0;
+      for (size_t i = 0; i < 8; i++) {
+        g |= uint64_t{head[16 + i]} << (8 * i);
+      }
+      gen = std::max(gen, g);
+    }
+    return gen;
+  };
+  Rng rng(7);
+  uint64_t batch = 0;
+  int issued = 0;
+  int acked = 0;
+  const auto ack = [&acked](Status s) {
+    EXPECT_TRUE(s.ok());
+    acked++;
+  };
+  for (int step = 0; step < 24; step++) {
+    // Issued together, so records carry several extents; zero payloads of
+    // up to 192 KiB lap the 64 MiB region every ten steps or so.
+    for (int i = 0; i < 100; i++) {
+      batch++;
+      issued++;
+      const uint64_t vlba = rng.Uniform(4096) * kBlockSize;
+      if (rng.Uniform(4) == 0) {
+        wc_->AppendTrim(vlba, (1 + rng.Uniform(8)) * kBlockSize, batch, ack);
+      } else {
+        wc_->Append(vlba, Buffer::Zeros((1 + rng.Uniform(48)) * kBlockSize),
+                    batch, ack);
+      }
+    }
+    sim_.Run();
+    ASSERT_EQ(acked, issued) << "step " << step;
+    // All but the newest batches may be evicted once the log needs room.
+    wc_->ReleaseThrough(batch - 20);
+
+    const std::vector<WriteCache::RecordMeta> records =
+        wc_->RecordsAfterBatch(0);
+    ASSERT_FALSE(records.empty());
+    const uint64_t gen = newest_gen() + 1;
+    const std::vector<uint8_t> want =
+        ReferenceBlob(gen, records.back().seq + 1,
+                      records.back().offset + records.back().size(), records);
+    std::optional<Status> cs;
+    wc_->WriteCheckpoint([&](Status s) { cs = s; });
+    sim_.Run();
+    ASSERT_TRUE(cs.has_value() && cs->ok());
+    EXPECT_TRUE(ReadSsd(wc_->checkpoint_slot_offset(static_cast<int>(gen % 2)),
+                        want.size()) == want)
+        << "step " << step << ": checkpoint blob differs from a fresh encode";
+
+    if (step == 11) {
+      // Reload the blob and replay the log into a fresh cache.
+      EXPECT_GT(wc_->stats().evicted_records, 0u);
+      wc_ = Reopen();
+      wc_->ReleaseThrough(batch - 20);
+    }
+  }
+  EXPECT_GT(wc_->stats().evicted_records, 0u);
+  EXPECT_GE(wc_->stats().checkpoints, 12u);
+}
+
 }  // namespace
 }  // namespace lsvd
