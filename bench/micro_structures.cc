@@ -184,24 +184,32 @@ void BM_ExtentMapLookupSequential(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtentMapLookupSequential)->Arg(1000)->Arg(1000000);
 
-// Random 4 KiB overwrites of a fully fragmented volume map: `blocks` 4 KiB
-// extents (262 144 = a 1 GiB volume) written in random order with
-// non-contiguous SSD targets — the write-cache map's steady state under
-// fig06 / perfbench lsvd_randwrite.
-void BM_ExtentMapOverwrite4K(benchmark::State& state) {
-  const auto blocks = static_cast<uint64_t>(state.range(0));
+// A fully fragmented volume map: `blocks` 4 KiB extents (262 144 = a 1 GiB
+// volume) written in random order with non-contiguous SSD targets — the
+// write-cache map's steady state under fig06 / perfbench lsvd_randwrite.
+// `plba` is left just past the last target.
+ExtentMap<SsdTarget> FragmentedVolumeMap(uint64_t blocks, Rng* rng,
+                                         uint64_t* plba) {
   ExtentMap<SsdTarget> map;
-  Rng rng(3);
   std::vector<uint64_t> order(blocks);
   std::iota(order.begin(), order.end(), uint64_t{0});
   for (uint64_t i = blocks - 1; i > 0; i--) {
-    std::swap(order[i], order[rng.Uniform(i + 1)]);
+    std::swap(order[i], order[rng->Uniform(i + 1)]);
   }
-  uint64_t plba = 0;
+  *plba = 0;
   for (const uint64_t b : order) {
-    map.Update(b * 4 * kKiB, 4 * kKiB, SsdTarget{plba}, nullptr);
-    plba += 8 * kKiB;  // gap: consecutive writes never merge
+    map.Update(b * 4 * kKiB, 4 * kKiB, SsdTarget{*plba}, nullptr);
+    *plba += 8 * kKiB;  // gap: consecutive writes never merge
   }
+  return map;
+}
+
+// Random 4 KiB overwrites of a fully fragmented volume map.
+void BM_ExtentMapOverwrite4K(benchmark::State& state) {
+  const auto blocks = static_cast<uint64_t>(state.range(0));
+  Rng rng(3);
+  uint64_t plba = 0;
+  ExtentMap<SsdTarget> map = FragmentedVolumeMap(blocks, &rng, &plba);
   AllocCounter allocs(state);
   for (auto _ : state) {
     map.Update(rng.Uniform(blocks) * 4 * kKiB, 4 * kKiB, SsdTarget{plba},
@@ -211,6 +219,26 @@ void BM_ExtentMapOverwrite4K(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ExtentMapOverwrite4K)->Arg(262144);
+
+// Seek latency: random 4 KiB lookups into the same fragmented map, each
+// address derived from the previous lookup's result, so one seek cannot
+// start before the last one ends and the time per iteration is the full
+// latency of a cold descent (random blocks all but never hit the hint).
+void BM_ExtentMapSeekChain(benchmark::State& state) {
+  const auto blocks = static_cast<uint64_t>(state.range(0));
+  Rng rng(4);
+  uint64_t plba = 0;
+  const ExtentMap<SsdTarget> map = FragmentedVolumeMap(blocks, &rng, &plba);
+  uint64_t key = 1;
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    key = key * 0x9E3779B97F4A7C15 + 0x632BE59BD9B4E019;
+    key ^= map.LookupOne((key >> 24) % blocks * 4 * kKiB)->plba;
+  }
+  benchmark::DoNotOptimize(key);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ExtentMapSeekChain)->Arg(262144);
 
 // The flat map against PagedExtentMap with no residency budget (the backend
 // object map's default), through the same calls: random 16 KiB updates and

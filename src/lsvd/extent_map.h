@@ -11,10 +11,16 @@
 //
 // Layout: a B+tree with one level of leaves under a flat directory. Each
 // leaf is a sorted, fixed-capacity array of {start, len, target} entries
-// (kLeafCap = 64); the directory keeps every leaf's first start in one
-// contiguous array, so a descent is a binary search over that array and
-// then one within a leaf, touching a handful of cache lines instead of a
-// chain of per-extent heap nodes. Positions are (leaf, slot) pairs.
+// (kLeafCap = 64) in eight groups of eight, behind one cache line that
+// holds the entry count and the leaf's fences: the start of every group's
+// first entry (UINT64_MAX for a group at or past the count). The directory
+// keeps every leaf's first start in one contiguous array. A descent is a
+// branch-free search of that array, a count over the leaf's seven upper
+// fences, a prefetch of the chosen group and a branch-free count within
+// it: a cold seek waits on the fence line and one group instead of the
+// five or six dependent probes of a binary search over the whole leaf.
+// Every edit refreshes the fences from the first group it touched.
+// Positions are (leaf, slot) pairs.
 //
 // An update that trims an extent's left or right edge, or overwrites it
 // exactly, edits the entry in place; only a hole punched in the middle of an
@@ -41,8 +47,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstddef>
 #include <memory>
+#include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -95,8 +104,9 @@ class ExtentMap {
   using SegmentVec = SmallVector<Segment, 8>;
   using ExtentVec = SmallVector<Extent, 8>;
 
-  // Entries per leaf: 1.5-2 KiB of entries, so an in-leaf shift or binary
-  // search stays within a few dozen cache lines.
+  // Entries per leaf: 1.5-2 KiB of entries, so an in-leaf shift stays
+  // within a few dozen cache lines, in eight groups of eight behind one
+  // fence line.
   static constexpr uint32_t kLeafCap = 64;
 
   ExtentMap() = default;
@@ -242,18 +252,85 @@ class ExtentMap {
     return out;
   }
 
-  // Resident bytes: every leaf at full capacity plus the directory arrays.
+  // Resident bytes: every leaf at full capacity (its fence line included)
+  // plus the directory arrays.
   uint64_t MemoryBytes() const {
     return sizeof(*this) + leaves_.size() * sizeof(Leaf) +
            firsts_.capacity() * sizeof(uint64_t) +
            leaves_.capacity() * sizeof(std::unique_ptr<Leaf>);
   }
 
+  // Test hook: checks every structural invariant and returns a description
+  // of the first one broken, or an empty string. Entries are sorted,
+  // non-empty and non-overlapping across leaves; no leaf is empty; the
+  // directory and every fence match the entries; the extent count and the
+  // mapped byte count are exact.
+  std::string CheckInvariants() const {
+    if (firsts_.size() != leaves_.size()) {
+      return "directory size differs from the leaf count";
+    }
+    const auto broken = [](size_t li, const char* what, uint32_t i) {
+      return "leaf " + std::to_string(li) + ": " + what + " " +
+             std::to_string(i);
+    };
+    size_t count = 0;
+    uint64_t mapped = 0;
+    uint64_t prev_end = 0;
+    for (size_t li = 0; li < leaves_.size(); li++) {
+      const Leaf& leaf = *leaves_[li];
+      if (leaf.n == 0 || leaf.n > kLeafCap) {
+        return broken(li, "holds a bad entry count", leaf.n);
+      }
+      if (firsts_[li] != leaf.e[0].start) {
+        return broken(li, "differs from its directory entry at slot", 0);
+      }
+      for (uint32_t g = 1; g < kGroups; g++) {
+        if (leaf.fence[g - 1] != FenceOf(leaf, g)) {
+          return broken(li, "has a stale fence for group", g);
+        }
+      }
+      for (uint32_t s = 0; s < leaf.n; s++) {
+        const Extent& x = leaf.e[s];
+        if (x.len == 0) {
+          return broken(li, "holds an empty extent at slot", s);
+        }
+        if ((li > 0 || s > 0) && x.start < prev_end) {
+          return broken(li, "overlaps or misorders the extent at slot", s);
+        }
+        prev_end = x.start + x.len;
+        mapped += x.len;
+      }
+      count += leaf.n;
+    }
+    if (count != count_) {
+      return "extent count is stale";
+    }
+    if (mapped != mapped_) {
+      return "mapped byte count is stale";
+    }
+    return "";
+  }
+
  private:
-  struct Leaf {
+  // Entries per group: one fence each, searched by one branch-free count.
+  static constexpr uint32_t kGroupSize = 8;
+  static constexpr uint32_t kGroups = kLeafCap / kGroupSize;
+  static_assert(kGroups * kGroupSize == kLeafCap);
+  static constexpr uint64_t kNoFence = std::numeric_limits<uint64_t>::max();
+
+  // The first cache line holds the count and the upper fences; the entries
+  // start on the next line, so a group of 24- or 32-byte entries fills
+  // whole lines.
+  struct alignas(64) Leaf {
+    // fence[g-1] is e[8g].start for the groups g in 1..7 below n, else
+    // kNoFence; group 0's fence is the directory entry.
+    uint64_t fence[kGroups - 1] = {kNoFence, kNoFence, kNoFence, kNoFence,
+                                   kNoFence, kNoFence, kNoFence};
     uint32_t n = 0;
-    Extent e[kLeafCap];
+    alignas(64) Extent e[kLeafCap];
   };
+  static_assert(offsetof(Leaf, e) == 64, "fences share one line with n");
+
   // (leaf, slot). The end position is {leaves_.size(), 0}; no leaf is ever
   // empty, so every other in-range position names an extent.
   struct Pos {
@@ -296,25 +373,68 @@ class ExtentMap {
     }
     // Last leaf whose first extent starts at or before addr: no earlier leaf
     // can hold an extent ending after addr, since extents do not overlap.
-    size_t li = static_cast<size_t>(
-        std::upper_bound(firsts_.begin(), firsts_.end(), addr) -
-        firsts_.begin());
-    if (li == 0) {
+    // A branch-free upper bound over the directory.
+    size_t len = firsts_.size();
+    if (len == 0) {
       return Pos{0, 0};
     }
-    li--;
+    const uint64_t* base = firsts_.data();
+    while (len > 1) {
+      const size_t half = len / 2;
+      base = base[half] <= addr ? base + half : base;
+      len -= half;
+    }
+    if (*base > addr) {
+      return Pos{0, 0};
+    }
+    const auto li = static_cast<size_t>(base - firsts_.data());
     const Leaf& leaf = *leaves_[li];
-    auto s = static_cast<uint32_t>(
-        std::upper_bound(leaf.e, leaf.e + leaf.n, addr,
-                         [](uint64_t a, const Extent& e) {
-                           return a < e.start;
-                         }) -
-        leaf.e);
-    // e[s-1] starts at or before addr (s >= 1 because firsts_[li] <= addr).
+    // The last group whose first entry starts at or before addr (group 0's
+    // does: it is firsts_[li]). Clamped for addr == kNoFence.
+    uint32_t g = 0;
+    for (uint32_t k = 0; k < kGroups - 1; k++) {
+      g += static_cast<uint32_t>(leaf.fence[k] <= addr);
+    }
+    g = std::min(g, (leaf.n - 1) / kGroupSize);
+    const Extent* grp = leaf.e + g * kGroupSize;
+    for (size_t off = 0; off < kGroupSize * sizeof(Extent); off += 64) {
+      __builtin_prefetch(reinterpret_cast<const char*>(grp) + off);
+    }
+    // Upper bound within the group: entries past n are stale and masked.
+    const uint32_t live = std::min(kGroupSize, leaf.n - g * kGroupSize);
+    uint32_t c = 0;
+    for (uint32_t k = 0; k < kGroupSize; k++) {
+      c += static_cast<uint32_t>((k < live) & (grp[k].start <= addr));
+    }
+    uint32_t s = g * kGroupSize + c;
+    // e[s-1] starts at or before addr (c >= 1: the group's first entry does).
     if (leaf.e[s - 1].start + leaf.e[s - 1].len > addr) {
       s--;
     }
     return s < leaf.n ? Pos{li, s} : Pos{li + 1, 0};
+  }
+
+  // What fence[g-1] must hold for a leaf's current entries.
+  static uint64_t FenceOf(const Leaf& leaf, uint32_t g) {
+    return g * kGroupSize < leaf.n ? leaf.e[g * kGroupSize].start : kNoFence;
+  }
+  // Refreshes the fence of every group whose first entry is at or after
+  // `slot`, after the entries from `slot` on moved or the count changed.
+  static void RefreshFences(Leaf& leaf, uint32_t slot) {
+    for (uint32_t g = std::max(1u, (slot + kGroupSize - 1) / kGroupSize);
+         g < kGroups; g++) {
+      leaf.fence[g - 1] = FenceOf(leaf, g);
+    }
+  }
+  // Moves the start of the extent at p, keeping the directory and fences.
+  void SetStart(Pos p, uint64_t start) {
+    Leaf& leaf = *leaves_[p.leaf];
+    leaf.e[p.slot].start = start;
+    if (p.slot == 0) {
+      firsts_[p.leaf] = start;
+    } else if (p.slot % kGroupSize == 0) {
+      leaf.fence[p.slot / kGroupSize - 1] = start;
+    }
   }
 
   bool MergesWithPrev(Pos p, uint64_t start, const T& target) const {
@@ -391,10 +511,7 @@ class ExtentMap {
         mapped_ -= end - e.start;
         e.target = e.target.Advanced(end - e.start);
         e.len = e_end - end;
-        e.start = end;
-        if (p.slot == 0) {
-          firsts_[p.leaf] = end;
-        }
+        SetStart(p, end);
         return p;
       }
       // Fully covered: drop the whole covered run of this leaf at once.
@@ -425,12 +542,9 @@ class ExtentMap {
       hint_ = q;
     } else if (merge_next) {
       Extent& next = At(p);
-      next.start = start;
       next.len += len;
       next.target = target;
-      if (p.slot == 0) {
-        firsts_[p.leaf] = start;
-      }
+      SetStart(p, start);
       hint_ = p;
     } else {
       hint_ = InsertAt(p, Extent{start, len, target});
@@ -458,6 +572,8 @@ class ExtentMap {
       right->n = kLeafCap - keep;
       std::copy(leaf->e + keep, leaf->e + kLeafCap, right->e);
       leaf->n = keep;
+      RefreshFences(*leaf, keep);
+      RefreshFences(*right, 0);
       const uint64_t right_first = at_end ? x.start : right->e[0].start;
       leaves_.insert(leaves_.begin() + static_cast<ptrdiff_t>(p.leaf) + 1,
                      std::move(right));
@@ -473,6 +589,7 @@ class ExtentMap {
     leaf->e[p.slot] = x;
     leaf->n++;
     count_++;
+    RefreshFences(*leaf, p.slot);
     if (p.slot == 0) {
       firsts_[p.leaf] = x.start;
     }
@@ -491,6 +608,7 @@ class ExtentMap {
       firsts_.erase(firsts_.begin() + static_cast<ptrdiff_t>(li));
       return Pos{li, 0};
     }
+    RefreshFences(leaf, from);
     if (from == 0) {
       firsts_[li] = leaf.e[0].start;
     }
@@ -514,6 +632,7 @@ class ExtentMap {
     const uint32_t base = dst.n;
     std::copy(src.e, src.e + src.n, dst.e + base);
     dst.n += src.n;
+    RefreshFences(dst, base);
     leaves_.erase(leaves_.begin() + static_cast<ptrdiff_t>(li) + 1);
     firsts_.erase(firsts_.begin() + static_cast<ptrdiff_t>(li) + 1);
     if (p.leaf == li + 1) {

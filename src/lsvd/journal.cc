@@ -20,7 +20,7 @@ static_assert(kHeaderFixedBytes + kMaxJournalExtents * kHeaderExtentBytes <=
 }  // namespace
 
 uint64_t JournalRecordSize(bool is_trim,
-                           const std::vector<JournalExtent>& extents) {
+                           std::span<const JournalExtent> extents) {
   if (is_trim) {
     return kBlockSize;
   }

@@ -241,7 +241,13 @@ std::vector<uint64_t> ConsistencyVector(uint64_t through, size_t shard_count) {
 }
 
 Buffer EncodeCheckpoint(const CheckpointState& state) {
+  const size_t encoded =
+      4 + 4 + 8 + 8 + 7 * 4 + 4 + 32 * state.object_map.size() +
+      24 * state.object_info.size() + 16 * state.deferred_deletes.size() +
+      8 * state.snapshots.size() + 8 * state.shard_consistent.size() +
+      12 * state.generations.size();
   Encoder enc;
+  enc.Reserve(encoded);
   enc.PutU32(kCkptMagic);
   enc.PutU32(kCkptVersion);
   enc.PutU64(state.through_seq);
@@ -281,8 +287,13 @@ Buffer EncodeCheckpoint(const CheckpointState& state) {
     enc.PutU32(gen);
   }
 
-  enc.PatchU32(crc_pos, Crc32c(enc.bytes().data(), enc.size()));
-  return Buffer::FromBytes(enc.bytes());
+  assert(enc.size() == encoded);
+  enc.PatchU32(crc_pos, Crc32c(enc.bytes().data(), encoded));
+  // Hand the encoded vector over instead of copying it.
+  Buffer out;
+  out.AppendShared(std::make_shared<const std::vector<uint8_t>>(enc.Take()),
+                   0, encoded);
+  return out;
 }
 
 Status DecodeCheckpoint(const Buffer& object, CheckpointState* state) {

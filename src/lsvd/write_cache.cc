@@ -284,16 +284,16 @@ bool WriteCache::StartOneRecord() {
   slot = InFlightRecord{count, false, Status::Ok(),
                         EncodeJournalRecord(record)};
 
-  RecordMeta meta;
+  LiveRecord meta;
   meta.seq = seq;
   meta.offset = at.offset;
   meta.footprint = at.footprint;
+  meta.size = record_size;
   meta.max_batch_seq = max_batch;
   meta.is_trim = is_trim;
-  meta.extents = std::move(record.extents);
   meta.appended_at = host_->sim()->now();
   used_ += meta.footprint;
-  records_.push_back(std::move(meta));  // in sequence order; applied later
+  PushRecord(meta, record.extents);  // in sequence order; applied later
 
   auto alive = alive_;
   // The record write is preceded by the journal worker wakeup (Table 6).
@@ -327,12 +327,12 @@ void WriteCache::ApplyCompletedRecords() {
     }
     // In-flight records are never evicted, and records_ holds consecutive
     // seqs, so this record's metadata is at a known index.
-    const RecordMeta& meta = records_[next_apply_seq_ - records_.front().seq];
+    const LiveRecord& meta = records_[next_apply_seq_ - records_.front().seq];
     const Status status = rec.status;
     if (status.ok()) {
       ApplyRecord(meta);
     }
-    apply_head_ = meta.offset + meta.size();
+    apply_head_ = meta.offset + meta.size;
     // The record's writes are the oldest in writes_. Each leaves the queue
     // before its callback runs, which may append (and start) new writes.
     for (size_t i = rec.writes; i > 0; i--) {
@@ -349,9 +349,18 @@ void WriteCache::ApplyCompletedRecords() {
   MaybeStartRecord();
 }
 
-void WriteCache::ApplyRecord(const RecordMeta& rec) {
+void WriteCache::PushRecord(LiveRecord rec,
+                            std::span<const JournalExtent> extents) {
+  rec.first_extent = extents_base_ + record_extents_.size();
+  rec.extent_count = static_cast<uint32_t>(extents.size());
+  record_extents_.insert(record_extents_.end(), extents.begin(),
+                         extents.end());
+  records_.push_back(rec);
+}
+
+void WriteCache::ApplyRecord(const LiveRecord& rec) {
   uint64_t data_plba = rec.offset + kBlockSize;
-  for (const auto& e : rec.extents) {
+  for (const auto& e : ExtentsOf(rec)) {
     if (rec.is_trim) {
       // Punch the cache map and remember the tombstone until the backend
       // batch that carries the object-map punch commits (ReleaseThrough).
@@ -370,14 +379,14 @@ void WriteCache::ApplyRecord(const RecordMeta& rec) {
 }
 
 void WriteCache::EvictFront() {
-  const RecordMeta& rec = records_.front();
+  const LiveRecord& rec = records_.front();
   // Remove map entries that still point into this record's data area;
   // ranges overwritten by newer records are left alone. Trim records carry
   // no data, so no map entry can point into them.
   if (!rec.is_trim) {
     uint64_t extent_plba = rec.offset + kBlockSize;
     ExtentMap<SsdTarget>::SegmentVec segs;
-    for (const auto& e : rec.extents) {
+    for (const auto& e : ExtentsOf(rec)) {
       map_.Lookup(e.vlba, e.len, &segs);
       for (const auto& seg : segs) {
         if (seg.target.has_value() &&
@@ -393,7 +402,7 @@ void WriteCache::EvictFront() {
     // dropped front outweighs the entries kept.
     ckpt_encoded_--;
     ckpt_entries_front_ +=
-        kCkptRecordBytes + rec.extents.size() * kCkptRecordExtentBytes;
+        kCkptRecordBytes + rec.extent_count * kCkptRecordExtentBytes;
     if (2 * ckpt_entries_front_ >= ckpt_entries_.size()) {
       ckpt_entries_.DropFront(ckpt_entries_front_);
       ckpt_entries_front_ = 0;
@@ -401,6 +410,9 @@ void WriteCache::EvictFront() {
   }
   used_ -= rec.footprint;
   c_evicted_records_->Inc();
+  record_extents_.erase(record_extents_.begin(),
+                        record_extents_.begin() + rec.extent_count);
+  extents_base_ += rec.extent_count;
   records_.pop_front();
   if (release_timed_count_ > 0) {
     release_timed_count_--;
@@ -472,7 +484,7 @@ void WriteCache::ReleaseThrough(uint64_t synced_batch_seq) {
     // extend the timed prefix; record their append-to-free latency once.
     const Nanos now = host_->sim()->now();
     while (release_timed_count_ < records_.size()) {
-      const RecordMeta& rec = records_[release_timed_count_];
+      const LiveRecord& rec = records_[release_timed_count_];
       if (rec.max_batch_seq > release_watermark_) {
         break;
       }
@@ -566,15 +578,15 @@ Buffer WriteCache::EncodeCheckpointBlob() {
   // encoded.
   while (ckpt_encoded_ < records_.size() &&
          records_[ckpt_encoded_].seq < next_apply_seq_) {
-    const RecordMeta& rec = records_[ckpt_encoded_++];
+    const LiveRecord& rec = records_[ckpt_encoded_++];
     ckpt_entries_.PutU64(rec.seq);
     ckpt_entries_.PutU64(rec.offset);
     ckpt_entries_.PutU64(rec.footprint);
     ckpt_entries_.PutU64(rec.max_batch_seq);
-    const auto n = static_cast<uint32_t>(rec.extents.size());
+    const uint32_t n = rec.extent_count;
     assert(n < kRecordTrimBit);
     ckpt_entries_.PutU32(rec.is_trim ? n | kRecordTrimBit : n);
-    for (const auto& e : rec.extents) {
+    for (const auto& e : ExtentsOf(rec)) {
       ckpt_entries_.PutU64(e.vlba);
       ckpt_entries_.PutU64(e.len);
     }
@@ -643,10 +655,11 @@ Status WriteCache::LoadCheckpointBlob(const Buffer& blob,
   if (!fits(rec_count, kCkptRecordBytes) || rec_count >= next_seq) {
     return Status::Corruption("write-cache checkpoint record count too large");
   }
-  std::deque<RecordMeta> records(rec_count);
+  std::deque<LiveRecord> records(rec_count);
+  std::deque<JournalExtent> extents;
   uint64_t used = 0;
   for (uint32_t i = 0; i < rec_count; i++) {
-    RecordMeta& rec = records[i];
+    LiveRecord& rec = records[i];
     rec.seq = dec.GetU64();
     rec.offset = dec.GetU64();
     rec.footprint = dec.GetU64();
@@ -657,11 +670,15 @@ Status WriteCache::LoadCheckpointBlob(const Buffer& blob,
     if (!fits(n, kCkptRecordExtentBytes)) {
       return Status::Corruption("write-cache checkpoint extent count too large");
     }
-    rec.extents.resize(n);
-    for (JournalExtent& e : rec.extents) {
-      e.vlba = dec.GetU64();
-      e.len = dec.GetU64();
+    rec.first_extent = extents.size();
+    rec.extent_count = n;
+    uint64_t data = 0;
+    for (uint32_t k = 0; k < n; k++) {
+      const JournalExtent e{dec.GetU64(), dec.GetU64()};
+      data += e.len;
+      extents.push_back(e);
     }
+    rec.size = kBlockSize + (rec.is_trim ? 0 : data);
     // The listed records are the consecutive seqs just below next_seq.
     if (rec.seq != next_seq - rec_count + i) {
       return Status::Corruption("write-cache checkpoint records out of order");
@@ -683,13 +700,15 @@ Status WriteCache::LoadCheckpointBlob(const Buffer& blob,
   apply_head_ = head;
   used_ = used;
   records_ = std::move(records);
+  record_extents_ = std::move(extents);
+  extents_base_ = 0;
   ckpt_entries_ = Encoder();
   ckpt_entries_front_ = 0;
   ckpt_encoded_ = 0;
   release_timed_count_ = 0;
   map_.Clear();
   trim_map_.Clear();
-  for (const RecordMeta& rec : records_) {
+  for (const LiveRecord& rec : records_) {
     ApplyRecord(rec);
   }
   return Status::Ok();
@@ -918,33 +937,41 @@ void WriteCache::ReplayStep(uint64_t pos, std::function<void(Status)> done) {
 
 void WriteCache::ReplayAccept(JournalRecord rec, Placement at,
                               std::function<void(Status)> done) {
-  RecordMeta meta;
+  LiveRecord meta;
   meta.seq = rec.seq;
   meta.offset = at.offset;
   meta.footprint = at.footprint;
+  meta.size = JournalRecordSize(rec.is_trim, rec.extents);
   meta.max_batch_seq = rec.batch_seq;
   meta.is_trim = rec.is_trim;
-  meta.extents = std::move(rec.extents);
   // Records sit back to back in log order, so this one overwrote the front
   // record exactly when the log cannot hold both: the writer evicted it
   // first, and so does replay.
   while (!records_.empty() && used_ + meta.footprint > log_size_) {
     EvictFront();
   }
-  ApplyRecord(meta);
-  head_ = at.offset + meta.size();
+  PushRecord(meta, rec.extents);
+  ApplyRecord(records_.back());
+  head_ = at.offset + meta.size;
   next_seq_ = meta.seq + 1;
   used_ += meta.footprint;
-  records_.push_back(std::move(meta));
   ReplayStep(head_, std::move(done));
 }
 
 std::vector<WriteCache::RecordMeta> WriteCache::RecordsAfterBatch(
     uint64_t synced_seq) const {
   std::vector<RecordMeta> out;
-  for (const auto& rec : records_) {
+  for (const LiveRecord& rec : records_) {
     if (rec.max_batch_seq > synced_seq) {
-      out.push_back(rec);
+      RecordMeta& meta = out.emplace_back();
+      meta.seq = rec.seq;
+      meta.offset = rec.offset;
+      meta.footprint = rec.footprint;
+      meta.max_batch_seq = rec.max_batch_seq;
+      meta.is_trim = rec.is_trim;
+      for (const auto& e : ExtentsOf(rec)) {
+        meta.extents.push_back(e);
+      }
     }
   }
   return out;

@@ -25,6 +25,8 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <ranges>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,19 +54,15 @@ struct WriteCacheStats {
 
 class WriteCache {
  public:
-  // Metadata for a live (not yet evicted) record, kept in memory and in
-  // checkpoints; used for eviction and post-crash replay to the backend.
+  // A live (not yet evicted) record as RecordsAfterBatch lists it for
+  // post-crash replay to the backend; checkpoints list the same fields.
   struct RecordMeta {
     uint64_t seq = 0;
     uint64_t offset = 0;     // device offset of the header block
     uint64_t footprint = 0;  // size() plus any wrap gap preceding it
     uint64_t max_batch_seq = 0;
     bool is_trim = false;    // trim tombstone record (extents, no data)
-    std::vector<JournalExtent> extents;
-    // In-memory only (never checkpointed): append time, for the
-    // append-to-releasable lifecycle histogram. -1 for recovered records
-    // (whose true append time is unknown).
-    Nanos appended_at = -1;
+    JournalExtentList extents;
     // Header + payload bytes in the log.
     uint64_t size() const { return JournalRecordSize(is_trim, extents); }
   };
@@ -201,10 +199,35 @@ class WriteCache {
   void MaybeStartRecord();
   bool StartOneRecord();
   void ApplyCompletedRecords();
+  // A live record. Records and their extents come and go in the same FIFO
+  // order, so the extents of every live record share one deque,
+  // record_extents_, and a record owns no heap block: its extents are the
+  // extent_count entries from absolute index first_extent on.
+  struct LiveRecord {
+    uint64_t seq = 0;
+    uint64_t offset = 0;     // device offset of the header block
+    uint64_t footprint = 0;  // size plus any wrap gap preceding it
+    uint64_t size = 0;       // header + payload bytes in the log
+    uint64_t max_batch_seq = 0;
+    // Append time, for the append-to-releasable lifecycle histogram; -1
+    // for recovered records (whose true append time is unknown).
+    Nanos appended_at = -1;
+    uint64_t first_extent = 0;
+    uint32_t extent_count = 0;
+    bool is_trim = false;    // trim tombstone record (extents, no data)
+  };
+  auto ExtentsOf(const LiveRecord& rec) const {
+    const auto first = record_extents_.begin() +
+                       static_cast<ptrdiff_t>(rec.first_extent - extents_base_);
+    return std::ranges::subrange(first, first + rec.extent_count);
+  }
+  // Appends a record, whose first_extent this sets, and its extents.
+  void PushRecord(LiveRecord rec, std::span<const JournalExtent> extents);
+
   // The record lifecycle, shared by the writer, checkpoint load and replay:
   // ApplyRecord edits the cache map and trim tombstones for a record, and
   // EvictFront drops the front record's map entries and footprint.
-  void ApplyRecord(const RecordMeta& rec);
+  void ApplyRecord(const LiveRecord& rec);
   void EvictFront();
   // Adaptive batching (SetAdaptiveBatching): plug-deadline timer and the
   // coalesced barrier-flush pump.
@@ -254,7 +277,9 @@ class WriteCache {
   // Trim tombstones not yet committed to the backend; empty on volumes that
   // never trim. Rebuilt from the live records during recovery.
   ExtentMap<ObjTarget> trim_map_;
-  std::deque<RecordMeta> records_;
+  std::deque<LiveRecord> records_;
+  std::deque<JournalExtent> record_extents_;
+  uint64_t extents_base_ = 0;  // absolute index of record_extents_.front()
   // Writes and trims not yet acknowledged, in arrival order: the first
   // `started_` belong to records in flight, the rest wait for a record.
   std::deque<Pending> writes_;

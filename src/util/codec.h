@@ -14,16 +14,22 @@ namespace lsvd {
 
 // Puts write each field in place through a pointer into the output.
 // An encoder that knows its final size calls Reserve with it once; its puts
-// then never grow the output.
+// then never reallocate the output. Reserved bytes are not zero-filled:
+// a put zeroes at most 4 KiB ahead of itself before writing it, and
+// PutBytes copies a long run straight into the reserved space.
 class Encoder {
  public:
   void PutU8(uint8_t v) { *Claim(1) = v; }
   void PutU32(uint32_t v) { StoreLe(Claim(4), v); }
   void PutU64(uint64_t v) { StoreLe(Claim(8), v); }
   void PutBytes(std::span<const uint8_t> bytes) {
-    if (!bytes.empty()) {
-      std::memcpy(Claim(bytes.size()), bytes.data(), bytes.size());
+    // Fill the zeroed bytes past the position, then append the rest.
+    const size_t in_place = std::min(bytes.size(), out_.size() - pos_);
+    if (in_place > 0) {
+      std::memcpy(out_.data() + pos_, bytes.data(), in_place);
     }
+    out_.insert(out_.end(), bytes.begin() + in_place, bytes.end());
+    pos_ += bytes.size();
   }
   void PutString(const std::string& s) {
     PutU32(static_cast<uint32_t>(s.size()));
@@ -33,19 +39,15 @@ class Encoder {
   void PadTo(size_t align) {
     Claim((pos_ + align - 1) / align * align - pos_);
   }
-  // Sizes the output to hold `n` bytes in all, so puts up to that size
-  // write in place.
-  void Reserve(size_t n) {
-    if (n > out_.size()) {
-      out_.resize(n);
-    }
-  }
+  // Makes room for `n` bytes in all without writing them, so puts up to
+  // that size never reallocate.
+  void Reserve(size_t n) { out_.reserve(n); }
   // Drops the first `n` bytes and moves the rest to the front. The output
-  // keeps its size, so puts after this do not grow it.
+  // keeps its capacity, so puts after this do not reallocate it.
   void DropFront(size_t n) {
     std::memmove(out_.data(), out_.data() + n, pos_ - n);
-    std::memset(out_.data() + pos_ - n, 0, n);
     pos_ -= n;
+    out_.resize(pos_);
   }
   // Overwrites 4 bytes at `pos` (for CRC backpatching).
   void PatchU32(size_t pos, uint32_t v) { StoreLe(out_.data() + pos, v); }
@@ -60,16 +62,22 @@ class Encoder {
 
  private:
   // Advances the write position by `n` bytes and returns where they start.
-  // Bytes past the position are always zero (resize zero-fills and puts
-  // only write below it), which is what PadTo relies on.
+  // The output's bytes past the position are always zero (resize
+  // zero-fills, puts only write below the position and DropFront cuts the
+  // output at it), which is what PadTo relies on. Growing zero-fills up to
+  // kZeroAhead bytes ahead within the capacity, so a run of small puts pays
+  // one resize per 4 KiB (a journal or object header, one) while the bytes
+  // it zeroes are still in cache when the puts overwrite them.
   uint8_t* Claim(size_t n) {
     if (pos_ + n > out_.size()) {
-      out_.resize(std::max(pos_ + n, 2 * out_.size()));
+      out_.resize(std::max(pos_ + n,
+                           std::min(out_.capacity(), pos_ + kZeroAhead)));
     }
     uint8_t* p = out_.data() + pos_;
     pos_ += n;
     return p;
   }
+  static constexpr size_t kZeroAhead = 4096;
   template <typename T>
   static void StoreLe(uint8_t* p, T v) {
     if constexpr (std::endian::native == std::endian::little) {

@@ -3,12 +3,14 @@
 // typically 1-3 entries) never touch the heap.
 //
 // Deliberately minimal — push/emplace, clear, reserve, iteration, copy and
-// move — which is all the translation-map call sites need.
+// move — which is all the translation-map and journal-record call sites
+// need.
 #ifndef SRC_UTIL_SMALL_VECTOR_H_
 #define SRC_UTIL_SMALL_VECTOR_H_
 
 #include <cassert>
 #include <cstddef>
+#include <initializer_list>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -21,6 +23,14 @@ class SmallVector {
   static_assert(N > 0, "inline capacity must be non-zero");
 
   SmallVector() noexcept : data_(InlineData()), size_(0), cap_(N) {}
+
+  SmallVector(std::initializer_list<T> init) : SmallVector() {
+    reserve(init.size());
+    for (const T& v : init) {
+      ::new (data_ + size_) T(v);
+      size_++;
+    }
+  }
 
   SmallVector(const SmallVector& other) : SmallVector() {
     reserve(other.size_);
@@ -59,6 +69,8 @@ class SmallVector {
 
   ~SmallVector() { Deallocate(); }
 
+  T* data() { return data_; }
+  const T* data() const { return data_; }
   T* begin() { return data_; }
   T* end() { return data_ + size_; }
   const T* begin() const { return data_; }

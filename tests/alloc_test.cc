@@ -12,8 +12,13 @@
 //    backend miss over SimObjectStore only what the retry driver and the
 //    object store's std::function callbacks cost.
 //
-// This binary replaces the global operator new with a counting one, so the
-// counts are exact and deterministic.
+//  - the write cache's live records: the extents of all live records share
+//    one deque, so tearing down a cache frees no block per record.
+//
+// This binary replaces the global operator new (plain and over-aligned:
+// extent-map leaves and spilled SmallVectors use the latter) with a
+// counting one, and counts the deletes too, so the counts are exact and
+// deterministic.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -44,6 +49,14 @@
 
 namespace {
 std::atomic<uint64_t> g_allocs{0};
+std::atomic<uint64_t> g_frees{0};
+
+void CountedFree(void* p) {
+  if (p != nullptr) {
+    g_frees.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::free(p);
+}
 }  // namespace
 
 void* operator new(std::size_t n) {
@@ -53,8 +66,20 @@ void* operator new(std::size_t n) {
   }
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void* operator new(std::size_t n, std::align_val_t align) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  CountedFree(p);
+}
 
 namespace lsvd {
 namespace {
@@ -65,6 +90,14 @@ uint64_t AllocsIn(Fn&& fn) {
   const uint64_t before = g_allocs.load(std::memory_order_relaxed);
   fn();
   return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
+// Heap blocks freed while running `fn`.
+template <typename Fn>
+uint64_t FreesIn(Fn&& fn) {
+  const uint64_t before = g_frees.load(std::memory_order_relaxed);
+  fn();
+  return g_frees.load(std::memory_order_relaxed) - before;
 }
 
 TEST(AllocGuard, AllZeroBuffersAllocateNothing) {
@@ -333,9 +366,42 @@ TEST(AllocGuard, JournalRecordWriteCallbackIsInline) {
   });
   EXPECT_EQ(acked, 5000 + kRecords);
   // Per record: the encoded header, its control block and its chunk
-  // vector, and the record's extent list, plus the odd deque node (≈ 4.35).
-  // The SSD-write callback, [this, alive, seq] of 32 bytes, adds none.
-  EXPECT_LE(allocs, 9 * kRecords / 2) << allocs << " for " << kRecords;
+  // vector, plus the odd deque node (≈ 3.36). The journal record's extent
+  // list is inline, the live record's extents go to a shared deque, and the
+  // SSD-write callback, [this, alive, seq] of 32 bytes, is held inline.
+  EXPECT_LE(allocs, 7 * kRecords / 2) << allocs << " for " << kRecords;
+}
+
+// Records of one to four 4 KiB writes stay live (nothing is released), so
+// the cache holds every one when it is torn down. Live records and their
+// extents sit in two deques: teardown frees the deques' nodes (eight
+// records or 32 extents each), the map's leaves and a fixed set of
+// members, but no block per record.
+TEST(AllocGuard, LiveJournalRecordsFreeNoBlockPerRecord) {
+  Simulator sim;
+  ClientHostConfig hc;
+  hc.ssd_capacity = kGiB;
+  hc.ssd = SsdParams::Instant();
+  ClientHost host(&sim, hc);
+  constexpr uint64_t kRegion = 64 * kMiB;
+  auto wc = std::make_unique<WriteCache>(
+      &host, *host.AllocRegion(kRegion), kRegion,
+      StageCosts{0, 0, 0, 0, 0, 0, 0, 0, 0});
+  wc->Format([](Status) {});
+  sim.Run();
+  uint64_t vlba = 0;
+  for (uint64_t batch = 1; batch <= 600; batch++) {
+    for (int i = 0; i < 4; i++) {
+      wc->Append(vlba, Buffer::Zeros(4 * kKiB), batch, [](Status) {});
+      vlba += 8 * kKiB;  // gaps: every write is its own map extent
+    }
+    sim.Run();
+  }
+  const size_t records = wc->RecordsAfterBatch(0).size();
+  ASSERT_GE(records, 600u);
+  const uint64_t frees = FreesIn([&wc] { wc.reset(); });
+  // A block per record would make this at least `records`.
+  EXPECT_LE(frees, records / 3) << frees << " for " << records << " records";
 }
 
 // A disk over the simulated object store, its volume written with zeros

@@ -6,7 +6,10 @@
 // invalidate it (erases under the hint, merges that replace the node). The
 // fuzzer runs at map sizes from one leaf to ~50k extents (thousands of leaf
 // splits, and merges while the map drains), and checks copies and moves
-// taken mid-run against the same model.
+// taken mid-run against the same model. The map's structural invariants
+// (sorted entries, directory, fences, counts) are checked after every op
+// of the smaller sizes and every 64th op of the largest, where one check
+// walks ~50k extents.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -126,6 +129,7 @@ struct FuzzSize {
   int ops;
   uint64_t seeds;
   uint64_t min_peak;  // extents the run must reach at least once
+  int check_every;    // ops between structural invariant checks
 };
 
 // Test listings print the size by name.
@@ -150,6 +154,8 @@ TEST_P(ExtentMapHintFuzz, FuzzAgainstShadowModel) {
         ExtentMap<ObjTarget> copy(map);
         map.Remove(0, shadow.size(), nullptr);
         ASSERT_EQ(map.extent_count(), 0u);
+        ASSERT_EQ(map.CheckInvariants(), "");
+        ASSERT_EQ(copy.CheckInvariants(), "");
         CheckAll(copy, shadow);
         // Copy-assign back over the emptied map (stale hint included).
         map = copy;
@@ -158,6 +164,8 @@ TEST_P(ExtentMapHintFuzz, FuzzAgainstShadowModel) {
         ExtentMap<ObjTarget> moved(std::move(map));
         ASSERT_EQ(map.extent_count(), 0u);  // NOLINT(bugprone-use-after-move)
         ASSERT_EQ(map.mapped_bytes(), 0u);
+        ASSERT_EQ(map.CheckInvariants(), "");
+        ASSERT_EQ(moved.CheckInvariants(), "");
         CheckAll(moved, shadow);
         map = std::move(moved);
         CheckAll(map, shadow);
@@ -201,9 +209,14 @@ TEST_P(ExtentMapHintFuzz, FuzzAgainstShadowModel) {
         shadow.Update(start, len, target);
       }
       ASSERT_EQ(map.mapped_bytes(), shadow.mapped());
+      if (op % size.check_every == 0) {
+        ASSERT_EQ(map.CheckInvariants(), "") << "seed " << seed << " op "
+                                             << op;
+      }
       peak_extents = std::max<uint64_t>(peak_extents, map.extent_count());
     }
     CheckAll(map, shadow);
+    ASSERT_EQ(map.CheckInvariants(), "");
     ASSERT_EQ(map.Extents().size(), map.extent_count());
   }
   EXPECT_GE(peak_extents, size.min_peak);
@@ -211,9 +224,9 @@ TEST_P(ExtentMapHintFuzz, FuzzAgainstShadowModel) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sizes, ExtentMapHintFuzz,
-    ::testing::Values(FuzzSize{"Handful", 16, 4, 2000, 6, 8},
-                      FuzzSize{"Thousands", 32768, 4, 20000, 3, 3000},
-                      FuzzSize{"FiftyK", 1 << 18, 2, 400000, 1, 45000}),
+    ::testing::Values(FuzzSize{"Handful", 16, 4, 2000, 6, 8, 1},
+                      FuzzSize{"Thousands", 32768, 4, 20000, 3, 3000, 1},
+                      FuzzSize{"FiftyK", 1 << 18, 2, 400000, 1, 45000, 64}),
     [](const ::testing::TestParamInfo<FuzzSize>& info) {
       return std::string(info.param.name);
     });

@@ -271,6 +271,225 @@ TEST(ExtentMap, MemoryShrinksWithExtentCountAfterPunching) {
   EXPECT_LT(m.MemoryBytes(), full_bytes / 50);
 }
 
+// Fence maintenance. A leaf keeps the start of every 8th entry in a fence
+// line, so every edit that moves an entry, changes a group's first start or
+// changes a leaf's count must refresh it. These cases drive each such edit
+// at the group boundaries (slot 0, whose fence is the directory entry, and
+// slot 8, the first upper fence) and check the structure and every block.
+
+constexpr uint64_t kB = 4 * kKiB;
+
+// The SSD address of every 4 KiB block, or none.
+class BlockModel {
+ public:
+  explicit BlockModel(uint64_t blocks) : plba_(blocks) {}
+
+  void Update(Map* m, uint64_t block, uint64_t n, uint64_t plba) {
+    m->Update(block * kB, n * kB, SsdTarget{plba});
+    for (uint64_t i = 0; i < n; i++) {
+      plba_[block + i] = plba + i * kB;
+    }
+  }
+  void Remove(Map* m, uint64_t block, uint64_t n) {
+    m->Remove(block * kB, n * kB);
+    for (uint64_t i = 0; i < n; i++) {
+      plba_[block + i].reset();
+    }
+  }
+  std::optional<uint64_t> At(uint64_t block) const { return plba_[block]; }
+
+  // Checks the structure, then every block in a strided order, so most
+  // lookups miss the hint and descend.
+  void Check(const Map& m) const {
+    ASSERT_EQ(m.CheckInvariants(), "");
+    const uint64_t n = plba_.size();
+    uint64_t mapped = 0;
+    for (uint64_t i = 0; i < n; i++) {
+      const uint64_t block = i * 37 % n;
+      const auto got = m.LookupOne(block * kB + 17);
+      if (plba_[block].has_value()) {
+        ASSERT_TRUE(got.has_value()) << "block " << block;
+        ASSERT_EQ(got->plba, *plba_[block] + 17) << "block " << block;
+        mapped += kB;
+      } else {
+        ASSERT_EQ(got, std::nullopt) << "block " << block;
+      }
+    }
+    ASSERT_EQ(m.mapped_bytes(), mapped);
+  }
+
+ private:
+  std::vector<std::optional<uint64_t>> plba_;
+};
+
+// `extents` extents of four blocks, the i-th at blocks [5i+1, 5i+5), with
+// targets that never continue each other; sorted, so they fill leaves
+// completely and extent i sits at slot i % 64 of leaf i / 64.
+void FillGapped(Map* m, BlockModel* model, uint64_t extents) {
+  for (uint64_t i = 0; i < extents; i++) {
+    model->Update(m, 5 * i + 1, 4, (1 + 8 * i) * kB);
+  }
+  ASSERT_EQ(m->extent_count(), extents);
+}
+
+TEST(ExtentMapFences, SplitsAtTheEndAndInTheMiddle) {
+  Map m;
+  BlockModel model(4 * 5 * Map::kLeafCap);
+  for (uint64_t i = 0; i < 2 * Map::kLeafCap + 9; i++) {
+    model.Update(&m, 5 * i + 1, 4, (1 + 8 * i) * kB);
+    ASSERT_EQ(m.CheckInvariants(), "") << "append " << i;
+  }
+  // Sorted appends filled two leaves and started a third.
+  model.Check(m);
+  // An insert into a full leaf splits it in half; it lands in the left
+  // half, then (in the next full leaf) in the right one, so the left
+  // half's emptied groups keep no stale fence.
+  model.Update(&m, 5 * 20, 1, 7 * kB);
+  model.Check(m);
+  model.Update(&m, 5 * 120, 1, 7 * kB + kGiB);
+  model.Check(m);
+}
+
+TEST(ExtentMapFences, PunchAndTrimAtGroupBoundaries) {
+  for (const uint64_t slot : {0, 8, 16}) {
+    const uint64_t b = 5 * slot + 1;  // first block of the extent at `slot`
+    // Punch a hole in the middle: the right part is inserted after it.
+    {
+      Map m;
+      BlockModel model(5 * 24 + 5);
+      FillGapped(&m, &model, 24);
+      model.Remove(&m, b + 1, 2);
+      model.Check(m);
+      ASSERT_EQ(m.extent_count(), 25u);
+    }
+    // Trim the left edge: the entry's start moves.
+    {
+      Map m;
+      BlockModel model(5 * 24 + 5);
+      FillGapped(&m, &model, 24);
+      model.Remove(&m, b, 1);
+      model.Check(m);
+    }
+    // Trim the right edge: the start stays.
+    {
+      Map m;
+      BlockModel model(5 * 24 + 5);
+      FillGapped(&m, &model, 24);
+      model.Remove(&m, b + 3, 1);
+      model.Check(m);
+    }
+    // Overwrite the gap and the first block: a left trim, then an insert
+    // at the same slot.
+    {
+      Map m;
+      BlockModel model(5 * 24 + 5);
+      FillGapped(&m, &model, 24);
+      model.Update(&m, b - 1, 2, 3 * kGiB);
+      model.Check(m);
+      ASSERT_EQ(m.extent_count(), 25u);
+    }
+    // Fill the gap with a target that continues the extent: it merges
+    // with its next neighbour, whose start moves down.
+    {
+      Map m;
+      BlockModel model(5 * 24 + 5);
+      FillGapped(&m, &model, 24);
+      model.Update(&m, b - 1, 1, *model.At(b) - kB);
+      model.Check(m);
+      ASSERT_EQ(m.extent_count(), 24u);
+    }
+    // Remove the entry whole.
+    {
+      Map m;
+      BlockModel model(5 * 24 + 5);
+      FillGapped(&m, &model, 24);
+      model.Remove(&m, b, 4);
+      model.Check(m);
+      ASSERT_EQ(m.extent_count(), 23u);
+    }
+  }
+}
+
+TEST(ExtentMapFences, EraseWholeGroups) {
+  Map m;
+  BlockModel model(5 * Map::kLeafCap + 5);
+  FillGapped(&m, &model, Map::kLeafCap);
+  // Groups 1 and 2 (slots 8..23) in one range, then group 0, then the
+  // last group: the count drops and later groups' fences move down.
+  model.Remove(&m, 5 * 8, 5 * 16);
+  model.Check(m);
+  ASSERT_EQ(m.extent_count(), Map::kLeafCap - 16);
+  model.Remove(&m, 0, 5 * 8);
+  model.Check(m);
+  model.Remove(&m, 5 * (Map::kLeafCap - 8), 5 * 8 + 5);
+  model.Check(m);
+  ASSERT_EQ(m.extent_count(), Map::kLeafCap - 32);
+  // Everything but one extent, then everything.
+  model.Remove(&m, 0, 5 * (Map::kLeafCap - 9));
+  model.Check(m);
+  ASSERT_EQ(m.extent_count(), 1u);
+  model.Remove(&m, 0, 5 * Map::kLeafCap + 5);
+  model.Check(m);
+  EXPECT_TRUE(m.empty());
+}
+
+TEST(ExtentMapFences, LeafMergesKeepFences) {
+  constexpr uint64_t kCap = Map::kLeafCap;
+  // Merge into the left neighbour: thin leaf 0, then leaf 1 below a
+  // quarter, so leaf 1 is appended to leaf 0.
+  {
+    Map m;
+    BlockModel model(5 * 4 * kCap + 5);
+    FillGapped(&m, &model, 4 * kCap);
+    model.Remove(&m, 5 * 3, 5 * (kCap - 23));  // leaf 0 keeps 23
+    model.Check(m);
+    model.Remove(&m, 5 * (kCap + 2), 5 * (kCap - 11));  // leaf 1 keeps 11
+    model.Check(m);
+    ASSERT_EQ(m.extent_count(), 2 * kCap + 34);
+  }
+  // Merge with the right neighbour: leaf 0 stays full, so a thinned leaf 1
+  // takes leaf 2 (thinned first) into its tail.
+  {
+    Map m;
+    BlockModel model(5 * 4 * kCap + 5);
+    FillGapped(&m, &model, 4 * kCap);
+    model.Remove(&m, 5 * (2 * kCap + 5), 5 * (kCap - 30));  // leaf 2: 30
+    model.Check(m);
+    model.Remove(&m, 5 * (kCap + 1), 5 * (kCap - 13));  // leaf 1: 13
+    model.Check(m);
+    ASSERT_EQ(m.extent_count(), 2 * kCap + 43);
+  }
+}
+
+TEST(ExtentMapFences, CopyAndMoveMidRunAreIndependent) {
+  Map m;
+  BlockModel model(5 * 3 * Map::kLeafCap);
+  FillGapped(&m, &model, 2 * Map::kLeafCap + 7);
+  Rng rng(5);
+  for (int i = 0; i < 200; i++) {
+    model.Update(&m, rng.Uniform(5 * 2 * Map::kLeafCap), 1 + rng.Uniform(3),
+                 (1 + rng.Uniform(1 << 20)) * 2 * kGiB);
+  }
+  model.Check(m);
+  Map copy(m);
+  BlockModel copy_model = model;
+  copy_model.Check(copy);
+  // Edits to one leave the other as it was.
+  model.Remove(&m, 5 * 8, 5 * 70);
+  copy_model.Update(&copy, 5 * 8, 9, 5 * kGiB);
+  model.Check(m);
+  copy_model.Check(copy);
+
+  Map moved(std::move(m));
+  EXPECT_EQ(m.CheckInvariants(), "");  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(m.empty());
+  model.Check(moved);
+  m = std::move(copy);
+  copy_model.Check(m);
+  moved = m;
+  copy_model.Check(moved);
+}
+
 // Property test: random updates/removes against a per-byte reference model.
 class ExtentMapProperty : public ::testing::TestWithParam<uint64_t> {};
 
@@ -296,8 +515,10 @@ TEST_P(ExtentMapProperty, MatchesByteLevelReferenceModel) {
       }
     }
 
-    // Invariant: mapped_bytes matches the reference.
+    // Invariant: mapped_bytes matches the reference, and the leaves, the
+    // directory and the fences are consistent.
     ASSERT_EQ(m.mapped_bytes(), ref.size());
+    ASSERT_EQ(m.CheckInvariants(), "") << "step " << step;
 
     // Invariant: the mapped_bytes accumulator never drifts from the ground
     // truth, the sum of extent lengths (guards the partial-overlap
